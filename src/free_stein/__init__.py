@@ -21,8 +21,8 @@ from .scalars import QQi
 from .stein import (DegreeScheme, DiscrepancyReport, GramSystem, SigmaReport,
                     adjoint_action, alpha_estimate, conjugate_variable_check,
                     discrepancy, irregularity_bounded, irregularity_estimate,
-                    jacobian_basis, join_free_factors, matrix_to_poly,
-                    radius_sweep, sigma_exact_fd, solve_adjoint_fd)
+                    join_free_factors, matrix_to_poly, radius_sweep,
+                    sigma_exact_fd, solve_adjoint_fd)
 from .trace import (FreeProductModel, MatrixModel, MeasureModel,
                     SemicircleDensity, SemicircularModel, TableDensity,
                     TraceModel, UniformDensity, catalan, cyclic_group_model,

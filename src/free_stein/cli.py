@@ -16,7 +16,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import stein
 from .closedform import (CompressedGeneratorSpec, GraphSpec,
                          compressed_semicircular_sigma, eps_kernel, fd_sigma,
                          finite_group_sigma, graph_sigma, group_sigma,
@@ -84,10 +83,6 @@ def _radii(text):
     if not out:
         raise ValueError("empty radius list")
     return out
-
-
-def _frac(text) -> Fraction:
-    return Fraction(text)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -162,10 +157,6 @@ def _cmd_sweep_degree(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_radius(args) -> int:
-    return _cmd_bounded(args)
-
-
 def _cmd_alpha(args) -> int:
     model = _load(args)
     sweep = radius_sweep(model, _scheme(args), _radii(args.radii))
@@ -189,7 +180,7 @@ def _cmd_closed_form(args) -> int:
         return EXIT_OK
     if which == "fd":
         if args.blocks:
-            blocks = [(int(k), _frac(lam)) for k, lam in
+            blocks = [(int(k), Fraction(lam)) for k, lam in
                       (tok.split(":") for tok in args.blocks.split(","))]
         else:
             model = _load(args)
@@ -201,7 +192,7 @@ def _cmd_closed_form(args) -> int:
                            "sigma": float(sigma), "sigma_exact": str(sigma)})
         return EXIT_OK
     if which == "group":
-        sigma = group_sigma(_frac(args.beta0), _frac(args.beta1))
+        sigma = group_sigma(Fraction(args.beta0), Fraction(args.beta1))
         _write_json(args, {"schema": "free-stein/1", "kind": "group",
                            "sigma": float(sigma), "sigma_exact": str(sigma)})
         return EXIT_OK
@@ -216,16 +207,16 @@ def _cmd_closed_form(args) -> int:
             if not tok.strip():
                 continue
             te, tf, mode = tok.split(":")
-            pairs.append((_frac(te), _frac(tf), mode.strip() == "eq"))
+            pairs.append((Fraction(te), Fraction(tf), mode.strip() == "eq"))
         rep = compressed_semicircular_sigma(CompressedGeneratorSpec(pairs))
         _write_json(args, rep.to_json())
         return EXIT_OK
     if which == "graph":
         with open(args.graph, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        weights = [(v, _frac(str(w))) for v, w in data["weights"].items()] \
+        weights = [(v, Fraction(str(w))) for v, w in data["weights"].items()] \
             if isinstance(data["weights"], dict) else \
-            [(v, _frac(str(w))) for v, w in data["weights"]]
+            [(v, Fraction(str(w))) for v, w in data["weights"]]
         spec = GraphSpec(weights, data["edges"])
         _write_json(args, graph_sigma(spec).to_json())
         return EXIT_OK
@@ -269,12 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--cap", type=int, default=None,
                        help="degree cap override (also FREE_STEIN_CAP)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Gram assembly")
         p.add_argument("--cond-limit", type=float, default=1e12,
                        help="Gram condition number beyond which exit code is 3")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded for reproducibility")
 
     def degrees(p):
         p.add_argument("--dxi", type=int, default=None,
@@ -295,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     degrees(p)
     p.set_defaults(func=_cmd_irregularity)
 
-    p = sub.add_parser("bounded", help="irregularity under a norm constraint")
+    p = sub.add_parser("bounded", aliases=["sweep-radius"],
+                       help="irregularity under a norm constraint")
     common(p)
     degrees(p)
     p.add_argument("--radii", required=True, help="comma-separated radii")
@@ -322,13 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dproj-offset", type=int, default=2)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_sweep_degree)
-
-    p = sub.add_parser("sweep-radius", help="R-bounded irregularity sweep")
-    common(p)
-    degrees(p)
-    p.add_argument("--radii", required=True)
-    p.add_argument("--csv")
-    p.set_defaults(func=_cmd_sweep_radius)
 
     p = sub.add_parser("alpha", help="decay exponent of the bounded sweep")
     common(p)
@@ -366,8 +347,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    if getattr(args, "threads", 1) > 1:
-        stein.set_threads(args.threads)
     try:
         return args.func(args)
     except (FreeSteinError, OSError, ValueError, json.JSONDecodeError) as exc:

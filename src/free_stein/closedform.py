@@ -306,16 +306,16 @@ class EpsKernelReport:
 
 _PEAK_WINDOW = 64.0  # half-width of the peak region, in units of eps
 
-
-def _gl_nodes(panels, n=32):
-    """Flattened Gauss-Legendre nodes/weights over a list of (a, b) panels."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = [], []
-    for a, b in panels:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+# fixed node sets of the vectorized integrands: the peak window in units of
+# eps, the tails as fractions of their length, and panels on (0, 1) halving
+# toward both endpoints for the log potential
+_PEAK_NODES = quadrature.panel_nodes(
+    [(-_PEAK_WINDOW, -8.0), (-8.0, 8.0), (8.0, _PEAK_WINDOW)], 32)
+_TAIL_NODES = quadrature.panel_nodes([(0.0, 0.5), (0.5, 1.0)], 32)
+_BI_NODES = quadrature.panel_nodes(
+    [panel for k in range(1, 45)
+     for panel in ((2.0 ** (-k - 1), 2.0 ** (-k)),
+                   (1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-k - 1)))], 8)
 
 
 def _density_conv(dens, ts: np.ndarray, eps: float, kfunc) -> np.ndarray:
@@ -328,12 +328,12 @@ def _density_conv(dens, ts: np.ndarray, eps: float, kfunc) -> np.ndarray:
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     W = _PEAK_WINDOW * eps
-    u, uw = _gl_nodes([(-_PEAK_WINDOW, -8.0), (-8.0, 8.0), (8.0, _PEAK_WINDOW)])
+    u, uw = _PEAK_NODES
     s_peak = ts[:, None] + eps * u[None, :]
     val = np.einsum("ij,ij,j->i", kfunc(ts[:, None] - s_peak),
                     dens.pdf(s_peak), uw) * eps
     lo, hi = dens.support
-    xi, xw = _gl_nodes([(0.0, 0.5), (0.5, 1.0)])
+    xi, xw = _TAIL_NODES
     # left tail [lo, t - W] and right tail [t + W, hi], collapsed when empty
     for sign in (-1.0, 1.0):
         if sign < 0:
@@ -421,22 +421,6 @@ def eps_kernel(measure: MeasureModel, eps: float, grid_points: int = 41,
 # ---------------------------------------------------------------------------
 # logarithmic energy
 # ---------------------------------------------------------------------------
-
-
-def _bi_geometric_nodes(levels: int = 44, n: int = 8):
-    """Nodes/weights on (0, 1) from panels halving toward both endpoints."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n)
-    fracs, weights = [], []
-    for k in range(1, levels + 1):
-        for a, b in ((2.0 ** (-k - 1), 2.0 ** (-k)),
-                     (1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-k - 1))):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            fracs.append(mid + half * gl_x)
-            weights.append(half * gl_w)
-    return np.concatenate(fracs), np.concatenate(weights)
-
-
-_BI_NODES = _bi_geometric_nodes()
 
 
 def _log_potential(dens, xs: np.ndarray) -> np.ndarray:

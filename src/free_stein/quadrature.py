@@ -24,6 +24,18 @@ def _leggauss(n: int):
     return x, w
 
 
+def panel_nodes(panels, n: int):
+    """Flattened ``n``-point Gauss-Legendre nodes and weights over a list of
+    ``(a, b)`` panels."""
+    x, w = _leggauss(n)
+    nodes, weights = [], []
+    for a, b in panels:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _panel(f, a: float, b: float, n: int = _PANEL_NODES) -> float:
     x, w = _leggauss(n)
     mid = 0.5 * (a + b)

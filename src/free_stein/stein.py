@@ -42,15 +42,6 @@ from .trace import MatrixModel, TraceModel
 
 RCOND = 1e-10  # relative eigenvalue / singular-value cutoff for all solves
 
-_THREADS = 1
-
-
-def set_threads(n: int) -> None:
-    """Worker threads for Gram assembly.  Entries are independent and written
-    into preallocated slots, so results are identical for any thread count."""
-    global _THREADS
-    _THREADS = max(1, int(n))
-
 
 # ---------------------------------------------------------------------------
 # degree scheme and reports
@@ -85,7 +76,6 @@ class DiscrepancyReport:
     gram_condition: float
     trail: list = field(default_factory=list)
     xi: tuple = ()
-    projection: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -174,28 +164,6 @@ def monomial_words(system, dmin, dmax):
     return words
 
 
-def _word_poly(system, w) -> NCPoly:
-    return NCPoly.from_word(system, w)
-
-
-def jacobian_basis(model: TraceModel, scheme: DegreeScheme) -> list:
-    """Spanning kernels of the truncated projection range: for every slot and
-    monomial whose Jacobian has tensor degree at most ``d_proj``, the kernel
-    matrix with that monomial's gradient in the slot's row.  Zero Jacobians
-    (constant monomials) are dropped; the identity kernel appears as the
-    degree-one diagonal elements."""
-    system = model.system
-    out = []
-    for w in monomial_words(system, 1, scheme.d_proj + 1):
-        row = gradient(_word_poly(system, w))
-        for i in range(system.n):
-            entries = [[TensorPoly.zero(system)] * system.n
-                       for _ in range(system.n)]
-            entries[i] = list(row)
-            out.append(KernelMatrix(system, entries))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gram system over the truncated Jacobian range
 # ---------------------------------------------------------------------------
@@ -217,23 +185,14 @@ class GramSystem:
         self.model = model
         self.d_proj = d_proj
         self.words = monomial_words(system, 1, d_proj + 1)
-        self.rows = [gradient(_word_poly(system, w)) for w in self.words]
+        self.rows = [gradient(NCPoly.from_word(system, w)) for w in self.words]
         m = len(self.words)
         W = np.zeros((m, m), dtype=complex)
-
-        def fill(a):
+        for a in range(m):
             for b in range(a, m):
                 v = model.inner_tensor_row(self.rows[b], self.rows[a])
                 W[a, b] = v
                 W[b, a] = np.conj(v)
-
-        if _THREADS > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-                list(pool.map(fill, range(m)))
-        else:
-            for a in range(m):
-                fill(a)
         self.W = W
         # prefix index per tensor degree: words sorted by length
         self._degree_count = {}
@@ -246,7 +205,7 @@ class GramSystem:
         d = self.d_proj if d is None else d
         if d not in self._views:
             k = self._degree_count[d]
-            self._views[d] = _GramView(self, d, k)
+            self._views[d] = _GramView(self.W, k)
         return self._views[d]
 
     # r-vectors against the full basis ------------------------------------
@@ -275,11 +234,9 @@ class _GramView:
     """Eigendecomposed prefix of a :class:`GramSystem` with isometric
     coordinates on the truncated projection range."""
 
-    def __init__(self, parent: GramSystem, d: int, k: int):
-        self.parent = parent
-        self.d = d
+    def __init__(self, W: np.ndarray, k: int):
         self.k = k
-        vals, vecs = np.linalg.eigh(parent.W[:k, :k])
+        vals, vecs = np.linalg.eigh(W[:k, :k])
         top = float(vals[-1]) if len(vals) else 0.0
         keep = vals > RCOND * max(top, 1e-300)
         self.vals = vals[keep]
@@ -291,17 +248,19 @@ class _GramView:
         r = r_full[:, :self.k]
         return (self.vecs.conj().T @ r.T).T / np.sqrt(self.vals)
 
-    def coefficients(self, r_full: np.ndarray) -> np.ndarray:
-        """Least-squares expansion coefficients of the projection."""
-        r = r_full[:, :self.k]
-        return (self.vecs @ ((self.vecs.conj().T @ r.T) / self.vals[:, None])).T
-
 
 def _gram_cached(model: TraceModel, d_proj: int) -> GramSystem:
     cache = model.__dict__.setdefault("_gram_cache", {})
     if d_proj not in cache:
         cache[d_proj] = GramSystem(model, d_proj)
     return cache[d_proj]
+
+
+def _coords(model: MatrixModel) -> MatrixCoordinates:
+    """The model's matrix coordinates, built on first use."""
+    if "_fd_coords" not in model.__dict__:
+        model._fd_coords = MatrixCoordinates(model)
+    return model._fd_coords
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +303,9 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
         value = float(np.linalg.norm(view.z(rA) - view.z(r1)))
         trail.append((d, value))
     view = gs.view()
-    coeffs = view.coefficients(rA)
     return DiscrepancyReport(
         value=value, scheme=scheme, gram_condition=view.cond, trail=trail,
-        xi=xi, projection=coeffs.tolist(),
+        xi=xi,
         diagnostics={"basis_size": model.n * view.k, "kept_rank": len(view.vals)})
 
 
@@ -358,7 +316,7 @@ def _xi_basis(model: TraceModel, d_xi: int):
     labels = []
     polys = []
     for w in words:
-        p = model.centered(_word_poly(system, w))
+        p = model.centered(NCPoly.from_word(system, w))
         for i in range(system.n):
             labels.append((i, w))
             polys.append(tuple(p if j == i else NCPoly.zero(system)
@@ -405,7 +363,8 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
     for dx in range(1, scheme.d_xi + 1):
         mask = np.array([len(w) // 2 <= dx for _, w in labels])
         Zd = Z[:, mask]
-        yd, *_ = np.linalg.lstsq(Zd, b, rcond=RCOND)
+        # the last pass takes every candidate, so its rank is that of Z
+        yd, _, rank, _ = np.linalg.lstsq(Zd, b, rcond=RCOND)
         vd = float(np.linalg.norm(Zd @ yd - b))
         trail.append((dx, vd))
         if dx == scheme.d_xi:
@@ -417,9 +376,7 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
     return SigmaReport(
         sigma=sigma, irregularity=value, mode="estimate", trail=trail,
         scheme=scheme, xi=xi, gram_condition=view.cond,
-        diagnostics={"candidates": len(candidates),
-                     "design_rank": int(np.linalg.matrix_rank(Z, tol=RCOND))
-                     if Z.size else 0})
+        diagnostics={"candidates": len(candidates), "design_rank": int(rank)})
 
 
 def irregularity_bounded(model: TraceModel, scheme: DegreeScheme,
@@ -526,7 +483,7 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
         raise ModelError("exact mode requires a finite-dimensional matrix model")
     if d < 1:
         raise StructureError("d must be at least 1")
-    coords = model.__dict__.setdefault("_fd_coords", MatrixCoordinates(model))
+    coords = _coords(model)
     system = model.system
     n, D = model.n, coords.D
 
@@ -611,7 +568,7 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
     worst = None
     residual = 0.0
     for w in monomial_words(system, 0, d):
-        p = _word_poly(system, w)
+        p = NCPoly.from_word(system, w)
         for i in range(model.n):
             lhs = model.inner_l2(xi[i], p)
             rhs = model.inner_tensor(unit, diff_quotient(i, p))
@@ -622,23 +579,14 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
     return ConjugateReport(residual=residual, fisher_info=fisher, worst=worst)
 
 
-def _partial_trace_right(model, t: TensorPoly) -> NCPoly:
-    """(1 (x) tau)(a (x) b) = tau(b) a."""
+def _partial_trace(model, t: TensorPoly, keep: int) -> NCPoly:
+    """Trace out one leg: ``keep=0`` gives (1 (x) tau)(a (x) b) = tau(b) a,
+    ``keep=1`` gives (tau (x) 1)(a (x) b) = tau(a) b."""
     acc = NCPoly.zero(t.system)
-    for (a, b), c in t.terms.items():
-        tr = model.trace_word(b)
+    for legs, c in t.terms.items():
+        tr = model.trace_word(legs[1 - keep])
         if tr != 0:
-            acc = acc + NCPoly.from_word(t.system, a, c * QQi.of(tr))
-    return acc
-
-
-def _partial_trace_left(model, t: TensorPoly) -> NCPoly:
-    """(tau (x) 1)(a (x) b) = tau(a) b."""
-    acc = NCPoly.zero(t.system)
-    for (a, b), c in t.terms.items():
-        tr = model.trace_word(a)
-        if tr != 0:
-            acc = acc + NCPoly.from_word(t.system, b, c * QQi.of(tr))
+            acc = acc + NCPoly.from_word(t.system, legs[keep], c * QQi.of(tr))
     return acc
 
 
@@ -667,8 +615,8 @@ def adjoint_action(model: TraceModel, eta, p: NCPoly, q: NCPoly,
     for j in range(system.n):
         dq = diff_quotient(j, qstar).adjoint()
         dp = diff_quotient(j, pstar).adjoint()
-        out = out - _partial_trace_right(model, p_left.sharp(eta[j].sharp(dq)))
-        out = out - _partial_trace_left(model, q_right.sharp(eta[j].sharp(dp)))
+        out = out - _partial_trace(model, p_left.sharp(eta[j].sharp(dq)), 0)
+        out = out - _partial_trace(model, q_right.sharp(eta[j].sharp(dp)), 1)
     return out
 
 
@@ -682,7 +630,7 @@ def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4):
     if not isinstance(model, MatrixModel):
         raise ModelError("the direct adjoint solve needs a matrix model")
     eta = tuple(eta)
-    coords = model.__dict__.setdefault("_fd_coords", MatrixCoordinates(model))
+    coords = _coords(model)
     system = model.system
     eta_coords = []
     for t in eta:
@@ -717,7 +665,7 @@ def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4):
 def matrix_to_poly(model: MatrixModel, mat: np.ndarray, d: int = 4) -> NCPoly:
     """Express a matrix as a polynomial in the model generators (least squares
     over monomials of degree <= d; exact when the words span the algebra)."""
-    coords = model.__dict__.setdefault("_fd_coords", MatrixCoordinates(model))
+    coords = _coords(model)
     words = monomial_words(model.system, 0, d)
     E = np.stack([coords.coords(model.eval_word(w)) for w in words], axis=1)
     target = coords.coords(mat)

@@ -190,6 +190,7 @@ class MatrixModel(TraceModel):
             w.extend([lam / k] * k)
         self.weights = np.array(w)
         self.dim = int(self.weights.size)
+        self._mat_cache: dict = {}
 
         n = len(mats)
         pairing = tuple(star_pairing) if star_pairing is not None else tuple(range(n))
@@ -236,14 +237,13 @@ class MatrixModel(TraceModel):
 
     def eval_word(self, word) -> np.ndarray:
         word = tuple(word)
-        cache = self.__dict__.setdefault("_mat_cache", {})
-        hit = cache.get(word)
+        hit = self._mat_cache.get(word)
         if hit is None:
             m = self.b_mats[word[0]].copy()
             for j in range(1, len(word), 2):
                 m = m @ self.gen_mats[word[j]]
                 m = m @ self.b_mats[word[j + 1]]
-            cache[word] = hit = m
+            self._mat_cache[word] = hit = m
         return hit
 
     def eval_poly(self, p: NCPoly) -> np.ndarray:

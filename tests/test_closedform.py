@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from free_stein import quadrature
 from free_stein.closedform import (CompressedGeneratorSpec, GraphSpec,
                                    compressed_semicircular_sigma,
                                    eigenvalue_sigma, eps_kernel, fd_sigma,
@@ -186,6 +189,20 @@ def test_eps_kernel_plateau(plateau_measure):
     assert r2.bound >= r3.bound
     assert abs(r2.g_l2 - r3.g_l2) / r3.g_l2 < 0.01
     assert r3.g_atoms and r3.g_grid
+
+
+def test_eps_kernel_builds_nodes_once(plateau_measure, monkeypatch):
+    calls = Counter()
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls[n] += 1
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    quadrature._leggauss.cache_clear()
+    eps_kernel(plateau_measure, 0.1)
+    assert calls and max(calls.values()) == 1
 
 
 def test_eps_kernel_validation(twopoint_measure):

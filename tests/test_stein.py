@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poly
+from free_stein import stein
 from free_stein.errors import ModelError, StructureError
 from free_stein.ncalg import (KernelMatrix, NCPoly, TensorPoly,
                               commutator_stein_kernel, diff_quotient,
@@ -14,12 +15,12 @@ from free_stein.scalars import QQi
 from free_stein.stein import (DegreeScheme, GramSystem, adjoint_action,
                               alpha_estimate, conjugate_variable_check,
                               discrepancy, irregularity_bounded,
-                              irregularity_estimate, jacobian_basis,
-                              join_free_factors, monomial_words,
-                              radius_sweep, sigma_exact_fd, solve_adjoint_fd)
+                              irregularity_estimate, join_free_factors,
+                              monomial_words, radius_sweep, sigma_exact_fd,
+                              solve_adjoint_fd)
 from free_stein.trace import (MatrixModel, SemicircularModel,
                               cyclic_group_model, diagonal_matrix_model,
-                              two_point_matrix_model)
+                              two_point_matrix_model, two_point_measure)
 
 
 # -- degree scheme and basis -----------------------------------------------------
@@ -33,13 +34,15 @@ def test_degree_scheme_defaults():
 
 
 def test_jacobian_basis_counts(semicircular1, semicircular2):
-    # tensor degree <= d_proj means monomials of word degree <= d_proj + 1
-    basis = jacobian_basis(semicircular1, DegreeScheme(1, d_proj=1))
-    assert len(basis) == 2  # words t, t^2
-    basis2 = jacobian_basis(semicircular2, DegreeScheme(1, d_proj=1))
-    assert len(basis2) == 2 * (2 + 4)
-    idents = [B for B in basis
-              if B == KernelMatrix.identity(semicircular1.system)]
+    # tensor degree <= d_proj means monomials of word degree <= d_proj + 1;
+    # the basis holds one kernel per slot and Gram row
+    gs = GramSystem(semicircular1, 1)
+    assert semicircular1.n * len(gs.rows) == 2  # words t, t^2
+    gs2 = GramSystem(semicircular2, 1)
+    assert semicircular2.n * len(gs2.rows) == 2 * (2 + 4)
+    system = semicircular1.system
+    idents = [row for row in gs.rows
+              if KernelMatrix(system, [list(row)]) == KernelMatrix.identity(system)]
     assert len(idents) == 1  # the degree-one monomial contributes the identity
 
 
@@ -148,6 +151,14 @@ def test_irregularity_projection_convergence(threepoint_measure):
         est = irregularity_estimate(threepoint_measure,
                                     DegreeScheme(2, d_proj))
         assert abs(est.irregularity ** 2 - expected) < 1e-9
+
+
+def test_design_rank_values(semicircular2):
+    cases = ((semicircular2, 2, 12), (two_point_measure(), 3, 1),
+             (cyclic_group_model(6), 2, 8))
+    for model, d_xi, rank in cases:
+        rep = irregularity_estimate(model, DegreeScheme(d_xi))
+        assert rep.diagnostics["design_rank"] == rank
 
 
 def test_irregularity_trail_nonincreasing_in_dxi(threepoint_measure):
@@ -402,6 +413,22 @@ def test_solve_adjoint_fd_on_optimal_kernel(twopoint_matrix):
     assert _defining_relation_residual(model, eta, eta_adj) < 1e-10
     diff = eta_adj - xi[0]
     assert model.inner_l2(diff, diff).real < 1e-12
+
+
+def test_solve_adjoint_fd_builds_coordinates_once(monkeypatch):
+    built = []
+
+    class Counting(stein.MatrixCoordinates):
+        def __init__(self, model):
+            built.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(stein, "MatrixCoordinates", Counting)
+    model = two_point_matrix_model()
+    eta = tuple(KernelMatrix.identity(model.system).entries[0])
+    solve_adjoint_fd(model, eta, d=3)
+    solve_adjoint_fd(model, eta, d=3)
+    assert len(built) == 1
 
 
 def test_adjoint_action_identity_and_zero(twopoint_matrix):
