@@ -48,11 +48,6 @@ def _write_csv(path, rows) -> None:
         writer.writerows(rows)
 
 
-def _load(args):
-    model = load_model(args.model, cap=args.cap)
-    return model
-
-
 def _scheme(args, default_dxi=2) -> DegreeScheme:
     dxi = args.dxi if args.dxi is not None else default_dxi
     return DegreeScheme(dxi, args.dproj)
@@ -89,7 +84,7 @@ def _radii(text):
 
 
 def _cmd_discrepancy(args) -> int:
-    model = _load(args)
+    model = load_model(args.model, cap=args.cap)
     xi = _parse_xi(args, model)
     default_dxi = max(1, max((p.degree() for p in xi), default=1))
     rep = discrepancy(model, xi, _scheme(args, default_dxi))
@@ -98,14 +93,14 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_irregularity(args) -> int:
-    model = _load(args)
+    model = load_model(args.model, cap=args.cap)
     rep = irregularity_estimate(model, _scheme(args))
     _write_json(args, rep.to_json())
     return _check_condition(args, rep)
 
 
 def _cmd_bounded(args) -> int:
-    model = _load(args)
+    model = load_model(args.model, cap=args.cap)
     sweep = radius_sweep(model, _scheme(args), _radii(args.radii))
     payload = {"schema": "free-stein/1", "kind": "bounded-sweep",
                "points": [{"radius": r, "value": rep.value,
@@ -121,7 +116,7 @@ def _cmd_bounded(args) -> int:
 
 
 def _cmd_sigma_exact(args) -> int:
-    model = _load(args)
+    model = load_model(args.model, cap=args.cap)
     if not isinstance(model, MatrixModel):
         raise FreeSteinError("sigma-exact needs a matrix model")
     rep = sigma_exact_fd(model, d=args.d)
@@ -130,7 +125,7 @@ def _cmd_sigma_exact(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
-    model = _load(args)
+    model = load_model(args.model, cap=args.cap)
     xi = _parse_xi(args, model)
     rep = conjugate_variable_check(model, xi, d=args.d)
     _write_json(args, rep.to_json())
@@ -138,7 +133,7 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_sweep_degree(args) -> int:
-    model = _load(args)
+    model = load_model(args.model, cap=args.cap)
     rows = []
     points = []
     for dxi in range(1, args.dxi_max + 1):
@@ -158,7 +153,7 @@ def _cmd_sweep_degree(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    model = _load(args)
+    model = load_model(args.model, cap=args.cap)
     sweep = radius_sweep(model, _scheme(args), _radii(args.radii))
     rep = alpha_estimate([(r, s.value) for r, s in sweep])
     payload = rep.to_json()
@@ -170,7 +165,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_closed_form(args) -> int:
     which = args.which
     if which == "one-var":
-        model = _load(args)
+        model = load_model(args.model, cap=args.cap)
         if not isinstance(model, MeasureModel):
             raise FreeSteinError("one-var needs a measure model")
         sig2, sigma = one_var_sigma(model)
@@ -183,7 +178,7 @@ def _cmd_closed_form(args) -> int:
             blocks = [(int(k), Fraction(lam)) for k, lam in
                       (tok.split(":") for tok in args.blocks.split(","))]
         else:
-            model = _load(args)
+            model = load_model(args.model, cap=args.cap)
             if not isinstance(model, MatrixModel):
                 raise FreeSteinError("fd needs --blocks or a matrix model")
             blocks = model.blocks
@@ -221,14 +216,14 @@ def _cmd_closed_form(args) -> int:
         _write_json(args, graph_sigma(spec).to_json())
         return EXIT_OK
     if which == "eps-kernel":
-        model = _load(args)
+        model = load_model(args.model, cap=args.cap)
         if not isinstance(model, MeasureModel):
             raise FreeSteinError("eps-kernel needs a measure model")
         rep = eps_kernel(model, args.eps, grid_points=args.grid)
         _write_json(args, rep.to_json())
         return EXIT_OK
     if which == "log-energy":
-        model = _load(args)
+        model = load_model(args.model, cap=args.cap)
         if not isinstance(model, MeasureModel):
             raise FreeSteinError("log-energy needs a measure model")
         val = log_energy(model, level=args.level)

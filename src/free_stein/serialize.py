@@ -15,21 +15,13 @@ from .ncalg import GeneratorSystem, KernelMatrix, NCPoly, TensorPoly
 from .scalars import QQi
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
-def _frac_parse(s) -> Fraction:
-    return Fraction(str(s))
-
-
 def coeff_to_json(c: QQi):
-    return [_frac_str(c.re), _frac_str(c.im)]
+    return [str(c.re), str(c.im)]
 
 
 def coeff_from_json(data) -> QQi:
     re, im = data
-    return QQi(_frac_parse(re), _frac_parse(im))
+    return QQi(Fraction(str(re)), Fraction(str(im)))
 
 
 def word_to_json(word):

@@ -22,6 +22,12 @@ squared norm of the projection of the identity kernel onto the left-module
 generated by those relation Jacobians (``sigma_exact_fd``); ``d`` bounds the
 tensor degree of the spanning relation Jacobians, i.e. relations of word
 degree up to ``d + 1`` are scanned.
+
+Numbers enter the Gram and design path through one moment table,
+``G[x, y] = tau(x* y)`` of scalar-B words.  Every trace model here is
+tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b, c (x) d> = G[c, a]
+G[d, b]``: the Gram matrix, the r-vectors and the candidate Gram are sums
+of products of table entries.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from .errors import DegreeCapError, ModelError, StructureError
 from .fdalg import MatrixCoordinates
 from .ncalg import (KernelMatrix, NCPoly, TensorPoly, commutator_stein_kernel,
-                    diff_quotient, generator_tuple, gradient)
+                    diff_quotient, generator_tuple)
 from .scalars import QQi
 from .serialize import poly_tuple_to_json
 from .trace import MatrixModel, TraceModel
@@ -125,7 +131,6 @@ class SigmaReport:
 class ConjugateReport:
     residual: float
     fisher_info: float
-    worst: tuple | None = None
 
     def to_json(self):
         return {"schema": "free-stein/1", "kind": "conjugate-check",
@@ -169,15 +174,41 @@ def monomial_words(system, dmin, dmax):
 # ---------------------------------------------------------------------------
 
 
+def _moments(model: TraceModel, xs, ys=None) -> np.ndarray:
+    """Moment table ``G[a, b] = tau(xs[a]* ys[b])`` of scalar-B words; without
+    ``ys``, the Hermitian table over ``xs``, traced on its upper triangle."""
+    system = model.system
+    square = ys is None
+    ys = xs if square else ys
+    G = np.empty((len(xs), len(ys)), dtype=complex)
+    for a, x in enumerate(xs):
+        ((xstar, _),) = system.adjoint_word(x)
+        for b in range(a if square else 0, len(ys)):
+            ((w, _),) = system.mul_words(xstar, ys[b])
+            G[a, b] = model.trace_word(w)
+    if square:
+        lower = np.tril_indices(len(xs), -1)
+        G[lower] = G.T[lower].conj()
+    return G
+
+
 class GramSystem:
     """Hermitian Gram data of the Jacobian-range basis, nested by degree.
 
     Basis elements are indexed by (slot, monomial); the Gram block over
-    monomials is slot-independent, so only the word block is stored.
+    monomials is slot-independent, so only the word block is stored.  The
+    i-th gradient entry of a basis word sums its splits ``pre (x) suf`` at
+    ``t_i``; ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of the
+    tracial moment table over splits, with rows on the legs (words of degree
+    <= d_proj) and longer kernel legs traced on first use.  Scalar B only.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
         system = model.system
+        if not system.scalar_b:
+            raise StructureError(
+                "half-commutator kernels exist over scalar coefficients only; "
+                "use sigma_exact_fd for coefficient subalgebras")
         if 2 * (d_proj + 1) > system.cap:
             raise DegreeCapError(
                 f"d_proj={d_proj} needs trace words of degree {2 * d_proj}, "
@@ -185,14 +216,28 @@ class GramSystem:
         self.model = model
         self.d_proj = d_proj
         self.words = monomial_words(system, 1, d_proj + 1)
-        self.rows = [gradient(NCPoly.from_word(system, w)) for w in self.words]
+        self._legs = monomial_words(system, 0, d_proj)
+        leg_index = {w: k for k, w in enumerate(self._legs)}
+        G = _moments(model, self._legs)
+        self._columns = dict(zip(self._legs, G.T))
+        # per letter: (word, prefix, suffix) of each split, ordered by word,
+        # kept as (owner word of each group, group starts, prefixes, suffixes)
+        splits = [[] for _ in range(system.n)]
+        for a, w in enumerate(self.words):
+            for j in range(1, len(w), 2):
+                splits[w[j]].append((a, leg_index[w[:j]], leg_index[w[j + 1:]]))
+        self._splits = []
+        for rows in splits:
+            own, pre, suf = np.array(rows).T
+            starts = np.flatnonzero(np.diff(own, prepend=-1))
+            self._splits.append((own[starts], starts, pre, suf))
         m = len(self.words)
         W = np.zeros((m, m), dtype=complex)
-        for a in range(m):
-            for b in range(a, m):
-                v = model.inner_tensor_row(self.rows[b], self.rows[a])
-                W[a, b] = v
-                W[b, a] = np.conj(v)
+        for owners, starts, pre, suf in self._splits:
+            # one row of W per word: its splits against all splits
+            for a, rows in zip(owners, np.split(np.arange(len(pre)), starts[1:])):
+                block = G[pre[rows]][:, pre] * G[suf[rows]][:, suf]
+                W[a, owners] += np.add.reduceat(block.sum(axis=0), starts)
         self.W = W
         # prefix index per tensor degree: words sorted by length
         self._degree_count = {}
@@ -210,24 +255,27 @@ class GramSystem:
 
     # r-vectors against the full basis ------------------------------------
 
+    def _column(self, p) -> np.ndarray:
+        """``G[:, p]`` over the legs."""
+        col = self._columns.get(p)
+        if col is None:
+            col = self._columns[p] = _moments(self.model, self._legs, [p])[:, 0]
+        return col
+
     def r_of_kernel(self, A: KernelMatrix) -> np.ndarray:
-        n = self.model.n
-        m = len(self.words)
-        r = np.zeros((n, m), dtype=complex)
-        for i in range(n):
-            for a in range(m):
-                r[i, a] = self.model.inner_tensor_row(A.entries[i], self.rows[a])
+        r = np.zeros((self.model.n, len(self.words)), dtype=complex)
+        for i, row in enumerate(A.entries):
+            for (owners, starts, pre, suf), entry in zip(self._splits, row):
+                if entry.is_zero:
+                    continue
+                acc = np.zeros(len(pre), dtype=complex)
+                for (p, q), c in entry.terms.items():
+                    acc += complex(c) * (self._column(p)[pre] * self._column(q)[suf])
+                r[i, owners] += np.add.reduceat(acc, starts)
         return r
 
     def r_of_identity(self) -> np.ndarray:
-        n = self.model.n
-        m = len(self.words)
-        unit = TensorPoly.unit(self.model.system)
-        r = np.zeros((n, m), dtype=complex)
-        for i in range(n):
-            for a in range(m):
-                r[i, a] = self.model.inner_tensor(unit, self.rows[a][i])
-        return r
+        return self.r_of_kernel(KernelMatrix.identity(self.model.system))
 
 
 class _GramView:
@@ -249,13 +297,6 @@ class _GramView:
         return (self.vecs.conj().T @ r.T).T / np.sqrt(self.vals)
 
 
-def _gram_cached(model: TraceModel, d_proj: int) -> GramSystem:
-    cache = model.__dict__.setdefault("_gram_cache", {})
-    if d_proj not in cache:
-        cache[d_proj] = GramSystem(model, d_proj)
-    return cache[d_proj]
-
-
 def _coords(model: MatrixModel) -> MatrixCoordinates:
     """The model's matrix coordinates, built on first use."""
     if "_fd_coords" not in model.__dict__:
@@ -268,20 +309,6 @@ def _coords(model: MatrixModel) -> MatrixCoordinates:
 # ---------------------------------------------------------------------------
 
 
-def _require_scalar_b(model):
-    if not model.system.scalar_b:
-        raise StructureError(
-            "half-commutator kernels exist over scalar coefficients only; "
-            "use sigma_exact_fd for coefficient subalgebras")
-
-
-def _centered_tuple(model, xi):
-    xi = tuple(xi)
-    if len(xi) != model.n:
-        raise StructureError("xi must have one entry per generator")
-    return tuple(model.centered(x) for x in xi)
-
-
 def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
                 with_trail: bool = True) -> DiscrepancyReport:
     """Truncated Stein discrepancy of the generators relative to ``xi``.
@@ -290,14 +317,15 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
     deviation from the identity kernel onto the truncated Jacobian range and
     reports the Hilbert-Schmidt norm.  Nondecreasing in ``d_proj``.
     """
-    _require_scalar_b(model)
-    xi = _centered_tuple(model, xi)
+    xi = tuple(xi)
+    if len(xi) != model.n:
+        raise StructureError("xi must have one entry per generator")
+    xi = tuple(model.centered(x) for x in xi)
     A = commutator_stein_kernel(xi, generator_tuple(model.system))
-    gs = _gram_cached(model, scheme.d_proj)
+    gs = GramSystem(model, scheme.d_proj)
     rA = gs.r_of_kernel(A)
     r1 = gs.r_of_identity()
     trail = []
-    value = 0.0
     for d in range(1, scheme.d_proj + 1) if with_trail else [scheme.d_proj]:
         view = gs.view(d)
         value = float(np.linalg.norm(view.z(rA) - view.z(r1)))
@@ -326,15 +354,12 @@ def _xi_basis(model: TraceModel, d_xi: int):
 
 def _xi_design(model, scheme):
     """Z matrix of kernel coordinates per candidate, plus the identity target."""
-    gs = _gram_cached(model, scheme.d_proj)
+    gs = GramSystem(model, scheme.d_proj)
     view = gs.view()
     labels, candidates = _xi_basis(model, scheme.d_xi)
     X = generator_tuple(model.system)
-    cols = []
-    for cand in candidates:
-        A = commutator_stein_kernel(cand, X)
-        cols.append(view.z(gs.r_of_kernel(A)).reshape(-1))
-    Z = np.stack(cols, axis=1) if cols else np.zeros((view.k * model.n, 0))
+    Z = np.stack([view.z(gs.r_of_kernel(commutator_stein_kernel(cand, X))).reshape(-1)
+                  for cand in candidates], axis=1)
     b = view.z(gs.r_of_identity()).reshape(-1)
     return gs, view, labels, candidates, Z, b
 
@@ -356,10 +381,8 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
     reported.  The estimate is nonincreasing in ``d_xi`` at fixed ``d_proj``
     and converges to the free Stein irregularity as both knobs grow.
     """
-    _require_scalar_b(model)
     gs, view, labels, candidates, Z, b = _xi_design(model, scheme)
     trail = []
-    y = np.zeros(Z.shape[1])
     for dx in range(1, scheme.d_xi + 1):
         mask = np.array([len(w) // 2 <= dx for _, w in labels])
         Zd = Z[:, mask]
@@ -379,89 +402,86 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
         diagnostics={"candidates": len(candidates), "design_rank": int(rank)})
 
 
-def irregularity_bounded(model: TraceModel, scheme: DegreeScheme,
-                         radius: float) -> DiscrepancyReport:
-    """Truncated irregularity under the constraint ``||xi||_2 <= radius``.
+def _candidate_gram(model: TraceModel, d_xi: int) -> np.ndarray:
+    """Gram of the centered candidates of :func:`_xi_basis` in the L2 tuple
+    norm: ``tau(v* w) - conj(tau(v)) tau(w)`` within a slot, zero across."""
+    words = monomial_words(model.system, 1, d_xi)
+    traces = np.array([model.trace_word(w) for w in words])
+    Qw = _moments(model, words) - np.outer(traces.conj(), traces)
+    return np.kron(Qw, np.eye(model.n))  # candidate k * n + i is in slot i
 
-    Interior solutions reuse the unconstrained least squares; otherwise the
-    KKT multiplier is found by bisection until the candidate norm matches the
-    radius to 1e-10.
+
+def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
+    """The design, candidate Gram and whitened SVD of the norm-constrained
+    problem, built once; returns the solve at one radius.  Interior solutions
+    reuse the unconstrained least squares; otherwise the KKT multiplier is
+    found by bisection until the candidate norm matches the radius to 1e-10.
     """
-    _require_scalar_b(model)
-    if radius < 0:
-        raise StructureError("radius must be nonnegative")
     gs, view, labels, candidates, Z, b = _xi_design(model, scheme)
-    diagnostics = {}
-    if radius == 0 or not candidates:
-        value = float(np.linalg.norm(b))
-        return DiscrepancyReport(value=value, scheme=scheme,
-                                 gram_condition=view.cond,
-                                 trail=[(scheme.d_proj, value)], xi=(),
-                                 diagnostics={"multiplier": None,
-                                              "boundary": True,
-                                              "radius": radius})
-    # Gram of the candidates in the L2 tuple norm (slot-diagonal)
-    K = len(candidates)
-    Q = np.zeros((K, K), dtype=complex)
-    for a in range(K):
-        ia, wa = labels[a]
-        for bb in range(a, K):
-            ib, wb = labels[bb]
-            if ia != ib:
-                continue
-            v = model.inner_l2(candidates[bb][ib], candidates[a][ia])
-            Q[a, bb] = v
-            Q[bb, a] = np.conj(v)
-    qvals, qvecs = np.linalg.eigh(Q)
+    qvals, qvecs = np.linalg.eigh(_candidate_gram(model, scheme.d_xi))
     top = float(qvals[-1]) if len(qvals) else 0.0
     keep = qvals > RCOND * max(top, 1e-300)
     T = qvecs[:, keep] / np.sqrt(qvals[keep])  # y = T u, ||xi(y)||_2 = ||u||
-    Zt = Z @ T
-    U, sv, Vh = np.linalg.svd(Zt, full_matrices=False)
+    U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     svkeep = sv > RCOND * (sv[0] if len(sv) else 1.0)
     U, sv, Vh = U[:, svkeep], sv[svkeep], Vh[svkeep]
     beta = U.conj().T @ b
     u_free = Vh.conj().T @ (beta / sv)
-    if np.linalg.norm(u_free) <= radius + 1e-12:
-        u = u_free
-        diagnostics.update(multiplier=0.0, boundary=False)
-    else:
-        def norm_at(lam):
-            return float(np.linalg.norm(sv * beta / (sv ** 2 + lam)))
 
-        lo, hi = 0.0, max(sv[0] ** 2, 1.0)
-        while norm_at(hi) > radius:
-            hi *= 2.0
-            if hi > 1e36:
-                raise ModelError("failed to bracket the KKT multiplier")
-        lam = 0.5 * (lo + hi)
-        for _ in range(300):
-            lam = 0.5 * (lo + hi)
-            if norm_at(lam) > radius:
-                lo = lam
-            else:
-                hi = lam
-            if abs(norm_at(lam) - radius) <= 1e-10:
-                break
-        u = Vh.conj().T @ (sv * beta / (sv ** 2 + lam))
-        diagnostics.update(multiplier=lam, boundary=True,
-                           norm_gap=abs(float(np.linalg.norm(u)) - radius))
-    y = T @ u
-    value = float(np.linalg.norm(Z @ y - b))
-    xi = _assemble_xi(model, labels, candidates, y)
-    diagnostics["radius"] = radius
-    return DiscrepancyReport(value=value, scheme=scheme,
-                             gram_condition=view.cond,
-                             trail=[(scheme.d_proj, value)], xi=xi,
-                             diagnostics=diagnostics)
+    def norm_at(lam):
+        return float(np.linalg.norm(sv * beta / (sv ** 2 + lam)))
+
+    def solve(radius: float) -> DiscrepancyReport:
+        if radius == 0:
+            u = np.zeros(T.shape[1])
+            diagnostics = {"multiplier": None, "boundary": True}
+        elif np.linalg.norm(u_free) <= radius + 1e-12:
+            u = u_free
+            diagnostics = {"multiplier": 0.0, "boundary": False}
+        else:
+            lo, hi = 0.0, max(sv[0] ** 2, 1.0)
+            while norm_at(hi) > radius:
+                hi *= 2.0
+                if hi > 1e36:
+                    raise ModelError("failed to bracket the KKT multiplier")
+            for _ in range(300):
+                lam = 0.5 * (lo + hi)
+                if norm_at(lam) > radius:
+                    lo = lam
+                else:
+                    hi = lam
+                if abs(norm_at(lam) - radius) <= 1e-10:
+                    break
+            u = Vh.conj().T @ (sv * beta / (sv ** 2 + lam))
+            diagnostics = {"multiplier": lam, "boundary": True,
+                           "norm_gap": abs(float(np.linalg.norm(u)) - radius)}
+        y = T @ u
+        value = float(np.linalg.norm(Z @ y - b))
+        diagnostics["radius"] = radius
+        xi = _assemble_xi(model, labels, candidates, y) if radius else ()
+        return DiscrepancyReport(value=value, scheme=scheme,
+                                 gram_condition=view.cond,
+                                 trail=[(scheme.d_proj, value)], xi=xi,
+                                 diagnostics=diagnostics)
+
+    return solve
+
+
+def irregularity_bounded(model: TraceModel, scheme: DegreeScheme,
+                         radius: float) -> DiscrepancyReport:
+    """Truncated irregularity under the constraint ``||xi||_2 <= radius``."""
+    if radius < 0:
+        raise StructureError("radius must be nonnegative")
+    return _bounded_solver(model, scheme)(radius)
 
 
 def radius_sweep(model: TraceModel, scheme: DegreeScheme, radii) -> list:
-    """R-bounded irregularity along increasing radii."""
+    """R-bounded irregularity along increasing radii, on one design."""
     radii = [float(r) for r in radii]
     if any(r < 0 for r in radii) or sorted(radii) != radii:
         raise StructureError("radii must be nonnegative and increasing")
-    return [(r, irregularity_bounded(model, scheme, r)) for r in radii]
+    solve = _bounded_solver(model, scheme)
+    return [(r, solve(r)) for r in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -565,18 +585,15 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
         raise StructureError("xi must have one entry per generator")
     system = model.system
     unit = TensorPoly.unit(system)
-    worst = None
     residual = 0.0
     for w in monomial_words(system, 0, d):
         p = NCPoly.from_word(system, w)
         for i in range(model.n):
             lhs = model.inner_l2(xi[i], p)
             rhs = model.inner_tensor(unit, diff_quotient(i, p))
-            gap = abs(lhs - rhs)
-            if gap > residual:
-                residual, worst = gap, (i, w)
+            residual = max(residual, abs(lhs - rhs))
     fisher = float(sum(model.inner_l2(x, x).real for x in xi))
-    return ConjugateReport(residual=residual, fisher_info=fisher, worst=worst)
+    return ConjugateReport(residual=residual, fisher_info=fisher)
 
 
 def _partial_trace(model, t: TensorPoly, keep: int) -> NCPoly:

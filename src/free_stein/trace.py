@@ -246,12 +246,6 @@ class MatrixModel(TraceModel):
             self._mat_cache[word] = hit = m
         return hit
 
-    def eval_poly(self, p: NCPoly) -> np.ndarray:
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, c in p.terms.items():
-            acc += complex(c) * self.eval_word(w)
-        return acc
-
     def trace_mat(self, m: np.ndarray) -> complex:
         return complex(np.sum(self.weights * np.diag(m)))
 

@@ -10,7 +10,7 @@ from free_stein import stein
 from free_stein.errors import ModelError, StructureError
 from free_stein.ncalg import (KernelMatrix, NCPoly, TensorPoly,
                               commutator_stein_kernel, diff_quotient,
-                              generator_tuple)
+                              generator_tuple, gradient)
 from free_stein.scalars import QQi
 from free_stein.stein import (DegreeScheme, GramSystem, adjoint_action,
                               alpha_estimate, conjugate_variable_check,
@@ -37,11 +37,12 @@ def test_jacobian_basis_counts(semicircular1, semicircular2):
     # tensor degree <= d_proj means monomials of word degree <= d_proj + 1;
     # the basis holds one kernel per slot and Gram row
     gs = GramSystem(semicircular1, 1)
-    assert semicircular1.n * len(gs.rows) == 2  # words t, t^2
+    assert semicircular1.n * len(gs.words) == 2  # words t, t^2
     gs2 = GramSystem(semicircular2, 1)
-    assert semicircular2.n * len(gs2.rows) == 2 * (2 + 4)
+    assert semicircular2.n * len(gs2.words) == 2 * (2 + 4)
     system = semicircular1.system
-    idents = [row for row in gs.rows
+    rows = [gradient(NCPoly.from_word(system, w)) for w in gs.words]
+    idents = [row for row in rows
               if KernelMatrix(system, [list(row)]) == KernelMatrix.identity(system)]
     assert len(idents) == 1  # the degree-one monomial contributes the identity
 
@@ -241,6 +242,28 @@ def test_radius_sweep_convex(twopoint_measure):
     assert all(vals[i] >= vals[i + 1] - 1e-10 for i in range(len(vals) - 1))
     with pytest.raises(StructureError):
         radius_sweep(twopoint_measure, scheme, [1.0, 0.5])
+
+
+def test_radius_sweep_builds_one_design(monkeypatch):
+    calls = []
+    design = stein._xi_design
+
+    def counted(*args):
+        calls.append(args)
+        return design(*args)
+
+    monkeypatch.setattr(stein, "_xi_design", counted)
+    radius_sweep(SemicircularModel(1), DegreeScheme(2), [0.25, 0.5, 1.0, 2.0])
+    assert len(calls) == 1
+
+
+def test_radius_sweep_matches_bounded():
+    scheme = DegreeScheme(2)
+    for make in (lambda: SemicircularModel(2), two_point_measure,
+                 lambda: cyclic_group_model(6)):
+        sweep = radius_sweep(make(), scheme, [0.0, 0.25, 0.5, 1.0, 3.0])
+        for r, rep in sweep:
+            assert rep.to_json() == irregularity_bounded(make(), scheme, r).to_json()
 
 
 # -- exact finite-dimensional dimension ----------------------------------------------
