@@ -55,12 +55,17 @@ class MatrixCoordinates:
             acc += c * f
         return acc
 
-    def sharp_translates(self, row: np.ndarray) -> np.ndarray:
-        """All left sharp translates ``(f_a (x) f_b) # row`` of a coordinate row.
+    def sharp_translates(self, rows: np.ndarray) -> np.ndarray:
+        """All left sharp translates ``(f_a (x) f_b) # row`` of a stack of
+        coordinate rows.
 
-        ``row`` has shape (n, D, D); the result has shape (D*D, n*D*D) with
-        one flattened translate per basis tensor.
+        ``rows`` has shape (r, n, D, D); the result has shape (r*D*D, n*D*D),
+        with the flattened translate of row k by basis tensor (a, b) at
+        ``k*D*D + a*D + b``.  The translate acts on each slot j as
+        ``L_a row[j] R_b^T``: two tensor contractions over the whole stack.
         """
-        out = np.einsum("axy,jyz,bwz->abjxw", self.left, row, self.right)
-        n = row.shape[0]
-        return out.reshape(self.D * self.D, n * self.D * self.D)
+        r, n = rows.shape[:2]
+        t = np.tensordot(self.left, rows, axes=([2], [2]))   # a x k j z
+        t = np.tensordot(t, self.right, axes=([4], [2]))     # a x k j b w
+        t = t.transpose(2, 0, 4, 3, 1, 5)                    # k a b j x w
+        return t.reshape(r * self.D * self.D, n * self.D * self.D)

@@ -355,6 +355,13 @@ def _xi_basis(model: TraceModel, d_xi: int):
 def _xi_design(model, scheme):
     """Z matrix of kernel coordinates per candidate, plus the identity target."""
     gs = GramSystem(model, scheme.d_proj)
+    # kernel legs of a degree d_xi candidate meet the basis legs in words
+    # of degree d_proj + d_xi + 1, which the Gram guard does not count
+    need, cap = scheme.d_proj + scheme.d_xi + 1, model.system.cap
+    if need > cap:
+        raise DegreeCapError(
+            f"d_xi={scheme.d_xi} with d_proj={scheme.d_proj} needs design "
+            f"words of degree d_proj + d_xi + 1 = {need}, beyond the cap {cap}")
     view = gs.view()
     labels, candidates = _xi_basis(model, scheme.d_xi)
     X = generator_tuple(model.system)
@@ -498,6 +505,14 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
     sharp multiplication by the evaluated tensor algebra, and projects the
     rows of the identity kernel onto that module.  The value is nonincreasing
     in ``d`` and stabilizes once the defining relations are generated.
+
+    The relation rows are never formed one by one.  With ``E`` the
+    evaluations (D x words) and ``S`` the split coordinates (words x n*D*D),
+    the relation rows ``c^T S`` over ``E c = 0`` span the row space of
+    ``(I - V^T conj(V)) S``, where ``V`` holds the top right singular vectors
+    of ``E``.  That space has dimension at most n*D*D whatever the number of
+    relations; translates are linear in the row, so the sharp translates of
+    its orthonormal basis span the same module as those of every relation.
     """
     if not isinstance(model, MatrixModel):
         raise ModelError("exact mode requires a finite-dimensional matrix model")
@@ -507,43 +522,40 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
     system = model.system
     n, D = model.n, coords.D
 
+    # sorted by degree, so the words up to each degree are a prefix
     words = monomial_words(system, 0, d + 1)
     ev = {w: coords.coords(model.eval_word(w)) for w in words}
+    E = np.stack([ev[w] for w in words], axis=1)
     # split coordinates of every derivation of every word
-    split = {w: np.zeros((n, D, D), dtype=complex) for w in words}
-    for w in words:
-        deg = len(w) // 2
-        for j in range(1, deg + 1):
+    S = np.zeros((len(words), n, D, D), dtype=complex)
+    for k, w in enumerate(words):
+        for j in range(1, len(w) // 2 + 1):
             left, right = w[:2 * j - 1], w[2 * j:]
-            split[w][w[2 * j - 1]] += np.outer(ev[left], ev[right])
+            S[k, w[2 * j - 1]] += np.outer(ev[left], ev[right])
+    S = S.reshape(len(words), n * D * D)
 
-    unit_rows = np.zeros((n, n * D * D), dtype=complex)
+    unit_rows = np.zeros((n, n, D, D), dtype=complex)
     for i in range(n):
-        u = np.zeros((n, D, D), dtype=complex)
-        u[i] = np.outer(coords.unit, coords.unit)
-        unit_rows[i] = u.reshape(-1)
+        unit_rows[i, i] = np.outer(coords.unit, coords.unit)
+    unit_rows = unit_rows.reshape(n, n * D * D)
 
     def value_at(dd: int) -> tuple:
-        sub = [w for w in words if len(w) <= 2 * (dd + 1) + 1]
-        E = np.stack([ev[w] for w in sub], axis=1)
-        u, s, vh = np.linalg.svd(E)
-        rank = int(np.sum(s > RCOND * (s[0] if len(s) else 1.0)))
-        null = vh[rank:].conj().T
-        if null.shape[1] == 0:
-            return float(n), 0.0, 0
-        blocks = []
-        for kvec in null.T:
-            row = np.zeros((n, D, D), dtype=complex)
-            for w, c in zip(sub, kvec):
-                if abs(c) > 1e-14:
-                    row += c * split[w]
-            blocks.append(coords.sharp_translates(row))
-        G = np.concatenate(blocks, axis=0)
+        k = sum(1 for w in words if len(w) <= 2 * (dd + 1) + 1)
+        _, s, vh = np.linalg.svd(E[:, :k], full_matrices=False)
+        rank = int(np.sum(s > RCOND * s[0]))
+        V, Sk = vh[:rank], S[:k]
+        R = Sk - V.T @ (V.conj() @ Sk)
+        # the projection leaves rounding of the size of S, not of R: without
+        # relations, or with only vanishing relation rows, R is that rounding
+        _, s1, vh1 = np.linalg.svd(R, full_matrices=False)
+        basis = vh1[s1 > RCOND * np.linalg.norm(Sk)]
+        if not len(basis):
+            return float(n), 0.0, k - rank
+        G = coords.sharp_translates(basis.reshape(-1, n, D, D))
         _, s2, vh2 = np.linalg.svd(G, full_matrices=False)
-        keep = s2 > RCOND * (s2[0] if len(s2) else 1.0)
-        P = vh2[keep]
-        sig2 = float(sum(np.linalg.norm(P @ unit_rows[i]) ** 2 for i in range(n)))
-        return n - sig2, sig2, null.shape[1]
+        P = vh2[s2 > RCOND * s2[0]]
+        sig2 = float(np.linalg.norm(P @ unit_rows.T) ** 2)
+        return n - sig2, sig2, k - rank
 
     trail = []
     for dd in range(1, d + 1) if with_trail else [d]:

@@ -208,6 +208,21 @@ def test_env_cap_override(specs, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_design_degree_beyond_cap(specs, tmp_path, capsys):
+    # d_proj = 1 passes the Gram guard (degree 4 <= 6), but the design
+    # pairs degree-5 candidates with the basis in words of degree 7
+    out = tmp_path / "design.json"
+    code = run(["irregularity", "--model", specs["semicircular1"], "--dxi", "5",
+                "--dproj", "1", "--cap", "6", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "d_proj + d_xi + 1 = 7, beyond the cap 6" in err
+    assert not out.exists()
+    code = run(["irregularity", "--model", specs["semicircular1"], "--dxi", "5",
+                "--dproj", "1", "--cap", "7", "--out", str(out)])
+    assert code == 0
+
+
 def test_determinism_across_runs_and_threads(specs, tmp_path):
     outs = []
     for tag in ("a", "b", "c"):

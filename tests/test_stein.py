@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
 from free_stein import stein
+from free_stein.closedform import fd_sigma
 from free_stein.errors import ModelError, StructureError
+from free_stein.fdalg import MatrixCoordinates
 from free_stein.ncalg import (KernelMatrix, NCPoly, TensorPoly,
                               commutator_stein_kernel, diff_quotient,
                               generator_tuple, gradient)
@@ -301,13 +305,16 @@ def test_sigma_exact_generator_invariance():
     assert abs(r1.sigma - r2.sigma) < 1e-10
 
 
-def test_sigma_exact_b_relative():
-    # over the full algebra every generator is a coefficient: dimension 0
-    sz = [[1.0, 0], [0, -1.0]]
-    sx = [[0, 1.0], [1.0, 0]]
+SZ = [[1.0, 0], [0, -1.0]]
+SX = [[0, 1.0], [1.0, 0]]
+SY = [[0, -1j], [1j, 0]]
+
+
+def m2_over_m2():
+    """M_2 generated by the Pauli pair over B = M_2 with the matrix-unit
+    basis e11, e12, e21, e22."""
     from free_stein.ncalg import BAlgebra
-    units = {}
-    # B = M_2 with matrix-unit basis e11, e12, e21, e22
+
     def idx(p, q):
         return 2 * p + q
     mul = {}
@@ -321,12 +328,16 @@ def test_sigma_exact_b_relative():
     b = BAlgebra(4, mul, star=star, unit=((idx(0, 0), 1), (idx(1, 1), 1)))
     basis_mats = [[[1.0, 0], [0, 0]], [[0, 1.0], [0, 0]],
                   [[0, 0], [1.0, 0]], [[0, 0], [0, 1.0]]]
-    model = MatrixModel([(2, 1.0)], [[sz], [sx]], b_algebra=b,
-                        b_basis=[[m] for m in basis_mats])
-    rep = sigma_exact_fd(model, d=2)
+    return MatrixModel([(2, 1.0)], [[SZ], [SX]], b_algebra=b,
+                       b_basis=[[m] for m in basis_mats])
+
+
+def test_sigma_exact_b_relative():
+    # over the full algebra every generator is a coefficient: dimension 0
+    rep = sigma_exact_fd(m2_over_m2(), d=2)
     assert abs(rep.sigma) < 1e-9
     # relative monotonicity: enlarging B cannot enlarge the dimension
-    plain = MatrixModel([(2, 1.0)], [[sz], [sx]])
+    plain = MatrixModel([(2, 1.0)], [[SZ], [SX]])
     assert rep.sigma <= sigma_exact_fd(plain, d=2).sigma + 1e-9
 
 
@@ -334,6 +345,160 @@ def test_sigma_exact_group_cross_check():
     for order in (2, 3, 4):
         rep = sigma_exact_fd(cyclic_group_model(order), d=3)
         assert abs(rep.sigma - (1 - 1 / order)) < 1e-9
+
+
+def _translates_reference(coords, row):
+    """Sharp translates of one coordinate row, one contraction per row."""
+    out = np.einsum("axy,jyz,bwz->abjxw", coords.left, row, coords.right)
+    return out.reshape(coords.D * coords.D, row.shape[0] * coords.D * coords.D)
+
+
+def _sigma_exact_fd_reference(model, d):
+    """Oracle only: relation projection with an explicit null basis of the
+    evaluation map, one relation row per null vector and the sharp
+    translates of every row stacked before one SVD."""
+    coords = MatrixCoordinates(model)
+    n, D = model.n, coords.D
+    words = monomial_words(model.system, 0, d + 1)
+    ev = {w: coords.coords(model.eval_word(w)) for w in words}
+    split = {w: np.zeros((n, D, D), dtype=complex) for w in words}
+    for w in words:
+        for j in range(1, len(w) // 2 + 1):
+            split[w][w[2 * j - 1]] += np.outer(ev[w[:2 * j - 1]], ev[w[2 * j:]])
+    unit_rows = np.zeros((n, n * D * D), dtype=complex)
+    for i in range(n):
+        u = np.zeros((n, D, D), dtype=complex)
+        u[i] = np.outer(coords.unit, coords.unit)
+        unit_rows[i] = u.reshape(-1)
+    trail, relations = [], None
+    for dd in range(1, d + 1):
+        sub = [w for w in words if len(w) <= 2 * (dd + 1) + 1]
+        E = np.stack([ev[w] for w in sub], axis=1)
+        _, s, vh = np.linalg.svd(E)
+        rank = int(np.sum(s > stein.RCOND * s[0]))
+        null = vh[rank:].conj().T
+        relations = null.shape[1]
+        if relations == 0:
+            trail.append((dd, float(n)))
+            continue
+        blocks = []
+        for kvec in null.T:
+            row = np.zeros((n, D, D), dtype=complex)
+            for w, c in zip(sub, kvec):
+                if abs(c) > 1e-14:
+                    row += c * split[w]
+            blocks.append(_translates_reference(coords, row))
+        G = np.concatenate(blocks, axis=0)
+        _, s2, vh2 = np.linalg.svd(G, full_matrices=False)
+        P = vh2[s2 > stein.RCOND * s2[0]]
+        sig2 = sum(np.linalg.norm(P @ unit_rows[i]) ** 2 for i in range(n))
+        trail.append((dd, n - sig2))
+    return trail, relations
+
+
+def _m2_plus_c():
+    return MatrixModel([(2, 2 / 3), (1, 1 / 3)], [[SZ, [[1.0]]], [SX, [[0.0]]]])
+
+
+def _pauli_triple():
+    # complex relations: sz sy = -i sx, so the relation span is not closed
+    # under entrywise conjugation of the coefficients
+    return MatrixModel([(2, 2 / 3), (1, 1 / 3)],
+                       [[SZ, [[1.0]]], [SY, [[0.0]]], [SX, [[-1.0]]]])
+
+
+def _vanishing_idempotent():
+    # B = C^2 represented by p -> 1, q -> 0: every word with a q slot is a
+    # relation whose Jacobian row vanishes, the only relations below degree 4
+    from free_stein.ncalg import BAlgebra
+    b = BAlgebra(2, {(0, 0): ((0, 1),), (1, 1): ((1, 1),), (0, 1): (),
+                     (1, 0): ()},
+                 star=[((0, 1),), ((1, 1),)], unit=((0, 1), (1, 1)))
+    return MatrixModel([(1, 0.25)] * 4, [[[[x]] for x in (-1.0, 0.0, 1.0, 2.0)]],
+                       b_algebra=b, b_basis=[[[[1.0]]] * 4, [[[[0.0]]]] * 4])
+
+
+EXACT_FD_CASES = {
+    "M_2 over B = M_2": (m2_over_m2, 2),
+    "cyclic group of order 10": (lambda: cyclic_group_model(10), 5),
+    "M_2 + C": (_m2_plus_c, 4),
+    "two-point": (two_point_matrix_model, 3),
+    "three-point": (lambda: diagonal_matrix_model([-1.0, 0.0, 1.0],
+                                                  [1 / 3] * 3), 3),
+    "M_2": (lambda: MatrixModel([(2, 1.0)], [[SZ], [SX]]), 3),
+    "cyclic group of order 4": (lambda: cyclic_group_model(4), 3),
+    "Pauli triple over M_2 + C": (_pauli_triple, 2),
+    "vanishing B idempotent": (_vanishing_idempotent, 3),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_FD_CASES)
+def test_sigma_exact_matches_null_basis_reference(name):
+    make, d = EXACT_FD_CASES[name]
+    rep = sigma_exact_fd(make(), d=d)
+    trail, relations = _sigma_exact_fd_reference(make(), d)
+    assert [dd for dd, _ in rep.trail] == [dd for dd, _ in trail]
+    for (_, got), (_, want) in zip(rep.trail, trail):
+        assert abs(got - want) < 1e-12
+    assert rep.diagnostics["relations"] == relations
+
+
+def test_sharp_translates_batched_matches_per_row():
+    coords = MatrixCoordinates(_m2_plus_c())
+    gen = np.random.default_rng(7)
+    D = coords.D
+    rows = gen.normal(size=(3, 2, D, D)) + 1j * gen.normal(size=(3, 2, D, D))
+    got = coords.sharp_translates(rows)
+    want = np.concatenate([_translates_reference(coords, r) for r in rows])
+    assert got.shape == (3 * D * D, 2 * D * D)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_sigma_exact_translates_at_most_basis_rows(monkeypatch):
+    # the relation rows are reduced to an orthonormal basis of at most
+    # n*D*D rows per degree before translation: 2 degrees * 32 rows * D*D
+    counted = []
+    raw = MatrixCoordinates.sharp_translates
+
+    def counting(self, rows):
+        out = raw(self, rows)
+        counted.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(MatrixCoordinates, "sharp_translates", counting)
+    rep = sigma_exact_fd(m2_over_m2(), d=2)
+    n, D = 2, 4
+    assert abs(rep.sigma) < 1e-9
+    assert 0 < sum(counted) <= 2 * n * D * D * D * D
+
+
+@st.composite
+def block_models(draw):
+    """A direct sum of 1-3 blocks of size <= 2 with rational weights and two
+    real-symmetric generators drawn from a seeded normal distribution."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    parts = draw(st.lists(st.integers(1, 6), min_size=len(sizes),
+                          max_size=len(sizes)))
+    weights = [Fraction(p, sum(parts)) for p in parts]
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gens = []
+    for _ in range(2):
+        blocks = []
+        for k in sizes:
+            a = gen.normal(size=(k, k))
+            blocks.append((a + a.T).tolist())
+        gens.append(blocks)
+    return list(zip(sizes, weights)), gens
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(block_models())
+def test_sigma_exact_matches_fd_sigma_on_random_blocks(spec):
+    blocks, gens = spec
+    rep = sigma_exact_fd(MatrixModel(blocks, gens), d=3)
+    assert abs(rep.sigma - float(fd_sigma(blocks))) < 1e-9
+    vals = [v for _, v in rep.trail]
+    assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 
 
 def test_sigma_exact_requires_matrix_model(semicircular1):
