@@ -424,6 +424,12 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     reuse the unconstrained least squares; otherwise the KKT multiplier is
     found by bisection until the candidate norm matches the radius to 1e-10.
     """
+    # the candidate Gram pairs two candidates of degree d_xi
+    need, cap = 2 * scheme.d_xi, model.system.cap
+    if need > cap:
+        raise DegreeCapError(
+            f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
+            f"2*d_xi = {need}, beyond the cap {cap}")
     gs, view, labels, candidates, Z, b = _xi_design(model, scheme)
     qvals, qvecs = np.linalg.eigh(_candidate_gram(model, scheme.d_xi))
     top = float(qvals[-1]) if len(qvals) else 0.0

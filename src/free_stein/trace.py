@@ -556,8 +556,18 @@ def _mat_to_json(m: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
+def _mat_entry(x) -> complex:
+    if (not isinstance(x, list) or len(x) != 2
+            or not all(isinstance(v, (int, float)) for v in x)):
+        raise ModelError(f"matrix entries must be [re, im] pairs, got {x!r}")
+    return complex(x[0], x[1])
+
+
 def _mat_from_json(data):
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ModelError("matrices must be lists of rows of [re, im] pairs, "
+                         f"got {data!r}")
+    return np.array([[_mat_entry(x) for x in row] for row in data])
 
 
 def model_to_json(model: TraceModel) -> dict:

@@ -223,6 +223,41 @@ def test_design_degree_beyond_cap(specs, tmp_path, capsys):
     assert code == 0
 
 
+def test_candidate_gram_degree_beyond_cap(specs, tmp_path, capsys):
+    # the design needs degree 7 <= 7, but the candidate Gram pairs two
+    # degree-5 candidates in words of degree 10
+    out = tmp_path / "bounded.json"
+    args = ["bounded", "--model", specs["semicircular1"], "--dxi", "5",
+            "--dproj", "1", "--radii", "1", "--out", str(out)]
+    code = run(args + ["--cap", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: d_xi=5 needs candidate Gram words of degree "
+                   "2*d_xi = 10, beyond the cap 7\n")
+    assert not out.exists()
+    code = run(args + ["--cap", "10"])
+    assert code == 0
+    assert json.loads(out.read_text())["points"][0]["radius"] == 1.0
+
+
+def test_matrix_entry_must_be_a_pair(tmp_path, capsys):
+    spec = tmp_path / "plain.json"
+    spec.write_text(json.dumps({
+        "type": "matrix", "blocks": [[2, 1.0]],
+        "generators": [[[[1.0, 0.0], [0.0, -1.0]]]]}))
+    code = run(["sigma-exact", "--model", str(spec)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: matrix entries must be [re, im] pairs, got 1.0\n"
+    spec.write_text(json.dumps({"type": "matrix", "blocks": [[2, 1.0]],
+                                "generators": [[[1.0, -1.0]]]}))
+    code = run(["sigma-exact", "--model", str(spec)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: matrices must be lists of rows of [re, im] pairs, "
+                   "got [1.0, -1.0]\n")
+
+
 def test_determinism_across_runs_and_threads(specs, tmp_path):
     outs = []
     for tag in ("a", "b", "c"):
