@@ -12,6 +12,11 @@ rational) and double as oracles for the Gram-based estimates:
 * free graph algebras: recovers ``t`` from vertex weights and edge counts;
 * the smoothed-kernel bound whose small-width limit is the atomic mass sum,
   and the logarithmic energy with its staircase lower-bound trail.
+
+The bound and the energy integrate against the density in closed form: the
+convolutions with the smoothing kernels are read off its Cauchy transform
+``G`` at ``t + i eps``, and the energy's inner integral is its logarithmic
+potential, so one adaptive pass over the support is the only quadrature.
 """
 
 from __future__ import annotations
@@ -304,89 +309,30 @@ class EpsKernelReport:
                 "g_l2": self.g_l2}
 
 
-_PEAK_WINDOW = 64.0  # half-width of the peak region, in units of eps
-
-# fixed node sets of the vectorized integrands: the peak window in units of
-# eps, the tails as fractions of their length, and panels on (0, 1) halving
-# toward both endpoints for the log potential
-_PEAK_NODES = quadrature.panel_nodes(
-    [(-_PEAK_WINDOW, -8.0), (-8.0, 8.0), (8.0, _PEAK_WINDOW)], 32)
-_TAIL_NODES = quadrature.panel_nodes([(0.0, 0.5), (0.5, 1.0)], 32)
-_BI_NODES = quadrature.panel_nodes(
-    [panel for k in range(1, 45)
-     for panel in ((2.0 ** (-k - 1), 2.0 ** (-k)),
-                   (1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-k - 1)))], 8)
-
-# Adaptive quadrature hands an integrand all the nodes of a refinement level
-# at once, and the two integrands below expand every target point into a row
-# of nodes (96 for the peak window, 704 for the log potential).  They take
-# their targets in row blocks whose widest temporary holds at most 8 192
-# float64 values (64 KB, below glibc's mmap threshold, so blocks reuse heap
-# memory instead of mapping fresh pages): unblocked, the quadrature benchmark
-# peaked at 49 MB instead of 35 MB, and a 32 768-value cap made log_energy
-# slower than 16-point calls.  Row counts are multiples of 8, which divide every
-# quadrature call (16 nodes a panel), so the BLAS row sums of
-# ``_log_potential`` group rows alike in every block and give the same bits.
-_BLOCK_ELEMS = 8192
-
-
-def _row_blocks(n: int, width: int):
-    """Slices of ``n`` target points whose ``width``-node rows fit a block."""
-    rows = _BLOCK_ELEMS // width // 8 * 8
-    return (slice(i, i + rows) for i in range(0, n, rows))
-
-
-def _density_conv(dens, ts: np.ndarray, eps: float, kfunc) -> np.ndarray:
-    """Vectorized ``integral of kfunc(t - s) rho(s) ds`` for an array of t.
-
-    ``kfunc`` varies on the scale ``eps`` around zero: the window
-    ``|s - t| < 64 eps`` is integrated in the rescaled variable; the two
-    tails, where the kernel is smooth, get fixed panels mapped per target.
-    The density vanishes outside its support, so out-of-range nodes are free.
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    W = _PEAK_WINDOW * eps
-    u, uw = _PEAK_NODES
-    xi, xw = _TAIL_NODES
-    lo, hi = dens.support
-    val = np.empty_like(ts)
-    for rows in _row_blocks(ts.size, u.size):
-        t = ts[rows]
-        s_peak = t[:, None] + eps * u[None, :]
-        v = np.einsum("ij,ij,j->i", kfunc(t[:, None] - s_peak),
-                      dens.pdf(s_peak), uw) * eps
-        # left tail [lo, t - W] and right tail [t + W, hi], collapsed when empty
-        for sign in (-1.0, 1.0):
-            if sign < 0:
-                a = np.full_like(t, lo)
-                b = np.maximum(t - W, lo)
-            else:
-                a = np.minimum(t + W, hi)
-                b = np.full_like(t, hi)
-            length = b - a
-            s = a[:, None] + length[:, None] * xi[None, :]
-            v += np.einsum("ij,ij,j->i", kfunc(t[:, None] - s),
-                           dens.pdf(s), xw) * length
-        val[rows] = v
-    return val
+def _density_conv(dens, ts, eps: float):
+    """Convolutions of the density with the field kernel
+    ``(t-s)/((t-s)^2 + eps^2)`` and the bound kernel
+    ``eps^4/((t-s)^2 + eps^2)^2`` at the points ``ts``: ``Re G`` and
+    ``(-eps Im G + eps^2 Re G') / 2`` at ``t + i eps``."""
+    G, dG = dens.cauchy(np.asarray(ts, dtype=float) + 1j * eps)
+    return G.real, 0.5 * (eps * eps * dG.real - eps * G.imag)
 
 
 def _smoothing_field(measure: MeasureModel, eps: float):
-    """g(t) = 2 * integral of (t-s)/((t-s)^2 + eps^2) d mu(s), vectorized."""
+    """g(t) = 2 * integral of (t-s)/((t-s)^2 + eps^2) d mu(s), vectorized;
+    the density contributes ``Re G(t + i eps)``."""
     atoms = measure.atoms
     dens = measure.density
     e2 = eps * eps
-
-    def kfunc(d):
-        return d / (d * d + e2)
 
     def g(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         val = np.zeros_like(ts)
         for loc, mass in atoms:
-            val += mass * kfunc(ts - loc)
+            d = ts - loc
+            val += mass * d / (d * d + e2)
         if dens is not None:
-            val += _density_conv(dens, ts, eps, kfunc)
+            val += _density_conv(dens, ts, eps)[0]
         return 2.0 * val
 
     return g
@@ -419,9 +365,9 @@ def eps_kernel(measure: MeasureModel, eps: float, grid_points: int = 41,
     if dens is not None:
         lo, hi = dens.support
         for ta, ma in atoms:
-            bound += 2.0 * ma * float(_density_conv(dens, [ta], eps, kern)[0])
+            bound += 2.0 * ma * float(_density_conv(dens, ta, eps)[1])
         bound += quadrature.adaptive(
-            lambda ts: dens.pdf(ts) * _density_conv(dens, ts, eps, kern),
+            lambda ts: dens.pdf(ts) * _density_conv(dens, ts, eps)[1],
             lo, hi, tol=1e-9, max_depth=22)
 
     report = EpsKernelReport(eps=float(eps), bound=float(bound))
@@ -445,23 +391,12 @@ def eps_kernel(measure: MeasureModel, eps: float, grid_points: int = 41,
 # ---------------------------------------------------------------------------
 
 
-def _log_potential(dens, xs: np.ndarray) -> np.ndarray:
-    """Vectorized ``integral of rho(y) log|y - x| dy`` with the singularity
-    inside the range.  Each side of the cut is integrated on panels that
-    halve toward both ends, resolving the log at ``y = x`` and whatever
-    integrable endpoint behavior the density has."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    fr, wt = _BI_NODES
-    lo, hi = dens.support
-    val = np.zeros_like(xs)
-    for rows in _row_blocks(xs.size, fr.size):
-        x = xs[rows]
-        for sign, side_len in ((-1.0, x - lo), (1.0, hi - x)):
-            d = side_len[:, None] * fr[None, :]  # distances from x into this side
-            y = x[:, None] + sign * d
-            contrib = dens.pdf(y) * np.log(np.maximum(d, 1e-300))
-            val[rows] += side_len * (contrib @ wt)
-    return val
+def _log_potential(dens, xs) -> np.ndarray:
+    """The energy's inner integral ``integral of rho(y) log|y - x| dy`` at
+    the points ``xs``, in closed form."""
+    # a module-level name, like _density_conv, so that the benchmark's traced
+    # run (bench/probe.py) counts the inner integrals in the closedform layer
+    return dens.log_potential(xs)
 
 
 def log_energy(measure: MeasureModel, level: int = 10) -> float:

@@ -618,6 +618,10 @@ def commutator_stein_kernel(xi: Sequence[NCPoly], x: Sequence[NCPoly]) -> Kernel
 
     For xi orthogonal to the scalars this is always a Stein kernel of the
     tuple ``x`` relative to ``xi`` over C, and it is linear in ``xi``.
+
+    This assumes ``x`` is self-adjoint.  The kernel meets ``d_j`` through the
+    tensor inner product, whose adjoint turns ``x_j`` into ``x_j*``; for a
+    star-paired tuple pass ``x_j*`` in slot ``j``, as ``stein`` does.
     """
     xi = tuple(xi)
     x = tuple(x)

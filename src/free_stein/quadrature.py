@@ -8,12 +8,13 @@ panel whose estimate agrees with the sum of its halves is accepted; the rest
 are bisected into the next level with half the tolerance.  The children of a
 level are ordered left to right, and the panel totals are folded bottom-up in
 tree order, so the result is the one a depth-first recursion gives, bit for
-bit, at one integrand call per level.
+bit, at one integrand call per level.  ``integrate`` runs ``adaptive`` on
+each piece between given cut points.
 
-Sharp features are handled by interval splitting: near-singular peaks of a
-known width are integrated in a rescaled variable so the integrand is
-O(1)-smooth, and integrable endpoint singularities (logs, square roots) are
-left to bisection, which concentrates panels geometrically around them.
+Integrable endpoint singularities (logs, square roots) and interior kinks are
+left to bisection, which concentrates panels geometrically around them.  The
+integrands themselves carry no inner quadrature: the densities supply their
+convolutions in closed form (see :mod:`free_stein.trace`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import lru_cache
 from itertools import count
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import QuadratureError
 
@@ -30,20 +32,8 @@ _PANEL_NODES = 16
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = legendre.leggauss(n)
     return x, w
-
-
-def panel_nodes(panels, n: int):
-    """Flattened ``n``-point Gauss-Legendre nodes and weights over a list of
-    ``(a, b)`` panels."""
-    x, w = _leggauss(n)
-    nodes, weights = [], []
-    for a, b in panels:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _panel_sums(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -107,40 +97,18 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 52) -> 
     return float(total[0])
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-12,
-              cuts=(), peaks=()) -> float:
-    """Integrate with explicit split points and peak windows.
+def integrate(f, a: float, b: float, tol: float = 1e-12, cuts=(),
+              max_depth: int = 52) -> float:
+    """:func:`adaptive` on each piece of ``[a, b]`` between the ``cuts``
+    inside it.
 
-    ``cuts`` are points where the integrand is singular or non-smooth (the
-    point itself is never evaluated); ``peaks`` are ``(center, width)`` pairs
-    marking near-singular bumps that are integrated in the variable
-    ``u = (s - center)/width``.
+    Cuts mark points where the integrand is not smooth, such as the knots of
+    a piecewise-linear density: bisection would otherwise refine toward each
+    of them from both sides.
     """
     a, b = float(a), float(b)
     if b < a:
-        return -integrate(f, b, a, tol, cuts, peaks)
-    windows = []
-    for c, w in peaks:
-        if w <= 0:
-            raise QuadratureError("peak width must be positive")
-        lo, hi = c - 64.0 * w, c + 64.0 * w
-        if hi > a and lo < b:
-            windows.append((max(lo, a), min(hi, b), float(c), float(w)))
-    windows.sort()
-    pts = sorted({a, b, *(float(c) for c in cuts if a < float(c) < b),
-                  *(x for win in windows for x in win[:2])})
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi <= lo:
-            continue
-        win = next((w for w in windows if w[0] <= lo and hi <= w[1]), None)
-        if win is not None:
-            _, _, c, wd = win
-
-            def g(u, c=c, wd=wd):
-                return f(c + wd * u) * wd
-
-            total += adaptive(g, (lo - c) / wd, (hi - c) / wd, tol)
-        else:
-            total += adaptive(f, lo, hi, tol)
-    return total
+        return -integrate(f, b, a, tol, cuts, max_depth)
+    pts = [a, *sorted({float(c) for c in cuts if a < c < b}), b]
+    return sum(adaptive(f, lo, hi, tol, max_depth)
+               for lo, hi in zip(pts[:-1], pts[1:]))

@@ -309,6 +309,18 @@ def _coords(model: MatrixModel) -> MatrixCoordinates:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_partners(system) -> tuple:
+    """The generators the half-commutator kernel pairs ``xi_j`` with:
+    ``x_{pi(j)}`` for the star pairing ``pi``.
+
+    The kernel meets the derivation ``d_j`` through the tensor inner
+    product, whose adjoint turns ``x_j`` into ``x_j*``; on self-adjoint
+    tuples ``pi`` is the identity and these are the generators.
+    """
+    X = generator_tuple(system)
+    return tuple(X[j] for j in system.star_pairing)
+
+
 def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
                 with_trail: bool = True) -> DiscrepancyReport:
     """Truncated Stein discrepancy of the generators relative to ``xi``.
@@ -321,7 +333,7 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
     if len(xi) != model.n:
         raise StructureError("xi must have one entry per generator")
     xi = tuple(model.centered(x) for x in xi)
-    A = commutator_stein_kernel(xi, generator_tuple(model.system))
+    A = commutator_stein_kernel(xi, _kernel_partners(model.system))
     gs = GramSystem(model, scheme.d_proj)
     rA = gs.r_of_kernel(A)
     r1 = gs.r_of_identity()
@@ -364,7 +376,7 @@ def _xi_design(model, scheme):
             f"words of degree d_proj + d_xi + 1 = {need}, beyond the cap {cap}")
     view = gs.view()
     labels, candidates = _xi_basis(model, scheme.d_xi)
-    X = generator_tuple(model.system)
+    X = _kernel_partners(model.system)
     Z = np.stack([view.z(gs.r_of_kernel(commutator_stein_kernel(cand, X))).reshape(-1)
                   for cand in candidates], axis=1)
     b = view.z(gs.r_of_identity()).reshape(-1)

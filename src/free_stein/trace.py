@@ -20,6 +20,7 @@ kernel matrices.  All are linear in the first argument.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -318,8 +319,7 @@ class SemicircularModel(TraceModel):
 
 
 def catalan(k: int) -> int:
-    from math import comb
-    return comb(2 * k, k) // (k + 1)
+    return math.comb(2 * k, k) // (k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +328,36 @@ def catalan(k: int) -> int:
 
 
 class Density:
-    """Absolutely continuous part of a spectral measure."""
+    """Absolutely continuous part of a spectral measure.
+
+    Every kind carries closed forms for what the smoothed-kernel bound and
+    the logarithmic energy integrate against it: its moments, its Cauchy
+    transform ``G(z) = integral of rho(s) / (z - s) ds`` together with
+    ``G'(z)``, and its logarithmic potential.
+    """
 
     mass: float
     support: tuple
 
-    def integrate(self, f, tol=1e-12, cuts=(), peaks=()) -> float:
+    def pdf(self, t):
         raise NotImplementedError
 
-    def moment(self, k: int, tol=1e-13) -> float:
-        return self.integrate(lambda t: t ** k, tol=tol)
+    def moment(self, k: int) -> float:
+        raise NotImplementedError
+
+    def cauchy(self, z):
+        """``(G(z), G'(z))`` for complex ``z`` off the support."""
+        raise NotImplementedError
+
+    def log_potential(self, x):
+        """``integral of rho(y) log|y - x| dy`` for real ``x``."""
+        raise NotImplementedError
 
 
 class SemicircleDensity(Density):
     """Semicircle law on ``[center - radius, center + radius]``.
 
-    Standard parameters (center 0, radius 2) give unit variance.  Plain
-    moments use the smooth substitution ``t = center + radius sin(theta)``;
-    integrals with marked features run in the spectral variable.
+    Standard parameters (center 0, radius 2) give unit variance.
     """
 
     def __init__(self, center=0.0, radius=2.0, mass=1.0):
@@ -361,39 +373,102 @@ class SemicircleDensity(Density):
         inside = np.clip(self.radius ** 2 - (t - self.center) ** 2, 0.0, None)
         return (2.0 * self.mass / (np.pi * self.radius ** 2)) * np.sqrt(inside)
 
-    def integrate(self, f, tol=1e-12, cuts=(), peaks=()):
-        if not cuts and not peaks:
-            c, r, m = self.center, self.radius, self.mass
+    def moment(self, k: int) -> float:
+        # t = center + (radius/2) v with v standard: tau(v^2i) = Catalan(i)
+        c, h = self.center, self.radius / 2
+        return self.mass * sum(math.comb(k, 2 * i) * c ** (k - 2 * i) * h ** (2 * i)
+                               * catalan(i) for i in range(k // 2 + 1))
 
-            def g(theta):
-                return f(c + r * np.sin(theta)) * np.cos(theta) ** 2
+    def cauchy(self, z):
+        w = np.asarray(z, dtype=complex) - self.center
+        r = self.radius
+        root = np.sqrt(w - r) * np.sqrt(w + r)  # ~ w at infinity
+        # (2m/r^2)(w - root), written without the cancellation at large |w|
+        g = 2.0 * self.mass / (w + root)
+        return g, -g / root
 
-            return (2.0 * m / np.pi) * quadrature.adaptive(g, -np.pi / 2, np.pi / 2, tol)
-        lo, hi = self.support
-        return quadrature.integrate(lambda t: f(t) * self.pdf(t), lo, hi,
-                                    tol=tol, cuts=cuts, peaks=peaks)
+    def log_potential(self, x):
+        u = 2.0 * (np.asarray(x, dtype=float) - self.center) / self.radius
+        a = np.maximum(np.abs(u), 2.0)
+        root = np.sqrt((a - 2.0) * (a + 2.0))
+        # off the support u^2/4 - 1/2 gains - |u| root/4 + log((|u| + root)/2);
+        # u^2/4 - |u| root/4 is |u| / (|u| + root) there
+        outside = a / (a + root) - 0.5 + np.log((a + root) / 2)
+        inside = u * u / 4 - 0.5
+        return self.mass * (math.log(self.radius / 2)
+                            + np.where(np.abs(u) <= 2.0, inside, outside))
 
 
-class UniformDensity(Density):
+class _PiecewiseLinearDensity(Density):
+    """Closed forms of a density linear between the knots ``xs``, where it
+    takes the values ``ys``, and zero outside them."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def _pieces(self):
+        """Per piece ``rho(s) = y + slope (s - p)`` on ``[p, q]``."""
+        keep = self.xs[1:] > self.xs[:-1]  # a repeated knot is a jump
+        p, q = self.xs[:-1][keep], self.xs[1:][keep]
+        y, y_end = self.ys[:-1][keep], self.ys[1:][keep]
+        return p, q, y, y_end, (y_end - y) / (q - p)
+
+    def moment(self, k: int) -> float:
+        # Gauss-Legendre with k//2 + 2 nodes is exact on each piece
+        p, q, y, _, slope = self._pieces()
+        x, w = quadrature._leggauss(k // 2 + 2)
+        half = 0.5 * (q - p)
+        s = (p + half)[:, None] + half[:, None] * x
+        rho = y[:, None] + slope[:, None] * (s - p[:, None])
+        return float(np.sum(half * ((rho * s ** k) @ w)))
+
+    def cauchy(self, z):
+        z = np.asarray(z, dtype=complex)
+        g, dg = np.zeros_like(z), np.zeros_like(z)
+        # one piece at a time, so temporaries stay the size of z for any
+        # number of knots
+        for p, q, y, y_end, slope in zip(*self._pieces()):
+            zp, zq = z - p, z - q
+            logs = np.log(zp) - np.log(zq)
+            g += (y + slope * zp) * logs - slope * (q - p)
+            # G' = -integral of rho / (z - s)^2, integrated by parts
+            dg += y / zp - y_end / zq + slope * logs
+        return g, dg
+
+    def log_potential(self, x):
+        x = np.asarray(x, dtype=float)
+        val = np.zeros_like(x)
+        for p, q, y, _, slope in zip(*self._pieces()):
+            level = y + slope * (x - p)  # rho at y = x, continued linearly
+            val += (_xlog_antiderivative(q - x, level, slope)
+                    - _xlog_antiderivative(p - x, level, slope))
+        return val
+
+
+def _xlog_antiderivative(d, level, slope):
+    """Antiderivative of ``(level + slope d) log|d|`` in ``d``."""
+    ad = np.abs(d)
+    log = np.log(np.where(ad > 0, ad, 1.0))
+    return level * d * (log - 1.0) + slope * d * d * (log / 2 - 0.25)
+
+
+class UniformDensity(_PiecewiseLinearDensity):
     def __init__(self, a, b, mass=1.0):
         if not b > a or mass <= 0:
             raise ModelError("uniform density needs b > a and positive mass")
         self.a, self.b = float(a), float(b)
         self.mass = float(mass)
         self.support = (self.a, self.b)
+        self.xs = np.array(self.support)
+        self.ys = np.full(2, self.mass / (self.b - self.a))
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
         return np.where((t >= self.a) & (t <= self.b),
                         self.mass / (self.b - self.a), 0.0)
 
-    def integrate(self, f, tol=1e-12, cuts=(), peaks=()):
-        dens = self.mass / (self.b - self.a)
-        return quadrature.integrate(lambda t: f(t) * dens, self.a, self.b,
-                                    tol=tol, cuts=cuts, peaks=peaks)
 
-
-class TableDensity(Density):
+class TableDensity(_PiecewiseLinearDensity):
     """Piecewise-linear density through sampled ``(x, rho)`` points,
     rescaled to the requested mass."""
 
@@ -413,12 +488,6 @@ class TableDensity(Density):
     def pdf(self, t):
         return np.interp(np.asarray(t, dtype=float), self.xs, self.ys,
                          left=0.0, right=0.0)
-
-    def integrate(self, f, tol=1e-12, cuts=(), peaks=()):
-        return quadrature.integrate(lambda t: f(t) * self.pdf(t),
-                                    self.xs[0], self.xs[-1], tol=tol,
-                                    cuts=tuple(cuts) + tuple(self.xs[1:-1]),
-                                    peaks=peaks)
 
 
 class MeasureModel(TraceModel):

@@ -20,7 +20,7 @@ from free_stein.stein import (DegreeScheme, conjugate_variable_check,
                               monomial_words, radius_sweep, sigma_exact_fd)
 from free_stein.trace import (MatrixModel, MeasureModel, SemicircleDensity,
                               SemicircularModel, UniformDensity, catalan,
-                              diagonal_matrix_model, two_point_matrix_model,
+                              cyclic_group_model, diagonal_matrix_model, two_point_matrix_model,
                               two_point_measure)
 
 F = Fraction
@@ -173,7 +173,8 @@ def test_criterion_07_additivity(free_two_twopoint, twopoint_matrix):
 
 
 def test_criterion_08_generator_invariance():
-    with _Criterion(8, "dimension invariant under (x) -> (x, x^2)"):
+    with _Criterion(8, "dimension invariant under (x) -> (x, x^2) and "
+                           "(u, u*) -> (Re u, Im u)"):
         values = [1.0, 2.0, 3.0]
         weights = [1 / 3] * 3
         single = diagonal_matrix_model(values, weights)
@@ -184,6 +185,16 @@ def test_criterion_08_generator_invariance():
         r2 = sigma_exact_fd(pair, d=3, with_trail=False)
         assert abs(r1.sigma - 2 / 3) <= 1e-10
         assert abs(r1.sigma - r2.sigma) <= 1e-10
+        # the star-paired (u, u*) of Z/3 against the self-adjoint (Re u, Im u)
+        u = np.exp(2j * np.pi * np.arange(3) / 3)
+        starred = cyclic_group_model(3)
+        real = MatrixModel([(1, 1 / 3)] * 3, [[[[v.real]] for v in u],
+                                              [[[v.imag]] for v in u]])
+        for d_xi in (1, 2):
+            e1 = irregularity_estimate(starred, DegreeScheme(d_xi))
+            e2 = irregularity_estimate(real, DegreeScheme(d_xi))
+            assert abs(e1.sigma - 2 / 3) <= 1e-9
+            assert abs(e1.sigma - e2.sigma) <= 1e-9
 
 
 def test_criterion_09_kernel_gap(semicircular1):

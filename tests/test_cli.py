@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -161,6 +162,11 @@ def test_log_energy_and_eps_cli(specs, tmp_path, capsys):
                 "--eps", "0.001"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0 and abs(data["bound"] - 0.5) < 1e-3
+
+    code = run(["closed-form", "eps-kernel", "--model", str(uniform),
+                "--eps", "0.1"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and abs(data["bound"] - 0.1 * math.atan(10.0)) < 1e-10
 
 
 def test_validation_exit_codes(specs, tmp_path, capsys):

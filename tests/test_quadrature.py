@@ -1,12 +1,12 @@
 """Level-synchronous adaptive quadrature against the recursive rule it
-replaced, and the batching it relies on."""
+replaced."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from free_stein import closedform, quadrature
+from free_stein import quadrature
 from free_stein.closedform import eps_kernel, log_energy
 from free_stein.errors import QuadratureError
 from free_stein.trace import (MeasureModel, SemicircleDensity, TableDensity,
@@ -84,14 +84,18 @@ def test_log_energy_bit_identical_to_recursive_rule(density, monkeypatch):
 
 
 def test_density_integrals_bit_identical_to_recursive_rule(monkeypatch):
+    table, uniform, semicircle = _table(), UniformDensity(-1, 2), SemicircleDensity()
+
     def compute():
-        return (SemicircleDensity().moment(4),
-                _table().integrate(lambda t: np.cos(3.0 * t), cuts=(0.7,)),
-                UniformDensity(-1, 2).integrate(
-                    lambda t: 1e-3 / ((t - 0.4) ** 2 + 1e-6),
-                    peaks=((0.4, 1e-3),)),
-                SemicircleDensity().integrate(lambda t: np.abs(t - 0.3) ** 0.5,
-                                              cuts=(0.3,)),
+        return (quadrature.integrate(lambda t: np.cos(3.0 * t) * table.pdf(t),
+                                     0.0, 2.0, cuts=(*table.xs, 0.7)),
+                # a peak of width 1e-3, cut at its center
+                quadrature.integrate(
+                    lambda t: 1e-3 / ((t - 0.4) ** 2 + 1e-6) * uniform.pdf(t),
+                    -1.0, 2.0, cuts=(0.4,)),
+                quadrature.integrate(
+                    lambda t: np.abs(t - 0.3) ** 0.5 * semicircle.pdf(t),
+                    -2.0, 2.0, cuts=(0.3,)),
                 # deep refinement toward an endpoint singularity
                 quadrature.adaptive(lambda x: np.sqrt(x) * np.log(x), 0.0, 1.0))
 
@@ -133,25 +137,3 @@ def test_one_integrand_call_per_level():
         quadrature.adaptive(counted(step), 0.0, 1.0, max_depth=8)
     assert calls["step"] <= 8 + 2
 
-
-def test_integrands_take_targets_in_row_blocks(monkeypatch):
-    sizes = Counter()
-    targets = []
-    for cls in (SemicircleDensity, UniformDensity):
-        def counting(self, t, pdf=cls.pdf):
-            sizes[np.size(t)] += 1
-            return pdf(self, t)
-        monkeypatch.setattr(cls, "pdf", counting)
-    conv = closedform._density_conv
-
-    def recording(dens, ts, eps, kfunc):
-        targets.append(np.size(ts))
-        return conv(dens, ts, eps, kfunc)
-
-    monkeypatch.setattr(closedform, "_density_conv", recording)
-    eps_kernel(_plateau(), 0.01)
-    log_energy(MeasureModel([], UniformDensity(0, 1)))
-    log_energy(MeasureModel([], SemicircleDensity()))
-    assert max(sizes) <= closedform._BLOCK_ELEMS
-    # the quadrature levels hand over more targets than one block holds
-    assert max(targets) * closedform._PEAK_NODES[0].size > closedform._BLOCK_ELEMS

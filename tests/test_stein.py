@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_poly
 from free_stein import stein
-from free_stein.closedform import fd_sigma
+from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import ModelError, StructureError
 from free_stein.fdalg import MatrixCoordinates
 from free_stein.ncalg import (KernelMatrix, NCPoly, TensorPoly,
@@ -164,6 +164,16 @@ def test_design_rank_values(semicircular2):
     for model, d_xi, rank in cases:
         rep = irregularity_estimate(model, DegreeScheme(d_xi))
         assert rep.diagnostics["design_rank"] == rank
+
+
+def test_star_paired_cyclic_groups_match_finite_group_sigma():
+    # the generators (u, u*) are star-paired, not self-adjoint
+    for order, d_xis in ((3, (1, 2, 3)), (4, (2, 3))):
+        exact = float(finite_group_sigma(order))
+        for d_xi in d_xis:
+            rep = irregularity_estimate(cyclic_group_model(order),
+                                        DegreeScheme(d_xi))
+            assert abs(rep.sigma - exact) <= 1e-9
 
 
 def test_irregularity_trail_nonincreasing_in_dxi(threepoint_measure):
