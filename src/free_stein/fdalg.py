@@ -1,15 +1,19 @@
 """Coordinates for finite-dimensional matrix models.
 
-Fixes an orthonormal basis of the algebra under ``<u, v> = tau(v* u)``
-(scaled matrix units), so that elements, tensors over the algebra and the
-sharp action all become plain numpy arrays:
+Fixes an orthonormal basis of ``A = (+)_i M_{k_i}`` under ``<u, v> =
+tau(v* u)``: the scaled matrix units ``sqrt(k_i / lambda_i) e_pq`` of each
+block, ordered by block, row and column.  Elements, tensors and the sharp
+action then become plain numpy arrays:
 
-* an algebra element is a vector in C^D;
+* an algebra element is a vector in C^D, ``D = sum k_i^2``;
 * a tensor ``u (x) v`` is the outer product of the two coordinate vectors,
   and the tensor-trace inner product is the Frobenius pairing;
-* left sharp multiplication by a basis tensor ``f_a (x) f_b`` acts on a
-  coordinate matrix C as ``L_a C R_b^T`` with the left/right multiplication
-  matrices of the algebra.
+* left sharp multiplication ``(f (x) g) # (u (x) v) = f u (x) v g`` moves
+  the block-(i, j) part of a tensor (left leg in block i, right leg in block
+  j) only through the row of its left leg and the column of its right leg.
+  The translates of a set of tensors therefore span ``C^{k_i k_j} (x)
+  span(M_ij)`` on each block pair, with ``M_ij`` the multiplicity matrix of
+  :meth:`MatrixCoordinates.sharp_translates`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ class MatrixCoordinates:
     def __init__(self, model: MatrixModel):
         self.model = model
         basis = []
-        off = 0
+        self.blocks = []   # (coordinate slice, size, scale) per block
+        off = coord = 0
         for k, lam in model.blocks:
             scale = np.sqrt(k / lam)
             for p in range(k):
@@ -31,41 +36,38 @@ class MatrixCoordinates:
                     E = np.zeros((model.dim, model.dim), dtype=complex)
                     E[off + p, off + q] = scale
                     basis.append(E)
+            self.blocks.append((slice(coord, coord + k * k), k, scale))
             off += k
-        self.basis = basis
+            coord += k * k
         self.D = len(basis)
-        B = np.stack(basis)
+        self.basis = np.stack(basis)
         # coords(u)_a = tau(f_a^* u) = sum_{ij} conj(f_a[i,j]) w_j u[i,j]
-        self._coord = np.einsum("aij,j->aij", B.conj(), model.weights)
+        self._coord = np.einsum("aij,j->aij", self.basis.conj(), model.weights)
         self._coord = self._coord.reshape(self.D, -1)
-        self.left = np.zeros((self.D, self.D, self.D), dtype=complex)
-        self.right = np.zeros((self.D, self.D, self.D), dtype=complex)
-        for a in range(self.D):
-            for b in range(self.D):
-                self.left[a, :, b] = self.coords(basis[a] @ basis[b])
-                self.right[a, :, b] = self.coords(basis[b] @ basis[a])
-        self.unit = self.coords(np.eye(model.dim, dtype=complex))
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
-        return self._coord @ np.asarray(mat, dtype=complex).reshape(-1)
+        """Coordinates of a matrix, or of a stack of matrices (..., D)."""
+        mat = np.asarray(mat, dtype=complex)
+        return mat.reshape(*mat.shape[:-2], -1) @ self._coord.T
 
     def mat(self, coords: np.ndarray) -> np.ndarray:
-        acc = np.zeros((self.model.dim, self.model.dim), dtype=complex)
-        for c, f in zip(coords, self.basis):
-            acc += c * f
-        return acc
+        return np.tensordot(coords, self.basis, axes=1)
 
-    def sharp_translates(self, rows: np.ndarray) -> np.ndarray:
-        """All left sharp translates ``(f_a (x) f_b) # row`` of a stack of
-        coordinate rows.
+    def sharp_translates(self, rows: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Multiplicity matrix ``M_ij`` of the left sharp translates of a stack
+        of coordinate rows on the block pair (i, j).
 
-        ``rows`` has shape (r, n, D, D); the result has shape (r*D*D, n*D*D),
-        with the flattened translate of row k by basis tensor (a, b) at
-        ``k*D*D + a*D + b``.  The translate acts on each slot j as
-        ``L_a row[j] R_b^T``: two tensor contractions over the whole stack.
+        ``rows`` has shape (r, n, D, D).  Translation by the basis tensor of
+        ``e_ab`` in block i and ``e_ce`` in block j moves the block-(i, j)
+        entries with left-leg row b and right-leg column c to left-leg row a
+        and right-leg column e, scaled by ``sqrt(k_i k_j / (lambda_i
+        lambda_j))``; the left-leg column and the right-leg row stay.  So the
+        translates are ``I_{k_i k_j} (x) M_ij``, with ``M_ij`` of shape
+        (r*k_i*k_j, n*k_i*k_j): rows indexed by (row, left-leg row, right-leg
+        column) and columns by (slot, left-leg column, right-leg row).
         """
+        (si, ki, ci), (sj, kj, cj) = self.blocks[i], self.blocks[j]
         r, n = rows.shape[:2]
-        t = np.tensordot(self.left, rows, axes=([2], [2]))   # a x k j z
-        t = np.tensordot(t, self.right, axes=([4], [2]))     # a x k j b w
-        t = t.transpose(2, 0, 4, 3, 1, 5)                    # k a b j x w
-        return t.reshape(r * self.D * self.D, n * self.D * self.D)
+        t = rows[:, :, si, sj].reshape(r, n, ki, ki, kj, kj)
+        t = t.transpose(0, 2, 5, 1, 3, 4)
+        return (ci * cj) * t.reshape(r * ki * kj, n * ki * kj)

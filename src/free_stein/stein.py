@@ -32,7 +32,7 @@ of products of table entries.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -155,17 +155,17 @@ class AlphaReport:
 
 
 def monomial_words(system, dmin, dmax):
-    """Canonical monomial words (with B-basis slots) of the given degrees."""
+    """Canonical monomial words (with B-basis slots) of the given degrees,
+    sorted by degree and then lexicographically: the degree-d words are the
+    degree-(d-1) words, each followed by every (letter, slot) pair."""
+    steps = [(l, s) for l in range(system.n) for s in range(system.b.dim)]
+    level = [(s,) for s in range(system.b.dim)]
     words = []
-    bdim = system.b.dim
-    for d in range(dmin, dmax + 1):
-        for letters in itertools.product(range(system.n), repeat=d):
-            for slots in itertools.product(range(bdim), repeat=d + 1):
-                w = [slots[0]]
-                for j, l in enumerate(letters):
-                    w.extend((l, slots[j + 1]))
-                words.append(tuple(w))
-    words.sort(key=lambda w: (len(w), w))
+    for d in range(dmax + 1):
+        if d:
+            level = [w + step for w in level for step in steps]
+        if d >= dmin:
+            words.extend(level)
     return words
 
 
@@ -302,6 +302,55 @@ def _coords(model: MatrixModel) -> MatrixCoordinates:
     if "_fd_coords" not in model.__dict__:
         model._fd_coords = MatrixCoordinates(model)
     return model._fd_coords
+
+
+def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
+    """``(words, E, S)`` over the monomial words of degree up to ``d + extra``.
+
+    ``words`` is in ``monomial_words`` order, ``E`` (D x words) holds their
+    coordinates and ``S`` (words x n*D*D) their split coordinates:
+    ``S[w, letter]`` sums ``ev(left) (x) ev(right)`` over the splits ``w =
+    left letter right``.  The words are evaluated level by level: the
+    degree-e words are the degree-(e-1) words times a letter times a B slot,
+    which is both the order of ``monomial_words`` and the product order of
+    ``MatrixModel.eval_word``.
+    """
+    system = model.system
+    top = d + extra
+    if top > system.cap:
+        need = f"d + {extra} = {top}" if extra else f"{top}"
+        raise DegreeCapError(
+            f"d={d} needs words of degree {need}, beyond the cap {system.cap}")
+    coords = _coords(model)
+    n, D, dim = model.n, coords.D, model.dim
+    gens, bs = np.stack(model.gen_mats), np.stack(model.b_mats)
+    level = bs
+    ev = [coords.coords(level)]
+    for _ in range(top):
+        level = ((level[:, None] @ gens[None])[:, :, None] @ bs[None, None])
+        level = level.reshape(-1, dim, dim)
+        ev.append(coords.coords(level))
+    sizes = [len(e) for e in ev]
+    offsets = np.cumsum([0] + sizes)
+    ev = np.concatenate(ev)
+    # the split of a degree-e word (local index t) at its j-th letter:
+    # t = (left * n + letter) * sizes[e - j] + right, in local indices
+    word, letter, left, right = [], [], [], []
+    for e in range(1, top + 1):
+        t = np.arange(sizes[e])
+        for j in range(1, e + 1):
+            tail = sizes[e - j]
+            word.append(offsets[e] + t)
+            letter.append(t // tail % n)
+            left.append(offsets[j - 1] + t // (n * tail))
+            right.append(offsets[e - j] + t % tail)
+    S = np.zeros((len(ev), n, D, D), dtype=complex)
+    if top:
+        left, right = np.concatenate(left), np.concatenate(right)
+        np.add.at(S, (np.concatenate(word), np.concatenate(letter)),
+                  ev[left][:, :, None] * ev[right][:, None, :])
+    words = monomial_words(system, 0, top)
+    return words, ev.T, S.reshape(len(ev), n * D * D)
 
 
 # ---------------------------------------------------------------------------
@@ -531,34 +580,35 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
     of ``E``.  That space has dimension at most n*D*D whatever the number of
     relations; translates are linear in the row, so the sharp translates of
     its orthonormal basis span the same module as those of every relation.
+
+    On the block pair (i, j) of ``A = (+) M_{k_i}`` that module is
+    ``C^{k_i k_j} (x) span(M_ij)`` (see ``MatrixCoordinates.sharp_translates``),
+    and the identity kernel meets it in a share ``lambda_i lambda_j / (k_i
+    k_j)`` per multiplicity rank, so
+
+        sigma_d = n - sum_{(i, j)} lambda_i lambda_j / (k_i k_j) rank(M_ij).
+
+    The ranks count singular values above one global cut, ``RCOND`` times
+    the largest singular value over all block pairs: the cut of the stacked
+    translates, whose singular values are those of the ``M_ij``, each
+    repeated ``k_i k_j`` times.
     """
     if not isinstance(model, MatrixModel):
         raise ModelError("exact mode requires a finite-dimensional matrix model")
     if d < 1:
         raise StructureError("d must be at least 1")
-    coords = _coords(model)
-    system = model.system
-    n, D = model.n, coords.D
-
     # sorted by degree, so the words up to each degree are a prefix
-    words = monomial_words(system, 0, d + 1)
-    ev = {w: coords.coords(model.eval_word(w)) for w in words}
-    E = np.stack([ev[w] for w in words], axis=1)
-    # split coordinates of every derivation of every word
-    S = np.zeros((len(words), n, D, D), dtype=complex)
-    for k, w in enumerate(words):
-        for j in range(1, len(w) // 2 + 1):
-            left, right = w[:2 * j - 1], w[2 * j:]
-            S[k, w[2 * j - 1]] += np.outer(ev[left], ev[right])
-    S = S.reshape(len(words), n * D * D)
-
-    unit_rows = np.zeros((n, n, D, D), dtype=complex)
-    for i in range(n):
-        unit_rows[i, i] = np.outer(coords.unit, coords.unit)
-    unit_rows = unit_rows.reshape(n, n * D * D)
+    words, E, S = _word_table(model, d, extra=1)
+    coords = _coords(model)
+    n, D = model.n, coords.D
+    # block pairs grouped by shape, so each group is one batched SVD
+    groups = {}
+    for i, (ki, li) in enumerate(model.blocks):
+        for j, (kj, lj) in enumerate(model.blocks):
+            groups.setdefault((ki, kj), []).append((i, j, li * lj / (ki * kj)))
 
     def value_at(dd: int) -> tuple:
-        k = sum(1 for w in words if len(w) <= 2 * (dd + 1) + 1)
+        k = bisect.bisect_right(words, 2 * (dd + 1) + 1, key=len)
         _, s, vh = np.linalg.svd(E[:, :k], full_matrices=False)
         rank = int(np.sum(s > RCOND * s[0]))
         V, Sk = vh[:rank], S[:k]
@@ -569,10 +619,15 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
         basis = vh1[s1 > RCOND * np.linalg.norm(Sk)]
         if not len(basis):
             return float(n), 0.0, k - rank
-        G = coords.sharp_translates(basis.reshape(-1, n, D, D))
-        _, s2, vh2 = np.linalg.svd(G, full_matrices=False)
-        P = vh2[s2 > RCOND * s2[0]]
-        sig2 = float(np.linalg.norm(P @ unit_rows.T) ** 2)
+        rows = basis.reshape(-1, n, D, D)
+        svals = [np.linalg.svd(np.stack([coords.sharp_translates(rows, i, j)
+                                         for i, j, _ in pairs]),
+                               compute_uv=False)
+                 for pairs in groups.values()]
+        cut = RCOND * max(float(s[:, 0].max()) for s in svals)
+        sig2 = sum(w * int(np.sum(s > cut))
+                   for pairs, sv in zip(groups.values(), svals)
+                   for (_, _, w), s in zip(pairs, sv))
         return n - sig2, sig2, k - rank
 
     trail = []
@@ -678,30 +733,15 @@ def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4):
         raise ModelError("the direct adjoint solve needs a matrix model")
     eta = tuple(eta)
     coords = _coords(model)
-    system = model.system
-    eta_coords = []
-    for t in eta:
-        acc = np.zeros((coords.D, coords.D), dtype=complex)
+    _, E, S = _word_table(model, d)
+    eta_coords = np.zeros((model.n, coords.D, coords.D), dtype=complex)
+    for t, acc in zip(eta, eta_coords):
         for (a, b), c in t.terms.items():
             acc += complex(c) * np.outer(coords.coords(model.eval_word(a)),
                                          coords.coords(model.eval_word(b)))
-        eta_coords.append(acc)
-    words = monomial_words(system, 0, d)
-    rows = []
-    rhs = []
-    for w in words:
-        rows.append(coords.coords(model.eval_word(w)).conj())
-        total = complex(0)
-        deg = len(w) // 2
-        for j in range(1, deg + 1):
-            left, right = w[:2 * j - 1], w[2 * j:]
-            split = np.outer(coords.coords(model.eval_word(left)),
-                             coords.coords(model.eval_word(right)))
-            # <eta_letter, split> with the Frobenius pairing
-            total += complex(np.vdot(split, eta_coords[w[2 * j - 1]]))
-        rhs.append(total)
-    M = np.stack(rows)
-    rhs = np.array(rhs)
+    M = E.T.conj()
+    # <eta_letter, split> with the Frobenius pairing, summed over the splits
+    rhs = S.conj() @ eta_coords.reshape(-1)
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=RCOND)
     residual = float(np.linalg.norm(M @ sol - rhs))
     mat = coords.mat(sol)
@@ -712,10 +752,8 @@ def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4):
 def matrix_to_poly(model: MatrixModel, mat: np.ndarray, d: int = 4) -> NCPoly:
     """Express a matrix as a polynomial in the model generators (least squares
     over monomials of degree <= d; exact when the words span the algebra)."""
-    coords = _coords(model)
-    words = monomial_words(model.system, 0, d)
-    E = np.stack([coords.coords(model.eval_word(w)) for w in words], axis=1)
-    target = coords.coords(mat)
+    words, E, _ = _word_table(model, d)
+    target = _coords(model).coords(mat)
     sol, *_ = np.linalg.lstsq(E, target, rcond=RCOND)
     if np.linalg.norm(E @ sol - target) > 1e-8 * max(np.linalg.norm(target), 1.0):
         raise ModelError("matrix is not a polynomial of the given degree")

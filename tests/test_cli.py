@@ -246,6 +246,21 @@ def test_candidate_gram_degree_beyond_cap(specs, tmp_path, capsys):
     assert json.loads(out.read_text())["points"][0]["radius"] == 1.0
 
 
+def test_sigma_exact_degree_beyond_cap(specs, capsys):
+    # relations of degree d + 1 = 7 are scanned: cap 4 rejects them before
+    # any word is evaluated, cap 4 with d = 3 is just enough
+    args = ["sigma-exact", "--model", specs["ccmat"], "--cap", "4"]
+    code = run(args + ["--d", "6"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: d=6 needs words of degree d + 1 = 7, "
+                            "beyond the cap 4\n")
+    assert captured.out == ""
+    code = run(args + ["--d", "3"])
+    assert code == 0
+    assert abs(json.loads(capsys.readouterr().out)["sigma"] - 0.5) < 1e-10
+
+
 def test_matrix_entry_must_be_a_pair(tmp_path, capsys):
     spec = tmp_path / "plain.json"
     spec.write_text(json.dumps({

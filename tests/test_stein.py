@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_poly
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
-from free_stein.errors import ModelError, StructureError
+from free_stein.errors import DegreeCapError, ModelError, StructureError
 from free_stein.fdalg import MatrixCoordinates
 from free_stein.ncalg import (KernelMatrix, NCPoly, TensorPoly,
                               commutator_stein_kernel, diff_quotient,
@@ -357,10 +357,27 @@ def test_sigma_exact_group_cross_check():
         assert abs(rep.sigma - (1 - 1 / order)) < 1e-9
 
 
-def _translates_reference(coords, row):
-    """Sharp translates of one coordinate row, one contraction per row."""
-    out = np.einsum("axy,jyz,bwz->abjxw", coords.left, row, coords.right)
-    return out.reshape(coords.D * coords.D, row.shape[0] * coords.D * coords.D)
+def _multiplication_tables(coords):
+    """Oracle only: the D^3 left and right multiplication tables of the
+    coordinate basis, ``left[a, :, b] = coords(f_a f_b)`` and ``right[a, :, b]
+    = coords(f_b f_a)``."""
+    D = coords.D
+    left = np.zeros((D, D, D), dtype=complex)
+    right = np.zeros((D, D, D), dtype=complex)
+    for a in range(D):
+        for b in range(D):
+            left[a, :, b] = coords.coords(coords.basis[a] @ coords.basis[b])
+            right[a, :, b] = coords.coords(coords.basis[b] @ coords.basis[a])
+    return left, right
+
+
+def _translates_reference(tables, row):
+    """Sharp translates ``L_a row[j] R_b^T`` of one coordinate row by every
+    basis tensor ``f_a (x) f_b``."""
+    left, right = tables
+    D = left.shape[0]
+    out = np.einsum("axy,jyz,bwz->abjxw", left, row, right)
+    return out.reshape(D * D, row.shape[0] * D * D)
 
 
 def _sigma_exact_fd_reference(model, d):
@@ -368,6 +385,8 @@ def _sigma_exact_fd_reference(model, d):
     evaluation map, one relation row per null vector and the sharp
     translates of every row stacked before one SVD."""
     coords = MatrixCoordinates(model)
+    tables = _multiplication_tables(coords)
+    unit = coords.coords(np.eye(model.dim, dtype=complex))
     n, D = model.n, coords.D
     words = monomial_words(model.system, 0, d + 1)
     ev = {w: coords.coords(model.eval_word(w)) for w in words}
@@ -378,7 +397,7 @@ def _sigma_exact_fd_reference(model, d):
     unit_rows = np.zeros((n, n * D * D), dtype=complex)
     for i in range(n):
         u = np.zeros((n, D, D), dtype=complex)
-        u[i] = np.outer(coords.unit, coords.unit)
+        u[i] = np.outer(unit, unit)
         unit_rows[i] = u.reshape(-1)
     trail, relations = [], None
     for dd in range(1, d + 1):
@@ -397,7 +416,7 @@ def _sigma_exact_fd_reference(model, d):
             for w, c in zip(sub, kvec):
                 if abs(c) > 1e-14:
                     row += c * split[w]
-            blocks.append(_translates_reference(coords, row))
+            blocks.append(_translates_reference(tables, row))
         G = np.concatenate(blocks, axis=0)
         _, s2, vh2 = np.linalg.svd(G, full_matrices=False)
         P = vh2[s2 > stein.RCOND * s2[0]]
@@ -428,6 +447,15 @@ def _vanishing_idempotent():
                        b_algebra=b, b_basis=[[[[1.0]]] * 4, [[[[0.0]]]] * 4])
 
 
+def _three_two_one():
+    # unequal block sizes: an axis-order slip in the block-pair multiplicity
+    # matrices changes their ranks only where k_i != k_j
+    a3 = [[1.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 2.0]]
+    b3 = [[0.0, 1.0, -0.5], [1.0, 0.5, 0.0], [-0.5, 0.0, -1.5]]
+    return MatrixModel([(3, 1 / 2), (2, 1 / 3), (1, 1 / 6)],
+                       [[a3, SZ, [[0.5]]], [b3, SX, [[-2.0]]]])
+
+
 EXACT_FD_CASES = {
     "M_2 over B = M_2": (m2_over_m2, 2),
     "cyclic group of order 10": (lambda: cyclic_group_model(10), 5),
@@ -439,6 +467,7 @@ EXACT_FD_CASES = {
     "cyclic group of order 4": (lambda: cyclic_group_model(4), 3),
     "Pauli triple over M_2 + C": (_pauli_triple, 2),
     "vanishing B idempotent": (_vanishing_idempotent, 3),
+    "M_3 + M_2 + C": (_three_two_one, 2),
 }
 
 
@@ -453,33 +482,90 @@ def test_sigma_exact_matches_null_basis_reference(name):
     assert rep.diagnostics["relations"] == relations
 
 
-def test_sharp_translates_batched_matches_per_row():
-    coords = MatrixCoordinates(_m2_plus_c())
+def test_block_pair_translates_match_full_stack():
+    # the full translates are I_{k_i k_j} (x) M_ij on each block pair: their
+    # singular values are those of the M_ij, each repeated k_i k_j times
+    model = _three_two_one()
+    coords = MatrixCoordinates(model)
     gen = np.random.default_rng(7)
     D = coords.D
     rows = gen.normal(size=(3, 2, D, D)) + 1j * gen.normal(size=(3, 2, D, D))
-    got = coords.sharp_translates(rows)
-    want = np.concatenate([_translates_reference(coords, r) for r in rows])
-    assert got.shape == (3 * D * D, 2 * D * D)
-    assert np.max(np.abs(got - want)) < 1e-14
+    tables = _multiplication_tables(coords)
+    full = np.concatenate([_translates_reference(tables, r) for r in rows])
+    want = np.linalg.svd(full, compute_uv=False)
+    got = []
+    for i, (ki, _) in enumerate(model.blocks):
+        for j, (kj, _) in enumerate(model.blocks):
+            M = coords.sharp_translates(rows, i, j)
+            assert M.shape == (3 * ki * kj, 2 * ki * kj)
+            got.extend(np.repeat(np.linalg.svd(M, compute_uv=False), ki * kj))
+    got = np.sort(got)[::-1]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_sigma_exact_translates_at_most_basis_rows(monkeypatch):
     # the relation rows are reduced to an orthonormal basis of at most
-    # n*D*D rows per degree before translation: 2 degrees * 32 rows * D*D
+    # n*D*D rows per degree, and each basis row gives k*k multiplicity rows
+    # on the one block pair: 2 degrees * 32 rows * 2*2
     counted = []
     raw = MatrixCoordinates.sharp_translates
 
-    def counting(self, rows):
-        out = raw(self, rows)
+    def counting(self, rows, i, j):
+        out = raw(self, rows, i, j)
         counted.append(out.shape[0])
         return out
 
     monkeypatch.setattr(MatrixCoordinates, "sharp_translates", counting)
     rep = sigma_exact_fd(m2_over_m2(), d=2)
-    n, D = 2, 4
+    n, D, k = 2, 4, 2
     assert abs(rep.sigma) < 1e-9
-    assert 0 < sum(counted) <= 2 * n * D * D * D * D
+    assert 0 < sum(counted) <= 2 * n * D * D * k * k
+
+
+@pytest.mark.parametrize("make", [m2_over_m2, _three_two_one])
+def test_word_table_matches_per_word_evaluation(make):
+    model = make()
+    coords = MatrixCoordinates(model)
+    words, E, S = stein._word_table(model, 3)
+    # sorted by degree, then lexicographically, with every word once
+    n, nb = model.n, model.system.b.dim
+    assert words == sorted(set(words), key=lambda w: (len(w), w))
+    assert len(words) == sum(nb ** (e + 1) * n ** e for e in range(4))
+    want = np.stack([coords.coords(model.eval_word(w)) for w in words], axis=1)
+    assert np.array_equal(E, want)
+    D = coords.D
+    split = np.zeros((len(words), n, D, D), dtype=complex)
+    for k, w in enumerate(words):
+        for j in range(1, len(w) // 2 + 1):
+            split[k, w[2 * j - 1]] += np.outer(
+                coords.coords(model.eval_word(w[:2 * j - 1])),
+                coords.coords(model.eval_word(w[2 * j:])))
+    assert np.array_equal(S, split.reshape(len(words), -1))
+
+
+def test_sigma_exact_degree_beyond_cap():
+    with pytest.raises(DegreeCapError) as info:
+        sigma_exact_fd(cyclic_group_model(3, cap=4), d=6)
+    assert str(info.value) == ("d=6 needs words of degree d + 1 = 7, "
+                               "beyond the cap 4")
+    # d + 1 equal to the cap is allowed
+    rep = sigma_exact_fd(cyclic_group_model(3, cap=4), d=3)
+    assert abs(rep.sigma - 2 / 3) < 1e-9
+
+
+def test_matrix_routines_degree_beyond_cap():
+    model = two_point_matrix_model(cap=4)
+    eta = tuple(KernelMatrix.identity(model.system).entries[0])
+    for call in (lambda: solve_adjoint_fd(model, eta, d=5),
+                 lambda: stein.matrix_to_poly(model, np.eye(2), d=5)):
+        with pytest.raises(DegreeCapError, match="d=5 needs words of degree "
+                                                 "5, beyond the cap 4"):
+            call()
+    # d equal to the cap is allowed
+    poly = stein.matrix_to_poly(model, np.eye(2), d=4)
+    value = sum(complex(c) * model.eval_word(w) for w, c in poly.terms.items())
+    assert np.max(np.abs(value - np.eye(2))) < 1e-12
 
 
 @st.composite
