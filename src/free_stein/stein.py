@@ -24,10 +24,14 @@ tensor degree of the spanning relation Jacobians, i.e. relations of word
 degree up to ``d + 1`` are scanned.
 
 Numbers enter the Gram and design path through one moment table,
-``G[x, y] = tau(x* y)`` of scalar-B words.  Every trace model here is
-tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b, c (x) d> = G[c, a]
-G[d, b]``: the Gram matrix, the r-vectors and the candidate Gram are sums
-of products of table entries.
+``G[x, y] = tau(x* y)`` of scalar-B words (``TraceModel.moment_table``).
+Every trace model here is tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b,
+c (x) d> = G[c, a] G[d, b]``: the Gram matrix, the r-vectors and the
+candidate Gram are sums of products of table entries.  The table is real
+when no entry has an imaginary part, and then so are the Gram matrix, its
+eigenvectors, the design and the solves.  The design needs no exact kernel
+per candidate: the r-row of a centered monomial candidate is read off table
+columns (``GramSystem.r_of_candidates``).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .ncalg import (KernelMatrix, NCPoly, TensorPoly, commutator_stein_kernel,
                     diff_quotient, generator_tuple)
 from .scalars import QQi
 from .serialize import poly_tuple_to_json
-from .trace import MatrixModel, TraceModel
+from .trace import MatrixModel, TraceModel, real_if_exact
 
 RCOND = 1e-10  # relative eigenvalue / singular-value cutoff for all solves
 
@@ -174,24 +178,6 @@ def monomial_words(system, dmin, dmax):
 # ---------------------------------------------------------------------------
 
 
-def _moments(model: TraceModel, xs, ys=None) -> np.ndarray:
-    """Moment table ``G[a, b] = tau(xs[a]* ys[b])`` of scalar-B words; without
-    ``ys``, the Hermitian table over ``xs``, traced on its upper triangle."""
-    system = model.system
-    square = ys is None
-    ys = xs if square else ys
-    G = np.empty((len(xs), len(ys)), dtype=complex)
-    for a, x in enumerate(xs):
-        ((xstar, _),) = system.adjoint_word(x)
-        for b in range(a if square else 0, len(ys)):
-            ((w, _),) = system.mul_words(xstar, ys[b])
-            G[a, b] = model.trace_word(w)
-    if square:
-        lower = np.tril_indices(len(xs), -1)
-        G[lower] = G.T[lower].conj()
-    return G
-
-
 class GramSystem:
     """Hermitian Gram data of the Jacobian-range basis, nested by degree.
 
@@ -200,7 +186,10 @@ class GramSystem:
     i-th gradient entry of a basis word sums its splits ``pre (x) suf`` at
     ``t_i``; ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of the
     tracial moment table over splits, with rows on the legs (words of degree
-    <= d_proj) and longer kernel legs traced on first use.  Scalar B only.
+    <= d_proj) and the columns of longer kernel legs traced on first use,
+    one table call per batch.  ``W`` is real when the table is.  Exact
+    kernels go through :meth:`r_of_kernel`; monomial candidates through
+    :meth:`r_of_candidates`, four column products per split.  Scalar B only.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -218,7 +207,7 @@ class GramSystem:
         self.words = monomial_words(system, 1, d_proj + 1)
         self._legs = monomial_words(system, 0, d_proj)
         leg_index = {w: k for k, w in enumerate(self._legs)}
-        G = _moments(model, self._legs)
+        G = model.moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
         # per letter: (word, prefix, suffix) of each split, ordered by word,
         # kept as (owner word of each group, group starts, prefixes, suffixes)
@@ -232,7 +221,7 @@ class GramSystem:
             starts = np.flatnonzero(np.diff(own, prepend=-1))
             self._splits.append((own[starts], starts, pre, suf))
         m = len(self.words)
-        W = np.zeros((m, m), dtype=complex)
+        W = np.zeros((m, m), dtype=G.dtype)
         for owners, starts, pre, suf in self._splits:
             # one row of W per word: its splits against all splits
             for a, rows in zip(owners, np.split(np.arange(len(pre)), starts[1:])):
@@ -255,14 +244,25 @@ class GramSystem:
 
     # r-vectors against the full basis ------------------------------------
 
-    def _column(self, p) -> np.ndarray:
-        """``G[:, p]`` over the legs."""
-        col = self._columns.get(p)
-        if col is None:
-            col = self._columns[p] = _moments(self.model, self._legs, [p])[:, 0]
-        return col
+    def _fetch(self, words):
+        """Trace the columns ``G[:, p]`` of words ``p`` beyond the legs, in
+        one table call."""
+        missing = [p for p in dict.fromkeys(words) if p not in self._columns]
+        if missing:
+            table = self.model.moment_table(self._legs, missing)
+            self._columns.update(zip(missing, table.T))
+
+    def _gather(self, words) -> np.ndarray:
+        """``G[:, p]`` over the legs, one row per word ``p``."""
+        self._fetch(words)
+        return np.array([self._columns[p] for p in words])
 
     def r_of_kernel(self, A: KernelMatrix) -> np.ndarray:
+        """r-vectors of a kernel matrix, one row per slot; complex only when
+        the result has an imaginary part."""
+        self._fetch([w for row in A.entries for entry in row
+                     for pq in entry.terms for w in pq])
+        col = self._columns
         r = np.zeros((self.model.n, len(self.words)), dtype=complex)
         for i, row in enumerate(A.entries):
             for (owners, starts, pre, suf), entry in zip(self._splits, row):
@@ -270,9 +270,41 @@ class GramSystem:
                     continue
                 acc = np.zeros(len(pre), dtype=complex)
                 for (p, q), c in entry.terms.items():
-                    acc += complex(c) * (self._column(p)[pre] * self._column(q)[suf])
+                    acc += complex(c) * (col[p][pre] * col[q][suf])
                 r[i, owners] += np.add.reduceat(acc, starts)
-        return r
+        return real_if_exact(r)
+
+    def r_of_candidates(self, words) -> np.ndarray:
+        """r-rows of the monomial candidates ``words``, one row per word.
+
+        ``comm(1) = 0``, so the centered candidate ``w - tau(w)`` in slot
+        ``i`` has the kernel of ``w``, whose only nonzero row ``i`` holds
+        ``1/2 (w x_p (x) 1 - w (x) x_p - x_p (x) w + 1 (x) x_p w)`` in entry
+        ``j``, ``p = pi(j)``.  That row does not depend on the slot, and each
+        of its terms is a product of two table columns gathered at the
+        splits, so all words take one pass per letter.
+        """
+        gens = [(0, p, 0) for p in self.model.system.star_pairing]
+        right = [[v[:-1] + x for v in words] for x in gens]  # w x_p
+        left = [[x[:-1] + v for v in words] for x in gens]   # x_p w
+        self._fetch(words + sum(right, []) + sum(left, []))
+        w, unit = self._gather(words), self._columns[(0,)]
+        R = 0
+        for x, wx, xw, (owners, starts, pre, suf) in zip(
+                gens, right, left, self._splits):
+            wx, xw, gen = self._gather(wx), self._gather(xw), self._columns[x]
+            mid = w[:, pre] * gen[suf]
+            acc = wx[:, pre] * unit[suf] - mid - gen[pre] * w[:, suf]
+            if x in words:
+                # w = x_p: the kernel holds the middle terms as one term of
+                # coefficient -1; summing it so keeps r_of_kernel's rounding
+                k = words.index(x)
+                acc[k] = wx[k, pre] * unit[suf] - 2 * mid[k]
+            acc += unit[pre] * xw[:, suf]
+            part = np.zeros((len(words), len(self.words)), dtype=acc.dtype)
+            part[:, owners] = np.add.reduceat(acc, starts, axis=1)
+            R = R + part
+        return R / 2
 
     def r_of_identity(self) -> np.ndarray:
         return self.r_of_kernel(KernelMatrix.identity(self.model.system))
@@ -425,9 +457,20 @@ def _xi_design(model, scheme):
             f"words of degree d_proj + d_xi + 1 = {need}, beyond the cap {cap}")
     view = gs.view()
     labels, candidates = _xi_basis(model, scheme.d_xi)
-    X = _kernel_partners(model.system)
-    Z = np.stack([view.z(gs.r_of_kernel(commutator_stein_kernel(cand, X))).reshape(-1)
-                  for cand in candidates], axis=1)
+    # candidate (word k, slot i) is column k * n + i; its coordinates are
+    # those of the word's r-row, placed in the rows of slot i
+    words = monomial_words(model.system, 1, scheme.d_xi)
+    R, n = gs.r_of_candidates(words), model.n
+    # z takes n rows a call, the shape of one kernel's r-vectors: BLAS sums
+    # in an order that depends on the column count, and this way the
+    # coordinates of a candidate equal those discrepancy gives its kernel
+    R = np.concatenate([R, np.zeros((-len(R) % n, R.shape[1]), R.dtype)])
+    zw = np.concatenate([view.z(R[c:c + n]) for c in range(0, len(R), n)])
+    zw = zw[:len(words)].T
+    kept = len(zw)
+    Z = np.zeros((n * kept, len(candidates)), dtype=zw.dtype)
+    for i in range(n):
+        Z[i * kept:(i + 1) * kept, i::n] = zw
     b = view.z(gs.r_of_identity()).reshape(-1)
     return gs, view, labels, candidates, Z, b
 
@@ -474,8 +517,8 @@ def _candidate_gram(model: TraceModel, d_xi: int) -> np.ndarray:
     """Gram of the centered candidates of :func:`_xi_basis` in the L2 tuple
     norm: ``tau(v* w) - conj(tau(v)) tau(w)`` within a slot, zero across."""
     words = monomial_words(model.system, 1, d_xi)
-    traces = np.array([model.trace_word(w) for w in words])
-    Qw = _moments(model, words) - np.outer(traces.conj(), traces)
+    G = model.moment_table([(0,)] + words)  # row 0 holds the traces tau(w)
+    Qw = G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
     return np.kron(Qw, np.eye(model.n))  # candidate k * n + i is in slot i
 
 

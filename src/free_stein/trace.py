@@ -31,6 +31,13 @@ from .ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
 from .scalars import QQi
 
 
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a`` as a real array when no entry has a nonzero imaginary part."""
+    if np.iscomplexobj(a) and not a.imag.any():
+        return np.ascontiguousarray(a.real)
+    return a
+
+
 class TraceModel:
     """Base class: word-trace evaluation plus derived inner products."""
 
@@ -58,6 +65,24 @@ class TraceModel:
             hit = complex(self._trace_word_impl(word))
             self._word_cache[word] = hit
         return hit
+
+    def moment_table(self, xs, ys=None) -> np.ndarray:
+        """Moment table ``G[a, b] = tau(xs[a]* ys[b])`` of scalar-B words;
+        without ``ys``, the Hermitian table over ``xs``, traced on its upper
+        triangle.  The table is real when no entry has an imaginary part."""
+        system = self.system
+        square = ys is None
+        ys = xs if square else ys
+        G = np.empty((len(xs), len(ys)), dtype=complex)
+        for a, x in enumerate(xs):
+            ((xstar, _),) = system.adjoint_word(x)
+            for b in range(a if square else 0, len(ys)):
+                ((w, _),) = system.mul_words(xstar, ys[b])
+                G[a, b] = self.trace_word(w)
+        if square:
+            lower = np.tril_indices(len(xs), -1)
+            G[lower] = G.T[lower].conj()
+        return real_if_exact(G)
 
     def trace_poly(self, p: NCPoly) -> complex:
         if p.system != self.system:
@@ -291,7 +316,9 @@ class SemicircularModel(TraceModel):
     """A free family of standard semicircular variables (mean 0, variance 1).
 
     Mixed moments count non-crossing pairings whose pairs connect equal
-    indices, evaluated by the interval-splitting recursion.
+    indices, evaluated by the interval-splitting recursion.  Moment tables
+    are Gram matrices of Fock-space vectors instead (see
+    :meth:`moment_table`).
     """
 
     def __init__(self, count: int, cap=None):
@@ -316,6 +343,70 @@ class SemicircularModel(TraceModel):
 
     def _trace_word_impl(self, word) -> complex:
         return complex(self._nc(word[1::2]))
+
+    def moment_table(self, xs, ys=None) -> np.ndarray:
+        """``tau(x* y) = <y Omega, x Omega>`` in the full Fock space over
+        ``C^n``, where ``s_l`` is left creation of ``e_l`` plus its adjoint:
+        the table is ``V_x V_y^T``, exact on integers and equal to the
+        per-word table.
+
+        The vectors are built prefix by prefix.  The right semicircular ``d_l
+        = r_l + r_l*``, with ``r_l`` right creation of ``e_l``, commutes with
+        every ``s_m`` and ``d_l Omega = s_l Omega``, so ``(u s_l) Omega = d_l
+        (u Omega)``.  Both lists are built
+        on one Fock space, cut at depth ``(dx + dy) // 2`` for the largest
+        degrees ``dx`` of ``xs`` and ``dy`` of ``ys``: after ``t`` of the
+        ``dx + dy`` letters of ``x* y``, a component of depth above ``min(t,
+        dx + dy - t)`` cannot return to the vacuum, so the cut drops nothing
+        the table reads.
+        """
+        square = ys is None
+        ys = xs if square else ys
+        for w in (*xs, *ys):
+            self.system.check_word(w)
+        dx = max((len(w) // 2 for w in xs), default=0)
+        dy = max((len(w) // 2 for w in ys), default=0)
+        if dx + dy > self.system.cap:
+            raise DegreeCapError(
+                f"product degree {dx + dy} exceeds cap {self.system.cap}")
+        depth = (dx + dy) // 2
+        Vx = self._fock_vectors([w[1::2] for w in xs], depth)
+        Vy = Vx if square else self._fock_vectors([w[1::2] for w in ys], depth)
+        return Vx @ Vy.T
+
+    def _fock_vectors(self, words, depth) -> np.ndarray:
+        """``u Omega`` per letter tuple ``u``, over the Fock basis of letter
+        tuples of length <= ``depth``, ordered by length and then
+        lexicographically; creations beyond ``depth`` are dropped."""
+        n = self.n
+        offsets = np.cumsum([0] + [n ** k for k in range(depth + 1)])
+        need = [set() for _ in range(max(map(len, words), default=0) + 1)]
+        for u in words:
+            for k in range(len(u) + 1):
+                need[k].add(u[:k])
+        prev = np.zeros((1, offsets[-1]))
+        prev[0, 0] = 1.0
+        index = {(): (0, 0)}  # tuple -> (level, row)
+        levels = [prev]
+        for e in range(1, len(need)):
+            level = sorted(need[e])
+            parents = prev[[index[u[:-1]][1] for u in level]]
+            last = np.array([u[-1] for u in level])
+            cur = np.zeros_like(parents)
+            for l in range(n):
+                rows = np.flatnonzero(last == l)
+                src, out = parents[rows], np.zeros((len(rows), offsets[-1]))
+                for k in range(depth):  # r_l: depth k -> k + 1; r_l*: back
+                    here = slice(offsets[k], offsets[k + 1])
+                    there = slice(offsets[k + 1] + l, offsets[k + 2], n)
+                    out[:, there] += src[:, here]
+                    out[:, here] += src[:, there]
+                cur[rows] = out
+            index.update((u, (e, r)) for r, u in enumerate(level))
+            levels.append(cur)
+            prev = cur
+        return np.array([levels[e][r] for e, r in map(index.__getitem__, words)]
+                        ).reshape(len(words), offsets[-1])
 
 
 def catalan(k: int) -> int:
@@ -534,7 +625,10 @@ class FreeProductModel(TraceModel):
 
     Traces are computed by recursive centering: writing each factor block
     ``w`` as ``(w - tau(w)) + tau(w)`` and using that alternating products of
-    centered blocks from distinct factors have trace zero.
+    centered blocks from distinct factors have trace zero.  Every factor is
+    tracial, so the free product is too and a word has the trace of each of
+    its rotations: the recursion runs once per cyclic class, on the least
+    rotation of the letter tuple.
     """
 
     def __init__(self, factors, cap=None):
@@ -555,6 +649,7 @@ class FreeProductModel(TraceModel):
             off += f.n
         super().__init__(GeneratorSystem(len(self._map), tuple(pairing), cap=cap))
         self._blocks_cache: dict = {}
+        self._class_cache: dict = {}  # least rotation -> trace
 
     def _factor_trace(self, fi, letters) -> complex:
         word = [0]
@@ -606,6 +701,14 @@ class FreeProductModel(TraceModel):
 
     def _trace_word_impl(self, word) -> complex:
         letters = word[1::2]
+        letters = min((letters[i:] + letters[:i] for i in range(len(letters))),
+                      default=letters)
+        hit = self._class_cache.get(letters)
+        if hit is None:
+            hit = self._class_cache[letters] = self._trace_letters(letters)
+        return hit
+
+    def _trace_letters(self, letters) -> complex:
         blocks = []
         for g in letters:
             fi, loc = self._map[g]
