@@ -27,7 +27,11 @@ Numbers enter the Gram and design path through one moment table,
 ``G[x, y] = tau(x* y)`` of scalar-B words (``TraceModel.moment_table``).
 Every trace model here is tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b,
 c (x) d> = G[c, a] G[d, b]``: the Gram matrix, the r-vectors and the
-candidate Gram are sums of products of table entries.  The table is real
+candidate Gram are sums of products of table entries.  The Gram matrix is
+summed by degree blocks: the splits of the degree-e words after a prefix of
+degree j, against those of the degree-f words after a prefix of degree k,
+give ``kron(G[L_j, L_k], G[L_(e-1-j), L_(f-1-k)])`` on the letter diagonal of
+block (e, f), where ``L_j`` are the words of degree j.  The table is real
 when no entry has an imaginary part, and then so are the Gram matrix, its
 eigenvectors, the design and the solves.  The design needs no exact kernel
 per candidate: the r-row of a centered monomial candidate is read off table
@@ -173,6 +177,30 @@ def monomial_words(system, dmin, dmax):
     return words
 
 
+def _split_index(n: int, offsets) -> tuple:
+    """``(word, letter, left, right)`` index arrays of the splits ``word =
+    left x_letter right`` of the words of degree >= 1, for words numbered
+    by degree and then lexicographically, the degree-e ones at ``offsets[e]
+    : offsets[e + 1]``.
+
+    The split of the degree-e word at local index ``t`` after a prefix of
+    degree ``j`` has ``t = (left * n + letter) * size(e - 1 - j) + right``
+    in local indices.  Splits come by degree, then by prefix degree, then
+    by word.
+    """
+    sizes = np.diff(offsets)
+    word, letter, left, right = ([np.zeros(0, dtype=int)] for _ in range(4))
+    for e in range(1, len(sizes)):
+        t = np.arange(sizes[e])
+        for j in range(e):
+            tail = sizes[e - 1 - j]
+            word.append(offsets[e] + t)
+            letter.append(t // tail % n)
+            left.append(offsets[j] + t // (n * tail))
+            right.append(offsets[e - 1 - j] + t % tail)
+    return tuple(map(np.concatenate, (word, letter, left, right)))
+
+
 # ---------------------------------------------------------------------------
 # Gram system over the truncated Jacobian range
 # ---------------------------------------------------------------------------
@@ -184,11 +212,14 @@ class GramSystem:
     Basis elements are indexed by (slot, monomial); the Gram block over
     monomials is slot-independent, so only the word block is stored.  The
     i-th gradient entry of a basis word sums its splits ``pre (x) suf`` at
-    ``t_i``; ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of the
-    tracial moment table over splits, with rows on the legs (words of degree
-    <= d_proj) and the columns of longer kernel legs traced on first use,
-    one table call per batch.  ``W`` is real when the table is.  Exact
-    kernels go through :meth:`r_of_kernel`; monomial candidates through
+    ``t_i``, so ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of
+    the tracial moment table over splits.  ``W`` is summed degree block by
+    degree block, as Kronecker products of leg-table blocks on the letter
+    diagonal (:func:`_gram_blocks`), and is real when the table is.  The
+    r-vectors gather table columns at the per-letter split arrays: those of
+    the legs (words of degree <= d_proj), and those of longer kernel legs,
+    traced on first use, one table call per batch.  Exact kernels go
+    through :meth:`r_of_kernel`; monomial candidates through
     :meth:`r_of_candidates`, four column products per split.  Scalar B only.
     """
 
@@ -206,33 +237,27 @@ class GramSystem:
         self.d_proj = d_proj
         self.words = monomial_words(system, 1, d_proj + 1)
         self._legs = monomial_words(system, 0, d_proj)
-        leg_index = {w: k for k, w in enumerate(self._legs)}
         G = model.moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
-        # per letter: (word, prefix, suffix) of each split, ordered by word,
-        # kept as (owner word of each group, group starts, prefixes, suffixes)
-        splits = [[] for _ in range(system.n)]
-        for a, w in enumerate(self.words):
-            for j in range(1, len(w), 2):
-                splits[w[j]].append((a, leg_index[w[:j]], leg_index[w[j + 1:]]))
+        # the degree-e legs are start[e]:start[e + 1]; the basis has no
+        # degree-0 word, so its degree-e words sit one index lower
+        n = system.n
+        start = np.cumsum([0] + [n ** e for e in range(d_proj + 2)])
+        word, letter, pre, suf = _split_index(n, start)
+        word -= 1
+        # per letter, the splits ordered by word and then by position, kept
+        # as (owner word of each group, group starts, prefixes, suffixes)
+        order = np.argsort(word, kind="stable")
         self._splits = []
-        for rows in splits:
-            own, pre, suf = np.array(rows).T
+        for i in range(n):
+            rows = order[letter[order] == i]
+            own = word[rows]
             starts = np.flatnonzero(np.diff(own, prepend=-1))
-            self._splits.append((own[starts], starts, pre, suf))
-        m = len(self.words)
-        W = np.zeros((m, m), dtype=G.dtype)
-        for owners, starts, pre, suf in self._splits:
-            # one row of W per word: its splits against all splits
-            for a, rows in zip(owners, np.split(np.arange(len(pre)), starts[1:])):
-                block = G[pre[rows]][:, pre] * G[suf[rows]][:, suf]
-                W[a, owners] += np.add.reduceat(block.sum(axis=0), starts)
-        self.W = W
-        # prefix index per tensor degree: words sorted by length
-        self._degree_count = {}
-        for d in range(1, d_proj + 1):
-            limit = 2 * (d + 1) + 1  # tuple length of a degree d+1 word
-            self._degree_count[d] = sum(1 for w in self.words if len(w) <= limit)
+            self._splits.append((own[starts], starts, pre[rows], suf[rows]))
+        self.W = _gram_blocks(G, n, start)
+        # words of degree <= d + 1 span the tensor degree d
+        self._degree_count = {d: int(start[d + 2]) - 1
+                              for d in range(1, d_proj + 1)}
         self._views = {}
 
     def view(self, d: int | None = None) -> "_GramView":
@@ -310,6 +335,56 @@ class GramSystem:
         return self.r_of_kernel(KernelMatrix.identity(self.model.system))
 
 
+def _gram_blocks(G: np.ndarray, n: int, start) -> np.ndarray:
+    """``W[a, b] = sum G[p, p'] G[s, s']`` over the splits ``a = p x_i s``
+    and ``b = p' x_i s'`` of the words of degree 1 to ``len(start) - 2``,
+    from the moment table ``G`` over the legs (degree j at ``start[j] :
+    start[j + 1]``, written ``L_j``).
+
+    The degree-e words with letter ``i`` after a prefix of degree ``j`` are
+    the slice ``[:, i, :]`` of the ``(n^j, n, n^(e-1-j))`` reshape of the
+    degree-e range.  So the splits after prefix degrees ``j`` (rows) and
+    ``k`` (columns) add ``kron(G[L_j, L_k], G[L_(e-1-j), L_(f-1-k)])`` on the
+    letter diagonal ``[:, i, :, :, i, :]`` of the degree block ``(e, f)``.
+    The blocks with ``f >= e`` are summed and the others mirrored, so ``W``
+    is exactly Hermitian.
+    """
+    m = int(start[-1]) - 1
+    W = np.zeros((m, m), dtype=G.dtype)
+    top = len(start) - 2
+    legs = [[G[start[j]:start[j + 1], start[k]:start[k + 1]]
+             for k in range(top)] for j in range(top)]
+    # odd moments of symmetric models vanish: zero blocks add nothing
+    live = [[g.any() for g in row] for row in legs]
+    for e in range(1, top + 1):
+        rows = slice(start[e] - 1, start[e + 1] - 1)
+        for f in range(e, top + 1):
+            cols = slice(start[f] - 1, start[f + 1] - 1)
+            block = W[rows, cols]
+            for j in range(e):
+                for k in range(f):
+                    if not (live[j][k] and live[e - 1 - j][f - 1 - k]):
+                        continue
+                    o = block.reshape(n ** j, n, -1,
+                                      n ** k, n, n ** (f - 1 - k))
+                    term = (legs[j][k][:, None, :, None]
+                            * legs[e - 1 - j][f - 1 - k][None, :, None, :])
+                    # a 4-d view per letter: numpy adds these faster than
+                    # the 5-d diagonal view of all letters at once
+                    for i in range(n):
+                        diag = o[:, i, :, :, i, :]
+                        diag += term
+            if f > e:
+                W[cols, rows] = block.T.conj()
+            else:
+                lower = np.tri(len(block), k=-1, dtype=bool)
+                np.copyto(block, block.T.conj(), where=lower)
+    # the diagonal of a Hermitian matrix is real; a complex table's rounding
+    # can leave it an imaginary part
+    np.fill_diagonal(W, W.diagonal().real)
+    return W
+
+
 class _GramView:
     """Eigendecomposed prefix of a :class:`GramSystem` with isometric
     coordinates on the truncated projection range."""
@@ -362,25 +437,11 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
         level = ((level[:, None] @ gens[None])[:, :, None] @ bs[None, None])
         level = level.reshape(-1, dim, dim)
         ev.append(coords.coords(level))
-    sizes = [len(e) for e in ev]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [len(e) for e in ev])
     ev = np.concatenate(ev)
-    # the split of a degree-e word (local index t) at its j-th letter:
-    # t = (left * n + letter) * sizes[e - j] + right, in local indices
-    word, letter, left, right = [], [], [], []
-    for e in range(1, top + 1):
-        t = np.arange(sizes[e])
-        for j in range(1, e + 1):
-            tail = sizes[e - j]
-            word.append(offsets[e] + t)
-            letter.append(t // tail % n)
-            left.append(offsets[j - 1] + t // (n * tail))
-            right.append(offsets[e - j] + t % tail)
+    word, letter, left, right = _split_index(n, offsets)
     S = np.zeros((len(ev), n, D, D), dtype=complex)
-    if top:
-        left, right = np.concatenate(left), np.concatenate(right)
-        np.add.at(S, (np.concatenate(word), np.concatenate(letter)),
-                  ev[left][:, :, None] * ev[right][:, None, :])
+    np.add.at(S, (word, letter), ev[left][:, :, None] * ev[right][:, None, :])
     words = monomial_words(system, 0, top)
     return words, ev.T, S.reshape(len(ev), n * D * D)
 

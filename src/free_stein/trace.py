@@ -69,20 +69,39 @@ class TraceModel:
     def moment_table(self, xs, ys=None) -> np.ndarray:
         """Moment table ``G[a, b] = tau(xs[a]* ys[b])`` of scalar-B words;
         without ``ys``, the Hermitian table over ``xs``, traced on its upper
-        triangle.  The table is real when no entry has an imaginary part."""
-        system = self.system
+        triangle.  The words and the cap are checked once for the table, so
+        its entries go straight to the trace cache.  The table is real when
+        no entry has an imaginary part."""
         square = ys is None
         ys = xs if square else ys
+        self._table_degrees(xs, ys)
+        cache, impl = self._word_cache, self._trace_word_impl
         G = np.empty((len(xs), len(ys)), dtype=complex)
         for a, x in enumerate(xs):
-            ((xstar, _),) = system.adjoint_word(x)
+            ((xstar, _),) = self.system.adjoint_word(x)
+            head = xstar[:-1]  # x* y over scalar B: the slots between merge
             for b in range(a if square else 0, len(ys)):
-                ((w, _),) = system.mul_words(xstar, ys[b])
-                G[a, b] = self.trace_word(w)
+                w = head + ys[b]
+                hit = cache.get(w)
+                if hit is None:
+                    hit = cache[w] = complex(impl(w))
+                G[a, b] = hit
         if square:
             lower = np.tril_indices(len(xs), -1)
             G[lower] = G.T[lower].conj()
         return real_if_exact(G)
+
+    def _table_degrees(self, xs, ys) -> tuple:
+        """Check the words of a moment table, and the degree of its largest
+        product against the cap; returns the largest degrees of both lists."""
+        for w in xs if ys is xs else (*xs, *ys):
+            self.system.check_word(w)
+        dx = max((len(w) // 2 for w in xs), default=0)
+        dy = max((len(w) // 2 for w in ys), default=0)
+        if dx + dy > self.system.cap:
+            raise DegreeCapError(
+                f"product degree {dx + dy} exceeds cap {self.system.cap}")
+        return dx, dy
 
     def trace_poly(self, p: NCPoly) -> complex:
         if p.system != self.system:
@@ -362,13 +381,7 @@ class SemicircularModel(TraceModel):
         """
         square = ys is None
         ys = xs if square else ys
-        for w in (*xs, *ys):
-            self.system.check_word(w)
-        dx = max((len(w) // 2 for w in xs), default=0)
-        dy = max((len(w) // 2 for w in ys), default=0)
-        if dx + dy > self.system.cap:
-            raise DegreeCapError(
-                f"product degree {dx + dy} exceeds cap {self.system.cap}")
+        dx, dy = self._table_degrees(xs, ys)
         depth = (dx + dy) // 2
         Vx = self._fock_vectors([w[1::2] for w in xs], depth)
         Vy = Vx if square else self._fock_vectors([w[1::2] for w in ys], depth)

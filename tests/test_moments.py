@@ -2,9 +2,10 @@
 
 The reference builds the Jacobian rows with ``gradient`` and pairs them with
 the trace model's tensor inner product, entry by entry; the two-block unitary
-model has non-real moments, so a missing conjugation shows there.  The bulk
-tables (Fock vectors, rotation classes of free products) are checked against
-the per-word traces.
+model has non-real moments, so a missing conjugation shows there.  The
+degree-block assembly of ``W`` is checked against a per-split loop over the
+same table, and the bulk tables (Fock vectors, rotation classes of free
+products) against the per-word traces.
 """
 
 import itertools
@@ -65,6 +66,61 @@ def test_gram_and_design_match_inner_products(name):
         rA = np.array([[model.inner_tensor_row(A.entries[i], row) for row in rows]
                        for i in range(model.n)])
         assert np.max(np.abs(gs.r_of_kernel(A) - rA)) <= TOL
+
+
+def _gram_reference(gs):
+    """Oracle only: ``W`` one row per basis word, from that word's splits
+    against every split of the same letter, summed by owner; returns ``W``
+    and the per-letter split arrays it was built from."""
+    G = np.array([gs._columns[p] for p in gs._legs]).T
+    leg_index = {w: k for k, w in enumerate(gs._legs)}
+    splits = [[] for _ in range(gs.model.n)]
+    for a, w in enumerate(gs.words):
+        for j in range(1, len(w), 2):
+            splits[w[j]].append((a, leg_index[w[:j]], leg_index[w[j + 1:]]))
+    m = len(gs.words)
+    W = np.zeros((m, m), dtype=G.dtype)
+    arrays = []
+    for rows in splits:
+        own, pre, suf = np.array(rows).T
+        starts = np.flatnonzero(np.diff(own, prepend=-1))
+        owners = own[starts]
+        arrays.append((owners, starts, pre, suf))
+        for a, group in zip(owners, np.split(np.arange(len(pre)), starts[1:])):
+            block = G[pre[group]][:, pre] * G[suf[group]][:, suf]
+            W[a, owners] += np.add.reduceat(block.sum(axis=0), starts)
+    return W, arrays
+
+
+# semicircular tables hold integers, so every summation order is exact
+EXACT_GRAMS = {
+    "semicircular n=1, d_proj=6": (lambda: SemicircularModel(1, cap=14), 6),
+    "semicircular n=2, d_proj=5": (lambda: SemicircularModel(2), 5),
+    "semicircular n=3, d_proj=4": (lambda: SemicircularModel(3), 4),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_GRAMS)
+def test_gram_blocks_equal_per_split_reference(name):
+    make, d_proj = EXACT_GRAMS[name]
+    gs = stein.GramSystem(make(), d_proj)
+    W, arrays = _gram_reference(gs)
+    assert np.array_equal(gs.W, W)
+    assert np.array_equal(gs.W, gs.W.conj().T)
+    for got, want in zip(gs._splits, arrays, strict=True):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    for d in range(1, d_proj + 1):
+        assert gs._degree_count[d] == sum(len(w) // 2 <= d + 1 for w in gs.words)
+
+
+@pytest.mark.parametrize("name", ["two-point * semicircular",
+                                  "cyclic group of order 6",
+                                  "two-block unitary"])
+def test_gram_blocks_match_per_split_reference(name):
+    gs = stein.GramSystem(MODELS[name](), 4)
+    W, _ = _gram_reference(gs)
+    assert np.max(np.abs(gs.W - W)) <= TOL
+    assert np.array_equal(gs.W, gs.W.conj().T)
 
 
 @pytest.mark.parametrize("name", MODELS)

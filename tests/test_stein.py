@@ -1,6 +1,9 @@
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -784,3 +787,25 @@ def test_alpha_from_semicircular_sweep(semicircular1):
     assert rep.alpha == float("-inf")
     # cross-check the flag with a direct evaluation past the threshold
     assert irregularity_bounded(semicircular1, scheme, 1.5).value < 1e-8
+
+
+# -- the README's library example ------------------------------------------------
+
+
+def test_readme_library_example():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(code, scope)
+    est, exact = scope["est"], scope["exact"]
+    assert abs(est.sigma - 0.5) <= 1e-6
+    (xi,) = est.xi
+    ((word, coeff),) = xi.terms.items()
+    assert word == (0, 0, 0) and abs(complex(coeff) - 0.5) <= 1e-6
+    assert abs(exact.sigma - 0.5) <= 1e-9
+    assert [d for d, _ in exact.trail] == [1, 2]
+    assert all(abs(v - 0.5) <= 1e-9 for _, v in exact.trail)
+    assert out.getvalue().splitlines() == [
+        str(est.sigma), str(est.xi), f"{exact.sigma} {exact.trail}"]
