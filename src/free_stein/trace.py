@@ -9,8 +9,9 @@ word traces.  Four families are provided:
   by counting index-respecting non-crossing pairings;
 * :class:`MeasureModel` -- one self-adjoint variable with an atomic plus
   absolutely-continuous spectral distribution;
-* :class:`FreeProductModel` -- free products of the above, evaluated by the
-  centering recursion (alternating centered words have trace zero).
+* :class:`FreeProductModel` -- free products of the above, evaluated on
+  reduced-word vectors: ``w Omega`` in the reduced free-product space, whose
+  vacuum coefficient is the trace and whose pairings give moment tables.
 
 Inner product conventions: ``<p, q> = tau(q* p)`` on polynomials,
 ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)`` on tensors, and the entrywise sum on
@@ -622,6 +623,16 @@ class MeasureModel(TraceModel):
     def _trace_word_impl(self, word) -> complex:
         return complex(self.moment(len(word) // 2))
 
+    def moment_table(self, xs, ys=None) -> np.ndarray:
+        """``tau(x* y)`` is the moment of order ``deg x + deg y``: one Hankel
+        gather from the moments up to the table's degree."""
+        ys = xs if ys is None else ys
+        dx, dy = self._table_degrees(xs, ys)
+        moments = np.array([self.moment(k) for k in range(dx + dy + 1)])
+        lx = np.array([len(x) // 2 for x in xs], dtype=int)
+        ly = np.array([len(y) // 2 for y in ys], dtype=int)
+        return moments[np.add.outer(lx, ly)]
+
 
 def two_point_measure(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
     return MeasureModel([(loc_plus, mass_plus), (loc_minus, 1.0 - mass_plus)],
@@ -636,12 +647,14 @@ def two_point_measure(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
 class FreeProductModel(TraceModel):
     """Free product of trace models; generators are concatenated.
 
-    Traces are computed by recursive centering: writing each factor block
-    ``w`` as ``(w - tau(w)) + tau(w)`` and using that alternating products of
-    centered blocks from distinct factors have trace zero.  Every factor is
-    tracial, so the free product is too and a word has the trace of each of
-    its rotations: the recursion runs once per cyclic class, on the least
-    rotation of the letter tuple.
+    Words act on the reduced free-product space.  A letter tuple ``b``
+    splits into maximal same-factor blocks ``u_1 ... u_k``; its basis vector
+    is ``e_b = u_1° Omega (x) ... (x) u_k° Omega`` with ``u° = u - tau(u)``,
+    and ``e_()`` is the vacuum.  The vector ``w Omega`` is built prefix by
+    prefix (:meth:`_vector`), its vacuum coefficient is ``tau(w)``, and
+    moment tables pair the vectors through the factors' own tables
+    (:meth:`moment_table`).  Only the factor states enter, so no factor needs
+    to be tracial.
     """
 
     def __init__(self, factors, cap=None):
@@ -661,75 +674,146 @@ class FreeProductModel(TraceModel):
                 pairing.append(off + f.system.star_pairing[j])
             off += f.n
         super().__init__(GeneratorSystem(len(self._map), tuple(pairing), cap=cap))
-        self._blocks_cache: dict = {}
-        self._class_cache: dict = {}  # least rotation -> trace
+        # letter tuple -> {basis key: coefficient}; a basis key is the tuple
+        # of its blocks, each ``(factor, local letters)``
+        self._vectors: dict = {(): {(): complex(1)}}
 
-    def _factor_trace(self, fi, letters) -> complex:
-        word = [0]
-        for l in letters:
-            word.extend((l, 0))
-        return self.factors[fi].trace_word(tuple(word))
-
-    def _tau_blocks(self, blocks) -> complex:
-        # blocks: tuple of (factor, letters, centered)
-        if not blocks:
-            return complex(1)
-        hit = self._blocks_cache.get(blocks)
+    def _vector(self, letters) -> dict:
+        """``w Omega`` for the letter tuple ``w``, from the vector of ``w``
+        without its last letter ``x`` (local letter ``l`` of factor ``i``)
+        by the right action of ``x``, which commutes with the left action of
+        the product.  A basis vector ``e_b`` whose last block is not in
+        factor ``i`` goes to ``e_(b x) + tau(x) e_b``; for ``b = b' v`` with
+        ``v`` in factor ``i`` it goes to ``e_(b x) - tau(v) e_(b' x) +
+        (tau(v x) - tau(v) tau(x)) e_(b')``, all traces in factor ``i``."""
+        hit = self._vectors.get(letters)
         if hit is not None:
             return hit
-        if len(blocks) == 1:
-            fi, letters, centered = blocks[0]
-            val = complex(0) if centered else self._factor_trace(fi, letters)
-            self._blocks_cache[blocks] = val
-            return val
-        # merge an adjacent same-factor pair if present
-        for i in range(len(blocks) - 1):
-            f1, w1, c1 = blocks[i]
-            f2, w2, c2 = blocks[i + 1]
-            if f1 != f2:
-                continue
-            rest_l, rest_r = blocks[:i], blocks[i + 2:]
-            t1 = self._factor_trace(f1, w1) if c1 else None
-            t2 = self._factor_trace(f2, w2) if c2 else None
-            val = self._tau_blocks(rest_l + ((f1, w1 + w2, False),) + rest_r)
-            if c1:
-                val -= t1 * self._tau_blocks(rest_l + ((f2, w2, False),) + rest_r)
-            if c2:
-                val -= t2 * self._tau_blocks(rest_l + ((f1, w1, False),) + rest_r)
-            if c1 and c2:
-                val += t1 * t2 * self._tau_blocks(rest_l + rest_r)
-            self._blocks_cache[blocks] = val
-            return val
-        # alternating: center the first plain block
-        for i, (fi, w, centered) in enumerate(blocks):
-            if not centered:
-                t = self._factor_trace(fi, w)
-                val = self._tau_blocks(blocks[:i] + ((fi, w, True),) + blocks[i + 1:])
-                val += t * self._tau_blocks(blocks[:i] + blocks[i + 1:])
-                self._blocks_cache[blocks] = val
-                return val
-        # alternating product of centered blocks: freeness gives zero
-        self._blocks_cache[blocks] = complex(0)
-        return complex(0)
+        prev = self._vector(letters[:-1])
+        fi, l = self._map[letters[-1]]
+        factor = self.factors[fi]
+        t_x = factor.trace_word((0, l, 0))
+        out: dict = {}
+        for b, c in prev.items():
+            if b and b[-1][0] == fi:
+                head, v = b[:-1], b[-1][1]
+                t_v = factor.trace_word(_scalar_word(v))
+                t_vx = factor.trace_word(_scalar_word(v + (l,)))
+                terms = ((head + ((fi, v + (l,)),), c),
+                         (head + ((fi, (l,)),), -c * t_v),
+                         (head, c * (t_vx - t_v * t_x)))
+            else:
+                terms = ((b + ((fi, (l,)),), c), (b, c * t_x))
+            for key, val in terms:
+                if val:
+                    out[key] = out.get(key, 0) + val
+        self._vectors[letters] = out
+        return out
 
     def _trace_word_impl(self, word) -> complex:
-        letters = word[1::2]
-        letters = min((letters[i:] + letters[:i] for i in range(len(letters))),
-                      default=letters)
-        hit = self._class_cache.get(letters)
-        if hit is None:
-            hit = self._class_cache[letters] = self._trace_letters(letters)
-        return hit
+        return self._vector(word[1::2]).get((), complex(0))
 
-    def _trace_letters(self, letters) -> complex:
-        blocks = []
-        for g in letters:
-            fi, loc = self._map[g]
-            if blocks and blocks[-1][0] == fi:
-                blocks[-1] = (fi, blocks[-1][1] + (loc,), False)
-            else:
-                blocks.append((fi, (loc,), False))
-        return self._tau_blocks(tuple(blocks))
+    def moment_table(self, xs, ys=None) -> np.ndarray:
+        """``tau(x* y) = <y Omega, x Omega>`` as ``conj(V_x) K V_y^T`` over
+        the basis vectors of :meth:`_vector`.  ``K`` is block diagonal over
+        factor sequences: basis vectors of one sequence pair block by block,
+        ``<e_b', e_b> = prod_j Kc_(i_j)[u_j, u'_j]``, where ``Kc_i = M_i -
+        outer(conj(t_i), t_i)`` is the centered table of factor ``i``, read
+        from the factor's own ``moment_table`` over the blocks of the row
+        vectors against those of the column vectors, so no factor traces a
+        word beyond the table's degree.  A square table mirrors its upper
+        triangle and keeps the real part of its diagonal, so it is exactly
+        Hermitian."""
+        square = ys is None
+        ys = xs if square else ys
+        self._table_degrees(xs, ys)
+        vx = [self._vector(x[1::2]) for x in xs]
+        rows, Vx = _reduced_coefficients(vx)
+        if square:
+            cols, Vy = rows, Vx
+        else:
+            cols, Vy = _reduced_coefficients(
+                [self._vector(y[1::2]) for y in ys])
+        centered = self._centered_tables(rows, None if square else cols)
+        pieces = []
+        for seq, (rkeys, rsl) in rows.items():
+            if seq not in cols:
+                continue
+            ckeys, csl = cols[seq]
+            K = np.ones((len(rkeys), len(ckeys)))
+            for j, fi in enumerate(seq):
+                Kc, rindex, cindex = centered[fi]
+                K = K * Kc[np.ix_([rindex[b[j][1]] for b in rkeys],
+                                  [cindex[b[j][1]] for b in ckeys])]
+            pieces.append((rsl, K, csl))
+        dtype = np.result_type(Vx, Vy, *(K for _, K, _ in pieces))
+        G = np.zeros((len(xs), len(ys)), dtype=dtype)
+        for rsl, K, csl in pieces:
+            G += Vx[:, rsl].conj() @ (K @ Vy[:, csl].T)
+        if square:
+            lower = np.tril_indices(len(xs), -1)
+            G[lower] = G.T[lower].conj()
+            np.fill_diagonal(G, G.diagonal().real)
+        return real_if_exact(G)
+
+    def _centered_tables(self, rows, cols) -> dict:
+        """Per factor met in both key groups: ``(Kc, row index, column
+        index)``, with ``Kc[u, u'] = tau(u* u') - conj(tau(u)) tau(u')`` over
+        the factor's row blocks ``u`` and column blocks ``u'`` (the row
+        blocks on both sides when ``cols`` is None)."""
+        shared = rows.keys() if cols is None else rows.keys() & cols.keys()
+
+        def blocks(groups):
+            # per factor, block -> its row in the factor table, from 1: row
+            # 0 is the empty word, whose entries are the traces
+            out = {}
+            for seq, (keys, _) in groups.items():
+                if seq in shared:
+                    for b in keys:
+                        for fi, u in b:
+                            index = out.setdefault(fi, {})
+                            index.setdefault(u, len(index) + 1)
+            return out
+
+        def words(index):
+            return [(0,)] + [_scalar_word(u) for u in index]
+
+        rblocks = blocks(rows)
+        cblocks = rblocks if cols is None else blocks(cols)
+        tables = {}
+        for fi, rindex in rblocks.items():
+            cindex = cblocks[fi]
+            M = self.factors[fi].moment_table(
+                words(rindex), None if cols is None else words(cindex))
+            # M[a, 0] = tau(u_a*) = conj(tau(u_a)) and M[0, b] = tau(u_b)
+            tables[fi] = (M - np.outer(M[:, 0], M[0]), rindex, cindex)
+        return tables
+
+
+def _scalar_word(letters) -> tuple:
+    """The scalar-coefficient word ``(0, l_1, 0, ..., l_k, 0)``."""
+    word = [0] * (2 * len(letters) + 1)
+    word[1::2] = letters
+    return tuple(word)
+
+
+def _reduced_coefficients(vectors) -> tuple:
+    """The basis keys of ``vectors`` grouped by factor sequence, ``{sequence:
+    (keys, column slice)}``, and the coefficient matrix whose columns are
+    the keys in group order; real when no coefficient has an imaginary
+    part."""
+    groups: dict = {}
+    for b in dict.fromkeys(b for v in vectors for b in v):
+        groups.setdefault(tuple(fi for fi, _ in b), []).append(b)
+    index, out, off = {}, {}, 0
+    for seq, keys in groups.items():
+        index.update(zip(keys, range(off, off + len(keys))))
+        out[seq] = (keys, slice(off, off + len(keys)))
+        off += len(keys)
+    V = np.zeros((len(vectors), off), dtype=complex)
+    for a, v in enumerate(vectors):
+        V[a, [index[b] for b in v]] = list(v.values())
+    return out, real_if_exact(V)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,14 @@ def random_poly(system, rng, max_degree=4, terms=3, coeff_range=3,
     return acc
 
 
+def word_of(letters):
+    """The scalar-coefficient word of a letter tuple."""
+    w = [0]
+    for l in letters:
+        w.extend((l, 0))
+    return tuple(w)
+
+
 def random_word(system, rng, max_degree=8):
     w = [0]
     for _ in range(rng.randint(0, max_degree)):

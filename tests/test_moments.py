@@ -4,24 +4,27 @@ The reference builds the Jacobian rows with ``gradient`` and pairs them with
 the trace model's tensor inner product, entry by entry; the two-block unitary
 model has non-real moments, so a missing conjugation shows there.  The
 degree-block assembly of ``W`` is checked against a per-split loop over the
-same table, and the bulk tables (Fock vectors, rotation classes of free
-products) against the per-word traces.
+same table, the Fock and Hankel tables against the per-word traces, and the
+reduced-word vectors of free products against the centering recursion they
+replaced.
 """
 
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import random_poly, random_word
+from conftest import random_poly, random_word, word_of
 from free_stein import stein
 from free_stein.errors import DegreeCapError, StructureError
 from free_stein.ncalg import (BAlgebra, NCPoly, TensorPoly,
                               commutator_stein_kernel, generator_tuple,
                               gradient)
-from free_stein.trace import (FreeProductModel, MatrixModel, SemicircularModel,
-                              TraceModel, cyclic_group_model,
+from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
+                              SemicircleDensity, SemicircularModel,
+                              TraceModel, UniformDensity, cyclic_group_model,
                               two_point_measure)
 
 TOL = 1e-12
@@ -236,14 +239,175 @@ def test_fock_table_keeps_the_cap():
         TraceModel.moment_table(model, xs, [(0, 1, 0, 1, 0, 1, 0, 1, 0)])
 
 
-def test_free_product_rotation_classes_match_unrotated_recursion():
-    def make():
-        return FreeProductModel([two_point_measure(), SemicircularModel(1),
-                                 cyclic_group_model(3)])
+def test_measure_table_is_a_hankel_gather():
+    for model in (two_point_measure(), two_point_measure(0.3),
+                  MeasureModel([(3.0, 0.5)], SemicircleDensity(mass=0.5)),
+                  MeasureModel([], UniformDensity(-1.0, 2.0))):
+        xs = stein.monomial_words(model.system, 0, 5)
+        ys = [word_of((0,) * k) for k in (7, 0, 3, 6)]
+        for args in ((xs,), (xs, ys), (ys, xs)):
+            assert np.array_equal(model.moment_table(*args),
+                                  TraceModel.moment_table(model, *args))
 
-    model, unrotated = make(), make()
+
+def test_measure_table_keeps_the_cap():
+    model = two_point_measure(cap=6)
+    xs = stein.monomial_words(model.system, 0, 3)
+    for table in (model.moment_table, partial(TraceModel.moment_table, model)):
+        with pytest.raises(DegreeCapError, match="product degree 7 exceeds cap 6"):
+            table(xs, [word_of((0,) * 4)])
+
+
+# -- free products against the centering recursion --------------------------------
+
+
+class _CenteringReference:
+    """Oracle only: free-product traces by the centering recursion the
+    reduced-word vectors replaced.  Each factor block ``w`` is written ``(w -
+    tau(w)) + tau(w)``, and alternating products of centered blocks from
+    distinct factors have trace zero.  Blocks are ``(factor, letters,
+    centered)``; nested free products recurse through their own reference,
+    other factors give their per-word traces."""
+
+    def __init__(self, model):
+        self.model = model
+        self.factors = [_CenteringReference(f) if isinstance(f, FreeProductModel)
+                        else f for f in model.factors]
+        self.cache = {}
+
+    def factor_trace(self, fi, letters):
+        f = self.factors[fi]
+        if isinstance(f, _CenteringReference):
+            return f.trace(letters)
+        return f.trace_word(word_of(letters))
+
+    def trace(self, letters):
+        blocks = []
+        for g in letters:
+            fi, loc = self.model._map[g]
+            if blocks and blocks[-1][0] == fi:
+                blocks[-1] = (fi, blocks[-1][1] + (loc,), False)
+            else:
+                blocks.append((fi, (loc,), False))
+        return self.tau(tuple(blocks))
+
+    def table(self, xs, ys):
+        star = self.model.system.star_pairing
+        return np.array([[self.trace(tuple(star[g] for g in reversed(x[1::2]))
+                                     + y[1::2]) for y in ys] for x in xs])
+
+    def tau(self, blocks):
+        if not blocks:
+            return complex(1)
+        hit = self.cache.get(blocks)
+        if hit is not None:
+            return hit
+        if len(blocks) == 1:
+            fi, letters, centered = blocks[0]
+            val = complex(0) if centered else self.factor_trace(fi, letters)
+            self.cache[blocks] = val
+            return val
+        # merge an adjacent same-factor pair if present
+        for i in range(len(blocks) - 1):
+            f1, w1, c1 = blocks[i]
+            f2, w2, c2 = blocks[i + 1]
+            if f1 != f2:
+                continue
+            rest_l, rest_r = blocks[:i], blocks[i + 2:]
+            t1 = self.factor_trace(f1, w1) if c1 else None
+            t2 = self.factor_trace(f2, w2) if c2 else None
+            val = self.tau(rest_l + ((f1, w1 + w2, False),) + rest_r)
+            if c1:
+                val -= t1 * self.tau(rest_l + ((f2, w2, False),) + rest_r)
+            if c2:
+                val -= t2 * self.tau(rest_l + ((f1, w1, False),) + rest_r)
+            if c1 and c2:
+                val += t1 * t2 * self.tau(rest_l + rest_r)
+            self.cache[blocks] = val
+            return val
+        # alternating: center the first plain block
+        for i, (fi, w, centered) in enumerate(blocks):
+            if not centered:
+                t = self.factor_trace(fi, w)
+                val = self.tau(blocks[:i] + ((fi, w, True),) + blocks[i + 1:])
+                val += t * self.tau(blocks[:i] + blocks[i + 1:])
+                self.cache[blocks] = val
+                return val
+        # alternating product of centered blocks: freeness gives zero
+        self.cache[blocks] = complex(0)
+        return complex(0)
+
+
+def _plateau():
+    return MeasureModel([(3.0, 0.5)], SemicircleDensity(mass=0.5))
+
+
+def _two_point_semicircular():
+    return FreeProductModel([two_point_measure(), SemicircularModel(1)])
+
+
+FREE_PRODUCTS = {
+    "two-point * semicircular * cyclic(3)": lambda: FreeProductModel(
+        [two_point_measure(), SemicircularModel(1), cyclic_group_model(3)]),
+    "semicircular(2) * two-point(0.3)": lambda: FreeProductModel(
+        [SemicircularModel(2), two_point_measure(0.3)]),
+    "(two-point * semicircular) * cyclic(3)": lambda: FreeProductModel(
+        [_two_point_semicircular(), cyclic_group_model(3)]),
+    "plateau * cyclic(4)": lambda: FreeProductModel(
+        [_plateau(), cyclic_group_model(4)]),
+}
+
+
+@pytest.mark.parametrize("name", FREE_PRODUCTS)
+def test_free_product_traces_match_centering_recursion(name):
+    model = FREE_PRODUCTS[name]()
+    reference = _CenteringReference(FREE_PRODUCTS[name]())
     rng = random.Random(11)
     for _ in range(200):
         w = random_word(model.system, rng, 10)
-        assert abs(model.trace_word(w) - unrotated._trace_letters(w[1::2])) <= 1e-14
-    assert len(model._class_cache) < len(model._word_cache)
+        assert abs(model.trace_word(w) - reference.trace(w[1::2])) <= 1e-14
+
+
+@pytest.mark.parametrize("name", FREE_PRODUCTS)
+def test_free_product_tables_match_centering_recursion(name):
+    model = FREE_PRODUCTS[name]()
+    reference = _CenteringReference(FREE_PRODUCTS[name]())
+    xs = stein.monomial_words(model.system, 0, 3)
+    table = model.moment_table(xs)
+    assert np.max(np.abs(table - reference.table(xs, xs))) <= 1e-14
+    assert np.array_equal(table, table.conj().T)
+    # ys deeper than every x, in no particular order
+    rng = random.Random(5)
+    ys = [random_word(model.system, rng, 7) for _ in range(30)]
+    for args in ((xs, ys), (ys, xs)):
+        assert np.max(np.abs(model.moment_table(*args)
+                             - reference.table(*args))) <= 1e-14
+
+
+def test_free_product_leg_table_equals_centering_recursion():
+    model = _two_point_semicircular()
+    legs = stein.monomial_words(model.system, 0, 5)
+    expected = _CenteringReference(_two_point_semicircular()).table(legs, legs)
+    assert np.array_equal(model.moment_table(legs), expected)
+
+
+def test_free_product_leg_table_traces_no_product_words(monkeypatch):
+    calls = []
+    impl = FreeProductModel._trace_word_impl
+
+    def counted(self, word):
+        calls.append(word)
+        return impl(self, word)
+
+    monkeypatch.setattr(FreeProductModel, "_trace_word_impl", counted)
+    model = _two_point_semicircular()
+    table = model.moment_table(stein.monomial_words(model.system, 0, 5))
+    assert table.shape == (63, 63) and not calls
+
+
+def test_free_product_table_keeps_the_cap():
+    model = FreeProductModel([two_point_measure(), SemicircularModel(1)], cap=6)
+    xs = stein.monomial_words(model.system, 0, 3)
+    for table in (model.moment_table, partial(TraceModel.moment_table, model)):
+        with pytest.raises(DegreeCapError, match="product degree 7 exceeds cap 6"):
+            table(xs, [word_of((0, 1, 1, 0))])

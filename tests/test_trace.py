@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_word
+from conftest import random_word, word_of
 from free_stein.errors import ModelError
 from free_stein.ncalg import (KernelMatrix, NCPoly,
                               TensorPoly, commutator_stein_kernel,
@@ -17,13 +17,6 @@ from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               cyclic_group_model, model_from_json,
                               model_to_json, two_point_matrix_model,
                               two_point_measure)
-
-
-def word_of(letters):
-    w = [0]
-    for l in letters:
-        w.extend((l, 0))
-    return tuple(w)
 
 
 def brute_noncrossing_pair_count(letters):
