@@ -24,7 +24,8 @@ tensor degree of the spanning relation Jacobians, i.e. relations of word
 degree up to ``d + 1`` are scanned.
 
 Numbers enter the Gram and design path through one moment table,
-``G[x, y] = tau(x* y)`` of scalar-B words (``TraceModel.moment_table``).
+``G[x, y] = tau(x* y)`` of scalar-B words (``TraceModel.moment_table``, which
+forms ``conj(V_x) K V_y^T`` from each model's own vectors and pairing).
 Every trace model here is tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b,
 c (x) d> = G[c, a] G[d, b]``: the Gram matrix, the r-vectors and the
 candidate Gram are sums of products of table entries.  The Gram matrix is

@@ -1,17 +1,27 @@
 """Tracial-state models and the inner products they induce.
 
 A trace model evaluates the trace of canonical words in concrete generators;
-everything else (L2, tensor and Hilbert-Schmidt inner products) reduces to
-word traces.  Four families are provided:
+the L2, tensor and Hilbert-Schmidt inner products reduce to word traces.
+Moment tables ``G[x, y] = tau(x* y)`` over lists of words come from one
+layer instead, :meth:`TraceModel.moment_table`: it checks the words and the
+cap, forms ``conj(V_x) K V_y^T`` from the vectors and the pairing matrix
+``K`` a model supplies (``K = I`` when it is None), and makes square tables
+exactly Hermitian.  Four families are provided, each with its ``(V, K)``:
 
 * :class:`MatrixModel` -- direct sums of matrix blocks with a weighted trace;
-* :class:`SemicircularModel` -- free standard semicircular tuples, evaluated
-  by counting index-respecting non-crossing pairings;
+  ``V`` is the evaluated word with column ``k`` scaled by ``sqrt(w_k)``,
+  flattened, and ``K = I``;
+* :class:`SemicircularModel` -- free standard semicircular tuples, traced by
+  counting index-respecting non-crossing pairings; ``V`` is the Fock-space
+  vector ``x Omega`` and ``K = I``;
 * :class:`MeasureModel` -- one self-adjoint variable with an atomic plus
-  absolutely-continuous spectral distribution;
+  absolutely-continuous spectral distribution; ``V`` is the one-hot degree
+  row and ``K`` the Hankel matrix of the moments;
 * :class:`FreeProductModel` -- free products of the above, evaluated on
   reduced-word vectors: ``w Omega`` in the reduced free-product space, whose
-  vacuum coefficient is the trace and whose pairings give moment tables.
+  vacuum coefficient is the trace; ``V`` holds its coefficients and ``K``
+  pairs basis vectors of one factor sequence through the factors' centered
+  tables, zero across sequences.
 
 Inner product conventions: ``<p, q> = tau(q* p)`` on polynomials,
 ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)`` on tensors, and the entrywise sum on
@@ -68,29 +78,27 @@ class TraceModel:
         return hit
 
     def moment_table(self, xs, ys=None) -> np.ndarray:
-        """Moment table ``G[a, b] = tau(xs[a]* ys[b])`` of scalar-B words;
-        without ``ys``, the Hermitian table over ``xs``, traced on its upper
-        triangle.  The words and the cap are checked once for the table, so
-        its entries go straight to the trace cache.  The table is real when
-        no entry has an imaginary part."""
+        """Moment table ``G[a, b] = tau(xs[a]* ys[b])`` of scalar-B words, as
+        ``conj(V_x) K V_y^T`` from the model's :meth:`_table_vectors`.  The
+        words and the cap are checked once for the table.  Without ``ys``, the
+        table over ``xs``: its upper triangle is mirrored and its diagonal
+        made real, so it is exactly Hermitian.  The table is real when no
+        entry has an imaginary part."""
         square = ys is None
-        ys = xs if square else ys
-        self._table_degrees(xs, ys)
-        cache, impl = self._word_cache, self._trace_word_impl
-        G = np.empty((len(xs), len(ys)), dtype=complex)
-        for a, x in enumerate(xs):
-            ((xstar, _),) = self.system.adjoint_word(x)
-            head = xstar[:-1]  # x* y over scalar B: the slots between merge
-            for b in range(a if square else 0, len(ys)):
-                w = head + ys[b]
-                hit = cache.get(w)
-                if hit is None:
-                    hit = cache[w] = complex(impl(w))
-                G[a, b] = hit
+        dx, dy = self._table_degrees(xs, xs if square else ys)
+        Vx, K, Vy = self._table_vectors(xs, None if square else ys, dx, dy)
+        G = Vx.conj() @ (Vy.T if K is None else K @ Vy.T)
         if square:
-            lower = np.tril_indices(len(xs), -1)
-            G[lower] = G.T[lower].conj()
+            np.copyto(G, G.T.conj(), where=np.tri(len(xs), k=-1, dtype=bool))
+            np.fill_diagonal(G, G.diagonal().real)
         return real_if_exact(G)
+
+    def _table_vectors(self, xs, ys, dx, dy) -> tuple:
+        """``(V_x, K, V_y)`` with ``tau(x* y) = conj(V_x[a]) K V_y[b]`` for
+        ``x = xs[a]``, ``y = ys[b]``; ``K`` is None for the identity.  ``ys``
+        is None for the square table over ``xs``; ``dx`` and ``dy`` are the
+        largest degrees of the two lists."""
+        raise NotImplementedError
 
     def _table_degrees(self, xs, ys) -> tuple:
         """Check the words of a moment table, and the degree of its largest
@@ -298,6 +306,19 @@ class MatrixModel(TraceModel):
     def _trace_word_impl(self, word) -> complex:
         return self.trace_mat(self.eval_word(word))
 
+    def _table_vectors(self, xs, ys, dx, dy) -> tuple:
+        """``tau(x* y) = sum_lk conj(X_lk) w_k Y_lk`` for the evaluated words
+        ``X``, ``Y`` and the trace weights ``w``: each word's vector is ``X``
+        with column ``k`` scaled by ``sqrt(w_k)``, flattened, and ``K = I``."""
+        root = np.sqrt(self.weights)
+
+        def vectors(words):
+            return np.array([self.eval_word(w) * root for w in words]
+                            ).reshape(len(words), self.dim ** 2)
+
+        Vx = vectors(xs)
+        return Vx, None, Vx if ys is None else vectors(ys)
+
 
 def two_point_matrix_model(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
     """C (+) C with one self-adjoint generator taking two values."""
@@ -338,7 +359,7 @@ class SemicircularModel(TraceModel):
     Mixed moments count non-crossing pairings whose pairs connect equal
     indices, evaluated by the interval-splitting recursion.  Moment tables
     are Gram matrices of Fock-space vectors instead (see
-    :meth:`moment_table`).
+    :meth:`_table_vectors`).
     """
 
     def __init__(self, count: int, cap=None):
@@ -364,29 +385,24 @@ class SemicircularModel(TraceModel):
     def _trace_word_impl(self, word) -> complex:
         return complex(self._nc(word[1::2]))
 
-    def moment_table(self, xs, ys=None) -> np.ndarray:
+    def _table_vectors(self, xs, ys, dx, dy) -> tuple:
         """``tau(x* y) = <y Omega, x Omega>`` in the full Fock space over
         ``C^n``, where ``s_l`` is left creation of ``e_l`` plus its adjoint:
-        the table is ``V_x V_y^T``, exact on integers and equal to the
-        per-word table.
+        the vectors are ``x Omega`` and ``K = I``, exact on integers.
 
         The vectors are built prefix by prefix.  The right semicircular ``d_l
         = r_l + r_l*``, with ``r_l`` right creation of ``e_l``, commutes with
         every ``s_m`` and ``d_l Omega = s_l Omega``, so ``(u s_l) Omega = d_l
-        (u Omega)``.  Both lists are built
-        on one Fock space, cut at depth ``(dx + dy) // 2`` for the largest
-        degrees ``dx`` of ``xs`` and ``dy`` of ``ys``: after ``t`` of the
-        ``dx + dy`` letters of ``x* y``, a component of depth above ``min(t,
-        dx + dy - t)`` cannot return to the vacuum, so the cut drops nothing
-        the table reads.
+        (u Omega)``.  Both lists are built on one Fock space, cut at depth
+        ``(dx + dy) // 2``: after ``t`` of the ``dx + dy`` letters of ``x*
+        y``, a component of depth above ``min(t, dx + dy - t)`` cannot return
+        to the vacuum, so the cut drops nothing the table reads.
         """
-        square = ys is None
-        ys = xs if square else ys
-        dx, dy = self._table_degrees(xs, ys)
         depth = (dx + dy) // 2
         Vx = self._fock_vectors([w[1::2] for w in xs], depth)
-        Vy = Vx if square else self._fock_vectors([w[1::2] for w in ys], depth)
-        return Vx @ Vy.T
+        Vy = Vx if ys is None else self._fock_vectors([w[1::2] for w in ys],
+                                                      depth)
+        return Vx, None, Vy
 
     def _fock_vectors(self, words, depth) -> np.ndarray:
         """``u Omega`` per letter tuple ``u``, over the Fock basis of letter
@@ -623,15 +639,16 @@ class MeasureModel(TraceModel):
     def _trace_word_impl(self, word) -> complex:
         return complex(self.moment(len(word) // 2))
 
-    def moment_table(self, xs, ys=None) -> np.ndarray:
-        """``tau(x* y)`` is the moment of order ``deg x + deg y``: one Hankel
-        gather from the moments up to the table's degree."""
+    def _table_vectors(self, xs, ys, dx, dy) -> tuple:
+        """``tau(x* y)`` is the moment of order ``deg x + deg y``: one-hot
+        degree rows, and ``K`` the Hankel matrix of the moments up to ``dx +
+        dy``."""
         ys = xs if ys is None else ys
-        dx, dy = self._table_degrees(xs, ys)
         moments = np.array([self.moment(k) for k in range(dx + dy + 1)])
-        lx = np.array([len(x) // 2 for x in xs], dtype=int)
-        ly = np.array([len(y) // 2 for y in ys], dtype=int)
-        return moments[np.add.outer(lx, ly)]
+        K = moments[np.add.outer(np.arange(dx + 1), np.arange(dy + 1))]
+        Vx = np.eye(dx + 1)[[len(x) // 2 for x in xs]]
+        Vy = np.eye(dy + 1)[[len(y) // 2 for y in ys]]
+        return Vx, K, Vy
 
 
 def two_point_measure(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
@@ -653,7 +670,7 @@ class FreeProductModel(TraceModel):
     and ``e_()`` is the vacuum.  The vector ``w Omega`` is built prefix by
     prefix (:meth:`_vector`), its vacuum coefficient is ``tau(w)``, and
     moment tables pair the vectors through the factors' own tables
-    (:meth:`moment_table`).  Only the factor states enter, so no factor needs
+    (:meth:`_table_vectors`).  Only the factor states enter, so no factor needs
     to be tracial.
     """
 
@@ -713,48 +730,36 @@ class FreeProductModel(TraceModel):
     def _trace_word_impl(self, word) -> complex:
         return self._vector(word[1::2]).get((), complex(0))
 
-    def moment_table(self, xs, ys=None) -> np.ndarray:
-        """``tau(x* y) = <y Omega, x Omega>`` as ``conj(V_x) K V_y^T`` over
-        the basis vectors of :meth:`_vector`.  ``K`` is block diagonal over
-        factor sequences: basis vectors of one sequence pair block by block,
+    def _table_vectors(self, xs, ys, dx, dy) -> tuple:
+        """``tau(x* y) = <y Omega, x Omega>`` over the basis vectors of
+        :meth:`_vector`: the rows are the coefficients of ``x Omega`` (see
+        :func:`_reduced_coefficients`), and ``K`` is zero between different
+        factor sequences.  Basis vectors of one sequence pair block by block,
         ``<e_b', e_b> = prod_j Kc_(i_j)[u_j, u'_j]``, where ``Kc_i = M_i -
         outer(conj(t_i), t_i)`` is the centered table of factor ``i``, read
         from the factor's own ``moment_table`` over the blocks of the row
         vectors against those of the column vectors, so no factor traces a
-        word beyond the table's degree.  A square table mirrors its upper
-        triangle and keeps the real part of its diagonal, so it is exactly
-        Hermitian."""
-        square = ys is None
-        ys = xs if square else ys
-        self._table_degrees(xs, ys)
-        vx = [self._vector(x[1::2]) for x in xs]
-        rows, Vx = _reduced_coefficients(vx)
-        if square:
+        word beyond the table's degree."""
+        rows, Vx = _reduced_coefficients([self._vector(x[1::2]) for x in xs])
+        if ys is None:
             cols, Vy = rows, Vx
         else:
             cols, Vy = _reduced_coefficients(
                 [self._vector(y[1::2]) for y in ys])
-        centered = self._centered_tables(rows, None if square else cols)
-        pieces = []
+        centered = self._centered_tables(rows, None if ys is None else cols)
+        K = np.zeros((Vx.shape[1], Vy.shape[1]), dtype=np.result_type(
+            1.0, *(Kc for Kc, _, _ in centered.values())))
         for seq, (rkeys, rsl) in rows.items():
             if seq not in cols:
                 continue
             ckeys, csl = cols[seq]
-            K = np.ones((len(rkeys), len(ckeys)))
+            block = K[rsl, csl]
+            block[...] = 1
             for j, fi in enumerate(seq):
                 Kc, rindex, cindex = centered[fi]
-                K = K * Kc[np.ix_([rindex[b[j][1]] for b in rkeys],
-                                  [cindex[b[j][1]] for b in ckeys])]
-            pieces.append((rsl, K, csl))
-        dtype = np.result_type(Vx, Vy, *(K for _, K, _ in pieces))
-        G = np.zeros((len(xs), len(ys)), dtype=dtype)
-        for rsl, K, csl in pieces:
-            G += Vx[:, rsl].conj() @ (K @ Vy[:, csl].T)
-        if square:
-            lower = np.tril_indices(len(xs), -1)
-            G[lower] = G.T[lower].conj()
-            np.fill_diagonal(G, G.diagonal().real)
-        return real_if_exact(G)
+                block *= Kc[np.ix_([rindex[b[j][1]] for b in rkeys],
+                                   [cindex[b[j][1]] for b in ckeys])]
+        return Vx, K, Vy
 
     def _centered_tables(self, rows, cols) -> dict:
         """Per factor met in both key groups: ``(Kc, row index, column

@@ -4,17 +4,21 @@ The reference builds the Jacobian rows with ``gradient`` and pairs them with
 the trace model's tensor inner product, entry by entry; the two-block unitary
 model has non-real moments, so a missing conjugation shows there.  The
 degree-block assembly of ``W`` is checked against a per-split loop over the
-same table, the Fock and Hankel tables against the per-word traces, and the
+same table, the moment tables of semicircular, measure and matrix models
+against the per-word traces they replaced (``_per_word_table``), and the
 reduced-word vectors of free products against the centering recursion they
 replaced.
 """
 
 import itertools
 import random
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly, random_word, word_of
 from free_stein import stein
@@ -24,7 +28,8 @@ from free_stein.ncalg import (BAlgebra, NCPoly, TensorPoly,
                               gradient)
 from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircleDensity, SemicircularModel,
-                              TraceModel, UniformDensity, cyclic_group_model,
+                              UniformDensity, cyclic_group_model,
+                              real_if_exact, two_point_matrix_model,
                               two_point_measure)
 
 TOL = 1e-12
@@ -211,6 +216,31 @@ def test_gram_is_real_exactly_for_real_tables(make, real):
 # -- bulk moment tables ------------------------------------------------------------
 
 
+def _per_word_table(model, xs, ys=None):
+    """Oracle only: the moment table entry by entry, ``tau`` of the product
+    word ``x* y`` through the model's own word trace.  The words and the cap
+    are checked as ``moment_table`` checks them; a square table is traced on
+    its upper triangle and mirrored by conjugation."""
+    square = ys is None
+    ys = xs if square else ys
+    model._table_degrees(xs, ys)
+    cache, impl = model._word_cache, model._trace_word_impl
+    G = np.empty((len(xs), len(ys)), dtype=complex)
+    for a, x in enumerate(xs):
+        ((xstar, _),) = model.system.adjoint_word(x)
+        head = xstar[:-1]  # x* y over scalar B: the slots between merge
+        for b in range(a if square else 0, len(ys)):
+            w = head + ys[b]
+            hit = cache.get(w)
+            if hit is None:
+                hit = cache[w] = complex(impl(w))
+            G[a, b] = hit
+    if square:
+        lower = np.tril_indices(len(xs), -1)
+        G[lower] = G.T[lower].conj()
+    return real_if_exact(G)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fock_table_equals_per_word_table(n):
     model = SemicircularModel(n)
@@ -218,16 +248,16 @@ def test_fock_table_equals_per_word_table(n):
     xs = stein.monomial_words(model.system, 0, 3)
     table = model.moment_table(xs)
     assert np.isrealobj(table)
-    assert np.array_equal(table, TraceModel.moment_table(per_word, xs))
+    assert np.array_equal(table, _per_word_table(per_word, xs))
     # ys deeper than every x, in no particular order
     rng = random.Random(n)
     xs = xs[:1 + n + n * n]
     ys = [random_word(model.system, rng, 7) for _ in range(40)]
     ys.append((0,) + (n - 1, 0) * 7)
     assert np.array_equal(model.moment_table(xs, ys),
-                          TraceModel.moment_table(per_word, xs, ys))
+                          _per_word_table(per_word, xs, ys))
     assert np.array_equal(model.moment_table(ys, xs),
-                          TraceModel.moment_table(per_word, ys, xs))
+                          _per_word_table(per_word, ys, xs))
 
 
 def test_fock_table_keeps_the_cap():
@@ -236,7 +266,7 @@ def test_fock_table_keeps_the_cap():
     with pytest.raises(DegreeCapError):
         model.moment_table(xs, [(0, 1, 0, 1, 0, 1, 0, 1, 0)])
     with pytest.raises(DegreeCapError):
-        TraceModel.moment_table(model, xs, [(0, 1, 0, 1, 0, 1, 0, 1, 0)])
+        _per_word_table(model, xs, [(0, 1, 0, 1, 0, 1, 0, 1, 0)])
 
 
 def test_measure_table_is_a_hankel_gather():
@@ -247,15 +277,99 @@ def test_measure_table_is_a_hankel_gather():
         ys = [word_of((0,) * k) for k in (7, 0, 3, 6)]
         for args in ((xs,), (xs, ys), (ys, xs)):
             assert np.array_equal(model.moment_table(*args),
-                                  TraceModel.moment_table(model, *args))
+                                  _per_word_table(model, *args))
 
 
 def test_measure_table_keeps_the_cap():
     model = two_point_measure(cap=6)
     xs = stein.monomial_words(model.system, 0, 3)
-    for table in (model.moment_table, partial(TraceModel.moment_table, model)):
+    for table in (model.moment_table, partial(_per_word_table, model)):
         with pytest.raises(DegreeCapError, match="product degree 7 exceeds cap 6"):
             table(xs, [word_of((0,) * 4)])
+
+
+MATRIX_MODELS = {
+    "cyclic group of order 3": lambda: cyclic_group_model(3),
+    "cyclic group of order 6": lambda: cyclic_group_model(6),
+    "two-block unitary": _unitary_pair,
+    "two-point matrix 0.3": lambda: two_point_matrix_model(0.3),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_MODELS)
+def test_matrix_table_matches_per_word_table(name):
+    model = MATRIX_MODELS[name]()
+    per_word = MATRIX_MODELS[name]()
+    xs = stein.monomial_words(model.system, 0, 3)
+    table = model.moment_table(xs)
+    assert np.array_equal(table, table.conj().T)
+    # rectangular tables over the same degrees, in no particular order
+    rng = random.Random(9)
+    ys = [random_word(model.system, rng, 3) for _ in range(30)]
+    for args in ((xs,), (xs, ys), (ys, xs)):
+        G = model.moment_table(*args)
+        assert (np.max(np.abs(G - _per_word_table(per_word, *args)))
+                <= 1e-15 * np.max(np.abs(G)))
+
+
+def test_matrix_table_keeps_the_cap():
+    model = cyclic_group_model(3, cap=6)
+    xs = stein.monomial_words(model.system, 0, 3)
+    for table in (model.moment_table, partial(_per_word_table, model)):
+        with pytest.raises(DegreeCapError, match="product degree 7 exceeds cap 6"):
+            table(xs, [word_of((0, 1, 1, 0))])
+
+
+def test_matrix_table_traces_no_product_words(monkeypatch):
+    calls = []
+    impl = MatrixModel._trace_word_impl
+
+    def counted(self, word):
+        calls.append(word)
+        return impl(self, word)
+
+    monkeypatch.setattr(MatrixModel, "_trace_word_impl", counted)
+    model = cyclic_group_model(6)
+    xs = stein.monomial_words(model.system, 0, 4)
+    assert model.moment_table(xs).shape == (31, 31)
+    assert model.moment_table(xs, xs[:3]).shape == (31, 3) and not calls
+
+
+@st.composite
+def matrix_specs(draw):
+    """Blocks, generators and star pairing of a direct sum of 1-3 blocks of
+    size 1-2 with rational weights: one self-adjoint generator, or a
+    star-paired ``u``, ``u*``, with complex entries from a seeded normal
+    draw; and ten words of degree <= 4 in its letters."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    parts = draw(st.lists(st.integers(1, 6), min_size=len(sizes),
+                          max_size=len(sizes)))
+    weights = [Fraction(p, sum(parts)) for p in parts]
+    paired = draw(st.booleans())
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = [gen.normal(size=(k, k)) + 1j * gen.normal(size=(k, k)) for k in sizes]
+    if paired:
+        gens, pairing = [u, [a.conj().T for a in u]], (1, 0)
+    else:
+        gens, pairing = [[a + a.conj().T for a in u]], None
+    words = [word_of(gen.integers(len(gens), size=gen.integers(5)).tolist())
+             for _ in range(10)]
+    return list(zip(sizes, weights)), gens, pairing, words
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(matrix_specs())
+def test_matrix_table_matches_per_word_table_on_random_blocks(spec):
+    blocks, gens, pairing, ys = spec
+    model = MatrixModel(blocks, gens, star_pairing=pairing)
+    per_word = MatrixModel(blocks, gens, star_pairing=pairing)
+    xs = stein.monomial_words(model.system, 0, 3)
+    for args in ((xs,), (xs, ys), (ys, xs)):
+        G = model.moment_table(*args)
+        R = _per_word_table(per_word, *args)
+        assert np.max(np.abs(G - R)) <= 1e-13 * np.max(np.abs(R))
+    square = model.moment_table(xs)
+    assert np.array_equal(square, square.conj().T)
 
 
 # -- free products against the centering recursion --------------------------------
@@ -408,6 +522,6 @@ def test_free_product_leg_table_traces_no_product_words(monkeypatch):
 def test_free_product_table_keeps_the_cap():
     model = FreeProductModel([two_point_measure(), SemicircularModel(1)], cap=6)
     xs = stein.monomial_words(model.system, 0, 3)
-    for table in (model.moment_table, partial(TraceModel.moment_table, model)):
+    for table in (model.moment_table, partial(_per_word_table, model)):
         with pytest.raises(DegreeCapError, match="product degree 7 exceeds cap 6"):
             table(xs, [word_of((0, 1, 1, 0))])
