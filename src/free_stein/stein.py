@@ -36,7 +36,10 @@ block (e, f), where ``L_j`` are the words of degree j.  The table is real
 when no entry has an imaginary part, and then so are the Gram matrix, its
 eigenvectors, the design and the solves.  The design needs no exact kernel
 per candidate: the r-row of a centered monomial candidate is read off table
-columns (``GramSystem.r_of_candidates``).
+columns (``GramSystem.r_of_candidates``).  Candidates stay a (word, slot)
+coefficient array through the solves: column ``k * n + i`` of the design is
+``w_k - tau(w_k)`` in slot ``i``, and the reported ``xi`` is assembled once
+per report from the solution vector, with exact coefficients.
 """
 
 from __future__ import annotations
@@ -492,23 +495,15 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
         diagnostics={"basis_size": model.n * view.k, "kept_rank": len(view.vals)})
 
 
-def _xi_basis(model: TraceModel, d_xi: int):
-    """Centered monomial candidates, slot by slot, sorted by degree."""
-    system = model.system
-    words = monomial_words(system, 1, d_xi)
-    labels = []
-    polys = []
-    for w in words:
-        p = model.centered(NCPoly.from_word(system, w))
-        for i in range(system.n):
-            labels.append((i, w))
-            polys.append(tuple(p if j == i else NCPoly.zero(system)
-                               for j in range(system.n)))
-    return labels, polys
-
-
 def _xi_design(model, scheme):
-    """Z matrix of kernel coordinates per candidate, plus the identity target."""
+    """The design of the candidates ``w - tau(w)``, ``w`` a word of degree 1
+    to ``d_xi``, in each slot: ``(gs, view, words, degrees, Z, b)``.
+
+    Candidate (word k, slot i) is column ``k * n + i`` of ``Z``, and
+    ``degrees`` holds the word degree of each column; ``b`` is the identity
+    target.  A coefficient vector over the columns is the candidate tuple
+    :func:`_assemble_xi` builds.
+    """
     gs = GramSystem(model, scheme.d_proj)
     # kernel legs of a degree d_xi candidate meet the basis legs in words
     # of degree d_proj + d_xi + 1, which the Gram guard does not count
@@ -518,9 +513,8 @@ def _xi_design(model, scheme):
             f"d_xi={scheme.d_xi} with d_proj={scheme.d_proj} needs design "
             f"words of degree d_proj + d_xi + 1 = {need}, beyond the cap {cap}")
     view = gs.view()
-    labels, candidates = _xi_basis(model, scheme.d_xi)
-    # candidate (word k, slot i) is column k * n + i; its coordinates are
-    # those of the word's r-row, placed in the rows of slot i
+    # the coordinates of candidate (k, i) are those of word k's r-row,
+    # placed in the rows of slot i
     words = monomial_words(model.system, 1, scheme.d_xi)
     R, n = gs.r_of_candidates(words), model.n
     # z takes n rows a call, the shape of one kernel's r-vectors: BLAS sums
@@ -530,20 +524,29 @@ def _xi_design(model, scheme):
     zw = np.concatenate([view.z(R[c:c + n]) for c in range(0, len(R), n)])
     zw = zw[:len(words)].T
     kept = len(zw)
-    Z = np.zeros((n * kept, len(candidates)), dtype=zw.dtype)
+    Z = np.zeros((n * kept, n * len(words)), dtype=zw.dtype)
     for i in range(n):
         Z[i * kept:(i + 1) * kept, i::n] = zw
+    degrees = np.repeat([len(w) // 2 for w in words], n)
     b = view.z(gs.r_of_identity()).reshape(-1)
-    return gs, view, labels, candidates, Z, b
+    return gs, view, words, degrees, Z, b
 
 
-def _assemble_xi(model, labels, candidates, y):
-    out = [NCPoly.zero(model.system) for _ in range(model.n)]
-    for (i, _), cand, c in zip(labels, candidates, y):
-        if abs(c) < 1e-14:
-            continue
-        out[i] = out[i] + cand[i] * QQi.of(complex(c))
-    return tuple(out)
+def _assemble_xi(model, words, y) -> tuple:
+    """The candidate tuple ``xi_i = sum_k y[k * n + i] (w_k - tau(w_k))``
+    with exact coefficients; coefficients below 1e-14 in modulus are
+    dropped, and the unit term is one exact sum over the kept words."""
+    n, system = model.n, model.system
+    xi = []
+    for i in range(n):
+        terms, trace = {}, QQi(0)
+        for w, c in zip(words, y[i::n]):
+            if abs(c) >= 1e-14:
+                c = QQi.of(complex(c))
+                terms[w] = c
+                trace = trace + c * QQi.of(model.trace_word(w))
+        xi.append(NCPoly(system, terms) - NCPoly.scalar(system, trace))
+    return tuple(xi)
 
 
 def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaReport:
@@ -554,10 +557,10 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
     reported.  The estimate is nonincreasing in ``d_xi`` at fixed ``d_proj``
     and converges to the free Stein irregularity as both knobs grow.
     """
-    gs, view, labels, candidates, Z, b = _xi_design(model, scheme)
+    _, view, words, degrees, Z, b = _xi_design(model, scheme)
     trail = []
     for dx in range(1, scheme.d_xi + 1):
-        mask = np.array([len(w) // 2 <= dx for _, w in labels])
+        mask = degrees <= dx
         Zd = Z[:, mask]
         # the last pass takes every candidate, so its rank is that of Z
         yd, _, rank, _ = np.linalg.lstsq(Zd, b, rcond=RCOND)
@@ -568,16 +571,17 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
             y[mask] = yd
     value = trail[-1][1]
     sigma = model.n - value ** 2
-    xi = _assemble_xi(model, labels, candidates, y)
+    xi = _assemble_xi(model, words, y)
     return SigmaReport(
         sigma=sigma, irregularity=value, mode="estimate", trail=trail,
         scheme=scheme, xi=xi, gram_condition=view.cond,
-        diagnostics={"candidates": len(candidates), "design_rank": int(rank)})
+        diagnostics={"candidates": len(degrees), "design_rank": int(rank)})
 
 
 def _candidate_gram(model: TraceModel, d_xi: int) -> np.ndarray:
-    """Gram of the centered candidates of :func:`_xi_basis` in the L2 tuple
-    norm: ``tau(v* w) - conj(tau(v)) tau(w)`` within a slot, zero across."""
+    """Gram of the design columns of :func:`_xi_design` in the L2 tuple
+    norm: ``tau(v* w) - conj(tau(v)) tau(w)`` for the candidates ``v -
+    tau(v)`` and ``w - tau(w)`` within a slot, zero across."""
     words = monomial_words(model.system, 1, d_xi)
     G = model.moment_table([(0,)] + words)  # row 0 holds the traces tau(w)
     Qw = G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
@@ -596,7 +600,7 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
         raise DegreeCapError(
             f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
             f"2*d_xi = {need}, beyond the cap {cap}")
-    gs, view, labels, candidates, Z, b = _xi_design(model, scheme)
+    _, view, words, _, Z, b = _xi_design(model, scheme)
     qvals, qvecs = np.linalg.eigh(_candidate_gram(model, scheme.d_xi))
     top = float(qvals[-1]) if len(qvals) else 0.0
     keep = qvals > RCOND * max(top, 1e-300)
@@ -625,19 +629,20 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
                     raise ModelError("failed to bracket the KKT multiplier")
             for _ in range(300):
                 lam = 0.5 * (lo + hi)
-                if norm_at(lam) > radius:
+                norm = norm_at(lam)
+                if abs(norm - radius) <= 1e-10:
+                    break
+                if norm > radius:
                     lo = lam
                 else:
                     hi = lam
-                if abs(norm_at(lam) - radius) <= 1e-10:
-                    break
             u = Vh.conj().T @ (sv * beta / (sv ** 2 + lam))
             diagnostics = {"multiplier": lam, "boundary": True,
                            "norm_gap": abs(float(np.linalg.norm(u)) - radius)}
         y = T @ u
         value = float(np.linalg.norm(Z @ y - b))
         diagnostics["radius"] = radius
-        xi = _assemble_xi(model, labels, candidates, y) if radius else ()
+        xi = _assemble_xi(model, words, y) if radius else ()
         return DiscrepancyReport(value=value, scheme=scheme,
                                  gram_condition=view.cond,
                                  trail=[(scheme.d_proj, value)], xi=xi,

@@ -7,7 +7,9 @@ degree-block assembly of ``W`` is checked against a per-split loop over the
 same table, the moment tables of semicircular, measure and matrix models
 against the per-word traces they replaced (``_per_word_table``), and the
 reduced-word vectors of free products against the centering recursion they
-replaced.
+replaced.  The reported candidate tuples are checked against the symbolic
+candidate basis (``_symbolic_xi``), and matrix-model word evaluation against
+the per-word product loop (``_eval_word_from_scratch``).
 """
 
 import itertools
@@ -26,6 +28,7 @@ from free_stein.errors import DegreeCapError, StructureError
 from free_stein.ncalg import (BAlgebra, NCPoly, TensorPoly,
                               commutator_stein_kernel, generator_tuple,
                               gradient)
+from free_stein.scalars import QQi
 from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircleDensity, SemicircularModel,
                               UniformDensity, cyclic_group_model,
@@ -131,31 +134,76 @@ def test_gram_blocks_match_per_split_reference(name):
     assert np.array_equal(gs.W, gs.W.conj().T)
 
 
+def _symbolic_xi(model, words, y):
+    """Oracle only: the candidate tuple of the coefficient vector ``y`` over
+    the design columns (word k, slot i at ``k * n + i``), built as the
+    symbolic basis it replaced: ``model.centered`` of each word, scaled by
+    its coefficient and summed, coefficients below 1e-14 in modulus
+    dropped."""
+    system, n = model.system, model.n
+    xi = [NCPoly.zero(system) for _ in range(n)]
+    for k, w in enumerate(words):
+        cand = model.centered(NCPoly.from_word(system, w))
+        for i in range(n):
+            c = y[k * n + i]
+            if abs(c) >= 1e-14:
+                xi[i] = xi[i] + cand * QQi.of(complex(c))
+    return tuple(xi)
+
+
 @pytest.mark.parametrize("name", MODELS)
 def test_candidate_gram_matches_inner_l2(name):
     model = MODELS[name]()
-    labels, candidates = stein._xi_basis(model, 2)
-    K = len(labels)
+    words = stein.monomial_words(model.system, 1, 2)
+    K = model.n * len(words)
+    candidates = [_symbolic_xi(model, words, y) for y in np.eye(K)]
     Q = np.zeros((K, K), dtype=complex)
     for a, b in itertools.product(range(K), repeat=2):
-        i, j = labels[a][0], labels[b][0]
+        i, j = a % model.n, b % model.n
         if i == j:
             Q[a, b] = model.inner_l2(candidates[b][i], candidates[a][i])
     assert np.max(np.abs(stein._candidate_gram(model, 2) - Q)) <= TOL
 
 
-def test_gram_system_requires_scalar_b():
-    # M_2 generated by two Pauli matrices over B = M_2 (matrix units e_pq)
+XI_MODELS = dict(MODELS, **{"cyclic group of order 3":
+                            lambda: cyclic_group_model(3)})
+
+
+@pytest.mark.parametrize("name", XI_MODELS)
+def test_assembled_xi_matches_symbolic_xi(name):
+    model = XI_MODELS[name]()
+    _, _, words, degrees, Z, b = stein._xi_design(model, stein.DegreeScheme(2))
+    assert len(degrees) == Z.shape[1] == model.n * len(words)
+    y, *_ = np.linalg.lstsq(Z, b, rcond=stein.RCOND)
+    ys = [y]
+    # entries at zero and on both sides of the drop rule, real and complex
+    values = np.array([0.0, 0.99e-14, 1.01e-14, -1.01e-14, 1e-16, 10.0,
+                       0.7j, 1e-14j, 0.3 - 2e-14j])
+    rng, size = np.random.default_rng(5), len(degrees)
+    for _ in range(3):
+        c = rng.choice(values, size=size) * rng.choice([1, -1], size=size)
+        c += (rng.random(size) < 0.3) * rng.normal(size=size) * (1 + 1j)
+        ys.append(c)
+    for y in ys:
+        assert stein._assemble_xi(model, words, y) == _symbolic_xi(model,
+                                                                   words, y)
+
+
+def _pauli_over_m2():
+    """M_2 generated by two Pauli matrices over B = M_2 (matrix units e_pq)."""
     mul = {(2 * p + q, 2 * r + s): ((2 * p + s, 1),) if q == r else ()
            for p, q, r, s in itertools.product(range(2), repeat=4)}
     star = [((2 * q + p, 1),) for p in range(2) for q in range(2)]
     b = BAlgebra(4, mul, star=star, unit=((0, 1), (3, 1)))
     units = [np.eye(2)[:, [p]] @ np.eye(2)[[q]] for p in range(2)
              for q in range(2)]
-    model = MatrixModel([(2, 1.0)], [[[[1, 0], [0, -1]]], [[[0, 1], [1, 0]]]],
-                        b_algebra=b, b_basis=[[e] for e in units])
+    return MatrixModel([(2, 1.0)], [[[[1, 0], [0, -1]]], [[[0, 1], [1, 0]]]],
+                       b_algebra=b, b_basis=[[e] for e in units])
+
+
+def test_gram_system_requires_scalar_b():
     with pytest.raises(StructureError, match="scalar coefficients"):
-        stein.GramSystem(model, 1)
+        stein.GramSystem(_pauli_over_m2(), 1)
 
 
 # -- the candidate design from table columns -----------------------------------
@@ -370,6 +418,37 @@ def test_matrix_table_matches_per_word_table_on_random_blocks(spec):
         assert np.max(np.abs(G - R)) <= 1e-13 * np.max(np.abs(R))
     square = model.moment_table(xs)
     assert np.array_equal(square, square.conj().T)
+
+
+def _eval_word_from_scratch(model, word):
+    """Oracle only: a word's matrix by the per-word loop the prefix cache of
+    ``MatrixModel.eval_word`` replaced."""
+    m = model.b_mats[word[0]].copy()
+    for j in range(1, len(word), 2):
+        m = m @ model.gen_mats[word[j]]
+        m = m @ model.b_mats[word[j + 1]]
+    return m
+
+
+def _check_eval_word(model, top):
+    words = stein.monomial_words(model.system, 0, top)
+    # in shuffled order words extend cached prefixes of every length; the
+    # second pass reads the cache
+    order = random.Random(3).sample(words, len(words)) + words
+    for w in order:
+        assert np.array_equal(model.eval_word(w), _eval_word_from_scratch(model,
+                                                                         w))
+
+
+def test_eval_word_matches_per_word_loop_over_b():
+    _check_eval_word(_pauli_over_m2(), 3)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(matrix_specs())
+def test_eval_word_matches_per_word_loop_on_random_blocks(spec):
+    blocks, gens, pairing, _ = spec
+    _check_eval_word(MatrixModel(blocks, gens, star_pairing=pairing), 4)
 
 
 # -- free products against the centering recursion --------------------------------

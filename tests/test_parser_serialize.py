@@ -13,7 +13,12 @@ from free_stein.parser import parse_poly, parse_poly_tuple
 from free_stein.scalars import QQi
 from free_stein.serialize import (kernel_from_json, kernel_to_json,
                                   poly_from_json, poly_to_json,
+                                  poly_tuple_from_json, poly_tuple_to_json,
                                   tensor_from_json, tensor_to_json)
+from free_stein.stein import (DegreeScheme, irregularity_bounded,
+                              irregularity_estimate)
+from free_stein.trace import (FreeProductModel, SemicircularModel,
+                              two_point_measure)
 
 S1 = GeneratorSystem(1)
 S2 = GeneratorSystem(2)
@@ -90,3 +95,16 @@ def test_roundtrip_rejects_wrong_system():
     p = T1 + T2
     with pytest.raises(StructureError):
         poly_from_json(poly_to_json(p), S1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SemicircularModel(2),
+    lambda: FreeProductModel([two_point_measure(), SemicircularModel(1)]),
+])
+def test_reported_xi_roundtrip(make):
+    model = make()
+    for rep in (irregularity_estimate(model, DegreeScheme(2)),
+                irregularity_bounded(model, DegreeScheme(2), 0.5)):
+        assert rep.xi and any(not p.is_zero for p in rep.xi)
+        text = json.dumps(poly_tuple_to_json(rep.xi))
+        assert poly_tuple_from_json(json.loads(text), model.system) == rep.xi
