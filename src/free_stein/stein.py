@@ -578,11 +578,10 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
         diagnostics={"candidates": len(degrees), "design_rank": int(rank)})
 
 
-def _candidate_gram(model: TraceModel, d_xi: int) -> np.ndarray:
-    """Gram of the design columns of :func:`_xi_design` in the L2 tuple
-    norm: ``tau(v* w) - conj(tau(v)) tau(w)`` for the candidates ``v -
-    tau(v)`` and ``w - tau(w)`` within a slot, zero across."""
-    words = monomial_words(model.system, 1, d_xi)
+def _candidate_gram(model: TraceModel, words) -> np.ndarray:
+    """Gram of the design columns of :func:`_xi_design` over its ``words``
+    in the L2 tuple norm: ``tau(v* w) - conj(tau(v)) tau(w)`` for the
+    candidates ``v - tau(v)`` and ``w - tau(w)`` within a slot, zero across."""
     G = model.moment_table([(0,)] + words)  # row 0 holds the traces tau(w)
     Qw = G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
     return np.kron(Qw, np.eye(model.n))  # candidate k * n + i is in slot i
@@ -601,7 +600,7 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
             f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
             f"2*d_xi = {need}, beyond the cap {cap}")
     _, view, words, _, Z, b = _xi_design(model, scheme)
-    qvals, qvecs = np.linalg.eigh(_candidate_gram(model, scheme.d_xi))
+    qvals, qvecs = np.linalg.eigh(_candidate_gram(model, words))
     top = float(qvals[-1]) if len(qvals) else 0.0
     keep = qvals > RCOND * max(top, 1e-300)
     T = qvecs[:, keep] / np.sqrt(qvals[keep])  # y = T u, ||xi(y)||_2 = ||u||

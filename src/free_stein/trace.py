@@ -290,20 +290,15 @@ class MatrixModel(TraceModel):
     # -- evaluation -------------------------------------------------------------
 
     def eval_word(self, word) -> np.ndarray:
-        """The matrix of a word, as ``b_0 (x_1 b_1) (x_2 b_2) ...`` multiplied
-        left to right.  The longest cached prefix is extended one letter and
-        slot at a time, and every new prefix is cached."""
-        cache, word = self._mat_cache, tuple(word)
-        k = len(word)
-        while k > 1 and word[:k] not in cache:
-            k -= 2
-        if k == 1 and word[:1] not in cache:
-            cache[word[:1]] = self.b_mats[word[0]].copy()
-        m = cache[word[:k]]
-        for j in range(k, len(word), 2):
-            m = (m @ self.gen_mats[word[j]]) @ self.b_mats[word[j + 1]]
-            cache[word[:j + 2]] = m
-        return m
+        word = tuple(word)
+        hit = self._mat_cache.get(word)
+        if hit is None:
+            m = self.b_mats[word[0]].copy()
+            for j in range(1, len(word), 2):
+                m = m @ self.gen_mats[word[j]]
+                m = m @ self.b_mats[word[j + 1]]
+            self._mat_cache[word] = hit = m
+        return hit
 
     def trace_mat(self, m: np.ndarray) -> complex:
         return complex(np.sum(self.weights * np.diag(m)))

@@ -8,8 +8,7 @@ same table, the moment tables of semicircular, measure and matrix models
 against the per-word traces they replaced (``_per_word_table``), and the
 reduced-word vectors of free products against the centering recursion they
 replaced.  The reported candidate tuples are checked against the symbolic
-candidate basis (``_symbolic_xi``), and matrix-model word evaluation against
-the per-word product loop (``_eval_word_from_scratch``).
+candidate basis (``_symbolic_xi``).
 """
 
 import itertools
@@ -162,7 +161,7 @@ def test_candidate_gram_matches_inner_l2(name):
         i, j = a % model.n, b % model.n
         if i == j:
             Q[a, b] = model.inner_l2(candidates[b][i], candidates[a][i])
-    assert np.max(np.abs(stein._candidate_gram(model, 2) - Q)) <= TOL
+    assert np.max(np.abs(stein._candidate_gram(model, words) - Q)) <= TOL
 
 
 XI_MODELS = dict(MODELS, **{"cyclic group of order 3":
@@ -189,21 +188,18 @@ def test_assembled_xi_matches_symbolic_xi(name):
                                                                    words, y)
 
 
-def _pauli_over_m2():
-    """M_2 generated by two Pauli matrices over B = M_2 (matrix units e_pq)."""
+def test_gram_system_requires_scalar_b():
+    # M_2 generated by two Pauli matrices over B = M_2 (matrix units e_pq)
     mul = {(2 * p + q, 2 * r + s): ((2 * p + s, 1),) if q == r else ()
            for p, q, r, s in itertools.product(range(2), repeat=4)}
     star = [((2 * q + p, 1),) for p in range(2) for q in range(2)]
     b = BAlgebra(4, mul, star=star, unit=((0, 1), (3, 1)))
     units = [np.eye(2)[:, [p]] @ np.eye(2)[[q]] for p in range(2)
              for q in range(2)]
-    return MatrixModel([(2, 1.0)], [[[[1, 0], [0, -1]]], [[[0, 1], [1, 0]]]],
-                       b_algebra=b, b_basis=[[e] for e in units])
-
-
-def test_gram_system_requires_scalar_b():
+    model = MatrixModel([(2, 1.0)], [[[[1, 0], [0, -1]]], [[[0, 1], [1, 0]]]],
+                        b_algebra=b, b_basis=[[e] for e in units])
     with pytest.raises(StructureError, match="scalar coefficients"):
-        stein.GramSystem(_pauli_over_m2(), 1)
+        stein.GramSystem(model, 1)
 
 
 # -- the candidate design from table columns -----------------------------------
@@ -418,37 +414,6 @@ def test_matrix_table_matches_per_word_table_on_random_blocks(spec):
         assert np.max(np.abs(G - R)) <= 1e-13 * np.max(np.abs(R))
     square = model.moment_table(xs)
     assert np.array_equal(square, square.conj().T)
-
-
-def _eval_word_from_scratch(model, word):
-    """Oracle only: a word's matrix by the per-word loop the prefix cache of
-    ``MatrixModel.eval_word`` replaced."""
-    m = model.b_mats[word[0]].copy()
-    for j in range(1, len(word), 2):
-        m = m @ model.gen_mats[word[j]]
-        m = m @ model.b_mats[word[j + 1]]
-    return m
-
-
-def _check_eval_word(model, top):
-    words = stein.monomial_words(model.system, 0, top)
-    # in shuffled order words extend cached prefixes of every length; the
-    # second pass reads the cache
-    order = random.Random(3).sample(words, len(words)) + words
-    for w in order:
-        assert np.array_equal(model.eval_word(w), _eval_word_from_scratch(model,
-                                                                         w))
-
-
-def test_eval_word_matches_per_word_loop_over_b():
-    _check_eval_word(_pauli_over_m2(), 3)
-
-
-@settings(derandomize=True, max_examples=10, deadline=None, database=None)
-@given(matrix_specs())
-def test_eval_word_matches_per_word_loop_on_random_blocks(spec):
-    blocks, gens, pairing, _ = spec
-    _check_eval_word(MatrixModel(blocks, gens, star_pairing=pairing), 4)
 
 
 # -- free products against the centering recursion --------------------------------
