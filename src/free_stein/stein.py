@@ -40,6 +40,15 @@ columns (``GramSystem.r_of_candidates``).  Candidates stay a (word, slot)
 coefficient array through the solves: column ``k * n + i`` of the design is
 ``w_k - tau(w_k)`` in slot ``i``, and the reported ``xi`` is assembled once
 per report from the solution vector, with exact coefficients.
+
+The Gram matrix and the candidate Gram are eigendecomposed block by block
+(:func:`_eigh_kept`): the connected components of their exact nonzero
+pattern are decomposed apart, one batched ``eigh`` per component size.
+Symmetric models, whose odd moments vanish, and free semicircular families,
+whose Wick words are orthogonal, split into many components (94 for
+semicircular n=3 at ``d_proj`` 4); a model without zeros is one block.  The
+kept range is cut once, at ``RCOND`` times the largest eigenvalue over all
+components, never per component.
 """
 
 from __future__ import annotations
@@ -389,18 +398,78 @@ def _gram_blocks(G: np.ndarray, n: int, start) -> np.ndarray:
     return W
 
 
+def _components(A: np.ndarray) -> np.ndarray:
+    """Connected components of the nonzero pattern of the Hermitian ``A``:
+    each row is labelled with the smallest row index of its component.
+
+    Min-label propagation with pointer jumping: every row takes the least
+    label among itself and its neighbours, then the label of its label.
+    Labels only fall and stay inside their component, and at the fixed
+    point they are constant along every edge.
+    """
+    m = len(A)
+    linked = A != 0
+    label = np.arange(m)
+    while True:
+        new = np.minimum(label, np.where(linked, label, m).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _eigh_kept(A: np.ndarray) -> tuple:
+    """Eigenpairs ``(vals, vecs)`` of the Hermitian ``A`` above the cut
+    ``RCOND`` times its largest eigenvalue, eigenvalues ascending.
+
+    Entries off the components of ``A``'s nonzero pattern are exact zeros,
+    so ``A`` is the direct sum of its components: they are decomposed
+    apart, one batched ``eigh`` per component size, and the eigenvectors
+    are scattered back into the rows of their component.  The cut is one
+    global cut over all components; a cut relative to each component's own
+    top would keep directions that are rounding next to the whole matrix.
+    """
+    m = len(A)
+    label = _components(A)
+    size = np.bincount(label, minlength=m)[label]
+    # rows by component size, then component, then index: each run of
+    # equal size reshapes to one row of indices per component
+    order = np.lexsort((label, size))
+    runs = np.flatnonzero(np.diff(size[order])) + 1
+    vals, blocks = np.empty(m), []
+    for idx in np.split(order, runs):
+        idx = idx.reshape(-1, size[idx[0]])
+        w, v = np.linalg.eigh(A[idx[:, :, None], idx[:, None, :]])
+        vals[idx] = w  # eigenpair j of a component sits at slot idx[c, j]
+        blocks.append((idx, v))
+    # scatter each eigenvector straight into the column of its sorted slot
+    order = np.argsort(vals, kind="stable")
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    vecs = np.zeros((m, m), dtype=A.dtype)
+    for idx, v in blocks:
+        vecs[idx[:, :, None], rank[idx][:, None, :]] = v
+    vals = vals[order]
+    top = float(vals[-1])
+    drop = m - int(np.count_nonzero(vals > RCOND * max(top, 1e-300)))
+    return vals[drop:], vecs[:, drop:]
+
+
 class _GramView:
     """Eigendecomposed prefix of a :class:`GramSystem` with isometric
-    coordinates on the truncated projection range."""
+    coordinates on the truncated projection range.
+
+    The prefix ``W[:k, :k]`` is decomposed block by block over the
+    components of its exact zero pattern (:func:`_eigh_kept`) under one
+    global cut, and ``cond`` is the top eigenvalue over the smallest kept
+    one.
+    """
 
     def __init__(self, W: np.ndarray, k: int):
         self.k = k
-        vals, vecs = np.linalg.eigh(W[:k, :k])
-        top = float(vals[-1]) if len(vals) else 0.0
-        keep = vals > RCOND * max(top, 1e-300)
-        self.vals = vals[keep]
-        self.vecs = vecs[:, keep]
-        self.cond = float(top / self.vals[0]) if len(self.vals) else float("inf")
+        self.vals, self.vecs = _eigh_kept(W[:k, :k])
+        self.cond = (float(self.vals[-1] / self.vals[0]) if len(self.vals)
+                     else float("inf"))
 
     def z(self, r_full: np.ndarray) -> np.ndarray:
         """Isometric coordinates of the projection, stacked over slots."""
@@ -534,14 +603,18 @@ def _xi_design(model, scheme):
 
 def _assemble_xi(model, words, y) -> tuple:
     """The candidate tuple ``xi_i = sum_k y[k * n + i] (w_k - tau(w_k))``
-    with exact coefficients; coefficients below 1e-14 in modulus are
-    dropped, and the unit term is one exact sum over the kept words."""
+    with exact coefficients, and the unit term one exact sum over the kept
+    words.  Coefficients up to ``RCOND`` times the largest in modulus are
+    dropped as rounding of the solve: scaled with ``y``, the cut stays
+    orders of magnitude above that rounding, so a last-bit change of the
+    solve does not add or remove a term."""
     n, system = model.n, model.system
+    cut = RCOND * float(np.abs(y).max())
     xi = []
     for i in range(n):
         terms, trace = {}, QQi(0)
         for w, c in zip(words, y[i::n]):
-            if abs(c) >= 1e-14:
+            if abs(c) > cut:
                 c = QQi.of(complex(c))
                 terms[w] = c
                 trace = trace + c * QQi.of(model.trace_word(w))
@@ -600,10 +673,8 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
             f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
             f"2*d_xi = {need}, beyond the cap {cap}")
     _, view, words, _, Z, b = _xi_design(model, scheme)
-    qvals, qvecs = np.linalg.eigh(_candidate_gram(model, words))
-    top = float(qvals[-1]) if len(qvals) else 0.0
-    keep = qvals > RCOND * max(top, 1e-300)
-    T = qvecs[:, keep] / np.sqrt(qvals[keep])  # y = T u, ||xi(y)||_2 = ||u||
+    qvals, qvecs = _eigh_kept(_candidate_gram(model, words))
+    T = qvecs / np.sqrt(qvals)  # y = T u, ||xi(y)||_2 = ||u||
     U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     svkeep = sv > RCOND * (sv[0] if len(sv) else 1.0)
     U, sv, Vh = U[:, svkeep], sv[svkeep], Vh[svkeep]

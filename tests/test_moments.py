@@ -137,15 +137,16 @@ def _symbolic_xi(model, words, y):
     """Oracle only: the candidate tuple of the coefficient vector ``y`` over
     the design columns (word k, slot i at ``k * n + i``), built as the
     symbolic basis it replaced: ``model.centered`` of each word, scaled by
-    its coefficient and summed, coefficients below 1e-14 in modulus
-    dropped."""
+    its coefficient and summed, coefficients up to ``RCOND`` times the
+    largest in modulus dropped."""
     system, n = model.system, model.n
+    cut = stein.RCOND * max(abs(c) for c in y)
     xi = [NCPoly.zero(system) for _ in range(n)]
     for k, w in enumerate(words):
         cand = model.centered(NCPoly.from_word(system, w))
         for i in range(n):
             c = y[k * n + i]
-            if abs(c) >= 1e-14:
+            if abs(c) > cut:
                 xi[i] = xi[i] + cand * QQi.of(complex(c))
     return tuple(xi)
 
@@ -176,16 +177,31 @@ def test_assembled_xi_matches_symbolic_xi(name):
     y, *_ = np.linalg.lstsq(Z, b, rcond=stein.RCOND)
     ys = [y]
     # entries at zero and on both sides of the drop rule, real and complex
-    values = np.array([0.0, 0.99e-14, 1.01e-14, -1.01e-14, 1e-16, 10.0,
-                       0.7j, 1e-14j, 0.3 - 2e-14j])
+    values = np.array([0.0, 0.99, 1.01, -1.01, 1e-6, 10.0, 0.7e10j, 1j,
+                       0.3e10 - 2j])
     rng, size = np.random.default_rng(5), len(degrees)
     for _ in range(3):
         c = rng.choice(values, size=size) * rng.choice([1, -1], size=size)
         c += (rng.random(size) < 0.3) * rng.normal(size=size) * (1 + 1j)
+        c[0] = 1e10  # the largest modulus: the cut is RCOND * 1e10 = 1
         ys.append(c)
     for y in ys:
         assert stein._assemble_xi(model, words, y) == _symbolic_xi(model,
                                                                    words, y)
+
+
+def test_assembled_xi_drop_rule_is_relative():
+    # rounding of a solve is relative to y: its terms are dropped and the
+    # true terms kept at every scale of y
+    model = SemicircularModel(2)
+    words = stein.monomial_words(model.system, 1, 2)
+    y = np.zeros(model.n * len(words))
+    y[[0, 3, 11]] = 1.0, -0.25, 0.5  # t1 in slot 0; t2, t2 t2 in slot 1
+    y[[4, 7]] = 3e-16, -2e-17
+    expected = [{(0, 0, 0)}, {(0, 1, 0), (0, 1, 0, 1, 0), (0,)}]
+    for scale in (1e-20, 1.0, 1e20):
+        xi = stein._assemble_xi(model, words, scale * y)
+        assert [set(p.terms) for p in xi] == expected
 
 
 def test_gram_system_requires_scalar_b():

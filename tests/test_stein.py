@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,9 +26,10 @@ from free_stein.stein import (DegreeScheme, GramSystem, adjoint_action,
                               irregularity_estimate, join_free_factors,
                               monomial_words, radius_sweep, sigma_exact_fd,
                               solve_adjoint_fd)
-from free_stein.trace import (MatrixModel, SemicircularModel,
-                              cyclic_group_model, diagonal_matrix_model,
-                              two_point_matrix_model, two_point_measure)
+from free_stein.trace import (FreeProductModel, MatrixModel,
+                              SemicircularModel, cyclic_group_model,
+                              diagonal_matrix_model, two_point_matrix_model,
+                              two_point_measure)
 
 
 # -- degree scheme and basis -----------------------------------------------------
@@ -61,6 +63,125 @@ def test_gram_view_projects_identity_exactly(twopoint_matrix):
     # the identity kernel lies in the range, so projecting changes nothing
     assert abs(np.linalg.norm(view.z(r1)) - 1.0) < 1e-12
     assert view.cond >= 1.0
+
+
+# -- the split eigendecomposition ---------------------------------------------------
+
+
+def _gram(make_model, d_proj):
+    return lambda: GramSystem(make_model(), d_proj).W
+
+
+def _free_product():
+    return FreeProductModel([two_point_measure(), SemicircularModel(1)])
+
+
+def _random_spd():
+    x = np.random.default_rng(3).normal(size=(40, 40))
+    return x @ x.T
+
+
+def _candidate_gram_semicircular2():
+    model = SemicircularModel(2)
+    return stein._candidate_gram(model, monomial_words(model.system, 1, 3))
+
+
+# the Grams of the benchmark's library estimates and CLI reports, a complex
+# Gram with one component, a candidate Gram kron(Qw, I_n) and a dense matrix
+SPLIT_MATRICES = {
+    "semicircular n=3, d_proj=4": _gram(lambda: SemicircularModel(3), 4),
+    "semicircular n=2, d_proj=5": _gram(lambda: SemicircularModel(2), 5),
+    "semicircular n=2, d_proj=4": _gram(lambda: SemicircularModel(2), 4),
+    "semicircular n=1, d_proj=5": _gram(lambda: SemicircularModel(1), 5),
+    "two-point * semicircular, d_proj=5": _gram(_free_product, 5),
+    "cyclic group of order 3, d_proj=4":
+        _gram(lambda: cyclic_group_model(3), 4),
+    "candidate Gram, semicircular n=2, d_xi=3": _candidate_gram_semicircular2,
+    "random dense SPD": _random_spd,
+}
+
+
+def _bfs_components(A):
+    """Oracle: component labels by breadth-first search over ``A != 0``,
+    each the smallest row index of its component."""
+    label = [-1] * len(A)
+    for root in range(len(A)):
+        if label[root] >= 0:
+            continue
+        label[root], queue = root, [root]
+        while queue:
+            i = queue.pop()
+            for j in np.flatnonzero(A[i]):
+                if label[j] < 0:
+                    label[j] = root
+                    queue.append(j)
+    return label
+
+
+@pytest.mark.parametrize("name", SPLIT_MATRICES)
+def test_split_eigh_matches_full_eigh(name):
+    A = SPLIT_MATRICES[name]()
+    assert stein._components(A).tolist() == _bfs_components(A)
+    vals, vecs = stein._eigh_kept(A)
+    full, full_vecs = np.linalg.eigh(A)
+    keep = full > stein.RCOND * full[-1]
+    full, full_vecs = full[keep], full_vecs[:, keep]
+    assert len(vals) == len(full) and np.all(np.diff(vals) >= 0)
+    # eigenvalues to 1e-12 of the top one: eigh resolves them to eps |A|
+    assert np.max(np.abs(vals - full)) <= 1e-12 * full[-1]
+    proj = vecs @ vecs.conj().T - full_vecs @ full_vecs.conj().T
+    assert np.max(np.abs(proj)) <= 1e-12
+    cond, full_cond = vals[-1] / vals[0], full[-1] / full[0]
+    assert abs(cond / full_cond - 1) <= 1e-10
+
+
+def test_split_components_of_structured_grams():
+    labels = stein._components(GramSystem(SemicircularModel(3), 4).W)
+    sizes = np.bincount(np.unique(labels, return_inverse=True)[1])
+    assert len(sizes) == 94 and sizes.max() == 35
+    # kron(Qw, I_n) never links two slots
+    labels = stein._components(_candidate_gram_semicircular2())
+    assert not set(labels[0::2]) & set(labels[1::2])
+    # no zero pattern: one block, decomposed as the whole matrix
+    for make in (_gram(lambda: cyclic_group_model(3), 4), _random_spd):
+        A = make()
+        assert set(stein._components(A)) == {0}
+        vals, vecs = stein._eigh_kept(A)
+        full, full_vecs = np.linalg.eigh(A)
+        keep = full > stein.RCOND * full[-1]
+        assert np.array_equal(vals, full[keep])
+        assert np.array_equal(vecs, full_vecs[:, keep])
+
+
+def test_split_eigh_cuts_globally():
+    # two components, each dense: the second one's small eigenvalue is
+    # under RCOND times the global top but far over its own top's cut
+    rot = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    small = rot @ np.diag([0.5e-10, 1e-3]) @ rot.T
+    A = np.zeros((4, 4))
+    A[np.ix_([0, 2], [0, 2])] = rot @ np.diag([1.0, 0.5]) @ rot.T
+    A[np.ix_([1, 3], [1, 3])] = small
+    assert stein._components(A).tolist() == [0, 1, 0, 1]
+    vals, vecs = stein._eigh_kept(A)
+    assert vecs.shape == (4, 3)
+    assert np.allclose(vals, [1e-3, 0.5, 1.0], rtol=1e-12, atol=0)
+    block = np.linalg.eigvalsh(small)
+    assert np.sum(block > stein.RCOND * block[-1]) == 2  # a per-block cut
+
+
+def test_semicircular_gram_is_fock_factorization():
+    # The free difference quotient of the Wick word W_u (W_u Omega = e_u)
+    # is the sum of its splits into Wick words, so <d W_u, d W_v> = len(u)
+    # when u = v and 0 otherwise: W = L N L^T with L the non-vacuum Fock
+    # coordinates of the basis words and N the Fock lengths.
+    for n, d_proj in ((1, 5), (2, 5), (3, 4)):
+        model = SemicircularModel(n)
+        gs = GramSystem(model, d_proj)
+        depth = d_proj + 1
+        L = model._fock_vectors([w[1::2] for w in gs.words], depth)[:, 1:]
+        lengths = [len(u) for k in range(1, depth + 1)
+                   for u in itertools.product(range(n), repeat=k)]
+        assert np.max(np.abs(gs.W - (L * lengths) @ L.T)) == 0.0
 
 
 # -- discrepancy ---------------------------------------------------------------------
