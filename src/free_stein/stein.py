@@ -757,9 +757,11 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
     evaluations (D x words) and ``S`` the split coordinates (words x n*D*D),
     the relation rows ``c^T S`` over ``E c = 0`` span the row space of
     ``(I - V^T conj(V)) S``, where ``V`` holds the top right singular vectors
-    of ``E``.  That space has dimension at most n*D*D whatever the number of
-    relations; translates are linear in the row, so the sharp translates of
-    its orthonormal basis span the same module as those of every relation.
+    of ``E``.  Translates are linear in the row, so the sharp translates of
+    the rows of that projected stack ``R`` span the same module as those of
+    every relation.  A stack taller than its n*D*D columns is first
+    replaced by its R factor ``qr(R, "r")``: ``M_ij(Q T) = (Q (x) I)
+    M_ij(T)`` with ``Q`` orthonormal, so the translate singular values stay.
 
     On the block pair (i, j) of ``A = (+) M_{k_i}`` that module is
     ``C^{k_i k_j} (x) span(M_ij)`` (see ``MatrixCoordinates.sharp_translates``),
@@ -768,10 +770,13 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
 
         sigma_d = n - sum_{(i, j)} lambda_i lambda_j / (k_i k_j) rank(M_ij).
 
-    The ranks count singular values above one global cut, ``RCOND`` times
-    the largest singular value over all block pairs: the cut of the stacked
-    translates, whose singular values are those of the ``M_ij``, each
-    repeated ``k_i k_j`` times.
+    The ranks count singular values above one global cut over all block
+    pairs, never a cut per pair: ``RCOND`` times the larger of the top
+    translate singular value and ``c_max * |S_k|_F``, with ``c_max`` the
+    largest block-pair scale ``c_i c_j`` of the coordinates.  The second term
+    is the floor of the projection's rounding, which is of the size of
+    ``S_k``: without relations, or with only vanishing relation rows, ``R``
+    is that rounding and every rank is 0.
     """
     if not isinstance(model, MatrixModel):
         raise ModelError("exact mode requires a finite-dimensional matrix model")
@@ -783,6 +788,7 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
     n, D = model.n, coords.D
     # block pairs grouped by shape, so each group is one batched SVD
     groups = {}
+    c_max = max(c for _, _, c in coords.blocks) ** 2
     for i, (ki, li) in enumerate(model.blocks):
         for j, (kj, lj) in enumerate(model.blocks):
             groups.setdefault((ki, kj), []).append((i, j, li * lj / (ki * kj)))
@@ -793,18 +799,18 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
         rank = int(np.sum(s > RCOND * s[0]))
         V, Sk = vh[:rank], S[:k]
         R = Sk - V.T @ (V.conj() @ Sk)
-        # the projection leaves rounding of the size of S, not of R: without
-        # relations, or with only vanishing relation rows, R is that rounding
-        _, s1, vh1 = np.linalg.svd(R, full_matrices=False)
-        basis = vh1[s1 > RCOND * np.linalg.norm(Sk)]
-        if not len(basis):
-            return float(n), 0.0, k - rank
-        rows = basis.reshape(-1, n, D, D)
+        if R.shape[0] > R.shape[1]:
+            R = np.linalg.qr(R, mode="r")
+        rows = R.reshape(-1, n, D, D)
         svals = [np.linalg.svd(np.stack([coords.sharp_translates(rows, i, j)
                                          for i, j, _ in pairs]),
                                compute_uv=False)
                  for pairs in groups.values()]
-        cut = RCOND * max(float(s[:, 0].max()) for s in svals)
+        # the projection leaves rounding of the size of S, not of R: without
+        # relations, or with only vanishing relation rows, R is that rounding,
+        # and the floor c_max |S_k| keeps its translates out of the ranks
+        top = max(float(s[:, 0].max()) for s in svals)
+        cut = RCOND * max(top, c_max * np.linalg.norm(Sk))
         sig2 = sum(w * int(np.sum(s > cut))
                    for pairs, sv in zip(groups.values(), svals)
                    for (_, _, w), s in zip(pairs, sv))

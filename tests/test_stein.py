@@ -1,3 +1,4 @@
+import bisect
 import contextlib
 import io
 import itertools
@@ -549,6 +550,50 @@ def _sigma_exact_fd_reference(model, d):
     return trail, relations
 
 
+def _projected_stacks(model, d):
+    """Oracle only: per degree ``dd`` up to ``d``, the projected relation
+    stack ``R = S_k - V^T (conj(V) S_k)`` of the words of degree up to
+    ``2 (dd + 1) + 1``, with ``S_k`` and the relation count."""
+    words, E, S = stein._word_table(model, d, extra=1)
+    for dd in range(1, d + 1):
+        k = bisect.bisect_right(words, 2 * (dd + 1) + 1, key=len)
+        _, s, vh = np.linalg.svd(E[:, :k], full_matrices=False)
+        rank = int(np.sum(s > stein.RCOND * s[0]))
+        V, Sk = vh[:rank], S[:k]
+        yield dd, Sk - V.T @ (V.conj() @ Sk), Sk, k - rank
+
+
+def _sigma_exact_fd_basis_reference(model, d):
+    """Oracle only: the two-stage relation projection, an orthonormal basis
+    of the row space of the projected stack (a thin SVD cut at ``RCOND`` times
+    the norm of ``S_k``), then the block-pair translates of that basis cut at
+    ``RCOND`` times their largest singular value."""
+    coords = MatrixCoordinates(model)
+    n, D = model.n, coords.D
+    groups = {}
+    for i, (ki, li) in enumerate(model.blocks):
+        for j, (kj, lj) in enumerate(model.blocks):
+            groups.setdefault((ki, kj), []).append((i, j, li * lj / (ki * kj)))
+    trail = []
+    for dd, R, Sk, relations in _projected_stacks(model, d):
+        _, s1, vh1 = np.linalg.svd(R, full_matrices=False)
+        basis = vh1[s1 > stein.RCOND * np.linalg.norm(Sk)]
+        if not len(basis):
+            trail.append((dd, float(n)))
+            continue
+        rows = basis.reshape(-1, n, D, D)
+        svals = [np.linalg.svd(np.stack([coords.sharp_translates(rows, i, j)
+                                         for i, j, _ in pairs]),
+                               compute_uv=False)
+                 for pairs in groups.values()]
+        cut = stein.RCOND * max(float(s[:, 0].max()) for s in svals)
+        sig2 = sum(w * int(np.sum(s > cut))
+                   for pairs, sv in zip(groups.values(), svals)
+                   for (_, _, w), s in zip(pairs, sv))
+        trail.append((dd, n - sig2))
+    return trail, relations
+
+
 def _m2_plus_c():
     return MatrixModel([(2, 2 / 3), (1, 1 / 3)], [[SZ, [[1.0]]], [SX, [[0.0]]]])
 
@@ -606,6 +651,65 @@ def test_sigma_exact_matches_null_basis_reference(name):
     assert rep.diagnostics["relations"] == relations
 
 
+@pytest.mark.parametrize("name", EXACT_FD_CASES)
+def test_sigma_exact_matches_basis_reference(name):
+    make, d = EXACT_FD_CASES[name]
+    rep = sigma_exact_fd(make(), d=d)
+    got = rep.trail, rep.diagnostics["relations"]
+    assert got == _sigma_exact_fd_basis_reference(make(), d)
+
+
+@pytest.mark.parametrize("make, d", [
+    (lambda: MatrixModel([(2, 1.0)], [[SZ], [SX]]), 4), (m2_over_m2, 2)],
+    ids=["M_2", "M_2 over B = M_2"])
+def test_r_factor_keeps_translate_singular_values(make, d):
+    # M_ij(Q T) = (Q (x) I) M_ij(T) with Q orthonormal: the R factor of a
+    # tall stack has the stack's translate singular values
+    model = make()
+    coords = MatrixCoordinates(model)
+    n, D = model.n, coords.D
+    *_, (_, R, _, _) = _projected_stacks(model, d)
+    assert R.shape[0] > R.shape[1] == n * D * D
+    T = np.linalg.qr(R, mode="r")
+    assert T.shape == (n * D * D, n * D * D)
+    for i in range(len(model.blocks)):
+        for j in range(len(model.blocks)):
+            want, got = (np.linalg.svd(coords.sharp_translates(
+                X.reshape(-1, n, D, D), i, j), compute_uv=False)
+                for X in (R, T))
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+
+
+@pytest.mark.parametrize("make, d", [
+    (_vanishing_idempotent, 2),
+    (lambda: diagonal_matrix_model([-1.0, 0.0, 1.0], [1 / 3] * 3), 1)],
+    ids=["vanishing B idempotent", "three-point"])
+def test_sigma_exact_floor_without_relation_rows(make, d):
+    # no relations, or only relations whose rows vanish: the projected stack
+    # is nonzero rounding of the size of S_k, and the cut's floor
+    # RCOND * c_max * |S_k| keeps all of it out of the ranks
+    model = make()
+    for dd, R, Sk, _ in _projected_stacks(model, d):
+        assert 0 < np.abs(R).max() < 1e-12 * np.linalg.norm(Sk)
+    rep = sigma_exact_fd(model, d=d)
+    assert [v for _, v in rep.trail] == [float(model.n)] * d
+    assert rep.irregularity == 0.0
+
+
+def test_sigma_exact_near_commuting_generators():
+    # two nearly commuting generators of M_2: the degree-2 relation rows have
+    # sizes 6.1 down to 5.6e-5, and an orthonormal basis of them (the basis
+    # reference) lifts the rounding of the smallest to 2.8e-10 of the top
+    # translate singular value, above the cut: one multiplicity rank too
+    # many, 0.5 at dd=2.  Ranked at their own sizes the rows leave 1.4e-14
+    # there, and sigma is 3/4 at every degree
+    model = MatrixModel([(2, 1.0)], [[[[4.3, 0.54], [0.54, 1.13]]],
+                                     [[[0.79, -0.04], [-0.04, 1.13]]]])
+    rep = sigma_exact_fd(model, d=3)
+    want = float(fd_sigma(model.blocks))
+    assert all(abs(v - want) < 1e-12 for _, v in rep.trail)
+
+
 def test_block_pair_translates_match_full_stack():
     # the full translates are I_{k_i k_j} (x) M_ij on each block pair: their
     # singular values are those of the M_ij, each repeated k_i k_j times
@@ -629,8 +733,8 @@ def test_block_pair_translates_match_full_stack():
 
 
 def test_sigma_exact_translates_at_most_basis_rows(monkeypatch):
-    # the relation rows are reduced to an orthonormal basis of at most
-    # n*D*D rows per degree, and each basis row gives k*k multiplicity rows
+    # a projected relation stack taller than n*D*D rows is reduced to its R
+    # factor of n*D*D rows, and each of its rows gives k*k multiplicity rows
     # on the one block pair: 2 degrees * 32 rows * 2*2
     counted = []
     raw = MatrixCoordinates.sharp_translates
@@ -719,6 +823,15 @@ def test_sigma_exact_matches_fd_sigma_on_random_blocks(spec):
     assert abs(rep.sigma - float(fd_sigma(blocks))) < 1e-9
     vals = [v for _, v in rep.trail]
     assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(block_models())
+def test_sigma_exact_matches_basis_reference_on_random_blocks(spec):
+    model = MatrixModel(*spec)
+    rep = sigma_exact_fd(model, d=3)
+    got = rep.trail, rep.diagnostics["relations"]
+    assert got == _sigma_exact_fd_basis_reference(model, 3)
 
 
 def test_sigma_exact_requires_matrix_model(semicircular1):
