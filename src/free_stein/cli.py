@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -73,6 +74,13 @@ def _check_condition(args, report) -> int:
     return EXIT_OK
 
 
+def _sweep_condition(args, conditions) -> int:
+    """Exit code of a sweep: 3 when any point's Gram condition exceeds the limit."""
+    if any(cond > args.cond_limit for cond in conditions):
+        return EXIT_DIAGNOSTIC
+    return EXIT_OK
+
+
 def _radii(text):
     out = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     if not out:
@@ -111,8 +119,7 @@ def _cmd_bounded(args) -> int:
         _write_csv(args.csv, [(r, rep.value,
                                f"boundary={rep.diagnostics.get('boundary')}")
                               for r, rep in sweep])
-    worst = max(rep.gram_condition for _, rep in sweep)
-    return EXIT_DIAGNOSTIC if worst > args.cond_limit else EXIT_OK
+    return _sweep_condition(args, (rep.gram_condition for _, rep in sweep))
 
 
 def _cmd_sigma_exact(args) -> int:
@@ -149,7 +156,7 @@ def _cmd_sweep_degree(args) -> int:
                        "points": points})
     if args.csv:
         _write_csv(args.csv, rows)
-    return EXIT_OK
+    return _sweep_condition(args, (p["gram_condition"] for p in points))
 
 
 def _cmd_alpha(args) -> int:
@@ -159,7 +166,7 @@ def _cmd_alpha(args) -> int:
     payload = rep.to_json()
     payload["sweep"] = [[r, s.value] for r, s in sweep]
     _write_json(args, payload)
-    return EXIT_OK
+    return _sweep_condition(args, (s.gram_condition for _, s in sweep))
 
 
 def _cmd_closed_form(args) -> int:
@@ -242,7 +249,9 @@ def _cmd_closed_form(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing never mutates it."""
     ap = argparse.ArgumentParser(
         prog="free-stein",
         description="Stein discrepancy, irregularity and dimension of "

@@ -77,8 +77,8 @@ class BAlgebra:
 
     @staticmethod
     def scalar() -> "BAlgebra":
-        """The trivial coefficient algebra B = C."""
-        return BAlgebra(1, {(0, 0): ((0, ONE),)})
+        """The trivial coefficient algebra B = C, built and validated once."""
+        return _SCALAR_B
 
     def _combo_mul(self, a, b):
         acc = {}
@@ -123,6 +123,10 @@ class BAlgebra:
 
     def __hash__(self):
         return hash((self.dim, self.unit))
+
+
+# nothing mutates a BAlgebra, so every scalar system shares this instance
+_SCALAR_B = BAlgebra(1, {(0, 0): ((0, ONE),)})
 
 
 class GeneratorSystem:

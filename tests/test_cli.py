@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from free_stein.cli import main
+from free_stein.cli import build_parser, main
 
 SEMI1 = {"type": "semicircular", "n": 1}
 SEMI2 = {"type": "semicircular", "n": 2}
@@ -200,6 +200,49 @@ def test_diagnostic_exit_code(specs, tmp_path):
     # partial output still written
     data = json.loads(out.read_text())
     assert abs(data["sigma"] - 0.5) < 1e-6
+
+
+def test_sweeps_honour_cond_limit(specs, tmp_path):
+    # the two-point Gram conditions are about 58: every sweep exits 3 at a
+    # limit of 1 and still writes its report (and CSV)
+    out = tmp_path / "deg.json"
+    csv_path = tmp_path / "deg.csv"
+    code = run(["sweep-degree", "--model", specs["twopoint"], "--dxi-max", "2",
+                "--cond-limit", "1.0", "--out", str(out),
+                "--csv", str(csv_path)])
+    assert code == 3
+    points = json.loads(out.read_text())["points"]
+    assert all(50 < p["gram_condition"] < 70 for p in points)
+    assert abs(points[-1]["sigma"] - 0.5) < 1e-6
+    assert len(csv_path.read_text().splitlines()) == 3
+    out = tmp_path / "alpha.json"
+    code = run(["alpha", "--model", specs["twopoint"], "--dxi", "2",
+                "--radii", "0.5,1,1.5,2", "--cond-limit", "1.0",
+                "--out", str(out)])
+    assert code == 3
+    assert len(json.loads(out.read_text())["sweep"]) == 4
+
+
+def test_parser_is_shared_across_calls(specs, tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    # a usage error and --help leave the shared parser usable
+    assert run(["irregularity"]) == 2
+    assert "--model" in capsys.readouterr().err
+    assert run(["--help"]) == 0
+    assert "sweep-radius" in capsys.readouterr().out
+    # no option value leaks into the next parse
+    out = tmp_path / "irr.json"
+    base = ["irregularity", "--model", specs["twopoint"], "--out", str(out)]
+    assert run(base + ["--dxi", "3"]) == 0
+    assert json.loads(out.read_text())["scheme"]["d_xi"] == 3
+    assert run(base) == 0
+    assert json.loads(out.read_text())["scheme"] == {"d_proj": 4, "d_xi": 2}
+    # the cap is read when the model loads, not when the parser is built
+    monkeypatch.setenv("FREE_STEIN_CAP", "6")
+    assert run(base) == 2
+    assert "beyond the cap 6" in capsys.readouterr().err
+    monkeypatch.delenv("FREE_STEIN_CAP")
+    assert run(base) == 0
 
 
 def test_env_cap_override(specs, tmp_path, monkeypatch):

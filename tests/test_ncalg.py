@@ -306,3 +306,10 @@ def test_invalid_b_algebra_rejected():
 def test_invalid_star_pairing():
     with pytest.raises(StructureError):
         GeneratorSystem(3, star_pairing=(1, 2, 0))
+
+
+def test_scalar_b_algebra_is_built_once():
+    b = BAlgebra.scalar()
+    assert BAlgebra.scalar() is b
+    assert b == BAlgebra(1, {(0, 0): ((0, 1),)})
+    assert GeneratorSystem(2).b is b
