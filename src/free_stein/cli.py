@@ -21,7 +21,7 @@ from .closedform import (CompressedGeneratorSpec, GraphSpec,
                          compressed_semicircular_sigma, eps_kernel, fd_sigma,
                          finite_group_sigma, graph_sigma, group_sigma,
                          log_energy, one_var_sigma, staircase_energy_trail)
-from .errors import FreeSteinError, ParseError
+from .errors import FreeSteinError, ModelError, ParseError
 from .parser import parse_poly_tuple
 from .stein import (DegreeScheme, alpha_estimate, conjugate_variable_check,
                     discrepancy, irregularity_estimate,
@@ -33,13 +33,14 @@ EXIT_VALIDATION = 2
 EXIT_DIAGNOSTIC = 3
 
 
-def _write_json(args, payload) -> None:
+def _write_json(args, payload) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return EXIT_OK
 
 
 def _write_csv(path, rows) -> None:
@@ -55,7 +56,7 @@ def _scheme(args, default_dxi=2) -> DegreeScheme:
 
 
 def _parse_xi(args, model):
-    if getattr(args, "xi_file", None):
+    if args.xi_file:
         with open(args.xi_file, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -65,20 +66,19 @@ def _parse_xi(args, model):
     return parse_poly_tuple(text, model.system)
 
 
-def _check_condition(args, report) -> int:
-    cond = getattr(report, "gram_condition", float("nan"))
-    if cond == cond and cond > args.cond_limit:
-        print(f"warning: Gram condition {cond:.3e} exceeds limit "
-              f"{args.cond_limit:.1e}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    return EXIT_OK
-
-
-def _sweep_condition(args, conditions) -> int:
-    """Exit code of a sweep: 3 when any point's Gram condition exceeds the limit."""
-    if any(cond > args.cond_limit for cond in conditions):
-        return EXIT_DIAGNOSTIC
-    return EXIT_OK
+def _check_condition(args, points) -> int:
+    """Exit code of a report over its ``(label, condition)`` points: 3 when
+    any Gram condition exceeds ``--cond-limit``, with one warning per such
+    point.  ``label`` names a sweep point (``radius=0.5``, ``d_xi=1``); the
+    one point of a single report has the label ``None``."""
+    code = EXIT_OK
+    for label, cond in points:
+        if cond > args.cond_limit:
+            at = f" at {label}" if label else ""
+            print(f"warning: Gram condition {cond:.3e}{at} exceeds limit "
+                  f"{args.cond_limit:.1e}", file=sys.stderr)
+            code = EXIT_DIAGNOSTIC
+    return code
 
 
 def _radii(text):
@@ -88,28 +88,48 @@ def _radii(text):
     return out
 
 
+def _fields(text, form, last=None):
+    """The nonempty comma-separated tokens of ``text``, each split at ``:``
+    into as many fields as ``form`` has, the last one of the words ``last``
+    when given; a ValueError names a bad token."""
+    rows = [tok.split(":") for tok in text.split(",") if tok.strip()]
+    for row in rows:
+        if len(row) != form.count(":") + 1 or \
+                (last is not None and row[-1].strip() not in last):
+            raise ValueError(f"bad token {':'.join(row)!r}: expected {form}")
+    return rows
+
+
+def _load(args, kind=None, noun=""):
+    """The model of ``--model``; with ``kind``, an instance of that class or
+    an error naming the command and the ``noun`` of the model it needs."""
+    model = load_model(args.model, cap=args.cap)
+    if kind is not None and not isinstance(model, kind):
+        name = getattr(args, "form", args.command)
+        raise FreeSteinError(f"{name} needs a {noun} model")
+    return model
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_discrepancy(args) -> int:
-    model = load_model(args.model, cap=args.cap)
+    model = _load(args)
     xi = _parse_xi(args, model)
     default_dxi = max(1, max((p.degree() for p in xi), default=1))
     rep = discrepancy(model, xi, _scheme(args, default_dxi))
     _write_json(args, rep.to_json())
-    return _check_condition(args, rep)
+    return _check_condition(args, [(None, rep.gram_condition)])
 
 
 def _cmd_irregularity(args) -> int:
-    model = load_model(args.model, cap=args.cap)
-    rep = irregularity_estimate(model, _scheme(args))
+    rep = irregularity_estimate(_load(args), _scheme(args))
     _write_json(args, rep.to_json())
-    return _check_condition(args, rep)
+    return _check_condition(args, [(None, rep.gram_condition)])
 
 
 def _cmd_bounded(args) -> int:
-    model = load_model(args.model, cap=args.cap)
-    sweep = radius_sweep(model, _scheme(args), _radii(args.radii))
+    sweep = radius_sweep(_load(args), _scheme(args), _radii(args.radii))
     payload = {"schema": "free-stein/1", "kind": "bounded-sweep",
                "points": [{"radius": r, "value": rep.value,
                            "diagnostics": rep.diagnostics}
@@ -119,28 +139,23 @@ def _cmd_bounded(args) -> int:
         _write_csv(args.csv, [(r, rep.value,
                                f"boundary={rep.diagnostics.get('boundary')}")
                               for r, rep in sweep])
-    return _sweep_condition(args, (rep.gram_condition for _, rep in sweep))
+    return _check_condition(args, [(f"radius={r:g}", rep.gram_condition)
+                                   for r, rep in sweep])
 
 
 def _cmd_sigma_exact(args) -> int:
-    model = load_model(args.model, cap=args.cap)
-    if not isinstance(model, MatrixModel):
-        raise FreeSteinError("sigma-exact needs a matrix model")
-    rep = sigma_exact_fd(model, d=args.d)
-    _write_json(args, rep.to_json())
-    return EXIT_OK
+    rep = sigma_exact_fd(_load(args, MatrixModel, "matrix"), d=args.d)
+    return _write_json(args, rep.to_json())
 
 
 def _cmd_conjugate(args) -> int:
-    model = load_model(args.model, cap=args.cap)
-    xi = _parse_xi(args, model)
-    rep = conjugate_variable_check(model, xi, d=args.d)
-    _write_json(args, rep.to_json())
-    return EXIT_OK
+    model = _load(args)
+    rep = conjugate_variable_check(model, _parse_xi(args, model), d=args.d)
+    return _write_json(args, rep.to_json())
 
 
 def _cmd_sweep_degree(args) -> int:
-    model = load_model(args.model, cap=args.cap)
+    model = _load(args)
     rows = []
     points = []
     for dxi in range(1, args.dxi_max + 1):
@@ -156,94 +171,90 @@ def _cmd_sweep_degree(args) -> int:
                        "points": points})
     if args.csv:
         _write_csv(args.csv, rows)
-    return _sweep_condition(args, (p["gram_condition"] for p in points))
+    return _check_condition(args, [(f"d_xi={p['d_xi']}", p["gram_condition"])
+                                   for p in points])
 
 
 def _cmd_alpha(args) -> int:
-    model = load_model(args.model, cap=args.cap)
-    sweep = radius_sweep(model, _scheme(args), _radii(args.radii))
-    rep = alpha_estimate([(r, s.value) for r, s in sweep])
-    payload = rep.to_json()
+    sweep = radius_sweep(_load(args), _scheme(args), _radii(args.radii))
+    payload = alpha_estimate([(r, s.value) for r, s in sweep]).to_json()
     payload["sweep"] = [[r, s.value] for r, s in sweep]
     _write_json(args, payload)
-    return _sweep_condition(args, (s.gram_condition for _, s in sweep))
+    return _check_condition(args, [(f"radius={r:g}", s.gram_condition)
+                                   for r, s in sweep])
 
 
-def _cmd_closed_form(args) -> int:
-    which = args.which
-    if which == "one-var":
-        model = load_model(args.model, cap=args.cap)
-        if not isinstance(model, MeasureModel):
-            raise FreeSteinError("one-var needs a measure model")
-        sig2, sigma = one_var_sigma(model)
-        _write_json(args, {"schema": "free-stein/1", "kind": "one-var",
-                           "irregularity_sq": float(sig2),
-                           "sigma": float(sigma)})
-        return EXIT_OK
-    if which == "fd":
-        if args.blocks:
-            blocks = [(int(k), Fraction(lam)) for k, lam in
-                      (tok.split(":") for tok in args.blocks.split(","))]
-        else:
-            model = load_model(args.model, cap=args.cap)
-            if not isinstance(model, MatrixModel):
-                raise FreeSteinError("fd needs --blocks or a matrix model")
-            blocks = model.blocks
-        sigma = fd_sigma(blocks)
-        _write_json(args, {"schema": "free-stein/1", "kind": "fd",
-                           "sigma": float(sigma), "sigma_exact": str(sigma)})
-        return EXIT_OK
-    if which == "group":
-        sigma = group_sigma(Fraction(args.beta0), Fraction(args.beta1))
-        _write_json(args, {"schema": "free-stein/1", "kind": "group",
-                           "sigma": float(sigma), "sigma_exact": str(sigma)})
-        return EXIT_OK
-    if which == "finite-group":
-        sigma = finite_group_sigma(args.order)
-        _write_json(args, {"schema": "free-stein/1", "kind": "finite-group",
-                           "sigma": float(sigma), "sigma_exact": str(sigma)})
-        return EXIT_OK
-    if which == "compressed":
-        pairs = []
-        for tok in args.pairs.split(","):
-            if not tok.strip():
-                continue
-            te, tf, mode = tok.split(":")
-            pairs.append((Fraction(te), Fraction(tf), mode.strip() == "eq"))
-        rep = compressed_semicircular_sigma(CompressedGeneratorSpec(pairs))
-        _write_json(args, rep.to_json())
-        return EXIT_OK
-    if which == "graph":
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        weights = [(v, Fraction(str(w))) for v, w in data["weights"].items()] \
-            if isinstance(data["weights"], dict) else \
-            [(v, Fraction(str(w))) for v, w in data["weights"]]
-        spec = GraphSpec(weights, data["edges"])
-        _write_json(args, graph_sigma(spec).to_json())
-        return EXIT_OK
-    if which == "eps-kernel":
-        model = load_model(args.model, cap=args.cap)
-        if not isinstance(model, MeasureModel):
-            raise FreeSteinError("eps-kernel needs a measure model")
-        rep = eps_kernel(model, args.eps, grid_points=args.grid)
-        _write_json(args, rep.to_json())
-        return EXIT_OK
-    if which == "log-energy":
-        model = load_model(args.model, cap=args.cap)
-        if not isinstance(model, MeasureModel):
-            raise FreeSteinError("log-energy needs a measure model")
-        val = log_energy(model, level=args.level)
-        _write_json(args, {"schema": "free-stein/1", "kind": "log-energy",
-                           "value": val if val == val and abs(val) != float("inf")
-                           else "-inf", "finite": abs(val) != float("inf")})
-        return EXIT_OK
-    if which == "staircase":
-        trail = staircase_energy_trail(args.levels)
-        _write_json(args, {"schema": "free-stein/1", "kind": "staircase",
-                           "trail": [[k, float(v)] for k, v in trail]})
-        return EXIT_OK
-    raise FreeSteinError(f"unknown closed form {which!r}")
+# -- closed forms, one handler each --------------------------------------------
+
+
+def _exact_sigma(args, sigma) -> int:
+    return _write_json(args, {"schema": "free-stein/1", "kind": args.form,
+                              "sigma": float(sigma), "sigma_exact": str(sigma)})
+
+
+def _cf_one_var(args) -> int:
+    sig2, sigma = one_var_sigma(_load(args, MeasureModel, "measure"))
+    return _write_json(args, {"schema": "free-stein/1", "kind": "one-var",
+                              "irregularity_sq": float(sig2),
+                              "sigma": float(sigma)})
+
+
+def _cf_fd(args) -> int:
+    if args.model is not None:
+        blocks = _load(args, MatrixModel, "matrix").blocks
+    else:
+        blocks = [(int(k), Fraction(lam))
+                  for k, lam in _fields(args.blocks, "size:weight")]
+    return _exact_sigma(args, fd_sigma(blocks))
+
+
+def _cf_group(args) -> int:
+    return _exact_sigma(args, group_sigma(Fraction(args.beta0),
+                                          Fraction(args.beta1)))
+
+
+def _cf_finite_group(args) -> int:
+    return _exact_sigma(args, finite_group_sigma(args.order))
+
+
+def _cf_compressed(args) -> int:
+    pairs = [(Fraction(te), Fraction(tf), mode.strip() == "eq")
+             for te, tf, mode in _fields(args.pairs, "tau_e:tau_f:eq|orth",
+                                         last=("eq", "orth"))]
+    rep = compressed_semicircular_sigma(CompressedGeneratorSpec(pairs))
+    return _write_json(args, rep.to_json())
+
+
+def _cf_graph(args) -> int:
+    with open(args.graph, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or not {"weights", "edges"} <= data.keys():
+        raise ModelError(f"graph spec {args.graph} needs the fields "
+                         "'weights' and 'edges'")
+    weights = data["weights"]
+    weights = weights.items() if isinstance(weights, dict) else weights
+    spec = GraphSpec([(v, Fraction(str(w))) for v, w in weights], data["edges"])
+    return _write_json(args, graph_sigma(spec).to_json())
+
+
+def _cf_eps_kernel(args) -> int:
+    rep = eps_kernel(_load(args, MeasureModel, "measure"), args.eps,
+                     grid_points=args.grid)
+    return _write_json(args, rep.to_json())
+
+
+def _cf_log_energy(args) -> int:
+    val = log_energy(_load(args, MeasureModel, "measure"), level=args.level)
+    finite = abs(val) != float("inf")
+    return _write_json(args, {"schema": "free-stein/1", "kind": "log-energy",
+                              "value": val if val == val and finite else "-inf",
+                              "finite": finite})
+
+
+def _cf_staircase(args) -> int:
+    trail = staircase_energy_trail(args.levels)
+    return _write_json(args, {"schema": "free-stein/1", "kind": "staircase",
+                              "trail": [[k, float(v)] for k, v in trail]})
 
 
 # -- parser ---------------------------------------------------------------------
@@ -251,95 +262,107 @@ def _cmd_closed_form(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing never mutates it."""
+    """The CLI parser, built once per process: parsing never mutates it.
+
+    Each command and each closed form declares exactly the options its
+    handler reads: ``--model`` and ``--cap`` where a model is loaded, and
+    ``--cond-limit`` on the five commands that report a Gram condition."""
     ap = argparse.ArgumentParser(
         prog="free-stein",
         description="Stein discrepancy, irregularity and dimension of "
                     "noncommutative tuples")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="model spec JSON")
-        p.add_argument("--out", help="write the JSON report here")
+    def cap(p):
         p.add_argument("--cap", type=int, default=None,
                        help="degree cap override (also FREE_STEIN_CAP)")
-        p.add_argument("--cond-limit", type=float, default=1e12,
-                       help="Gram condition number beyond which exit code is 3")
 
-    def degrees(p):
-        p.add_argument("--dxi", type=int, default=None,
-                       help="max degree of candidate conjugate tuples")
-        p.add_argument("--dproj", type=int, default=None,
-                       help="tensor-degree bound of the projection basis "
-                            "(default dxi + 2)")
+    def command(subs, name, func, summary, model=True, gram=False,
+                degrees=False, **kw):
+        p = subs.add_parser(name, help=summary, **kw)
+        p.set_defaults(func=func)
+        if model:
+            p.add_argument("--model", required=True, help="model spec JSON")
+            cap(p)
+        p.add_argument("--out", help="write the JSON report here")
+        if gram:
+            p.add_argument("--cond-limit", type=float, default=1e12,
+                           help="Gram condition number beyond which exit "
+                                "code is 3")
+        if degrees:
+            p.add_argument("--dxi", type=int, default=None,
+                           help="max degree of candidate conjugate tuples")
+            p.add_argument("--dproj", type=int, default=None,
+                           help="tensor-degree bound of the projection basis "
+                                "(default dxi + 2)")
+        return p
 
-    p = sub.add_parser("discrepancy", help="Stein discrepancy for a given xi")
-    common(p)
-    degrees(p)
-    p.add_argument("--xi", help="xi tuple, e.g. '(t1, t2)'")
-    p.add_argument("--xi-file", help="file containing the xi tuple text")
-    p.set_defaults(func=_cmd_discrepancy)
+    def xi(p):
+        p.add_argument("--xi", help="xi tuple, e.g. '(t1, t2)'")
+        p.add_argument("--xi-file", help="file containing the xi tuple text")
 
-    p = sub.add_parser("irregularity", help="minimize the discrepancy over xi")
-    common(p)
-    degrees(p)
-    p.set_defaults(func=_cmd_irregularity)
-
-    p = sub.add_parser("bounded", aliases=["sweep-radius"],
-                       help="irregularity under a norm constraint")
-    common(p)
-    degrees(p)
+    p = command(sub, "discrepancy", _cmd_discrepancy,
+                "Stein discrepancy for a given xi", gram=True, degrees=True)
+    xi(p)
+    command(sub, "irregularity", _cmd_irregularity,
+            "minimize the discrepancy over xi", gram=True, degrees=True)
+    p = command(sub, "bounded", _cmd_bounded,
+                "irregularity under a norm constraint", gram=True,
+                degrees=True, aliases=["sweep-radius"])
     p.add_argument("--radii", required=True, help="comma-separated radii")
     p.add_argument("--csv", help="write a parameter,value,diagnostics CSV")
-    p.set_defaults(func=_cmd_bounded)
-
-    p = sub.add_parser("sigma-exact", help="exact dimension of a matrix model")
-    common(p)
+    p = command(sub, "sigma-exact", _cmd_sigma_exact,
+                "exact dimension of a matrix model")
     p.add_argument("--d", type=int, default=3,
                    help="tensor-degree bound of the relation subspace")
-    p.set_defaults(func=_cmd_sigma_exact)
-
-    p = sub.add_parser("conjugate-check",
-                       help="residual of the conjugate-variable identity")
-    common(p)
-    p.add_argument("--xi", help="xi tuple text")
-    p.add_argument("--xi-file")
+    p = command(sub, "conjugate-check", _cmd_conjugate,
+                "residual of the conjugate-variable identity")
+    xi(p)
     p.add_argument("--d", type=int, default=4, help="test monomial degree")
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("sweep-degree", help="irregularity along growing degrees")
-    common(p)
+    p = command(sub, "sweep-degree", _cmd_sweep_degree,
+                "irregularity along growing degrees", gram=True)
     p.add_argument("--dxi-max", type=int, required=True)
     p.add_argument("--dproj-offset", type=int, default=2)
-    p.add_argument("--csv")
-    p.set_defaults(func=_cmd_sweep_degree)
+    p.add_argument("--csv", help="write a parameter,value,diagnostics CSV")
+    p = command(sub, "alpha", _cmd_alpha,
+                "decay exponent of the bounded sweep", gram=True, degrees=True)
+    p.add_argument("--radii", required=True, help="comma-separated radii")
 
-    p = sub.add_parser("alpha", help="decay exponent of the bounded sweep")
-    common(p)
-    degrees(p)
-    p.add_argument("--radii", required=True)
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("closed-form", help="closed-form evaluators")
-    p.add_argument("which", choices=["one-var", "fd", "group", "finite-group",
-                                     "compressed", "graph", "eps-kernel",
-                                     "log-energy", "staircase"])
-    p.add_argument("--model")
-    p.add_argument("--out")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--blocks", help="fd blocks, e.g. '2:2/3,1:1/3'")
-    p.add_argument("--beta0", default="0")
-    p.add_argument("--beta1", default="0")
+    forms = sub.add_parser("closed-form", help="closed-form evaluators") \
+        .add_subparsers(dest="form", required=True)
+    command(forms, "one-var", _cf_one_var,
+            "one variable: 1 - sum of squared atom masses")
+    p = command(forms, "fd", _cf_fd,
+                "multi-matrix algebra: 1 - sum lambda^2 / k^2", model=False)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--blocks", help="blocks 'size:weight,...', "
+                                        "e.g. '2:2/3,1:1/3'")
+    given.add_argument("--model", help="matrix model spec JSON")
+    cap(p)
+    p = command(forms, "group", _cf_group,
+                "group algebra: beta1 - beta0 + 1", model=False)
+    p.add_argument("--beta0", default="0", help="L2-Betti number beta_0")
+    p.add_argument("--beta1", default="0", help="L2-Betti number beta_1")
+    p = command(forms, "finite-group", _cf_finite_group,
+                "finite group: 1 - 1/order", model=False)
     p.add_argument("--order", type=int, default=2)
+    p = command(forms, "compressed", _cf_compressed,
+                "compressed semicircular generators", model=False)
     p.add_argument("--pairs", default="",
-                   help="compressed pairs 'tau_e:tau_f:eq|orth,...'")
-    p.add_argument("--graph", help="graph spec JSON path")
+                   help="projection pairs 'tau_e:tau_f:eq|orth,...'")
+    p = command(forms, "graph", _cf_graph,
+                "edge generators of a weighted graph", model=False)
+    p.add_argument("--graph", required=True, help="graph spec JSON path")
+    p = command(forms, "eps-kernel", _cf_eps_kernel,
+                "smoothed difference-quotient kernel bound of a measure")
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--grid", type=int, default=41)
+    p = command(forms, "log-energy", _cf_log_energy,
+                "logarithmic energy of a measure")
     p.add_argument("--level", type=int, default=10)
+    p = command(forms, "staircase", _cf_staircase,
+                "log-energy trail of the staircase measure", model=False)
     p.add_argument("--levels", type=int, default=6)
-    p.set_defaults(func=_cmd_closed_form)
 
     return ap
 

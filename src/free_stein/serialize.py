@@ -1,4 +1,4 @@
-"""JSON text forms for polynomials, tensors and kernel matrices.
+"""JSON text forms for polynomials and polynomial tuples.
 
 Words are arrays of letter tags (``["t", 1]`` for the first indeterminate,
 ``["b", k]`` for the k-th B-basis slot); coefficients are pairs of rational
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import StructureError
-from .ncalg import GeneratorSystem, KernelMatrix, NCPoly, TensorPoly
+from .ncalg import GeneratorSystem, NCPoly
 from .scalars import QQi
 
 
@@ -78,41 +78,3 @@ def poly_tuple_to_json(polys):
 
 def poly_tuple_from_json(data, system) -> tuple:
     return tuple(poly_from_json(d, system) for d in data)
-
-
-def tensor_to_json(t: TensorPoly):
-    return {
-        "n": t.system.n,
-        "b_dim": t.system.b.dim,
-        "terms": [{"left": word_to_json(a), "right": word_to_json(b),
-                   "coeff": coeff_to_json(c)}
-                  for (a, b), c in t.sorted_terms()],
-    }
-
-
-def tensor_from_json(data, system: GeneratorSystem) -> TensorPoly:
-    if data.get("n") != system.n or data.get("b_dim") != system.b.dim:
-        raise StructureError("serialized tensor does not match the generator system")
-    terms = {}
-    for item in data["terms"]:
-        a = word_from_json(item["left"], system)
-        b = word_from_json(item["right"], system)
-        c = coeff_from_json(item["coeff"])
-        if not c.is_zero:
-            terms[(a, b)] = terms.get((a, b), QQi(0)) + c
-    return TensorPoly(system, terms)
-
-
-def kernel_to_json(k: KernelMatrix):
-    return {
-        "size": k.size,
-        "entries": [[tensor_to_json(e) for e in row] for row in k.entries],
-    }
-
-
-def kernel_from_json(data, system: GeneratorSystem) -> KernelMatrix:
-    entries = [[tensor_from_json(e, system) for e in row] for row in data["entries"]]
-    k = KernelMatrix(system, entries)
-    if k.size != data.get("size"):
-        raise StructureError("kernel size field does not match the entries")
-    return k

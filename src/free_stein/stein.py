@@ -937,17 +937,20 @@ def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4):
 
 def matrix_to_poly(model: MatrixModel, mat: np.ndarray, d: int = 4) -> NCPoly:
     """Express a matrix as a polynomial in the model generators (least squares
-    over monomials of degree <= d; exact when the words span the algebra)."""
+    over monomials of degree <= d; exact when the words span the algebra).
+
+    Both floors scale with the input, so a matrix scaled by ``s`` gives the
+    same terms with coefficients scaled by ``s``: the residual may be up to
+    1e-8 of ``||mat||``, and coefficients up to ``RCOND`` times the largest
+    in modulus are dropped as rounding of the solve, as in ``_assemble_xi``."""
     words, E, _ = _word_table(model, d)
     target = _coords(model).coords(mat)
     sol, *_ = np.linalg.lstsq(E, target, rcond=RCOND)
-    if np.linalg.norm(E @ sol - target) > 1e-8 * max(np.linalg.norm(target), 1.0):
+    if np.linalg.norm(E @ sol - target) > 1e-8 * np.linalg.norm(target):
         raise ModelError("matrix is not a polynomial of the given degree")
-    acc = NCPoly.zero(model.system)
-    for w, c in zip(words, sol):
-        if abs(c) > 1e-13:
-            acc = acc + NCPoly.from_word(model.system, w, QQi.of(complex(c)))
-    return acc
+    cut = RCOND * float(np.abs(sol).max(initial=0.0))
+    return NCPoly(model.system, {w: QQi.of(complex(c))
+                                 for w, c in zip(words, sol) if abs(c) > cut})
 
 
 ALPHA_FLOOR = 1e-12

@@ -894,15 +894,24 @@ def _density_from_json(data, mass):
 
 
 def model_from_json(data: dict, cap=None) -> TraceModel:
+    if not isinstance(data, dict):
+        raise ModelError("a model spec must be a JSON object, got "
+                         f"{type(data).__name__}")
     kind = data.get("type")
+
+    def field(key):
+        if key not in data:
+            raise ModelError(f"{kind} model spec needs the field {key!r}")
+        return data[key]
+
     if kind == "matrix":
-        gens = [[_mat_from_json(p) for p in g] for g in data["generators"]]
+        gens = [[_mat_from_json(p) for p in g] for g in field("generators")]
         pairing = data.get("star_pairing")
         if pairing is not None:
             pairing = tuple(int(j) - 1 for j in pairing)
-        return MatrixModel(data["blocks"], gens, star_pairing=pairing, cap=cap)
+        return MatrixModel(field("blocks"), gens, star_pairing=pairing, cap=cap)
     if kind == "semicircular":
-        return SemicircularModel(int(data["n"]), cap=cap)
+        return SemicircularModel(int(field("n")), cap=cap)
     if kind == "measure":
         atoms = [(t, m) for t, m in data.get("atoms", [])]
         density = None
@@ -914,7 +923,7 @@ def model_from_json(data: dict, cap=None) -> TraceModel:
         return MeasureModel(atoms, density, cap=cap)
     if kind == "free_product":
         return FreeProductModel([model_from_json(f, cap=cap)
-                                 for f in data["factors"]], cap=cap)
+                                 for f in field("factors")], cap=cap)
     raise ModelError(f"unknown model type {kind!r}")
 
 

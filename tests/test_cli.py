@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -331,3 +332,146 @@ def test_determinism_across_runs_and_threads(specs, tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def _options(parser):
+    return {opt for action in parser._actions for opt in action.option_strings
+            if opt != "-h" and opt != "--help"}
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    model = {"--model", "--out", "--cap"}
+    gram = model | {"--cond-limit"}
+    degrees = gram | {"--dxi", "--dproj"}
+    commands = _subparsers(build_parser())
+    assert {name: _options(p) for name, p in commands.items()
+            if name != "closed-form"} == {
+        "discrepancy": degrees | {"--xi", "--xi-file"},
+        "irregularity": degrees,
+        "bounded": degrees | {"--radii", "--csv"},
+        "sweep-radius": degrees | {"--radii", "--csv"},
+        "sigma-exact": model | {"--d"},
+        "conjugate-check": model | {"--xi", "--xi-file", "--d"},
+        "sweep-degree": gram | {"--dxi-max", "--dproj-offset", "--csv"},
+        "alpha": degrees | {"--radii"},
+    }
+    assert _options(commands["closed-form"]) == set()
+    forms = {name: _options(p)
+             for name, p in _subparsers(commands["closed-form"]).items()}
+    assert forms == {
+        "one-var": model,
+        "fd": model | {"--blocks"},
+        "group": {"--out", "--beta0", "--beta1"},
+        "finite-group": {"--out", "--order"},
+        "compressed": {"--out", "--pairs"},
+        "graph": {"--out", "--graph"},
+        "eps-kernel": model | {"--eps", "--grid"},
+        "log-energy": model | {"--level"},
+        "staircase": {"--out", "--levels"},
+    }
+    assert sum(len(opts) for opts in forms.values()) == 27
+
+
+@pytest.mark.parametrize("argv", [
+    # an option of another form or command
+    ["closed-form", "group", "--eps", "0.5"],
+    ["closed-form", "one-var", "--model", "{twopoint}", "--levels", "3"],
+    ["closed-form", "staircase", "--cap", "3"],
+    # an option before the form name
+    ["closed-form", "--model", "{twopoint}", "one-var"],
+    # a form without its required input
+    ["closed-form"],
+    ["closed-form", "one-var"],
+    ["closed-form", "fd"],
+    ["closed-form", "fd", "--blocks", "2:2/3,1:1/3", "--model", "{ccmat}"],
+    ["closed-form", "graph"],
+    ["closed-form", "eps-kernel"],
+    ["closed-form", "log-energy"],
+    # --cond-limit belongs to the commands that report a Gram condition
+    ["sigma-exact", "--model", "{ccmat}", "--cond-limit", "1e-300"],
+    ["conjugate-check", "--model", "{semicircular2}", "--xi", "(t1, t2)",
+     "--cond-limit", "1e-300"],
+])
+def test_usage_errors_exit_2(specs, capsys, argv):
+    argv = [a.format(**specs) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, spec, message", [
+    (["irregularity"], {"type": "semicircular"},
+     "error: semicircular model spec needs the field 'n'\n"),
+    (["sigma-exact"], {"type": "matrix", "blocks": [[2, 1.0]]},
+     "error: matrix model spec needs the field 'generators'\n"),
+    (["irregularity"], [{"type": "semicircular", "n": 1}],
+     "error: a model spec must be a JSON object, got list\n"),
+    (["irregularity"], {"type": "free_product"},
+     "error: free_product model spec needs the field 'factors'\n"),
+    (["closed-form", "graph"], {"edges": [["a", "b", 1]]},
+     "error: graph spec {path} needs the fields 'weights' and 'edges'\n"),
+    (["closed-form", "graph"], [],
+     "error: graph spec {path} needs the fields 'weights' and 'edges'\n"),
+])
+def test_malformed_spec_names_the_field(tmp_path, capsys, argv, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    flag = "--graph" if argv[-1] == "graph" else "--model"
+    assert run(argv + [flag, str(path)]) == 2
+    assert capsys.readouterr().err == message.format(path=path)
+
+
+def test_malformed_tokens_name_the_expected_form(capsys):
+    assert run(["closed-form", "fd", "--blocks", "2:2/3,1"]) == 2
+    assert capsys.readouterr().err == ("error: bad token '1': expected "
+                                       "size:weight\n")
+    assert run(["closed-form", "compressed", "--pairs", "1/2:1/2"]) == 2
+    assert capsys.readouterr().err == ("error: bad token '1/2:1/2': expected "
+                                       "tau_e:tau_f:eq|orth\n")
+    assert run(["closed-form", "compressed", "--pairs",
+                "1/2:1/2:eq,1/2:1/3:same"]) == 2
+    assert capsys.readouterr().err == ("error: bad token '1/2:1/3:same': "
+                                       "expected tau_e:tau_f:eq|orth\n")
+    # surrounding blanks and empty tokens are accepted, as for --radii
+    assert run(["closed-form", "compressed", "--pairs",
+                "1/2:1/3: orth ,, 1/4:1/4:eq"]) == 0
+    assert json.loads(capsys.readouterr().out)["tuple_length"] == 3
+
+
+def test_closed_form_fd_reads_a_matrix_model(specs, capsys):
+    assert run(["closed-form", "fd", "--model", specs["ccmat"]]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_exact"] == "1/2"
+    assert run(["closed-form", "fd", "--model", specs["twopoint"]]) == 2
+    assert capsys.readouterr().err == "error: fd needs a matrix model\n"
+
+
+def test_sweep_warnings_name_each_point(specs, tmp_path, capsys):
+    code = run(["sweep-degree", "--model", specs["twopoint"], "--dxi-max", "1",
+                "--cond-limit", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["kind"] == "degree-sweep"
+    assert captured.err == ("warning: Gram condition 5.828e+01 at d_xi=1 "
+                            "exceeds limit 1.0e+00\n")
+    out = tmp_path / "bounded.json"
+    code = run(["bounded", "--model", specs["twopoint"], "--dxi", "2",
+                "--radii", "0.5,1,2.5", "--cond-limit", "1",
+                "--out", str(out)])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" at ")[1].split()[0] for line in lines] == [
+        "radius=0.5", "radius=1", "radius=2.5"]
+    assert all(line.startswith("warning: Gram condition ") and
+               line.endswith(" exceeds limit 1.0e+00") for line in lines)
+    assert len(json.loads(out.read_text())["points"]) == 3
+    # no warning at the default limit
+    assert run(["bounded", "--model", specs["twopoint"], "--dxi", "2",
+                "--radii", "0.5,1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""

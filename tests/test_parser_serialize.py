@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import random_poly
 from free_stein.errors import ParseError, StructureError
-from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
-                              TensorPoly, generator_tuple, jacobian)
+from free_stein.ncalg import BAlgebra, GeneratorSystem, NCPoly, generator_tuple
 from free_stein.parser import parse_poly, parse_poly_tuple
 from free_stein.scalars import QQi
-from free_stein.serialize import (kernel_from_json, kernel_to_json,
-                                  poly_from_json, poly_to_json,
-                                  poly_tuple_from_json, poly_tuple_to_json,
-                                  tensor_from_json, tensor_to_json)
+from free_stein.serialize import (poly_from_json, poly_to_json,
+                                  poly_tuple_from_json, poly_tuple_to_json)
 from free_stein.stein import (DegreeScheme, irregularity_bounded,
                               irregularity_estimate)
 from free_stein.trace import (FreeProductModel, SemicircularModel,
@@ -80,15 +77,6 @@ def test_parse_then_serialize_roundtrip():
 def test_coeff_rationals_roundtrip(num, den, im):
     p = NCPoly.scalar(S2, QQi(Fraction(num, den), Fraction(im, 3))) + T1
     assert poly_from_json(poly_to_json(p), S2) == p
-
-
-def test_tensor_and_kernel_roundtrip(rng):
-    u = TensorPoly.from_pair(random_poly(S2, rng, 3), random_poly(S2, rng, 3))
-    assert tensor_from_json(json.loads(json.dumps(tensor_to_json(u))), S2) == u
-    J = jacobian((T1 * T2 + T2, T1))
-    assert kernel_from_json(json.loads(json.dumps(kernel_to_json(J))), S2) == J
-    I = KernelMatrix.identity(S2)
-    assert kernel_from_json(kernel_to_json(I), S2) == I
 
 
 def test_roundtrip_rejects_wrong_system():

@@ -796,6 +796,32 @@ def test_matrix_routines_degree_beyond_cap():
     assert np.max(np.abs(value - np.eye(2))) < 1e-12
 
 
+PAULI_PAIR = MatrixModel([(2, 1.0)], [[[[1.0, 0.0], [0.0, -1.0]]],
+                                      [[[0.0, 1.0], [1.0, 0.0]]]])
+
+
+@pytest.mark.parametrize("model, mat", [
+    (two_point_matrix_model(), np.eye(2)),
+    (two_point_matrix_model(), np.diag([3.0, -1.0])),
+    (PAULI_PAIR, np.array([[1.0, 2.0j], [0.5, -1.0]])),
+])
+def test_matrix_to_poly_scales_with_the_matrix(model, mat):
+    # the drop rule and the residual bound are relative: a matrix scaled
+    # by 1e-14 or 1e14 keeps the same terms with scaled coefficients
+    base = stein.matrix_to_poly(model, mat, d=2)
+    top = max(abs(complex(c)) for c in base.terms.values())
+    for scale in (1e-14, 1e14):
+        scaled = stein.matrix_to_poly(model, scale * mat, d=2)
+        assert scaled.terms.keys() == base.terms.keys()
+        for w, c in base.terms.items():
+            assert abs(complex(scaled.terms[w]) / scale - complex(c)) \
+                <= 1e-12 * top
+        value = sum(complex(c) * model.eval_word(w)
+                    for w, c in scaled.terms.items())
+        assert np.max(np.abs(value - scale * mat)) <= 1e-12 * scale
+    assert stein.matrix_to_poly(model, 0 * mat, d=2).terms == {}
+
+
 @st.composite
 def block_models(draw):
     """A direct sum of 1-3 blocks of size <= 2 with rational weights and two
