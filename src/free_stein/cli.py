@@ -26,7 +26,7 @@ from .parser import parse_poly_tuple
 from .stein import (DegreeScheme, alpha_estimate, conjugate_variable_check,
                     discrepancy, irregularity_estimate,
                     radius_sweep, sigma_exact_fd)
-from .trace import MatrixModel, MeasureModel, load_model
+from .trace import MatrixModel, MeasureModel, load_model, spec_field
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -231,10 +231,14 @@ def _cf_graph(args) -> int:
     if not isinstance(data, dict) or not {"weights", "edges"} <= data.keys():
         raise ModelError(f"graph spec {args.graph} needs the fields "
                          "'weights' and 'edges'")
-    weights = data["weights"]
-    weights = weights.items() if isinstance(weights, dict) else weights
-    spec = GraphSpec([(v, Fraction(str(w))) for v, w in weights], data["edges"])
-    return _write_json(args, graph_sigma(spec).to_json())
+    name = f"graph spec {args.graph}"
+    weights = spec_field(data, "weights", name, lambda ws: [
+        (v, Fraction(str(w)))
+        for v, w in (ws.items() if isinstance(ws, dict) else ws)])
+    # an edge is (v, w) or (v, w, multiplicity)
+    edges = spec_field(data, "edges", name,
+                       lambda es: [(v, w, *m) for v, w, *m in es])
+    return _write_json(args, graph_sigma(GraphSpec(weights, edges)).to_json())
 
 
 def _cf_eps_kernel(args) -> int:
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cap(p):
         p.add_argument("--cap", type=int, default=None,
-                       help="degree cap override (also FREE_STEIN_CAP)")
+                       help="word-degree cap (default 12)")
 
     def command(subs, name, func, summary, model=True, gram=False,
                 degrees=False, **kw):

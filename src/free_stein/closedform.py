@@ -22,7 +22,7 @@ potential, so one adaptive pass over the support is the only quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -298,9 +298,9 @@ def graph_sigma(g: GraphSpec) -> GraphSigmaReport:
 class EpsKernelReport:
     eps: float
     bound: float
-    g_atoms: list = field(default_factory=list)
-    g_grid: list = field(default_factory=list)
-    g_l2: float = float("nan")
+    g_atoms: list
+    g_grid: list
+    g_l2: float
 
     def to_json(self):
         return {"schema": "free-stein/1", "kind": "eps-kernel",
@@ -338,8 +338,8 @@ def _smoothing_field(measure: MeasureModel, eps: float):
     return g
 
 
-def eps_kernel(measure: MeasureModel, eps: float, grid_points: int = 41,
-               with_field: bool = True) -> EpsKernelReport:
+def eps_kernel(measure: MeasureModel, eps: float,
+               grid_points: int = 41) -> EpsKernelReport:
     """Squared distance of the smoothed difference-quotient kernel from the
     identity, ``bound = double integral of eps^4 / ((t-s)^2 + eps^2)^2``,
     together with the smoothing field ``g`` and its L2(mu) norm.
@@ -370,20 +370,18 @@ def eps_kernel(measure: MeasureModel, eps: float, grid_points: int = 41,
             lambda ts: dens.pdf(ts) * _density_conv(dens, ts, eps)[1],
             lo, hi, tol=1e-9, max_depth=22)
 
-    report = EpsKernelReport(eps=float(eps), bound=float(bound))
-    if not with_field:
-        return report
     g = _smoothing_field(measure, eps)
-    report.g_atoms = [(t, float(g(t)[0])) for t, _ in atoms]
-    l2 = sum(m * float(g(t)[0]) ** 2 for t, m in atoms)
+    g_atoms = [(t, float(g(t)[0])) for t, _ in atoms]
+    g_grid, l2 = [], sum(m * float(g(t)[0]) ** 2 for t, m in atoms)
     if dens is not None:
         lo, hi = dens.support
         grid = np.linspace(lo, hi, grid_points)
-        report.g_grid = [(float(t), float(v)) for t, v in zip(grid, g(grid))]
+        g_grid = [(float(t), float(v)) for t, v in zip(grid, g(grid))]
         l2 += quadrature.adaptive(lambda ts: dens.pdf(ts) * g(ts) ** 2,
                                   lo, hi, tol=1e-8, max_depth=20)
-    report.g_l2 = float(math.sqrt(max(l2, 0.0)))
-    return report
+    return EpsKernelReport(eps=float(eps), bound=float(bound),
+                           g_atoms=g_atoms, g_grid=g_grid,
+                           g_l2=float(math.sqrt(max(l2, 0.0))))
 
 
 # ---------------------------------------------------------------------------

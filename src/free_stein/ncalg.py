@@ -24,26 +24,12 @@ the other letters, and satisfies the Leibniz rule
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Sequence
 
 from .errors import DegreeCapError, StructureError
 from .scalars import ONE, QQi
 
 DEFAULT_DEGREE_CAP = 12
-
-
-def _env_cap() -> int:
-    raw = os.environ.get("FREE_STEIN_CAP")
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"FREE_STEIN_CAP must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("FREE_STEIN_CAP must be positive")
-    return cap
 
 
 class BAlgebra:
@@ -152,7 +138,7 @@ class GeneratorSystem:
             if self.star_pairing[j] != i:
                 raise StructureError("star pairing must be an involution")
         self.b = b if b is not None else BAlgebra.scalar()
-        self.cap = int(cap) if cap is not None else _env_cap()
+        self.cap = int(cap) if cap is not None else DEFAULT_DEGREE_CAP
 
     @property
     def scalar_b(self) -> bool:

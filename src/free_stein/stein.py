@@ -36,10 +36,13 @@ block (e, f), where ``L_j`` are the words of degree j.  The table is real
 when no entry has an imaginary part, and then so are the Gram matrix, its
 eigenvectors, the design and the solves.  The design needs no exact kernel
 per candidate: the r-row of a centered monomial candidate is read off table
-columns (``GramSystem.r_of_candidates``).  Candidates stay a (word, slot)
-coefficient array through the solves: column ``k * n + i`` of the design is
-``w_k - tau(w_k)`` in slot ``i``, and the reported ``xi`` is assembled once
-per report from the solution vector, with exact coefficients.
+columns (``GramSystem.r_of_candidates``).  ``xi_i`` enters only row ``i`` of
+the kernel, and that row does not depend on the slot, so the slots share one
+design with a column per word and one candidate Gram over the words: the
+estimate is one least-squares solve with a right-hand side per slot, and in
+the R-bounded problem only the norm bound couples the slots.  Candidates
+stay a (word, slot) coefficient matrix through the solves, and the reported
+``xi`` is assembled once per report from it, with exact coefficients.
 
 The Gram matrix and the candidate Gram are eigendecomposed block by block
 (:func:`_eigh_kept`): the connected components of their exact nonzero
@@ -536,8 +539,7 @@ def _kernel_partners(system) -> tuple:
     return tuple(X[j] for j in system.star_pairing)
 
 
-def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
-                with_trail: bool = True) -> DiscrepancyReport:
+def discrepancy(model: TraceModel, xi, scheme: DegreeScheme) -> DiscrepancyReport:
     """Truncated Stein discrepancy of the generators relative to ``xi``.
 
     Builds the half-commutator kernel of the centered ``xi``, projects its
@@ -553,7 +555,7 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
     rA = gs.r_of_kernel(A)
     r1 = gs.r_of_identity()
     trail = []
-    for d in range(1, scheme.d_proj + 1) if with_trail else [scheme.d_proj]:
+    for d in range(1, scheme.d_proj + 1):
         view = gs.view(d)
         value = float(np.linalg.norm(view.z(rA) - view.z(r1)))
         trail.append((d, value))
@@ -566,12 +568,15 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme,
 
 def _xi_design(model, scheme):
     """The design of the candidates ``w - tau(w)``, ``w`` a word of degree 1
-    to ``d_xi``, in each slot: ``(gs, view, words, degrees, Z, b)``.
+    to ``d_xi``: ``(gs, view, words, degrees, Z, B)``.
 
-    Candidate (word k, slot i) is column ``k * n + i`` of ``Z``, and
-    ``degrees`` holds the word degree of each column; ``b`` is the identity
-    target.  A coefficient vector over the columns is the candidate tuple
-    :func:`_assemble_xi` builds.
+    ``xi_i`` enters only row ``i`` of the kernel, and the r-row of a
+    candidate does not depend on its slot, so all slots share one design:
+    column ``k`` of ``Z`` (kept x words) holds the coordinates of word
+    ``k``'s r-row, and column ``i`` of ``B`` (kept x n) those of the
+    identity kernel's row ``i``.  ``degrees`` holds the degree of each word.
+    Column ``i`` of a coefficient matrix ``Y`` (words x n) is the slot-``i``
+    candidate :func:`_assemble_xi` builds, and its residual is ``Z Y - B``.
     """
     gs = GramSystem(model, scheme.d_proj)
     # kernel legs of a degree d_xi candidate meet the basis legs in words
@@ -582,38 +587,26 @@ def _xi_design(model, scheme):
             f"d_xi={scheme.d_xi} with d_proj={scheme.d_proj} needs design "
             f"words of degree d_proj + d_xi + 1 = {need}, beyond the cap {cap}")
     view = gs.view()
-    # the coordinates of candidate (k, i) are those of word k's r-row,
-    # placed in the rows of slot i
     words = monomial_words(model.system, 1, scheme.d_xi)
-    R, n = gs.r_of_candidates(words), model.n
-    # z takes n rows a call, the shape of one kernel's r-vectors: BLAS sums
-    # in an order that depends on the column count, and this way the
-    # coordinates of a candidate equal those discrepancy gives its kernel
-    R = np.concatenate([R, np.zeros((-len(R) % n, R.shape[1]), R.dtype)])
-    zw = np.concatenate([view.z(R[c:c + n]) for c in range(0, len(R), n)])
-    zw = zw[:len(words)].T
-    kept = len(zw)
-    Z = np.zeros((n * kept, n * len(words)), dtype=zw.dtype)
-    for i in range(n):
-        Z[i * kept:(i + 1) * kept, i::n] = zw
-    degrees = np.repeat([len(w) // 2 for w in words], n)
-    b = view.z(gs.r_of_identity()).reshape(-1)
-    return gs, view, words, degrees, Z, b
+    Z = view.z(gs.r_of_candidates(words)).T
+    B = view.z(gs.r_of_identity()).T
+    degrees = np.array([len(w) // 2 for w in words])
+    return gs, view, words, degrees, Z, B
 
 
-def _assemble_xi(model, words, y) -> tuple:
-    """The candidate tuple ``xi_i = sum_k y[k * n + i] (w_k - tau(w_k))``
-    with exact coefficients, and the unit term one exact sum over the kept
-    words.  Coefficients up to ``RCOND`` times the largest in modulus are
-    dropped as rounding of the solve: scaled with ``y``, the cut stays
-    orders of magnitude above that rounding, so a last-bit change of the
-    solve does not add or remove a term."""
-    n, system = model.n, model.system
-    cut = RCOND * float(np.abs(y).max())
+def _assemble_xi(model, words, Y) -> tuple:
+    """The candidate tuple ``xi_i = sum_k Y[k, i] (w_k - tau(w_k))`` with
+    exact coefficients, and the unit term one exact sum over the kept
+    words.  Coefficients up to ``RCOND`` times the largest in modulus over
+    all slots are dropped as rounding of the solve: scaled with ``Y``, the
+    cut stays orders of magnitude above that rounding, so a last-bit change
+    of the solve does not add or remove a term."""
+    system = model.system
+    cut = RCOND * float(np.abs(Y).max())
     xi = []
-    for i in range(n):
+    for column in Y.T:
         terms, trace = {}, QQi(0)
-        for w, c in zip(words, y[i::n]):
+        for w, c in zip(words, column):
             if abs(c) > cut:
                 c = QQi.of(complex(c))
                 terms[w] = c
@@ -626,45 +619,45 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
     """Minimize the truncated discrepancy over polynomial ``xi`` tuples.
 
     The kernel is linear in ``xi``, so this is a linear least-squares problem
-    in the centered-monomial coefficients; the minimum-norm solution is
-    reported.  The estimate is nonincreasing in ``d_xi`` at fixed ``d_proj``
-    and converges to the free Stein irregularity as both knobs grow.
+    in the centered-monomial coefficients, one right-hand side per slot over
+    the shared design; the minimum-norm solution is reported.  The estimate
+    is nonincreasing in ``d_xi`` at fixed ``d_proj`` and converges to the
+    free Stein irregularity as both knobs grow.
     """
-    _, view, words, degrees, Z, b = _xi_design(model, scheme)
-    trail = []
+    _, view, words, degrees, Z, B = _xi_design(model, scheme)
+    n, trail = model.n, []
     for dx in range(1, scheme.d_xi + 1):
-        mask = degrees <= dx
-        Zd = Z[:, mask]
-        # the last pass takes every candidate, so its rank is that of Z
-        yd, _, rank, _ = np.linalg.lstsq(Zd, b, rcond=RCOND)
-        vd = float(np.linalg.norm(Zd @ yd - b))
-        trail.append((dx, vd))
-        if dx == scheme.d_xi:
-            y = np.zeros(Z.shape[1], dtype=complex)
-            y[mask] = yd
+        Zd = Z[:, degrees <= dx]
+        # the last pass takes every candidate, so Y and its rank are Z's
+        Y, _, rank, _ = np.linalg.lstsq(Zd, B, rcond=RCOND)
+        trail.append((dx, float(np.linalg.norm(Zd @ Y - B))))
     value = trail[-1][1]
-    sigma = model.n - value ** 2
-    xi = _assemble_xi(model, words, y)
+    sigma = n - value ** 2
+    xi = _assemble_xi(model, words, Y)
     return SigmaReport(
         sigma=sigma, irregularity=value, mode="estimate", trail=trail,
         scheme=scheme, xi=xi, gram_condition=view.cond,
-        diagnostics={"candidates": len(degrees), "design_rank": int(rank)})
+        diagnostics={"candidates": n * len(words), "design_rank": n * int(rank)})
 
 
 def _candidate_gram(model: TraceModel, words) -> np.ndarray:
-    """Gram of the design columns of :func:`_xi_design` over its ``words``
-    in the L2 tuple norm: ``tau(v* w) - conj(tau(v)) tau(w)`` for the
-    candidates ``v - tau(v)`` and ``w - tau(w)`` within a slot, zero across."""
+    """Gram of the candidates ``w - tau(w)`` over ``words`` in the L2 norm,
+    ``tau(v* w) - conj(tau(v)) tau(w)``; every slot has this Gram, and two
+    slots are orthogonal."""
     G = model.moment_table([(0,)] + words)  # row 0 holds the traces tau(w)
-    Qw = G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
-    return np.kron(Qw, np.eye(model.n))  # candidate k * n + i is in slot i
+    return G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
 
 
 def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     """The design, candidate Gram and whitened SVD of the norm-constrained
-    problem, built once; returns the solve at one radius.  Interior solutions
-    reuse the unconstrained least squares; otherwise the KKT multiplier is
-    found by bisection until the candidate norm matches the radius to 1e-10.
+    problem, built once; returns the solve at one radius.
+
+    The slots share the design and the candidate Gram, so one SVD serves
+    all n right-hand sides; only the bound ``||xi||_2 <= radius`` couples
+    them, through the Frobenius norm of the whitened coefficients and one
+    KKT multiplier.  Interior solutions reuse the unconstrained least
+    squares; otherwise the multiplier is found by bisection until the
+    candidate norm matches the radius to 1e-10.
     """
     # the candidate Gram pairs two candidates of degree d_xi
     need, cap = 2 * scheme.d_xi, model.system.cap
@@ -672,47 +665,47 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
         raise DegreeCapError(
             f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
             f"2*d_xi = {need}, beyond the cap {cap}")
-    _, view, words, _, Z, b = _xi_design(model, scheme)
+    _, view, words, _, Z, B = _xi_design(model, scheme)
     qvals, qvecs = _eigh_kept(_candidate_gram(model, words))
-    T = qvecs / np.sqrt(qvals)  # y = T u, ||xi(y)||_2 = ||u||
+    T = qvecs / np.sqrt(qvals)  # Y = T U, ||xi(Y)||_2 = ||U||_F
     U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     svkeep = sv > RCOND * (sv[0] if len(sv) else 1.0)
     U, sv, Vh = U[:, svkeep], sv[svkeep], Vh[svkeep]
-    beta = U.conj().T @ b
-    u_free = Vh.conj().T @ (beta / sv)
+    beta = U.conj().T @ B
+    u_free = Vh.conj().T @ (beta / sv[:, None])
 
-    def norm_at(lam):
-        return float(np.linalg.norm(sv * beta / (sv ** 2 + lam)))
+    def shrunk(lam):
+        return sv[:, None] * beta / (sv ** 2 + lam)[:, None]
 
     def solve(radius: float) -> DiscrepancyReport:
         if radius == 0:
-            u = np.zeros(T.shape[1])
+            u = np.zeros((T.shape[1], model.n))
             diagnostics = {"multiplier": None, "boundary": True}
         elif np.linalg.norm(u_free) <= radius + 1e-12:
             u = u_free
             diagnostics = {"multiplier": 0.0, "boundary": False}
         else:
             lo, hi = 0.0, max(sv[0] ** 2, 1.0)
-            while norm_at(hi) > radius:
+            while np.linalg.norm(shrunk(hi)) > radius:
                 hi *= 2.0
                 if hi > 1e36:
                     raise ModelError("failed to bracket the KKT multiplier")
             for _ in range(300):
                 lam = 0.5 * (lo + hi)
-                norm = norm_at(lam)
+                norm = float(np.linalg.norm(shrunk(lam)))
                 if abs(norm - radius) <= 1e-10:
                     break
                 if norm > radius:
                     lo = lam
                 else:
                     hi = lam
-            u = Vh.conj().T @ (sv * beta / (sv ** 2 + lam))
+            u = Vh.conj().T @ shrunk(lam)
             diagnostics = {"multiplier": lam, "boundary": True,
                            "norm_gap": abs(float(np.linalg.norm(u)) - radius)}
-        y = T @ u
-        value = float(np.linalg.norm(Z @ y - b))
+        Y = T @ u
+        value = float(np.linalg.norm(Z @ Y - B))
         diagnostics["radius"] = radius
-        xi = _assemble_xi(model, words, y) if radius else ()
+        xi = _assemble_xi(model, words, Y) if radius else ()
         return DiscrepancyReport(value=value, scheme=scheme,
                                  gram_condition=view.cond,
                                  trail=[(scheme.d_proj, value)], xi=xi,
@@ -743,8 +736,7 @@ def radius_sweep(model: TraceModel, scheme: DegreeScheme, radii) -> list:
 # ---------------------------------------------------------------------------
 
 
-def sigma_exact_fd(model: MatrixModel, d: int = 3,
-                   with_trail: bool = True) -> SigmaReport:
+def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     """Exact free Stein dimension of a matrix model by relation projection.
 
     Scans the kernel of the evaluation map on (B-interleaved) monomials of
@@ -817,7 +809,7 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3,
         return n - sig2, sig2, k - rank
 
     trail = []
-    for dd in range(1, d + 1) if with_trail else [d]:
+    for dd in range(1, d + 1):
         sigma_d, sig2, nrel = value_at(dd)
         trail.append((dd, sigma_d))
     sigma = trail[-1][1]

@@ -881,15 +881,53 @@ def model_to_json(model: TraceModel) -> dict:
     raise ModelError(f"cannot serialize model {type(model).__name__}")
 
 
+_REQUIRED = object()
+
+
+def spec_field(data: dict, key, spec: str, convert, default=_REQUIRED):
+    """``convert(data[key])`` of the JSON spec named ``spec``, or ``default``
+    when the field is absent and optional.  A missing required field, or one
+    ``convert`` rejects, is a ModelError that names the field."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise ModelError(f"{spec} needs the field {key!r}")
+        return default
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"{spec} has a malformed field {key!r}: "
+                         f"{json.dumps(data[key], default=repr)}") from exc
+
+
+def _whole(x) -> int:
+    """``x`` as an int; a count or index of 2.5 or "2" is malformed."""
+    if x != int(x):
+        raise ValueError(f"{x!r} is not a whole number")
+    return int(x)
+
+
+def _pairs(first, second):
+    return lambda items: [(first(a), second(b)) for a, b in items]
+
+
 def _density_from_json(data, mass):
+    if not isinstance(data, dict):
+        raise ModelError("measure model spec has a malformed field 'density': "
+                         f"{json.dumps(data, default=repr)}")
+    if mass <= 0:
+        raise ModelError("density mass must be positive")
     kind = data.get("kind")
+    spec = f"{kind} density"
     if kind == "semicircle":
-        return SemicircleDensity(data.get("center", 0.0), data.get("radius", 2.0),
+        return SemicircleDensity(spec_field(data, "center", spec, float, 0.0),
+                                 spec_field(data, "radius", spec, float, 2.0),
                                  mass)
     if kind == "uniform":
-        return UniformDensity(data["a"], data["b"], mass)
+        return UniformDensity(spec_field(data, "a", spec, float),
+                              spec_field(data, "b", spec, float), mass)
     if kind == "table":
-        return TableDensity(data["points"], mass)
+        return TableDensity(spec_field(data, "points", spec,
+                                       _pairs(float, float)), mass)
     raise ModelError(f"unknown density kind {kind!r}")
 
 
@@ -898,32 +936,31 @@ def model_from_json(data: dict, cap=None) -> TraceModel:
         raise ModelError("a model spec must be a JSON object, got "
                          f"{type(data).__name__}")
     kind = data.get("type")
+    spec = f"{kind} model spec"
 
-    def field(key):
-        if key not in data:
-            raise ModelError(f"{kind} model spec needs the field {key!r}")
-        return data[key]
+    def field(key, convert, default=_REQUIRED):
+        return spec_field(data, key, spec, convert, default)
 
     if kind == "matrix":
-        gens = [[_mat_from_json(p) for p in g] for g in field("generators")]
-        pairing = data.get("star_pairing")
-        if pairing is not None:
-            pairing = tuple(int(j) - 1 for j in pairing)
-        return MatrixModel(field("blocks"), gens, star_pairing=pairing, cap=cap)
+        gens = field("generators",
+                     lambda gs: [[_mat_from_json(p) for p in g] for g in gs])
+        pairing = field("star_pairing", lambda p: None if p is None else
+                        tuple(_whole(j) - 1 for j in p), None)
+        return MatrixModel(field("blocks", _pairs(_whole, float)), gens,
+                           star_pairing=pairing, cap=cap)
     if kind == "semicircular":
-        return SemicircularModel(int(field("n")), cap=cap)
+        return SemicircularModel(field("n", _whole), cap=cap)
     if kind == "measure":
-        atoms = [(t, m) for t, m in data.get("atoms", [])]
-        density = None
-        if "density" in data and data["density"] is not None:
-            mass = 1.0 - sum(m for _, m in atoms)
-            if mass <= 0:
-                raise ModelError("density mass must be positive")
-            density = _density_from_json(data["density"], mass)
+        atoms = field("atoms", _pairs(float, float), [])
+        density = data.get("density")
+        if density is not None:
+            density = _density_from_json(density,
+                                         1.0 - sum(m for _, m in atoms))
         return MeasureModel(atoms, density, cap=cap)
     if kind == "free_product":
-        return FreeProductModel([model_from_json(f, cap=cap)
-                                 for f in field("factors")], cap=cap)
+        return FreeProductModel(
+            field("factors", lambda fs: [model_from_json(f, cap=cap)
+                                         for f in fs]), cap=cap)
     raise ModelError(f"unknown model type {kind!r}")
 
 

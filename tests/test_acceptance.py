@@ -101,8 +101,7 @@ def test_criterion_03_semicircular_exactness(semicircular1, semicircular2):
         for model in (semicircular1, semicircular2):
             X = generator_tuple(model.system)
             for d_proj in (1, 2, 3, 4):
-                rep = discrepancy(model, X, DegreeScheme(1, d_proj),
-                                  with_trail=False)
+                rep = discrepancy(model, X, DegreeScheme(1, d_proj))
                 assert rep.value <= 1e-8
             est = irregularity_estimate(model, DegreeScheme(2, 4))
             assert abs(est.sigma - model.n) <= 1e-6
@@ -120,9 +119,9 @@ def test_criterion_04_one_variable_atoms(twopoint_matrix, threepoint_matrix,
         sig2, _ = one_var_sigma([(-1, F(1, 3)), (0, F(1, 3)), (1, F(1, 3))])
         assert sig2 == F(1, 3)
         # (b) exact finite-dimensional recipe at d = 2
-        rep = sigma_exact_fd(twopoint_matrix, d=2, with_trail=False)
+        rep = sigma_exact_fd(twopoint_matrix, d=2)
         assert abs(rep.irregularity ** 2 - 0.5) <= 1e-10
-        rep = sigma_exact_fd(threepoint_matrix, d=2, with_trail=False)
+        rep = sigma_exact_fd(threepoint_matrix, d=2)
         assert abs(rep.irregularity ** 2 - 1 / 3) <= 1e-10
         # (c) truncated estimate at d_xi = 2, d_proj = 4
         est = irregularity_estimate(twopoint_measure, DegreeScheme(2, 4))
@@ -167,7 +166,7 @@ def test_criterion_07_additivity(free_two_twopoint, twopoint_matrix):
     with _Criterion(7, "free additivity of squared irregularities"):
         est = irregularity_estimate(free_two_twopoint, DegreeScheme(2, 4))
         assert abs(est.irregularity ** 2 - 1.0) <= 2e-3
-        factor = sigma_exact_fd(twopoint_matrix, d=2, with_trail=False)
+        factor = sigma_exact_fd(twopoint_matrix, d=2)
         joined = join_free_factors(factor, factor)
         assert abs(joined.irregularity ** 2 - 1.0) <= 1e-12
 
@@ -181,8 +180,8 @@ def test_criterion_08_generator_invariance():
         pair = MatrixModel([(1, w) for w in weights],
                            [[[[v]] for v in values],
                             [[[v * v]] for v in values]])
-        r1 = sigma_exact_fd(single, d=3, with_trail=False)
-        r2 = sigma_exact_fd(pair, d=3, with_trail=False)
+        r1 = sigma_exact_fd(single, d=3)
+        r2 = sigma_exact_fd(pair, d=3)
         assert abs(r1.sigma - 2 / 3) <= 1e-10
         assert abs(r1.sigma - r2.sigma) <= 1e-10
         # the star-paired (u, u*) of Z/3 against the self-adjoint (Re u, Im u)
@@ -207,7 +206,7 @@ def test_criterion_09_kernel_gap(semicircular1):
         # tau(s^4) = 2 gives 1/4*2 + 1 + 1/4*2 + 1 + 2*(1/4 - 1/2 - 1/2) = 3/2
         gap = model.inner_hs(D, D).real
         assert abs(gap - 1.5) <= 1e-10
-        rep = discrepancy(model, X, DegreeScheme(1, 4), with_trail=False)
+        rep = discrepancy(model, X, DegreeScheme(1, 4))
         assert rep.value <= 1e-8
 
 
@@ -226,7 +225,7 @@ def test_criterion_10_appendix_closed_forms():
 
 def test_criterion_11_eps_kernel_plateau(twopoint_measure, plateau_measure):
     with _Criterion(11, "smoothed kernel bound and plateau"):
-        bounds = [eps_kernel(twopoint_measure, e, with_field=False).bound
+        bounds = [eps_kernel(twopoint_measure, e).bound
                   for e in (0.1, 0.01, 0.001)]
         assert abs(bounds[-1] - 0.5) <= 1e-3
         assert bounds[0] >= bounds[1] >= bounds[2]

@@ -224,7 +224,7 @@ def test_sweeps_honour_cond_limit(specs, tmp_path):
     assert len(json.loads(out.read_text())["sweep"]) == 4
 
 
-def test_parser_is_shared_across_calls(specs, tmp_path, capsys, monkeypatch):
+def test_parser_is_shared_across_calls(specs, tmp_path, capsys):
     assert build_parser() is build_parser()
     # a usage error and --help leave the shared parser usable
     assert run(["irregularity"]) == 2
@@ -238,23 +238,21 @@ def test_parser_is_shared_across_calls(specs, tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text())["scheme"]["d_xi"] == 3
     assert run(base) == 0
     assert json.loads(out.read_text())["scheme"] == {"d_proj": 4, "d_xi": 2}
-    # the cap is read when the model loads, not when the parser is built
-    monkeypatch.setenv("FREE_STEIN_CAP", "6")
-    assert run(base) == 2
+    # a lowered cap does not outlive its call
+    assert run(base + ["--cap", "6"]) == 2
     assert "beyond the cap 6" in capsys.readouterr().err
-    monkeypatch.delenv("FREE_STEIN_CAP")
     assert run(base) == 0
 
 
-def test_env_cap_override(specs, tmp_path, monkeypatch):
-    monkeypatch.setenv("FREE_STEIN_CAP", "6")
+def test_cap_option_override(specs, tmp_path, capsys):
     out = tmp_path / "cap.json"
     # d_proj = 4 needs trace words of degree 8; the lowered cap rejects it
     code = run(["irregularity", "--model", specs["twopoint"], "--dxi", "2",
-                "--out", str(out)])
+                "--cap", "6", "--out", str(out)])
     assert code == 2
+    assert "beyond the cap 6" in capsys.readouterr().err
     code = run(["irregularity", "--model", specs["twopoint"], "--dxi", "1",
-                "--dproj", "2", "--out", str(out)])
+                "--dproj", "2", "--cap", "6", "--out", str(out)])
     assert code == 0
 
 
@@ -419,6 +417,27 @@ def test_usage_errors_exit_2(specs, capsys, argv):
      "error: graph spec {path} needs the fields 'weights' and 'edges'\n"),
     (["closed-form", "graph"], [],
      "error: graph spec {path} needs the fields 'weights' and 'edges'\n"),
+    # fields that are present but of the wrong type
+    (["irregularity"], {"type": "semicircular", "n": None},
+     "error: semicircular model spec has a malformed field 'n': null\n"),
+    (["irregularity"], {"type": "semicircular", "n": 2.5},
+     "error: semicircular model spec has a malformed field 'n': 2.5\n"),
+    (["sigma-exact"], {"type": "matrix", "blocks": [[2, 1.0]],
+                       "generators": 5},
+     "error: matrix model spec has a malformed field 'generators': 5\n"),
+    (["irregularity"], {"type": "free_product", "factors": 3},
+     "error: free_product model spec has a malformed field 'factors': 3\n"),
+    (["irregularity"], {"type": "measure", "atoms": [[0.0, 0.5]],
+                        "density": 3},
+     "error: measure model spec has a malformed field 'density': 3\n"),
+    (["irregularity"], {"type": "measure", "atoms": [[0.0, 0.5]],
+                        "density": {"kind": "uniform", "b": 1.0}},
+     "error: uniform density needs the field 'a'\n"),
+    (["closed-form", "one-var"], {"type": "measure", "atoms": [[0.0, 0.5]],
+                                  "density": {"kind": "table"}},
+     "error: table density needs the field 'points'\n"),
+    (["closed-form", "graph"], {"weights": {"a": 1}, "edges": [5]},
+     "error: graph spec {path} has a malformed field 'edges': [5]\n"),
 ])
 def test_malformed_spec_names_the_field(tmp_path, capsys, argv, spec, message):
     path = tmp_path / "spec.json"

@@ -161,12 +161,12 @@ def test_graph_validation():
 
 def test_eps_kernel_point_mass():
     for eps in (1.0, 0.1, 0.003):
-        rep = eps_kernel(MeasureModel([(0.0, 1.0)]), eps, with_field=False)
+        rep = eps_kernel(MeasureModel([(0.0, 1.0)]), eps)
         assert abs(rep.bound - 1.0) < 1e-14
 
 
 def test_eps_kernel_two_point(twopoint_measure):
-    bounds = [eps_kernel(twopoint_measure, e, with_field=False).bound
+    bounds = [eps_kernel(twopoint_measure, e).bound
               for e in (0.3, 0.1, 0.01, 0.001)]
     assert all(bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1))
     assert abs(bounds[-1] - 0.5) < 1e-3
@@ -177,7 +177,7 @@ def test_eps_kernel_atom_limit_matches_one_var(rng):
     # measures with atom gaps >= 1/2: the small-eps bound is the mass sum
     atoms = [(-1.0, 0.3), (0.0, 0.5), (1.5, 0.2)]
     m = MeasureModel(atoms)
-    rep = eps_kernel(m, 1e-3, with_field=False)
+    rep = eps_kernel(m, 1e-3)
     sig2, _ = one_var_sigma(atoms)
     assert abs(rep.bound - float(sig2)) < 1e-3
 

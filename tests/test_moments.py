@@ -133,19 +133,19 @@ def test_gram_blocks_match_per_split_reference(name):
     assert np.array_equal(gs.W, gs.W.conj().T)
 
 
-def _symbolic_xi(model, words, y):
-    """Oracle only: the candidate tuple of the coefficient vector ``y`` over
-    the design columns (word k, slot i at ``k * n + i``), built as the
+def _symbolic_xi(model, words, Y):
+    """Oracle only: the candidate tuple of the coefficient matrix ``Y`` over
+    the design columns (word k in slot i at ``Y[k, i]``), built as the
     symbolic basis it replaced: ``model.centered`` of each word, scaled by
     its coefficient and summed, coefficients up to ``RCOND`` times the
     largest in modulus dropped."""
     system, n = model.system, model.n
-    cut = stein.RCOND * max(abs(c) for c in y)
+    cut = stein.RCOND * np.abs(Y).max()
     xi = [NCPoly.zero(system) for _ in range(n)]
     for k, w in enumerate(words):
         cand = model.centered(NCPoly.from_word(system, w))
         for i in range(n):
-            c = y[k * n + i]
+            c = Y[k, i]
             if abs(c) > cut:
                 xi[i] = xi[i] + cand * QQi.of(complex(c))
     return tuple(xi)
@@ -153,16 +153,18 @@ def _symbolic_xi(model, words, y):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_candidate_gram_matches_inner_l2(name):
+    # every slot has the one candidate Gram, and two slots are orthogonal
     model = MODELS[name]()
     words = stein.monomial_words(model.system, 1, 2)
-    K = model.n * len(words)
-    candidates = [_symbolic_xi(model, words, y) for y in np.eye(K)]
-    Q = np.zeros((K, K), dtype=complex)
-    for a, b in itertools.product(range(K), repeat=2):
-        i, j = a % model.n, b % model.n
-        if i == j:
-            Q[a, b] = model.inner_l2(candidates[b][i], candidates[a][i])
-    assert np.max(np.abs(stein._candidate_gram(model, words) - Q)) <= TOL
+    K, n = len(words), model.n
+    candidates = [_symbolic_xi(model, words, y.reshape(K, n))
+                  for y in np.eye(K * n)]
+    Qw = stein._candidate_gram(model, words)
+    assert Qw.shape == (K, K)
+    for a, b in itertools.product(range(K * n), repeat=2):
+        (k, i), (l, j) = divmod(a, n), divmod(b, n)
+        q = model.inner_l2(candidates[b][i], candidates[a][i])
+        assert abs(q - (Qw[k, l] if i == j else 0)) <= TOL
 
 
 XI_MODELS = dict(MODELS, **{"cyclic group of order 3":
@@ -172,35 +174,37 @@ XI_MODELS = dict(MODELS, **{"cyclic group of order 3":
 @pytest.mark.parametrize("name", XI_MODELS)
 def test_assembled_xi_matches_symbolic_xi(name):
     model = XI_MODELS[name]()
-    _, _, words, degrees, Z, b = stein._xi_design(model, stein.DegreeScheme(2))
-    assert len(degrees) == Z.shape[1] == model.n * len(words)
-    y, *_ = np.linalg.lstsq(Z, b, rcond=stein.RCOND)
-    ys = [y]
+    _, _, words, degrees, Z, B = stein._xi_design(model, stein.DegreeScheme(2))
+    assert len(degrees) == Z.shape[1] == len(words)
+    assert B.shape == (len(Z), model.n)
+    Y, *_ = np.linalg.lstsq(Z, B, rcond=stein.RCOND)
+    Ys = [Y]
     # entries at zero and on both sides of the drop rule, real and complex
     values = np.array([0.0, 0.99, 1.01, -1.01, 1e-6, 10.0, 0.7e10j, 1j,
                        0.3e10 - 2j])
-    rng, size = np.random.default_rng(5), len(degrees)
+    rng, shape = np.random.default_rng(5), Y.shape
     for _ in range(3):
-        c = rng.choice(values, size=size) * rng.choice([1, -1], size=size)
-        c += (rng.random(size) < 0.3) * rng.normal(size=size) * (1 + 1j)
-        c[0] = 1e10  # the largest modulus: the cut is RCOND * 1e10 = 1
-        ys.append(c)
-    for y in ys:
-        assert stein._assemble_xi(model, words, y) == _symbolic_xi(model,
-                                                                   words, y)
+        c = rng.choice(values, size=shape) * rng.choice([1, -1], size=shape)
+        c += (rng.random(shape) < 0.3) * rng.normal(size=shape) * (1 + 1j)
+        c[0, 0] = 1e10  # the largest modulus: the cut is RCOND * 1e10 = 1
+        Ys.append(c)
+    for Y in Ys:
+        assert stein._assemble_xi(model, words, Y) == _symbolic_xi(model,
+                                                                   words, Y)
 
 
 def test_assembled_xi_drop_rule_is_relative():
-    # rounding of a solve is relative to y: its terms are dropped and the
-    # true terms kept at every scale of y
+    # rounding of a solve is relative to Y: its terms are dropped and the
+    # true terms kept at every scale of Y
     model = SemicircularModel(2)
     words = stein.monomial_words(model.system, 1, 2)
-    y = np.zeros(model.n * len(words))
-    y[[0, 3, 11]] = 1.0, -0.25, 0.5  # t1 in slot 0; t2, t2 t2 in slot 1
-    y[[4, 7]] = 3e-16, -2e-17
+    Y = np.zeros((len(words), model.n))
+    # t1 in slot 0; t2 and t2 t2 in slot 1
+    Y[[0, 1, 5], [0, 1, 1]] = 1.0, -0.25, 0.5
+    Y[[2, 3], [0, 1]] = 3e-16, -2e-17
     expected = [{(0, 0, 0)}, {(0, 1, 0), (0, 1, 0, 1, 0), (0,)}]
     for scale in (1e-20, 1.0, 1e20):
-        xi = stein._assemble_xi(model, words, scale * y)
+        xi = stein._assemble_xi(model, words, scale * Y)
         assert [set(p.terms) for p in xi] == expected
 
 
@@ -257,8 +261,8 @@ def test_design_builds_no_exact_kernels(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(stein, "commutator_stein_kernel", counted)
-    *_, Z, b = stein._xi_design(SemicircularModel(2), stein.DegreeScheme(2))
-    assert Z.shape[1] == 2 * 6 and not calls
+    *_, Z, B = stein._xi_design(SemicircularModel(2), stein.DegreeScheme(2))
+    assert Z.shape[1] == 6 and B.shape[1] == 2 and not calls
 
 
 @pytest.mark.parametrize("make, real", [

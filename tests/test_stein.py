@@ -88,7 +88,7 @@ def _candidate_gram_semicircular2():
 
 
 # the Grams of the benchmark's library estimates and CLI reports, a complex
-# Gram with one component, a candidate Gram kron(Qw, I_n) and a dense matrix
+# Gram with one component, a candidate Gram and a dense matrix
 SPLIT_MATRICES = {
     "semicircular n=3, d_proj=4": _gram(lambda: SemicircularModel(3), 4),
     "semicircular n=2, d_proj=5": _gram(lambda: SemicircularModel(2), 5),
@@ -140,9 +140,12 @@ def test_split_components_of_structured_grams():
     labels = stein._components(GramSystem(SemicircularModel(3), 4).W)
     sizes = np.bincount(np.unique(labels, return_inverse=True)[1])
     assert len(sizes) == 94 and sizes.max() == 35
-    # kron(Qw, I_n) never links two slots
+    # odd moments vanish: no odd-degree candidate links an even-degree one
     labels = stein._components(_candidate_gram_semicircular2())
-    assert not set(labels[0::2]) & set(labels[1::2])
+    odd = np.array([len(w) // 2 % 2 for w in
+                    monomial_words(SemicircularModel(2).system, 1, 3)], bool)
+    assert not set(labels[odd]) & set(labels[~odd])
+    assert len(set(labels)) == 8
     # no zero pattern: one block, decomposed as the whole matrix
     for make in (_gram(lambda: cyclic_group_model(3), 4), _random_spd):
         A = make()
@@ -365,7 +368,7 @@ def test_bounded_dense_sweep_oracle(semicircular1):
             xi = xi + p * QQi.of(float(c))
         norm = math.sqrt(semicircular1.inner_l2(xi, xi).real)
         xi = xi * QQi.of(0.5 / norm)
-        rep = discrepancy(semicircular1, (xi,), scheme, with_trail=False)
+        rep = discrepancy(semicircular1, (xi,), scheme)
         best = min(best, rep.value)
     assert target.value <= best + 1e-9
     assert target.value > 0.05
@@ -403,6 +406,91 @@ def test_radius_sweep_matches_bounded():
         sweep = radius_sweep(make(), scheme, [0.0, 0.25, 0.5, 1.0, 3.0])
         for r, rep in sweep:
             assert rep.to_json() == irregularity_bounded(make(), scheme, r).to_json()
+
+
+BOUNDED_TOL = 1e-8  # the benchmark's tolerance on bounded values
+
+
+@pytest.mark.parametrize("n, d_xi", [(2, 3), (3, 2)])
+def test_radius_sweep_pins_semicircular_distance_to_ball(n, d_xi):
+    # the conjugate variable X has L2 norm sqrt(n), so the bounded value is
+    # the distance max(sqrt(n) - R, 0) to the ball; the slots share the one
+    # bound, and the optimum spreads it evenly over them
+    model = SemicircularModel(n)
+    radii = [0.1, 0.25, 0.5, 1.0, 1.5, 2.0]
+    for r, rep in radius_sweep(model, DegreeScheme(d_xi), radii):
+        assert abs(rep.value - max(math.sqrt(n) - r, 0.0)) <= BOUNDED_TOL
+        share = min(r, math.sqrt(n)) / math.sqrt(n)
+        for x in rep.xi:
+            assert abs(math.sqrt(model.inner_l2(x, x).real) - share) <= 1e-8
+
+
+def _interleaved_solves(model, scheme, radii):
+    """Oracle only: the estimate trail, its rank and the bounded values on
+    the design of one problem over all slots, as it was solved before the
+    slots shared a design: column ``k * n + i`` is word k in slot i, the
+    design is block-diagonal over the slots and the candidate Gram is
+    ``kron(Qw, I_n)``, both rebuilt from the shared ones."""
+    _, _, words, degrees, Z, B = stein._xi_design(model, scheme)
+    n, (kept, K) = model.n, Z.shape
+    Zb = np.zeros((n * kept, n * K), dtype=Z.dtype)
+    for i in range(n):
+        Zb[i * kept:(i + 1) * kept, i::n] = Z
+    b, deg = B.T.reshape(-1), np.repeat(degrees, n)
+    trail = []
+    for dx in range(1, scheme.d_xi + 1):
+        Zd = Zb[:, deg <= dx]
+        y, _, rank, _ = np.linalg.lstsq(Zd, b, rcond=stein.RCOND)
+        trail.append(float(np.linalg.norm(Zd @ y - b)))
+    Q = np.kron(stein._candidate_gram(model, words), np.eye(n))
+    qvals, qvecs = stein._eigh_kept(Q)
+    T = qvecs / np.sqrt(qvals)
+    U, sv, Vh = np.linalg.svd(Zb @ T, full_matrices=False)
+    keep = sv > stein.RCOND * sv[0]
+    U, sv, Vh = U[:, keep], sv[keep], Vh[keep]
+    beta = U.conj().T @ b
+
+    def u_at(lam):
+        return Vh.conj().T @ (sv * beta / (sv ** 2 + lam))
+
+    bounded = []
+    for r in radii:
+        lam = 0.0
+        if np.linalg.norm(u_at(0.0)) > r + 1e-12:
+            lo, hi = 0.0, max(sv[0] ** 2, 1.0)
+            while np.linalg.norm(u_at(hi)) > r:
+                hi *= 2.0
+            for _ in range(300):
+                lam = 0.5 * (lo + hi)
+                norm = np.linalg.norm(u_at(lam))
+                if abs(norm - r) <= 1e-10:
+                    break
+                lo, hi = (lam, hi) if norm > r else (lo, lam)
+        bounded.append((float(np.linalg.norm(Zb @ (T @ u_at(lam)) - b)),
+                        lam > 0))
+    return trail, int(rank), bounded
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FreeProductModel([two_point_measure(mass_plus=0.7, loc_plus=2.0),
+                              SemicircularModel(1)]),
+    lambda: cyclic_group_model(5),
+    lambda: MatrixModel([(2, 2 / 3), (1, 1 / 3)],
+                        [[[[1, 0], [0, -1]], [[1.0]]],
+                         [[[0, 1], [1, 0]], [[0.0]]]]),
+], ids=["skewed free product", "cyclic group of order 5", "M_2 + C"])
+def test_shared_design_matches_interleaved_design(make):
+    scheme, radii = DegreeScheme(2), [0.1, 0.25, 0.5, 1.0, 2.0]
+    trail, rank, bounded = _interleaved_solves(make(), scheme, radii)
+    est = irregularity_estimate(make(), scheme)
+    for (_, got), want in zip(est.trail, trail, strict=True):
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+    assert est.diagnostics["design_rank"] == rank
+    sweep = radius_sweep(make(), scheme, radii)
+    assert any(boundary for _, boundary in bounded)
+    for (_, rep), (want, boundary) in zip(sweep, bounded, strict=True):
+        assert abs(rep.value - want) <= 1e-12 * max(1.0, want)
+        assert rep.diagnostics["boundary"] == boundary
 
 
 # -- exact finite-dimensional dimension ----------------------------------------------
@@ -880,8 +968,8 @@ def test_mixed_free_factors_add(threepoint_matrix):
                                                  [1 / 3, 1 / 3, 1 / 3])])
     est = irregularity_estimate(fp, DegreeScheme(2, 4))
     assert abs(est.irregularity ** 2 - 5 / 6) < 2e-3
-    r1 = sigma_exact_fd(two_point_matrix_model(), d=2, with_trail=False)
-    r2 = sigma_exact_fd(threepoint_matrix, d=2, with_trail=False)
+    r1 = sigma_exact_fd(two_point_matrix_model(), d=2)
+    r2 = sigma_exact_fd(threepoint_matrix, d=2)
     joined = join_free_factors(r1, r2)
     assert abs(joined.irregularity ** 2 - 5 / 6) < 1e-10
 
