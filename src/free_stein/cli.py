@@ -26,7 +26,7 @@ from .parser import parse_poly_tuple
 from .stein import (DegreeScheme, alpha_estimate, conjugate_variable_check,
                     discrepancy, irregularity_estimate,
                     radius_sweep, sigma_exact_fd)
-from .trace import MatrixModel, MeasureModel, load_model, spec_field
+from .trace import MatrixModel, MeasureModel, _whole, load_model, spec_field
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -201,7 +201,10 @@ def _cf_one_var(args) -> int:
 
 def _cf_fd(args) -> int:
     if args.model is not None:
-        blocks = _load(args, MatrixModel, "matrix").blocks
+        # a spec stores weights as binary floats (2/3 as 0.666...6); read each
+        # as the nearest small fraction so that fd_sigma's exact sum holds
+        blocks = [(k, Fraction(lam).limit_denominator(10 ** 6))
+                  for k, lam in _load(args, MatrixModel, "matrix").blocks]
     else:
         blocks = [(int(k), Fraction(lam))
                   for k, lam in _fields(args.blocks, "size:weight")]
@@ -236,8 +239,8 @@ def _cf_graph(args) -> int:
         (v, Fraction(str(w)))
         for v, w in (ws.items() if isinstance(ws, dict) else ws)])
     # an edge is (v, w) or (v, w, multiplicity)
-    edges = spec_field(data, "edges", name,
-                       lambda es: [(v, w, *m) for v, w, *m in es])
+    edges = spec_field(data, "edges", name, lambda es: [
+        (v, w, *map(_whole, m)) for v, w, *m in es])
     return _write_json(args, graph_sigma(GraphSpec(weights, edges)).to_json())
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import ModelError, StructureError
-from .trace import MeasureModel
+from .trace import MeasureModel, _whole
 
 
 def _exact(x) -> Fraction:
@@ -201,7 +201,7 @@ class GraphSpec:
         acc = {}
         for e in edges:
             v, w = str(e[0]), str(e[1])
-            mult = int(e[2]) if len(e) > 2 else 1
+            mult = _whole(e[2]) if len(e) > 2 else 1
             if mult < 1:
                 raise ModelError("edge multiplicity must be positive")
             if v not in names or w not in names:

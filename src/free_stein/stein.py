@@ -497,6 +497,15 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
     degree-e words are the degree-(e-1) words times a letter times a B slot,
     which is both the order of ``monomial_words`` and the product order of
     ``MatrixModel.eval_word``.
+
+    ``S`` is summed without a scatter, in the layout ``_gram_blocks`` uses
+    for ``W``: the degree-e words with letter ``i`` after a prefix of degree
+    ``j`` are the slice ``[:, i, :]`` of the ``(|L_j|, n, |L_(e-1-j)|)``
+    reshape of the degree-e range (``L_j`` the degree-j words), so the
+    splits after prefix degree ``j`` add ``ev[L_j] (x) ev[L_(e-1-j)]`` on the
+    letter diagonal ``[:, i, :, i]`` of the degree-e rows of ``S`` viewed as
+    ``(|L_j|, n, |L_(e-1-j)|, n, D, D)``.  Each word has one split per prefix
+    degree, added in ascending ``j``.
     """
     system = model.system
     top = d + extra
@@ -513,13 +522,19 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
         level = ((level[:, None] @ gens[None])[:, :, None] @ bs[None, None])
         level = level.reshape(-1, dim, dim)
         ev.append(coords.coords(level))
-    offsets = np.cumsum([0] + [len(e) for e in ev])
-    ev = np.concatenate(ev)
-    word, letter, left, right = _split_index(n, offsets)
-    S = np.zeros((len(ev), n, D, D), dtype=complex)
-    np.add.at(S, (word, letter), ev[left][:, :, None] * ev[right][:, None, :])
+    sizes = [len(e) for e in ev]
+    offsets = np.cumsum([0] + sizes)
+    S = np.zeros((offsets[-1], n, D, D), dtype=complex)
+    for e in range(1, top + 1):
+        rows = S[offsets[e]:offsets[e + 1]]
+        for j in range(e):
+            o = rows.reshape(sizes[j], n, sizes[e - 1 - j], n, D, D)
+            term = ev[j][:, None, :, None] * ev[e - 1 - j][None, :, None, :]
+            for i in range(n):
+                diag = o[:, i, :, i]
+                diag += term
     words = monomial_words(system, 0, top)
-    return words, ev.T, S.reshape(len(ev), n * D * D)
+    return words, np.concatenate(ev).T, S.reshape(len(S), n * D * D)
 
 
 # ---------------------------------------------------------------------------
@@ -778,12 +793,15 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     words, E, S = _word_table(model, d, extra=1)
     coords = _coords(model)
     n, D = model.n, coords.D
-    # block pairs grouped by shape, so each group is one batched SVD
+    # block pairs grouped by shape, so each group is one batched translate
+    # and one batched SVD: (shape, pair index arrays, pair weights)
     groups = {}
     c_max = max(c for _, _, c in coords.blocks) ** 2
     for i, (ki, li) in enumerate(model.blocks):
         for j, (kj, lj) in enumerate(model.blocks):
             groups.setdefault((ki, kj), []).append((i, j, li * lj / (ki * kj)))
+    groups = [(shape, np.array([p[:2] for p in pairs]).T,
+               [w for *_, w in pairs]) for shape, pairs in groups.items()]
 
     def value_at(dd: int) -> tuple:
         k = bisect.bisect_right(words, 2 * (dd + 1) + 1, key=len)
@@ -794,18 +812,18 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
         if R.shape[0] > R.shape[1]:
             R = np.linalg.qr(R, mode="r")
         rows = R.reshape(-1, n, D, D)
-        svals = [np.linalg.svd(np.stack([coords.sharp_translates(rows, i, j)
-                                         for i, j, _ in pairs]),
-                               compute_uv=False)
-                 for pairs in groups.values()]
+        svals = [np.linalg.svd(coords.sharp_translates(rows, ii, jj).reshape(
+                     len(ii), -1, n * ki * kj), compute_uv=False)
+                 for (ki, kj), (ii, jj), _ in groups]
         # the projection leaves rounding of the size of S, not of R: without
         # relations, or with only vanishing relation rows, R is that rounding,
         # and the floor c_max |S_k| keeps its translates out of the ranks
         top = max(float(s[:, 0].max()) for s in svals)
         cut = RCOND * max(top, c_max * np.linalg.norm(Sk))
-        sig2 = sum(w * int(np.sum(s > cut))
-                   for pairs, sv in zip(groups.values(), svals)
-                   for (_, _, w), s in zip(pairs, sv))
+        # summed pair by pair in a fixed order: a dot product would reorder
+        # the sum and move its last bits
+        sig2 = sum(w * c for (*_, ws), s in zip(groups, svals)
+                   for w, c in zip(ws, (s > cut).sum(axis=1).tolist()))
         return n - sig2, sig2, k - rank
 
     trail = []
@@ -954,7 +972,7 @@ def alpha_estimate(sweep) -> AlphaReport:
     Values at or below the floor of 1e-12 are clipped and flagged; when every
     point in the window sits at the floor the decay is reported as ``-inf``.
     The slope is clipped to the interval ``[-inf, 0]``: a positive irregularity
-    limit forces slope zero.
+    limit forces slope zero.  A window of equal values has slope exactly 0.
     """
     pts = [(float(r), float(v)) for r, v in sweep if float(r) > 0]
     if len(pts) < 3:
@@ -966,8 +984,11 @@ def alpha_estimate(sweep) -> AlphaReport:
     if floored == len(window):
         return AlphaReport(alpha=float("-inf"),
                            window=[r for r, _ in window], floored=floored)
-    xs = np.log([r for r, _ in window])
-    ys = np.log([max(v, ALPHA_FLOOR) for _, v in window])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    if len({v for _, v in window}) == 1:
+        slope = 0.0  # a flat window; the fit would report its rounding
+    else:
+        xs = np.log([r for r, _ in window])
+        ys = np.log([max(v, ALPHA_FLOOR) for _, v in window])
+        slope = float(np.polyfit(xs, ys, 1)[0])
     return AlphaReport(alpha=min(slope, 0.0),
                        window=[r for r, _ in window], floored=floored)

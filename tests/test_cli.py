@@ -2,10 +2,13 @@ import argparse
 import csv
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from free_stein.cli import build_parser, main
+from free_stein.trace import MatrixModel, model_to_json
 
 SEMI1 = {"type": "semicircular", "n": 1}
 SEMI2 = {"type": "semicircular", "n": 2}
@@ -438,6 +441,15 @@ def test_usage_errors_exit_2(specs, capsys, argv):
      "error: table density needs the field 'points'\n"),
     (["closed-form", "graph"], {"weights": {"a": 1}, "edges": [5]},
      "error: graph spec {path} has a malformed field 'edges': [5]\n"),
+    # an edge multiplicity is a whole number, never read by truncation
+    (["closed-form", "graph"], {"weights": {"a": 0.5, "b": 0.5},
+                                "edges": [["a", "b", "x"]]},
+     "error: graph spec {path} has a malformed field 'edges': "
+     "[[\"a\", \"b\", \"x\"]]\n"),
+    (["closed-form", "graph"], {"weights": {"a": 0.5, "b": 0.5},
+                                "edges": [["a", "b", 2.5]]},
+     "error: graph spec {path} has a malformed field 'edges': "
+     "[[\"a\", \"b\", 2.5]]\n"),
 ])
 def test_malformed_spec_names_the_field(tmp_path, capsys, argv, spec, message):
     path = tmp_path / "spec.json"
@@ -469,6 +481,39 @@ def test_closed_form_fd_reads_a_matrix_model(specs, capsys):
     assert json.loads(capsys.readouterr().out)["sigma_exact"] == "1/2"
     assert run(["closed-form", "fd", "--model", specs["twopoint"]]) == 2
     assert capsys.readouterr().err == "error: fd needs a matrix model\n"
+
+
+@pytest.mark.parametrize("blocks, want", [
+    ([(2, 2 / 3), (1, 1 / 3)], "7/9"),
+    ([(1, 0.3), (1, 0.7)], "21/50"),
+    ([(2, 0.25), (1, 0.75)], "27/64"),
+])
+def test_closed_form_fd_reads_float_model_weights(tmp_path, capsys, blocks,
+                                                 want):
+    # the weights of a spec are binary floats whose exact sum is not 1; each
+    # is read as the nearest small fraction, as --blocks would give it
+    gens = [[np.diag(np.arange(k, dtype=float)).tolist() for k, _ in blocks]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(MatrixModel(blocks, gens))))
+    assert run(["closed-form", "fd", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_exact"] == want
+    spec = ",".join(f"{k}:{Fraction(lam).limit_denominator(100)}"
+                    for k, lam in blocks)
+    assert run(["closed-form", "fd", "--blocks", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_exact"] == want
+
+
+def test_closed_form_fd_keeps_the_exact_weight_sum(tmp_path, capsys):
+    # the float weights sum to 1 and the model loads, but their nearest small
+    # fractions sum to 1 - 1.4e-12: fd_sigma still rejects them
+    weights = [0.1234567, 0.2345678, 0.6419755]
+    assert sum(weights) == 1.0
+    model = MatrixModel([(1, w) for w in weights],
+                        [[[[1.0]], [[0.0]], [[-1.0]]]])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    assert run(["closed-form", "fd", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == "error: block weights must sum to 1\n"
 
 
 def test_sweep_warnings_name_each_point(specs, tmp_path, capsys):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -948,6 +949,140 @@ def test_sigma_exact_matches_basis_reference_on_random_blocks(spec):
     assert got == _sigma_exact_fd_basis_reference(model, 3)
 
 
+# -- the scatter-free split table and the batched translates -----------------------
+
+
+def _split_table_reference(model, words, E):
+    """Oracle only: the split table ``S`` as one ``np.add.at`` scatter of
+    ``ev(left) (x) ev(right)`` over ``stein._split_index``, split by split."""
+    n, D = model.n, len(E)
+    top = (len(words[-1]) - 1) // 2
+    offsets = [bisect.bisect_left(words, 2 * e + 1, key=len)
+               for e in range(top + 2)]
+    word, letter, left, right = stein._split_index(n, offsets)
+    ev = E.T
+    S = np.zeros((len(words), n, D, D), dtype=complex)
+    np.add.at(S, (word, letter), ev[left][:, :, None] * ev[right][:, None, :])
+    return S.reshape(len(words), n * D * D)
+
+
+def _pair_translates_reference(coords, rows, i, j):
+    """Oracle only: ``M_ij`` of one block pair, from slices of the rows."""
+    (si, ki, ci), (sj, kj, cj) = coords.blocks[i], coords.blocks[j]
+    r, n = rows.shape[:2]
+    t = rows[:, :, si, sj].reshape(r, n, ki, ki, kj, kj)
+    t = t.transpose(0, 2, 5, 1, 3, 4)
+    return (ci * cj) * t.reshape(r * ki * kj, n * ki * kj)
+
+
+def _check_split_table(model, d):
+    words, E, S = stein._word_table(model, d, extra=1)
+    assert np.array_equal(S, _split_table_reference(model, words, E))
+
+
+def _check_batched_translates(model, seed):
+    # each shape group in one call is the per-pair stack, bit for bit
+    coords = MatrixCoordinates(model)
+    n, D = model.n, coords.D
+    gen = np.random.default_rng(seed)
+    rows = gen.normal(size=(3, n, D, D)) + 1j * gen.normal(size=(3, n, D, D))
+    groups = {}
+    for i, (ki, _) in enumerate(model.blocks):
+        for j, (kj, _) in enumerate(model.blocks):
+            groups.setdefault((ki, kj), []).append((i, j))
+    for (ki, kj), pairs in groups.items():
+        ii, jj = np.array(pairs).T
+        got = coords.sharp_translates(rows, ii, jj)
+        assert got.shape == (len(pairs) * 3 * ki * kj, n * ki * kj)
+        for one in (coords.sharp_translates,
+                    partial(_pair_translates_reference, coords)):
+            want = np.concatenate([one(rows, i, j) for i, j in pairs])
+            assert np.array_equal(got, want)
+
+
+SPLIT_TABLE_CASES = ["M_2 over B = M_2", "cyclic group of order 10", "M_2 + C",
+                     "M_3 + M_2 + C", "Pauli triple over M_2 + C"]
+
+
+@pytest.mark.parametrize("name", SPLIT_TABLE_CASES)
+def test_split_table_matches_scatter_reference(name):
+    make, d = EXACT_FD_CASES[name]
+    _check_split_table(make(), d)
+
+
+def _m2_plus_c_unequal_scales():
+    # the other cases have lambda_i proportional to k_i, so every block has
+    # the same coordinate scale c_i and a slip in the per-pair scale is lost
+    return MatrixModel([(2, 0.6), (1, 0.4)], [[SZ, [[1.0]]], [SX, [[0.0]]]])
+
+
+@pytest.mark.parametrize(
+    "make", [EXACT_FD_CASES[name][0] for name in SPLIT_TABLE_CASES]
+    + [_m2_plus_c_unequal_scales],
+    ids=SPLIT_TABLE_CASES + ["M_2 + C, weights 3/5 and 2/5"])
+def test_batched_translates_match_per_pair_stack(make):
+    _check_batched_translates(make(), 11)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(block_models())
+def test_split_table_and_translates_on_random_blocks(spec):
+    model = MatrixModel(*spec)
+    _check_split_table(model, 3)
+    _check_batched_translates(model, 5)
+
+
+# -- *-algebra invariance on the exact path -------------------------------------------
+
+
+def _rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
+
+
+@st.composite
+def mixed_block_models(draw):
+    """The algebra of a ``block_models`` draw under another generating tuple:
+    its two generators mixed by a random invertible real matrix (singular
+    values in [0.5, 2]), optionally with their anticommutator adjoined."""
+    blocks, gens = draw(block_models())
+    a, b = ([np.array(m) for m in g] for g in gens)
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = gen.uniform(0.5, 2.0, 2) * gen.choice([-1.0, 1.0], 2)
+    mix = (_rotation(gen.uniform(0, 2 * np.pi)) @ np.diag(scale)
+           @ _rotation(gen.uniform(0, 2 * np.pi)))
+    tup = [[p * x + q * y for x, y in zip(a, b)] for p, q in mix]
+    if draw(st.booleans()):
+        tup.append([x @ y + y @ x for x, y in zip(a, b)])
+    return blocks, tup
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(mixed_block_models())
+def test_sigma_exact_is_a_star_algebra_invariant(spec):
+    # another generating tuple of the same algebra, even a longer one, has
+    # the same free Stein dimension
+    blocks, gens = spec
+    rep = sigma_exact_fd(MatrixModel(blocks, gens), d=3)
+    assert abs(rep.sigma - float(fd_sigma(blocks))) < 1e-9
+    vals = [v for _, v in rep.trail]
+    assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
+
+
+_X, _Y = np.array(SX), np.array(SY)
+PAULI_TUPLES = {"(X+Y, X-Y)": [_X + _Y, _X - _Y],
+                "(X, Y, X+Y)": [_X, _Y, _X + _Y],
+                "(X, Y, i[X,Y])": [_X, _Y, 1j * (_X @ _Y - _Y @ _X)]}
+
+
+@pytest.mark.parametrize("name", PAULI_TUPLES)
+def test_sigma_exact_of_pauli_generating_tuples(name):
+    # every generating tuple of M_2 has dimension 1 - 1/4 at every degree
+    model = MatrixModel([(2, 1.0)], [[g] for g in PAULI_TUPLES[name]])
+    rep = sigma_exact_fd(model, d=4)
+    assert rep.trail == [(d, 0.75) for d in range(1, 5)]
+
+
 def test_sigma_exact_requires_matrix_model(semicircular1):
     with pytest.raises(ModelError):
         sigma_exact_fd(semicircular1, d=2)
@@ -1126,6 +1261,17 @@ def test_alpha_examples():
         alpha_estimate([(1, 1.0), (2, 0.5)])
     with pytest.raises(StructureError):
         alpha_estimate([(2, 1.0), (1, 0.5), (3, 0.2)])
+
+
+def test_alpha_of_a_flat_sweep_is_zero():
+    # M_2 + C: the bounded irregularity is constant beyond radius 1, and a
+    # least-squares fit of the equal window values reads -2.47e-17
+    sweep = radius_sweep(_m2_plus_c(), DegreeScheme(2), [0.5, 1, 1.5, 2, 3])
+    values = [s.value for _, s in sweep]
+    assert len(set(values[2:])) == 1 and values[0] != values[-1]
+    rep = alpha_estimate([(r, s.value) for r, s in sweep])
+    assert rep.alpha == 0.0 and math.copysign(1.0, rep.alpha) == 1.0
+    assert rep.window == [1.5, 2, 3] and rep.floored == 0
 
 
 def test_alpha_from_semicircular_sweep(semicircular1):
