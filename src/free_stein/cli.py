@@ -203,8 +203,16 @@ def _cf_fd(args) -> int:
     if args.model is not None:
         # a spec stores weights as binary floats (2/3 as 0.666...6); read each
         # as the nearest small fraction so that fd_sigma's exact sum holds
-        blocks = [(k, Fraction(lam).limit_denominator(10 ** 6))
-                  for k, lam in _load(args, MatrixModel, "matrix").blocks]
+        blocks = []
+        for b, (k, lam) in enumerate(
+                _load(args, MatrixModel, "matrix").blocks):
+            weight = Fraction(lam).limit_denominator(10 ** 6)
+            if weight == 0:  # the model's weight is positive
+                raise ModelError(
+                    f"block {b} (size {k}) has weight {lam!r}, which rounds "
+                    "to 0 at the 1e-6 resolution of --model weights; give "
+                    "the exact weights with --blocks")
+            blocks.append((k, weight))
     else:
         blocks = [(int(k), Fraction(lam))
                   for k, lam in _fields(args.blocks, "size:weight")]

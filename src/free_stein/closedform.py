@@ -200,8 +200,16 @@ class GraphSpec:
             raise ModelError("duplicate vertex names")
         acc = {}
         for e in edges:
-            v, w = str(e[0]), str(e[1])
-            mult = _whole(e[2]) if len(e) > 2 else 1
+            try:
+                v, w, *m = e
+                if len(m) > 1:
+                    raise ValueError("too many fields")
+                mult = _whole(m[0]) if m else 1
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ModelError(
+                    f"edge {e!r} is malformed: an edge is (v, w) or (v, w, "
+                    "multiplicity) with a whole multiplicity") from exc
+            v, w = str(v), str(w)
             if mult < 1:
                 raise ModelError("edge multiplicity must be positive")
             if v not in names or w not in names:

@@ -41,8 +41,15 @@ the kernel, and that row does not depend on the slot, so the slots share one
 design with a column per word and one candidate Gram over the words: the
 estimate is one least-squares solve with a right-hand side per slot, and in
 the R-bounded problem only the norm bound couples the slots.  Candidates
-stay a (word, slot) coefficient matrix through the solves, and the reported
-``xi`` is assembled once per report from it, with exact coefficients.
+stay a (word, slot) coefficient matrix through the solves.  A report's
+``xi`` is assembled from it, with exact coefficients, on the first read of
+the field, so the sweeps, whose reports print only values, never build it.
+
+The index structure of a Gram system -- its basis words, the legs and the
+per-letter split arrays -- depends on nothing but ``(n, d_proj)``, since B
+is scalar and the star pairing does not enter.  It is built once per shape
+and process (:func:`_layout`) and shared read-only; the moment table and
+everything computed from it stay with each system.
 
 The Gram matrix and the candidate Gram are eigendecomposed block by block
 (:func:`_eigh_kept`): the connected components of their exact nonzero
@@ -57,15 +64,18 @@ components, never per component.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DegreeCapError, ModelError, StructureError
 from .fdalg import MatrixCoordinates
-from .ncalg import (KernelMatrix, NCPoly, TensorPoly, commutator_stein_kernel,
-                    diff_quotient, generator_tuple)
+from .ncalg import (GeneratorSystem, KernelMatrix, NCPoly, TensorPoly,
+                    commutator_stein_kernel, diff_quotient, generator_tuple)
 from .scalars import QQi
 from .serialize import poly_tuple_to_json
 from .trace import MatrixModel, TraceModel, real_if_exact
@@ -99,13 +109,35 @@ class DegreeScheme:
         return {"d_xi": self.d_xi, "d_proj": self.d_proj}
 
 
+class _BuiltOnRead:
+    """A report's ``xi`` field, given as the tuple or as a callable that
+    builds it (``partial(_assemble_xi, model, words, Y)``).  The first read
+    calls it and stores the tuple in its place, dropping the model and
+    coefficients it held; sweeps that never print ``xi`` never build it.
+    The default is the empty tuple."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class DiscrepancyReport:
     value: float
     scheme: DegreeScheme
     gram_condition: float
     trail: list = field(default_factory=list)
-    xi: tuple = ()
+    xi: tuple = _BuiltOnRead()
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -128,7 +160,7 @@ class SigmaReport:
     mode: str  # "estimate" or "exact_fd"
     trail: list = field(default_factory=list)
     scheme: DegreeScheme | None = None
-    xi: tuple = ()
+    xi: tuple = _BuiltOnRead()
     gram_condition: float = float("nan")
     diagnostics: dict = field(default_factory=dict)
 
@@ -217,6 +249,41 @@ def _split_index(n: int, offsets) -> tuple:
     return tuple(map(np.concatenate, (word, letter, left, right)))
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int, d_proj: int) -> tuple:
+    """The model-independent structure of a :class:`GramSystem` over ``n``
+    letters at ``d_proj``: ``(words, legs, start, splits, degree_count)``.
+
+    ``words`` are the basis words (degree 1 to ``d_proj + 1``) and ``legs``
+    the split legs (degree 0 to ``d_proj``), in ``monomial_words`` order;
+    the degree-e legs are ``start[e]:start[e + 1]``, and the basis has no
+    degree-0 word, so its degree-e words sit one index lower.  ``splits``
+    holds per letter the splits ordered by word and then by position, as
+    (owner word of each group, group starts, prefixes, suffixes).  With B
+    scalar none of it depends on the model, so one build serves every Gram
+    system of the shape; the arrays are read-only.
+    """
+    system = GeneratorSystem(n)
+    words = tuple(monomial_words(system, 1, d_proj + 1))
+    legs = tuple(monomial_words(system, 0, d_proj))
+    start = np.cumsum([0] + [n ** e for e in range(d_proj + 2)])
+    word, letter, pre, suf = _split_index(n, start)
+    word -= 1
+    order = np.argsort(word, kind="stable")
+    splits = []
+    for i in range(n):
+        rows = order[letter[order] == i]
+        own = word[rows]
+        starts = np.flatnonzero(np.diff(own, prepend=-1))
+        splits.append((own[starts], starts, pre[rows], suf[rows]))
+    for a in [start, *itertools.chain.from_iterable(splits)]:
+        a.setflags(write=False)
+    # words of degree <= d + 1 span the tensor degree d
+    degree_count = MappingProxyType({d: int(start[d + 2]) - 1
+                                     for d in range(1, d_proj + 1)})
+    return words, legs, start, tuple(splits), degree_count
+
+
 # ---------------------------------------------------------------------------
 # Gram system over the truncated Jacobian range
 # ---------------------------------------------------------------------------
@@ -235,8 +302,15 @@ class GramSystem:
     r-vectors gather table columns at the per-letter split arrays: those of
     the legs (words of degree <= d_proj), and those of longer kernel legs,
     traced on first use, one table call per batch.  Exact kernels go
-    through :meth:`r_of_kernel`; monomial candidates through
-    :meth:`r_of_candidates`, four column products per split.  Scalar B only.
+    through :meth:`r_of_kernel`; the identity kernel through
+    :meth:`r_of_identity`, one product of unit columns per split; monomial
+    candidates through :meth:`r_of_candidates`, four column products per
+    split.  Scalar B only.
+
+    ``words``, ``_legs``, ``_splits`` and ``_degree_count`` come from the one
+    read-only :func:`_layout` of ``(n, d_proj)``, shared by every system of
+    that shape; the table, ``W``, its views and the r-vectors are this
+    system's own.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -251,29 +325,11 @@ class GramSystem:
                 f"beyond the cap {system.cap}")
         self.model = model
         self.d_proj = d_proj
-        self.words = monomial_words(system, 1, d_proj + 1)
-        self._legs = monomial_words(system, 0, d_proj)
+        (self.words, self._legs, start, self._splits,
+         self._degree_count) = _layout(system.n, d_proj)
         G = model.moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
-        # the degree-e legs are start[e]:start[e + 1]; the basis has no
-        # degree-0 word, so its degree-e words sit one index lower
-        n = system.n
-        start = np.cumsum([0] + [n ** e for e in range(d_proj + 2)])
-        word, letter, pre, suf = _split_index(n, start)
-        word -= 1
-        # per letter, the splits ordered by word and then by position, kept
-        # as (owner word of each group, group starts, prefixes, suffixes)
-        order = np.argsort(word, kind="stable")
-        self._splits = []
-        for i in range(n):
-            rows = order[letter[order] == i]
-            own = word[rows]
-            starts = np.flatnonzero(np.diff(own, prepend=-1))
-            self._splits.append((own[starts], starts, pre[rows], suf[rows]))
-        self.W = _gram_blocks(G, n, start)
-        # words of degree <= d + 1 span the tensor degree d
-        self._degree_count = {d: int(start[d + 2]) - 1
-                              for d in range(1, d_proj + 1)}
+        self.W = _gram_blocks(G, system.n, start)
         self._views = {}
 
     def view(self, d: int | None = None) -> "_GramView":
@@ -348,7 +404,13 @@ class GramSystem:
         return R / 2
 
     def r_of_identity(self) -> np.ndarray:
-        return self.r_of_kernel(KernelMatrix.identity(self.model.system))
+        """r-vectors of the identity kernel: row ``i`` sums ``1 (x) 1`` over
+        the splits at letter ``i``, the products of the unit column."""
+        unit = self._columns[(0,)]
+        r = np.zeros((self.model.n, len(self.words)), dtype=unit.dtype)
+        for i, (owners, starts, pre, suf) in enumerate(self._splits):
+            r[i, owners] = np.add.reduceat(unit[pre] * unit[suf], starts)
+        return real_if_exact(r)
 
 
 def _gram_blocks(G: np.ndarray, n: int, start) -> np.ndarray:
@@ -648,10 +710,10 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
         trail.append((dx, float(np.linalg.norm(Zd @ Y - B))))
     value = trail[-1][1]
     sigma = n - value ** 2
-    xi = _assemble_xi(model, words, Y)
     return SigmaReport(
         sigma=sigma, irregularity=value, mode="estimate", trail=trail,
-        scheme=scheme, xi=xi, gram_condition=view.cond,
+        scheme=scheme, xi=partial(_assemble_xi, model, words, Y),
+        gram_condition=view.cond,
         diagnostics={"candidates": n * len(words), "design_rank": n * int(rank)})
 
 
@@ -672,7 +734,10 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     them, through the Frobenius norm of the whitened coefficients and one
     KKT multiplier.  Interior solutions reuse the unconstrained least
     squares; otherwise the multiplier is found by bisection until the
-    candidate norm matches the radius to 1e-10.
+    candidate norm matches the radius to 1e-10; the shrink numerators and
+    squared singular values it divides are formed once.  Each report holds
+    ``xi`` as the deferred ``partial(_assemble_xi, ...)``, built on its
+    first read: ``bounded``, ``sweep-radius`` and ``alpha`` never read it.
     """
     # the candidate Gram pairs two candidates of degree d_xi
     need, cap = 2 * scheme.d_xi, model.system.cap
@@ -689,8 +754,10 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     beta = U.conj().T @ B
     u_free = Vh.conj().T @ (beta / sv[:, None])
 
+    num, sv2 = sv[:, None] * beta, sv ** 2
+
     def shrunk(lam):
-        return sv[:, None] * beta / (sv ** 2 + lam)[:, None]
+        return num / (sv2 + lam)[:, None]
 
     def solve(radius: float) -> DiscrepancyReport:
         if radius == 0:
@@ -720,7 +787,7 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
         Y = T @ u
         value = float(np.linalg.norm(Z @ Y - B))
         diagnostics["radius"] = radius
-        xi = _assemble_xi(model, words, Y) if radius else ()
+        xi = partial(_assemble_xi, model, words, Y) if radius else ()
         return DiscrepancyReport(value=value, scheme=scheme,
                                  gram_condition=view.cond,
                                  trail=[(scheme.d_proj, value)], xi=xi,

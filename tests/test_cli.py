@@ -503,6 +503,23 @@ def test_closed_form_fd_reads_float_model_weights(tmp_path, capsys, blocks,
     assert json.loads(capsys.readouterr().out)["sigma_exact"] == want
 
 
+def test_closed_form_fd_names_a_weight_that_rounds_to_zero(tmp_path, capsys):
+    # a positive weight below the 1e-6 resolution of --model weights reads
+    # as 0: the error names that block, not the model's validity
+    model = MatrixModel([(1, 1e-7), (1, 1 - 1e-7)], [[[[0.0]], [[1.0]]]])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    assert run(["closed-form", "fd", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: block 0 (size 1) has weight 1e-07, which rounds to 0 at the "
+        "1e-6 resolution of --model weights; give the exact weights with "
+        "--blocks\n")
+    assert run(["closed-form", "fd", "--blocks",
+                "1:1/10000000,1:9999999/10000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_exact"] == \
+        str(1 - Fraction(1, 10 ** 14) - Fraction(9999999, 10 ** 7) ** 2)
+
+
 def test_closed_form_fd_keeps_the_exact_weight_sum(tmp_path, capsys):
     # the float weights sum to 1 and the model loads, but their nearest small
     # fractions sum to 1 - 1.4e-12: fd_sigma still rejects them

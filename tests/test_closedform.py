@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -154,6 +155,14 @@ def test_graph_validation():
                   [("a", "b", 1)])
     with pytest.raises(ModelError):
         GraphSpec([("a", 1)], [("a", "z", 1)])
+
+
+@pytest.mark.parametrize("edge", [("a", "b", 2.5), ("a", "b", "x"), ("a",),
+                                  ("a", "b", 1, 2), ("a", "b", None), 5])
+def test_graph_malformed_edge_is_a_model_error(edge):
+    with pytest.raises(ModelError, match=f"edge {re.escape(repr(edge))} is "
+                                         "malformed"):
+        GraphSpec({"a": F(1, 2), "b": F(1, 2)}, [edge])
 
 
 # -- smoothed kernel bound -----------------------------------------------------------

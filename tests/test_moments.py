@@ -8,7 +8,9 @@ same table, the moment tables of semicircular, measure and matrix models
 against the per-word traces they replaced (``_per_word_table``), and the
 reduced-word vectors of free products against the centering recursion they
 replaced.  The reported candidate tuples are checked against the symbolic
-candidate basis (``_symbolic_xi``).
+candidate basis (``_symbolic_xi``), and reports that build them on first
+read against reports that build them at once.  Gram systems of one shape
+share one read-only layout.
 """
 
 import itertools
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 
 from conftest import random_poly, random_word, word_of
 from free_stein import stein
+from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
-from free_stein.ncalg import (BAlgebra, NCPoly, TensorPoly,
+from free_stein.ncalg import (BAlgebra, KernelMatrix, NCPoly, TensorPoly,
                               commutator_stein_kernel, generator_tuple,
                               gradient)
 from free_stein.scalars import QQi
@@ -113,14 +116,57 @@ EXACT_GRAMS = {
 @pytest.mark.parametrize("name", EXACT_GRAMS)
 def test_gram_blocks_equal_per_split_reference(name):
     make, d_proj = EXACT_GRAMS[name]
-    gs = stein.GramSystem(make(), d_proj)
-    W, arrays = _gram_reference(gs)
-    assert np.array_equal(gs.W, W)
-    assert np.array_equal(gs.W, gs.W.conj().T)
-    for got, want in zip(gs._splits, arrays, strict=True):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-    for d in range(1, d_proj + 1):
-        assert gs._degree_count[d] == sum(len(w) // 2 <= d + 1 for w in gs.words)
+    stein._layout.cache_clear()
+    # the first build makes the layout, the second reads it from the cache
+    for _ in range(2):
+        gs = stein.GramSystem(make(), d_proj)
+        W, arrays = _gram_reference(gs)
+        assert np.array_equal(gs.W, W)
+        assert np.array_equal(gs.W, gs.W.conj().T)
+        for got, want in zip(gs._splits, arrays, strict=True):
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(got, want, strict=True))
+        for d in range(1, d_proj + 1):
+            assert gs._degree_count[d] == sum(len(w) // 2 <= d + 1
+                                              for w in gs.words)
+
+
+def test_gram_systems_of_one_shape_share_a_read_only_layout():
+    # n=2 both, but a different star pairing: the layout depends on neither
+    a = stein.GramSystem(SemicircularModel(2), 3)
+    b = stein.GramSystem(_unitary_pair(), 3)
+    assert a.words is b.words and a._legs is b._legs
+    for got, want in zip(a._splits, b._splits, strict=True):
+        assert all(g is w for g, w in zip(got, want, strict=True))
+        for arr in got:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    with pytest.raises(TypeError):
+        a._degree_count[1] = 0
+    # the model values stay per system
+    assert not np.array_equal(a.W, b.W)
+    assert a._columns is not b._columns
+
+
+IDENTITY_MODELS = {
+    "semicircular n=2": lambda: SemicircularModel(2),
+    "two-point": two_point_measure,
+    "two-point * semicircular": MODELS["two-point * semicircular"],
+    "cyclic group of order 5": lambda: cyclic_group_model(5),
+    "two-block unitary": _unitary_pair,
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_MODELS)
+def test_identity_rows_equal_the_identity_kernel_rows(name):
+    model = IDENTITY_MODELS[name]()
+    for d_proj in (2, 4):
+        gs = stein.GramSystem(model, d_proj)
+        r = gs.r_of_identity()
+        want = gs.r_of_kernel(KernelMatrix.identity(model.system))
+        assert r.dtype == want.dtype and np.array_equal(r, want)
+    assert np.iscomplexobj(r) == (name in ("cyclic group of order 5",
+                                           "two-block unitary"))
 
 
 @pytest.mark.parametrize("name", ["two-point * semicircular",
@@ -191,6 +237,61 @@ def test_assembled_xi_matches_symbolic_xi(name):
     for Y in Ys:
         assert stein._assemble_xi(model, words, Y) == _symbolic_xi(model,
                                                                    words, Y)
+
+
+def test_sweeps_build_no_xi_until_it_is_read(monkeypatch, tmp_path):
+    calls, eager = [], stein._assemble_xi
+
+    def counted(*args):
+        calls.append(args)
+        return eager(*args)
+
+    monkeypatch.setattr(stein, "_assemble_xi", counted)
+    sweep = stein.radius_sweep(SemicircularModel(2), stein.DegreeScheme(2),
+                               [0, 0.5, 1, 2])
+    spec = tmp_path / "semicircular1.json"
+    spec.write_text('{"type": "semicircular", "n": 1}')
+    assert main(["sweep-degree", "--model", str(spec), "--dxi-max", "2",
+                 "--out", str(tmp_path / "degree.json")]) == 0
+    assert calls == []
+    # the first read builds xi once; later reads return the stored tuple
+    rep = sweep[1][1]
+    xi = rep.xi
+    assert rep.xi is xi and len(calls) == 1
+    assert xi == eager(*calls[0])
+    assert sweep[0][1].xi == () and len(calls) == 1
+    est = stein.irregularity_estimate(SemicircularModel(2),
+                                      stein.DegreeScheme(2))
+    assert len(calls) == 1
+    assert est.xi == eager(*calls[1]) and len(calls) == 2
+
+
+REPORT_MODELS = {
+    "semicircular n=2": lambda: SemicircularModel(2),
+    "two-point * semicircular": MODELS["two-point * semicircular"],
+    "cyclic group of order 5": lambda: cyclic_group_model(5),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_MODELS)
+def test_reports_with_xi_built_on_read_equal_eager_reports(name, monkeypatch):
+    make, scheme = REPORT_MODELS[name], stein.DegreeScheme(2)
+
+    def reports():
+        # radius 0, then radii from the boundary into the interior
+        sweep = stein.radius_sweep(make(), scheme, [0, 0.5, 1, 10])
+        return [stein.irregularity_estimate(make(), scheme),
+                stein.irregularity_bounded(make(), scheme, 0.5),
+                *(rep for _, rep in sweep)]
+
+    lazy = reports()
+    with monkeypatch.context() as m:
+        # assemble each xi when its report is made, as before it was deferred
+        m.setattr(stein, "partial", lambda fn, *args: fn(*args))
+        eager = reports()
+    assert [r.to_json() for r in lazy] == [r.to_json() for r in eager]
+    assert lazy == eager and repr(lazy) == repr(eager)
+    assert lazy[2].xi == () and all(r.xi for r in lazy[:2] + lazy[3:])
 
 
 def test_assembled_xi_drop_rule_is_relative():
