@@ -5,7 +5,9 @@ tau(v* u)``: the scaled matrix units ``c_i e_pq``, ``c_i = sqrt(k_i /
 lambda_i)``, of each block, ordered by block, row and column.  Elements,
 tensors and the sharp action then become plain numpy arrays:
 
-* an algebra element is a vector in C^D, ``D = sum k_i^2``;
+* an algebra element is a vector in C^D, ``D = sum k_i^2``.  The basis
+  matrices are real, so the coordinates of a real element are real, and
+  :meth:`MatrixCoordinates.coords` returns them in the dtype of its input;
 * a tensor ``u (x) v`` is the outer product of the two coordinate vectors,
   and the tensor-trace inner product is the Frobenius pairing;
 * left sharp multiplication ``(f (x) g) # (u (x) v) = f u (x) v g`` moves
@@ -35,7 +37,7 @@ class MatrixCoordinates:
             scale = np.sqrt(k / lam)
             for p in range(k):
                 for q in range(k):
-                    E = np.zeros((model.dim, model.dim), dtype=complex)
+                    E = np.zeros((model.dim, model.dim))
                     E[off + p, off + q] = scale
                     basis.append(E)
             self.blocks.append((slice(coord, coord + k * k), k, scale))
@@ -45,13 +47,14 @@ class MatrixCoordinates:
         self._start = np.array([s.start for s, _, _ in self.blocks])
         self._scale = np.array([c for _, _, c in self.blocks])
         self.basis = np.stack(basis)
-        # coords(u)_a = tau(f_a^* u) = sum_{ij} conj(f_a[i,j]) w_j u[i,j]
-        self._coord = np.einsum("aij,j->aij", self.basis.conj(), model.weights)
+        # coords(u)_a = tau(f_a^* u) = sum_{ij} f_a[i,j] w_j u[i,j], f_a real
+        self._coord = np.einsum("aij,j->aij", self.basis, model.weights)
         self._coord = self._coord.reshape(self.D, -1)
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a matrix, or of a stack of matrices (..., D)."""
-        mat = np.asarray(mat, dtype=complex)
+        """Coordinates of a matrix, or of a stack of matrices (..., D), real
+        for real matrices and complex for complex ones."""
+        mat = np.asarray(mat)
         return mat.reshape(*mat.shape[:-2], -1) @ self._coord.T
 
     def mat(self, coords: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ the other letters, and satisfies the Leibniz rule
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import DegreeCapError, StructureError
@@ -32,13 +33,62 @@ from .scalars import ONE, QQi
 DEFAULT_DEGREE_CAP = 12
 
 
+def _combo_mul(mul, a, b):
+    acc = {}
+    for i, ci in a:
+        for j, cj in b:
+            for k, ck in mul.get((i, j), ()):
+                acc[k] = acc.get(k, QQi(0)) + ci * cj * ck
+    return tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero)
+
+
+def _combo_star(star, a):
+    acc = {}
+    for i, ci in a:
+        for j, cj in star[i]:
+            acc[j] = acc.get(j, QQi(0)) + ci.conjugate() * cj
+    return tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero)
+
+
+@lru_cache
+def _check_structure(dim, mul_items, star, unit) -> None:
+    """Raise ``StructureError`` unless the normalized structure constants
+    ``(dim, sorted mul items, star, unit)`` define a unital *-algebra.
+
+    The check is exact and costs O(dim^4) products of ``Fraction``s, so it
+    runs once per distinct structure; a failure raises again on every call,
+    because ``lru_cache`` stores no exceptions.
+    """
+    mul = dict(mul_items)
+    basis = [((i, ONE),) for i in range(dim)]
+    for i in range(dim):
+        if _combo_mul(mul, unit, basis[i]) != basis[i]:
+            raise StructureError("unit is not a left unit of B")
+        if _combo_mul(mul, basis[i], unit) != basis[i]:
+            raise StructureError("unit is not a right unit of B")
+    for i in range(dim):
+        for j in range(dim):
+            ij = mul.get((i, j), ())
+            for k in range(dim):
+                left = _combo_mul(mul, ij, basis[k])
+                right = _combo_mul(mul, basis[i], mul.get((j, k), ()))
+                if left != right:
+                    raise StructureError("B structure constants are not associative")
+            # (E_i E_j)^* == E_j^* E_i^*
+            if _combo_star(star, ij) != _combo_mul(mul, star[j], star[i]):
+                raise StructureError("B involution is not an anti-automorphism")
+        if _combo_star(star, star[i]) != basis[i]:
+            raise StructureError("B involution does not square to the identity")
+
+
 class BAlgebra:
     """Finite-dimensional unital *-algebra given by structure constants.
 
     ``mul[i, j]`` lists the expansion of ``E_i E_j`` in the basis, ``star[i]``
     the expansion of ``E_i^*`` and ``unit`` the expansion of ``1``.  The
     constructor checks associativity, the unit laws and that the involution is
-    a conjugate-linear anti-automorphism squaring to the identity.
+    a conjugate-linear anti-automorphism squaring to the identity, once per
+    distinct structure in a process (see ``_check_structure``).
     """
 
     __slots__ = ("dim", "mul", "star", "unit", "_is_scalar")
@@ -49,8 +99,8 @@ class BAlgebra:
             raise StructureError("B must contain the unit, dim >= 1")
         norm = {}
         for (i, j), terms in mul.items():
-            tt = tuple((int(k), QQi.of(c)) for k, c in terms if not QQi.of(c).is_zero)
-            norm[(int(i), int(j))] = tt
+            tt = ((int(k), QQi.of(c)) for k, c in terms)
+            norm[(int(i), int(j))] = tuple(t for t in tt if not t[1].is_zero)
         self.mul = norm
         if star is None:
             star = [((i, ONE),) for i in range(self.dim)]
@@ -59,48 +109,13 @@ class BAlgebra:
             unit = ((0, ONE),)
         self.unit = tuple((int(k), QQi.of(c)) for k, c in unit)
         self._is_scalar = self.dim == 1
-        self._validate()
+        _check_structure(self.dim, tuple(sorted(self.mul.items())),
+                         self.star, self.unit)
 
     @staticmethod
     def scalar() -> "BAlgebra":
         """The trivial coefficient algebra B = C, built and validated once."""
         return _SCALAR_B
-
-    def _combo_mul(self, a, b):
-        acc = {}
-        for i, ci in a:
-            for j, cj in b:
-                for k, ck in self.mul.get((i, j), ()):
-                    acc[k] = acc.get(k, QQi(0)) + ci * cj * ck
-        return tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero)
-
-    def _combo_star(self, a):
-        acc = {}
-        for i, ci in a:
-            for j, cj in self.star[i]:
-                acc[j] = acc.get(j, QQi(0)) + ci.conjugate() * cj
-        return tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero)
-
-    def _validate(self):
-        basis = [((i, ONE),) for i in range(self.dim)]
-        for i in range(self.dim):
-            if self._combo_mul(self.unit, basis[i]) != basis[i]:
-                raise StructureError("unit is not a left unit of B")
-            if self._combo_mul(basis[i], self.unit) != basis[i]:
-                raise StructureError("unit is not a right unit of B")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul.get((i, j), ())
-                for k in range(self.dim):
-                    left = self._combo_mul(ij, basis[k])
-                    right = self._combo_mul(basis[i], self.mul.get((j, k), ()))
-                    if left != right:
-                        raise StructureError("B structure constants are not associative")
-                # (E_i E_j)^* == E_j^* E_i^*
-                if self._combo_star(ij) != self._combo_mul(self.star[j], self.star[i]):
-                    raise StructureError("B involution is not an anti-automorphism")
-            if self._combo_star(self.star[i]) != basis[i]:
-                raise StructureError("B involution does not square to the identity")
 
     def __eq__(self, other):
         return (isinstance(other, BAlgebra)

@@ -33,6 +33,10 @@ class QQi:
     def __setattr__(self, *a):
         raise AttributeError("QQi is immutable")
 
+    def __reduce__(self):
+        # pickle rebuilds through __init__, since __setattr__ refuses
+        return (QQi, (self.re, self.im))
+
     @staticmethod
     def of(value) -> "QQi":
         """Coerce ints, Fractions, floats, complex or QQi to QQi, exactly."""

@@ -568,6 +568,12 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
     letter diagonal ``[:, i, :, i]`` of the degree-e rows of ``S`` viewed as
     ``(|L_j|, n, |L_(e-1-j)|, n, D, D)``.  Each word has one split per prefix
     degree, added in ascending ``j``.
+
+    The table is computed in the dtype of the model's data: ``E`` and ``S``
+    are real exactly when every generator and B matrix is real (no entry has
+    a nonzero imaginary part), and complex otherwise.  Each coordinate is
+    one matrix entry times a real scale, so no step of the table mixes the
+    real and imaginary parts.
     """
     system = model.system
     top = d + extra
@@ -577,7 +583,8 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
             f"d={d} needs words of degree {need}, beyond the cap {system.cap}")
     coords = _coords(model)
     n, D, dim = model.n, coords.D, model.dim
-    gens, bs = np.stack(model.gen_mats), np.stack(model.b_mats)
+    gens = real_if_exact(np.stack(model.gen_mats))
+    bs = real_if_exact(np.stack(model.b_mats))
     level = bs
     ev = [coords.coords(level)]
     for _ in range(top):
@@ -586,7 +593,7 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
         ev.append(coords.coords(level))
     sizes = [len(e) for e in ev]
     offsets = np.cumsum([0] + sizes)
-    S = np.zeros((offsets[-1], n, D, D), dtype=complex)
+    S = np.zeros((offsets[-1], n, D, D), dtype=np.result_type(*ev))
     for e in range(1, top + 1):
         rows = S[offsets[e]:offsets[e + 1]]
         for j in range(e):
@@ -836,6 +843,9 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     every relation.  A stack taller than its n*D*D columns is first
     replaced by its R factor ``qr(R, "r")``: ``M_ij(Q T) = (Q (x) I)
     M_ij(T)`` with ``Q`` orthonormal, so the translate singular values stay.
+    ``E``, ``S`` and the relation stack ``R`` are real exactly when the
+    model's generator and B matrices are (see ``_word_table``), and every
+    step after them, the SVDs and the R factor included, runs in their dtype.
 
     On the block pair (i, j) of ``A = (+) M_{k_i}`` that module is
     ``C^{k_i k_j} (x) span(M_ij)`` (see ``MatrixCoordinates.sharp_translates``),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly
+from free_stein import ncalg
 from free_stein.errors import DegreeCapError, StructureError
 from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
                               TensorPoly, commutator_stein_kernel,
@@ -296,11 +297,34 @@ def test_b_letters_leibniz(diag_b_system, rng):
 
 
 def test_invalid_b_algebra_rejected():
-    with pytest.raises(StructureError):
-        # product table that is not associative
+    with pytest.raises(StructureError, match="unit is not a right unit"):
+        # E_1 E_0 = E_0, so the unit E_0 fails the right-unit law first
         BAlgebra(2, {(0, 0): ((0, 1),), (0, 1): ((1, 1),),
                      (1, 0): ((0, 1),), (1, 1): ((0, 1),)},
                  unit=((0, 1),))
+    with pytest.raises(StructureError, match="not associative"):
+        # (E_1 E_1) E_1 = E_2 E_1 = 0, but E_1 (E_1 E_1) = E_1 E_2 = E_0
+        BAlgebra(3, {(0, k): ((k, 1),) for k in range(3)}
+                 | {(k, 0): ((k, 1),) for k in range(1, 3)}
+                 | {(1, 1): ((2, 1),), (1, 2): ((0, 1),)})
+
+
+def test_structure_check_runs_once_per_structure():
+    ncalg._check_structure.cache_clear()
+    mul = {(i, j): ((i ^ j, 1),) for i in range(2) for j in range(2)}
+    # the group algebra of Z/2, given twice with equal constants
+    first, second = BAlgebra(2, mul), BAlgebra(2, dict(mul))
+    assert first == second
+    info = ncalg._check_structure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # a failed check is not cached: every construction raises again
+    bad = {(0, 0): ((0, 1),), (0, 1): ((1, 1),),
+           (1, 0): ((0, 1),), (1, 1): ((0, 1),)}
+    for _ in range(2):
+        with pytest.raises(StructureError) as err:
+            BAlgebra(2, bad, unit=((0, 1),))
+        assert str(err.value) == "unit is not a right unit of B"
+    assert ncalg._check_structure.cache_info().misses == 3
 
 
 def test_invalid_star_pairing():

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from free_stein.serialize import (poly_from_json, poly_to_json,
 from free_stein.stein import (DegreeScheme, irregularity_bounded,
                               irregularity_estimate)
 from free_stein.trace import (FreeProductModel, SemicircularModel,
+                              cyclic_group_model, model_to_json,
                               two_point_measure)
 
 S1 = GeneratorSystem(1)
@@ -96,3 +98,19 @@ def test_reported_xi_roundtrip(make):
         assert rep.xi and any(not p.is_zero for p in rep.xi)
         text = json.dumps(poly_tuple_to_json(rep.xi))
         assert poly_tuple_from_json(json.loads(text), model.system) == rep.xi
+
+
+@pytest.mark.parametrize("make", [lambda: SemicircularModel(2),
+                                  lambda: cyclic_group_model(5)],
+                         ids=["semicircular n=2", "cyclic(5)"])
+def test_models_and_reports_pickle(make):
+    # every model holds exact QQi coefficients through its B algebra
+    model = pickle.loads(pickle.dumps(make()))
+    assert model_to_json(model) == model_to_json(make())
+    rep = irregularity_estimate(make(), DegreeScheme(2))
+    # pickled before and after its xi is built on read
+    early = pickle.loads(pickle.dumps(rep))
+    want = rep.to_json()
+    late = pickle.loads(pickle.dumps(rep))
+    assert early.to_json() == late.to_json() == want
+    assert irregularity_estimate(model, DegreeScheme(2)).to_json() == want

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -33,3 +34,11 @@ def test_hash_and_immutability():
     assert hash(QQi(1, 2)) == hash(QQi(1, 2))
     with pytest.raises(AttributeError):
         QQi(1).re = Fraction(2)
+
+
+def test_pickle_roundtrip():
+    for q in (QQi(0), QQi(Fraction(1, 3), -2), QQi.of(0.1)):
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and (back.re, back.im) == (q.re, q.im)
+        with pytest.raises(AttributeError):
+            back.re = Fraction(2)

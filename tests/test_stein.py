@@ -840,11 +840,17 @@ def test_sigma_exact_translates_at_most_basis_rows(monkeypatch):
     assert 0 < sum(counted) <= 2 * n * D * D * k * k
 
 
-@pytest.mark.parametrize("make", [m2_over_m2, _three_two_one])
-def test_word_table_matches_per_word_evaluation(make):
+@pytest.mark.parametrize("make, dtype", [
+    (m2_over_m2, np.float64), (_three_two_one, np.float64),
+    (lambda: cyclic_group_model(5), np.complex128)],
+    ids=["m2_over_m2", "_three_two_one", "cyclic_group_model(5)"])
+def test_word_table_matches_per_word_evaluation(make, dtype):
     model = make()
     coords = MatrixCoordinates(model)
     words, E, S = stein._word_table(model, 3)
+    # real generator and B matrices give a real table, complex ones a
+    # complex table; the values are the per-word evaluations either way
+    assert E.dtype == S.dtype == dtype
     # sorted by degree, then lexicographically, with every word once
     n, nb = model.n, model.system.b.dim
     assert words == sorted(set(words), key=lambda w: (len(w), w))
