@@ -28,28 +28,30 @@ Numbers enter the Gram and design path through one moment table,
 forms ``conj(V_x) K V_y^T`` from each model's own vectors and pairing).
 Every trace model here is tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b,
 c (x) d> = G[c, a] G[d, b]``: the Gram matrix, the r-vectors and the
-candidate Gram are sums of products of table entries.  The Gram matrix is
-summed by degree blocks: the splits of the degree-e words after a prefix of
-degree j, against those of the degree-f words after a prefix of degree k,
-give ``kron(G[L_j, L_k], G[L_(e-1-j), L_(f-1-k)])`` on the letter diagonal of
-block (e, f), where ``L_j`` are the words of degree j.  The table is real
-when no entry has an imaginary part, and then so are the Gram matrix, its
-eigenvectors, the design and the solves.  The design needs no exact kernel
-per candidate: the r-row of a centered monomial candidate is read off table
-columns (``GramSystem.r_of_candidates``).  ``xi_i`` enters only row ``i`` of
-the kernel, and that row does not depend on the slot, so the slots share one
-design with a column per word and one candidate Gram over the words: the
-estimate is one least-squares solve with a right-hand side per slot, and in
-the R-bounded problem only the norm bound couples the slots.  Candidates
-stay a (word, slot) coefficient matrix through the solves.  A report's
-``xi`` is assembled from it, with exact coefficients, on the first read of
-the field, so the sweeps, whose reports print only values, never build it.
+candidate Gram are sums of products of table entries.  ``W[a, b]`` sums
+``G[p, p'] G[s, s']`` over the splits ``a = p x_i s``, ``b = p' x_i s'``,
+and the table is zero between the components of its nonzero pattern, so
+``W`` is one gather and one bincount over the split pairs of one letter
+whose prefixes, and suffixes, share a component (:func:`_pair_index`).  The
+table is real when no entry has an imaginary part, and then so are the Gram
+matrix, its eigenvectors, the design and the solves.  The design needs no
+exact kernel per candidate: the r-row of a centered monomial candidate is
+read off table columns (``GramSystem.r_of_candidates``).  ``xi_i`` enters
+only row ``i`` of the kernel, and that row does not depend on the slot, so
+the slots share one design with a column per word and one candidate Gram
+over the words: the estimate is one least-squares solve with a right-hand
+side per slot, and in the R-bounded problem only the norm bound couples the
+slots.  Candidates stay a (word, slot) coefficient matrix through the
+solves.  A report's ``xi`` is assembled from it, with exact coefficients, on
+the first read of the field, so the sweeps, whose reports print only values,
+never build it.
 
 The index structure of a Gram system -- its basis words, the legs and the
 per-letter split arrays -- depends on nothing but ``(n, d_proj)``, since B
 is scalar and the star pairing does not enter.  It is built once per shape
-and process (:func:`_layout`) and shared read-only; the moment table and
-everything computed from it stay with each system.
+and process (:func:`_layout`) and shared read-only, as are the split pairs
+per shape and table pattern; the moment table and everything computed from
+it stay with each system.
 
 The Gram matrix and the candidate Gram are eigendecomposed block by block
 (:func:`_eigh_kept`): the connected components of their exact nonzero
@@ -227,15 +229,12 @@ def monomial_words(system, dmin, dmax):
 
 def _split_index(n: int, offsets) -> tuple:
     """``(word, letter, left, right)`` index arrays of the splits ``word =
-    left x_letter right`` of the words of degree >= 1, for words numbered
-    by degree and then lexicographically, the degree-e ones at ``offsets[e]
-    : offsets[e + 1]``.
-
-    The split of the degree-e word at local index ``t`` after a prefix of
-    degree ``j`` has ``t = (left * n + letter) * size(e - 1 - j) + right``
-    in local indices.  Splits come by degree, then by prefix degree, then
-    by word.
-    """
+    left x_letter right`` of the words of degree >= 1, numbered by degree
+    (the degree-e ones at ``offsets[e]:offsets[e + 1]``) and then
+    lexicographically, so the split of the degree-e word at local index
+    ``t`` after a prefix of degree ``j`` has ``t = (left * n + letter) *
+    size(e - 1 - j) + right`` in local indices.  Splits come by degree, then
+    by prefix degree, then by word."""
     sizes = np.diff(offsets)
     word, letter, left, right = ([np.zeros(0, dtype=int)] for _ in range(4))
     for e in range(1, len(sizes)):
@@ -253,16 +252,13 @@ def _split_index(n: int, offsets) -> tuple:
 def _layout(n: int, d_proj: int) -> tuple:
     """The model-independent structure of a :class:`GramSystem` over ``n``
     letters at ``d_proj``: ``(words, legs, start, splits, degree_count)``.
-
     ``words`` are the basis words (degree 1 to ``d_proj + 1``) and ``legs``
     the split legs (degree 0 to ``d_proj``), in ``monomial_words`` order;
-    the degree-e legs are ``start[e]:start[e + 1]``, and the basis has no
-    degree-0 word, so its degree-e words sit one index lower.  ``splits``
-    holds per letter the splits ordered by word and then by position, as
-    (owner word of each group, group starts, prefixes, suffixes).  With B
-    scalar none of it depends on the model, so one build serves every Gram
-    system of the shape; the arrays are read-only.
-    """
+    the degree-e legs are ``start[e]:start[e + 1]``, the degree-e words one
+    index lower.  ``splits`` holds per letter the splits by word and then
+    position, as (owner word of each group, group starts, prefixes,
+    suffixes).  With B scalar none of it depends on the model, so one
+    read-only build serves every Gram system of the shape."""
     system = GeneratorSystem(n)
     words = tuple(monomial_words(system, 1, d_proj + 1))
     legs = tuple(monomial_words(system, 0, d_proj))
@@ -296,21 +292,17 @@ class GramSystem:
     monomials is slot-independent, so only the word block is stored.  The
     i-th gradient entry of a basis word sums its splits ``pre (x) suf`` at
     ``t_i``, so ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of
-    the tracial moment table over splits.  ``W`` is summed degree block by
-    degree block, as Kronecker products of leg-table blocks on the letter
-    diagonal (:func:`_gram_blocks`), and is real when the table is.  The
-    r-vectors gather table columns at the per-letter split arrays: those of
-    the legs (words of degree <= d_proj), and those of longer kernel legs,
-    traced on first use, one table call per batch.  Exact kernels go
-    through :meth:`r_of_kernel`; the identity kernel through
-    :meth:`r_of_identity`, one product of unit columns per split; monomial
-    candidates through :meth:`r_of_candidates`, four column products per
-    split.  Scalar B only.
-
-    ``words``, ``_legs``, ``_splits`` and ``_degree_count`` come from the one
-    read-only :func:`_layout` of ``(n, d_proj)``, shared by every system of
-    that shape; the table, ``W``, its views and the r-vectors are this
-    system's own.
+    the tracial moment table over splits.  ``W`` is summed over the split
+    pairs that can be nonzero (:func:`_gram_from_pairs`) and is real when
+    the table is.  The r-vectors gather table columns at the per-letter
+    split arrays: those of the legs (words of degree <= d_proj), and those
+    of longer kernel legs, traced on first use, one table call per batch:
+    :meth:`r_of_kernel` for exact kernels, :meth:`r_of_identity` and
+    :meth:`r_of_candidates` for the identity and the monomial candidates.
+    Scalar B only.  ``words``, ``_legs``, ``_splits`` and ``_degree_count``
+    come from the read-only :func:`_layout` of ``(n, d_proj)``, the split
+    pairs from that of the shape and table pattern; the table, ``W``, its
+    views and the r-vectors are this system's own.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -325,18 +317,17 @@ class GramSystem:
                 f"beyond the cap {system.cap}")
         self.model = model
         self.d_proj = d_proj
-        (self.words, self._legs, start, self._splits,
+        (self.words, self._legs, _, self._splits,
          self._degree_count) = _layout(system.n, d_proj)
-        G = model.moment_table(self._legs)
+        self._table = G = model.moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
-        self.W = _gram_blocks(G, system.n, start)
+        self.W = _gram_from_pairs(G, system.n, d_proj)
         self._views = {}
 
     def view(self, d: int | None = None) -> "_GramView":
         d = self.d_proj if d is None else d
         if d not in self._views:
-            k = self._degree_count[d]
-            self._views[d] = _GramView(self.W, k)
+            self._views[d] = _GramView(self.W, self._degree_count[d])
         return self._views[d]
 
     # r-vectors against the full basis ------------------------------------
@@ -403,6 +394,16 @@ class GramSystem:
             R = R + part
         return R / 2
 
+    def candidate_gram(self, words) -> np.ndarray:
+        """L2 Gram ``tau(v* w) - conj(tau(v)) tau(w)`` of the candidates ``w -
+        tau(w)``, ``words`` those of degree 1 to d_xi in ``monomial_words``
+        order; two slots are orthogonal.  The unit and the words are the first
+        legs for d_xi <= d_proj, else one table call traces them."""
+        k = len(words) + 1
+        G = (self._table[:k, :k] if k <= len(self._legs)
+             else self.model.moment_table([(0,)] + words))
+        return G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
+
     def r_of_identity(self) -> np.ndarray:
         """r-vectors of the identity kernel: row ``i`` sums ``1 (x) 1`` over
         the splits at letter ``i``, the products of the unit column."""
@@ -413,50 +414,62 @@ class GramSystem:
         return real_if_exact(r)
 
 
-def _gram_blocks(G: np.ndarray, n: int, start) -> np.ndarray:
-    """``W[a, b] = sum G[p, p'] G[s, s']`` over the splits ``a = p x_i s``
-    and ``b = p' x_i s'`` of the words of degree 1 to ``len(start) - 2``,
-    from the moment table ``G`` over the legs (degree j at ``start[j] :
-    start[j + 1]``, written ``L_j``).
-
-    The degree-e words with letter ``i`` after a prefix of degree ``j`` are
-    the slice ``[:, i, :]`` of the ``(n^j, n, n^(e-1-j))`` reshape of the
-    degree-e range.  So the splits after prefix degrees ``j`` (rows) and
-    ``k`` (columns) add ``kron(G[L_j, L_k], G[L_(e-1-j), L_(f-1-k)])`` on the
-    letter diagonal ``[:, i, :, :, i, :]`` of the degree block ``(e, f)``.
-    The blocks with ``f >= e`` are summed and the others mirrored, so ``W``
-    is exactly Hermitian.
+@lru_cache(maxsize=None)
+def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
+    """``(bins, pre, suf, upper, lower)``: the split pairs that can add to
+    ``W`` when the leg table has the :func:`_components` ``labels``.
+    ``W[a, b]`` sums ``G[p, p'] G[s, s']`` over the splits ``a = p x_i s``,
+    ``b = p' x_i s'``; ``G`` is zero between components, so only splits of
+    one letter, prefix component and suffix component pair.  The pairs with
+    ``a <= b`` come as flat indices ``a * m + b`` into ``W`` and ``p * L +
+    p'``, ``s * L + s'`` into ``G``, by ``(a, b)`` and then prefix degrees,
+    the order of the Kronecker sums by degree block this replaced; ``upper``
+    holds the bins above the diagonal, ``lower`` their mirror images.  No
+    table value enters, so one read-only build serves a shape and pattern.
     """
-    m = int(start[-1]) - 1
-    W = np.zeros((m, m), dtype=G.dtype)
-    top = len(start) - 2
-    legs = [[G[start[j]:start[j + 1], start[k]:start[k + 1]]
-             for k in range(top)] for j in range(top)]
-    # odd moments of symmetric models vanish: zero blocks add nothing
-    live = [[g.any() for g in row] for row in legs]
-    for e in range(1, top + 1):
-        rows = slice(start[e] - 1, start[e + 1] - 1)
-        for f in range(e, top + 1):
-            cols = slice(start[f] - 1, start[f + 1] - 1)
-            block = W[rows, cols]
-            for j in range(e):
-                for k in range(f):
-                    if not (live[j][k] and live[e - 1 - j][f - 1 - k]):
-                        continue
-                    o = block.reshape(n ** j, n, -1,
-                                      n ** k, n, n ** (f - 1 - k))
-                    term = (legs[j][k][:, None, :, None]
-                            * legs[e - 1 - j][f - 1 - k][None, :, None, :])
-                    # a 4-d view per letter: numpy adds these faster than
-                    # the 5-d diagonal view of all letters at once
-                    for i in range(n):
-                        diag = o[:, i, :, :, i, :]
-                        diag += term
-            if f > e:
-                W[cols, rows] = block.T.conj()
-            else:
-                lower = np.tri(len(block), k=-1, dtype=bool)
-                np.copyto(block, block.T.conj(), where=lower)
+    label = np.frombuffer(labels, dtype=np.intp)
+    start = _layout(n, d_proj)[2]
+    m, L, D = int(start[-1]) - 1, int(start[-2]), d_proj + 2
+    word, letter, pre, suf = _split_index(n, start)
+    word -= 1
+    degree = np.searchsorted(start, pre, side="right") - 1
+    key = (letter * L + label[pre]) * L + label[suf]
+    order = np.lexsort((word, key))
+    k = key[order]
+    kw = k * m + word[order]
+    # split q pairs with those from the first of its word in its group to
+    # the end of the group
+    lo = np.searchsorted(kw, kw)
+    count = np.searchsorted(k, k, side="right") - lo
+    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    s, t = np.repeat(order, count), order[np.repeat(lo, count) + step]
+    bins = word[s] * m + word[t]
+    sort = np.argsort((bins * D + degree[s]) * D + degree[t])
+    s, t, bins = s[sort], t[sort], bins[sort]
+    upper = bins[np.flatnonzero(np.diff(bins, prepend=-1))]
+    upper = upper[upper // m < upper % m]
+    index = (bins, pre[s] * L + pre[t], suf[s] * L + suf[t], upper,
+             upper % m * m + upper // m)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def _gram_from_pairs(G: np.ndarray, n: int, d_proj: int) -> np.ndarray:
+    """``W`` from the leg table ``G``: the products over :func:`_pair_index`
+    summed by one bincount (one per part of a complex table) and mirrored
+    by conjugation, so it is exactly Hermitian."""
+    bins, pre, suf, upper, lower = _pair_index(n, d_proj,
+                                               _components(G).tobytes())
+    m = len(_layout(n, d_proj)[0])
+    flat = G.ravel()
+    terms = flat[pre] * flat[suf]
+    W = np.bincount(bins, terms.real, minlength=m * m).astype(G.dtype,
+                                                               copy=False)
+    if W.dtype.kind == "c":
+        W.imag = np.bincount(bins, terms.imag, minlength=m * m)
+    W[lower] = W[upper].conj()
+    W = W.reshape(m, m)
     # the diagonal of a Hermitian matrix is real; a complex table's rounding
     # can leave it an imaginary part
     np.fill_diagonal(W, W.diagonal().real)
@@ -521,14 +534,10 @@ def _eigh_kept(A: np.ndarray) -> tuple:
 
 
 class _GramView:
-    """Eigendecomposed prefix of a :class:`GramSystem` with isometric
-    coordinates on the truncated projection range.
-
-    The prefix ``W[:k, :k]`` is decomposed block by block over the
-    components of its exact zero pattern (:func:`_eigh_kept`) under one
-    global cut, and ``cond`` is the top eigenvalue over the smallest kept
-    one.
-    """
+    """The prefix ``W[:k, :k]`` of a :class:`GramSystem`, decomposed block by
+    block under one global cut (:func:`_eigh_kept`), with isometric
+    coordinates on the truncated projection range; ``cond`` is the top
+    eigenvalue over the smallest kept one."""
 
     def __init__(self, W: np.ndarray, k: int):
         self.k = k
@@ -560,14 +569,13 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
     which is both the order of ``monomial_words`` and the product order of
     ``MatrixModel.eval_word``.
 
-    ``S`` is summed without a scatter, in the layout ``_gram_blocks`` uses
-    for ``W``: the degree-e words with letter ``i`` after a prefix of degree
-    ``j`` are the slice ``[:, i, :]`` of the ``(|L_j|, n, |L_(e-1-j)|)``
-    reshape of the degree-e range (``L_j`` the degree-j words), so the
-    splits after prefix degree ``j`` add ``ev[L_j] (x) ev[L_(e-1-j)]`` on the
-    letter diagonal ``[:, i, :, i]`` of the degree-e rows of ``S`` viewed as
-    ``(|L_j|, n, |L_(e-1-j)|, n, D, D)``.  Each word has one split per prefix
-    degree, added in ascending ``j``.
+    ``S`` is summed without a scatter, by degree blocks: the degree-e words
+    with letter ``i`` after a prefix of degree ``j`` are the slice ``[:, i,
+    :]`` of the ``(|L_j|, n, |L_(e-1-j)|)`` reshape of the degree-e range
+    (``L_j`` the degree-j words), so the splits after prefix degree ``j`` add
+    ``ev[L_j] (x) ev[L_(e-1-j)]`` on the letter diagonal ``[:, i, :, i]`` of
+    the degree-e rows of ``S`` viewed as ``(|L_j|, n, |L_(e-1-j)|, n, D,
+    D)``, in ascending ``j``.
 
     The table is computed in the dtype of the model's data: ``E`` and ``S``
     are real exactly when every generator and B matrix is real (no entry has
@@ -724,14 +732,6 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
         diagnostics={"candidates": n * len(words), "design_rank": n * int(rank)})
 
 
-def _candidate_gram(model: TraceModel, words) -> np.ndarray:
-    """Gram of the candidates ``w - tau(w)`` over ``words`` in the L2 norm,
-    ``tau(v* w) - conj(tau(v)) tau(w)``; every slot has this Gram, and two
-    slots are orthogonal."""
-    G = model.moment_table([(0,)] + words)  # row 0 holds the traces tau(w)
-    return G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
-
-
 def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     """The design, candidate Gram and whitened SVD of the norm-constrained
     problem, built once; returns the solve at one radius.
@@ -752,8 +752,8 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
         raise DegreeCapError(
             f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
             f"2*d_xi = {need}, beyond the cap {cap}")
-    _, view, words, _, Z, B = _xi_design(model, scheme)
-    qvals, qvecs = _eigh_kept(_candidate_gram(model, words))
+    gs, view, words, _, Z, B = _xi_design(model, scheme)
+    qvals, qvecs = _eigh_kept(gs.candidate_gram(words))
     T = qvecs / np.sqrt(qvals)  # Y = T U, ||xi(Y)||_2 = ||U||_F
     U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     svkeep = sv > RCOND * (sv[0] if len(sv) else 1.0)

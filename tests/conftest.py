@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from free_stein.ncalg import NCPoly, generator_tuple
@@ -96,3 +97,11 @@ def free_two_twopoint():
 @pytest.fixture(scope="session")
 def plateau_measure():
     return MeasureModel([(3.0, 0.5)], SemicircleDensity(mass=0.5))
+
+
+def candidate_gram_reference(model, words):
+    """Oracle only: the Gram of the candidates ``w - tau(w)`` over ``words``
+    in the L2 norm, ``tau(v* w) - conj(tau(v)) tau(w)``, from its own moment
+    table over the unit and the words (row 0 holds the traces)."""
+    G = model.moment_table([(0,)] + words)
+    return G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])

@@ -3,14 +3,18 @@
 The reference builds the Jacobian rows with ``gradient`` and pairs them with
 the trace model's tensor inner product, entry by entry; the two-block unitary
 model has non-real moments, so a missing conjugation shows there.  The
-degree-block assembly of ``W`` is checked against a per-split loop over the
-same table, the moment tables of semicircular, measure and matrix models
-against the per-word traces they replaced (``_per_word_table``), and the
-reduced-word vectors of free products against the centering recursion they
-replaced.  The reported candidate tuples are checked against the symbolic
-candidate basis (``_symbolic_xi``), and reports that build them on first
-read against reports that build them at once.  Gram systems of one shape
-share one read-only layout.
+split-pair assembly of ``W`` is checked against a per-split loop over the
+same table and against the degree-block Kronecker sums it replaced
+(``_gram_blocks_reference``), the candidate Gram read off the leg table
+against its own table, the moment tables of semicircular, measure and
+matrix models against the per-word traces they replaced
+(``_per_word_table``), and the reduced-word vectors of free products
+against the centering recursion they replaced.  The reported candidate
+tuples are checked against the symbolic candidate basis (``_symbolic_xi``),
+and reports that build them on first read against reports that build them
+at once.  Gram systems of one shape
+share one read-only layout, and those of one shape and table pattern one
+read-only list of split pairs.
 """
 
 import itertools
@@ -23,7 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poly, random_word, word_of
+from conftest import (candidate_gram_reference, random_poly, random_word,
+                      word_of)
 from free_stein import stein
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
@@ -105,11 +110,48 @@ def _gram_reference(gs):
     return W, arrays
 
 
-# semicircular tables hold integers, so every summation order is exact
+def _gram_blocks_reference(G, n, start):
+    """Oracle only: ``W`` summed by degree blocks, as it was before the split
+    pairs.  The degree-e words with letter ``i`` after a prefix of degree
+    ``j`` are the slice ``[:, i, :]`` of the ``(n^j, n, n^(e-1-j))`` reshape
+    of the degree-e range, so the splits after prefix degrees ``j`` (rows)
+    and ``k`` (columns) add ``kron(G[L_j, L_k], G[L_(e-1-j), L_(f-1-k)])``
+    on the letter diagonal of the degree block ``(e, f)`` (``L_j`` the legs
+    of degree j, at ``start[j]:start[j + 1]``).  The blocks with ``f >= e``
+    are summed and the others mirrored."""
+    m = int(start[-1]) - 1
+    W = np.zeros((m, m), dtype=G.dtype)
+    top = len(start) - 2
+    legs = [[G[start[j]:start[j + 1], start[k]:start[k + 1]]
+             for k in range(top)] for j in range(top)]
+    for e in range(1, top + 1):
+        rows = slice(start[e] - 1, start[e + 1] - 1)
+        for f in range(e, top + 1):
+            cols = slice(start[f] - 1, start[f + 1] - 1)
+            block = W[rows, cols]
+            for j, k in itertools.product(range(e), range(f)):
+                o = block.reshape(n ** j, n, -1, n ** k, n, n ** (f - 1 - k))
+                term = (legs[j][k][:, None, :, None]
+                        * legs[e - 1 - j][f - 1 - k][None, :, None, :])
+                for i in range(n):
+                    o[:, i, :, :, i, :] += term
+            if f > e:
+                W[cols, rows] = block.T.conj()
+            else:
+                lower = np.tri(len(block), k=-1, dtype=bool)
+                np.copyto(block, block.T.conj(), where=lower)
+    np.fill_diagonal(W, W.diagonal().real)
+    return W
+
+
+# these tables hold integers and halves, so every summation order is exact
 EXACT_GRAMS = {
     "semicircular n=1, d_proj=6": (lambda: SemicircularModel(1, cap=14), 6),
     "semicircular n=2, d_proj=5": (lambda: SemicircularModel(2), 5),
     "semicircular n=3, d_proj=4": (lambda: SemicircularModel(3), 4),
+    "plateau, d_proj=6": (lambda: MeasureModel(
+        [(3.0, 0.5)], SemicircleDensity(mass=0.5), cap=14), 6),
+    "two-point, d_proj=6": (lambda: two_point_measure(cap=14), 6),
 }
 
 
@@ -117,11 +159,16 @@ EXACT_GRAMS = {
 def test_gram_blocks_equal_per_split_reference(name):
     make, d_proj = EXACT_GRAMS[name]
     stein._layout.cache_clear()
-    # the first build makes the layout, the second reads it from the cache
+    stein._pair_index.cache_clear()
+    # the first build makes the layout and the pairs, the second reads both
+    # from the cache
     for _ in range(2):
         gs = stein.GramSystem(make(), d_proj)
         W, arrays = _gram_reference(gs)
         assert np.array_equal(gs.W, W)
+        start = stein._layout(gs.model.n, d_proj)[2]
+        assert np.array_equal(gs.W, _gram_blocks_reference(gs._table,
+                                                           gs.model.n, start))
         assert np.array_equal(gs.W, gs.W.conj().T)
         for got, want in zip(gs._splits, arrays, strict=True):
             assert all(np.array_equal(g, w)
@@ -131,8 +178,26 @@ def test_gram_blocks_equal_per_split_reference(name):
                                               for w in gs.words)
 
 
+def test_gram_sums_each_entry_in_the_reference_order():
+    # a real table of non-dyadic moments: the products round, so the sums
+    # keep their bits only in the order of the degree-block reference
+    model = FreeProductModel([two_point_measure(mass_plus=0.7, loc_plus=2.0),
+                              SemicircularModel(1)])
+    gs = stein.GramSystem(model, 4)
+    W = _gram_blocks_reference(gs._table, 2, stein._layout(2, 4)[2])
+    assert np.array_equal(gs.W, W)
+    assert not np.array_equal(gs.W, _gram_reference(gs)[0])
+
+
+def _pairs_of(gs):
+    """The split-pair index ``gs`` was assembled from."""
+    labels = stein._components(gs._table).tobytes()
+    return stein._pair_index(gs.model.n, gs.d_proj, labels)
+
+
 def test_gram_systems_of_one_shape_share_a_read_only_layout():
     # n=2 both, but a different star pairing: the layout depends on neither
+    stein._pair_index.cache_clear()
     a = stein.GramSystem(SemicircularModel(2), 3)
     b = stein.GramSystem(_unitary_pair(), 3)
     assert a.words is b.words and a._legs is b._legs
@@ -146,6 +211,22 @@ def test_gram_systems_of_one_shape_share_a_read_only_layout():
     # the model values stay per system
     assert not np.array_equal(a.W, b.W)
     assert a._columns is not b._columns
+    # the split pairs follow the table's zero pattern: the unitary pair's
+    # table is one component, the semicircular family's many
+    assert stein._pair_index.cache_info().misses == 2
+    assert _pairs_of(a) is not _pairs_of(b)
+    assert len(_pairs_of(a)[0]) < len(_pairs_of(b)[0])
+    # two-point * semicircular has semicircular n=2's pattern: one index
+    c = stein.GramSystem(MODELS["two-point * semicircular"](), 3)
+    assert stein._pair_index.cache_info().misses == 2
+    assert _pairs_of(c) is _pairs_of(a)
+    for arr in _pairs_of(a):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    start = stein._layout(2, 3)[2]
+    for gs in (a, b, c):
+        W = _gram_blocks_reference(gs._table, 2, start)
+        assert np.max(np.abs(gs.W - W)) <= 1e-15 * np.max(np.abs(W))
 
 
 IDENTITY_MODELS = {
@@ -169,13 +250,23 @@ def test_identity_rows_equal_the_identity_kernel_rows(name):
                                            "two-block unitary"))
 
 
-@pytest.mark.parametrize("name", ["two-point * semicircular",
-                                  "cyclic group of order 6",
-                                  "two-block unitary"])
+TOLERANCE_GRAMS = {
+    "two-point * semicircular": (MODELS["two-point * semicircular"], 4),
+    "cyclic group of order 6": (MODELS["cyclic group of order 6"], 4),
+    "two-block unitary": (_unitary_pair, 4),
+    "cyclic group of order 5, d_proj=5": (lambda: cyclic_group_model(5), 5),
+}
+
+
+@pytest.mark.parametrize("name", TOLERANCE_GRAMS)
 def test_gram_blocks_match_per_split_reference(name):
-    gs = stein.GramSystem(MODELS[name](), 4)
+    make, d_proj = TOLERANCE_GRAMS[name]
+    gs = stein.GramSystem(make(), d_proj)
     W, _ = _gram_reference(gs)
     assert np.max(np.abs(gs.W - W)) <= TOL
+    start = stein._layout(gs.model.n, d_proj)[2]
+    W = _gram_blocks_reference(gs._table, gs.model.n, start)
+    assert np.max(np.abs(gs.W - W)) <= 1e-15 * np.max(np.abs(W))
     assert np.array_equal(gs.W, gs.W.conj().T)
 
 
@@ -205,12 +296,33 @@ def test_candidate_gram_matches_inner_l2(name):
     K, n = len(words), model.n
     candidates = [_symbolic_xi(model, words, y.reshape(K, n))
                   for y in np.eye(K * n)]
-    Qw = stein._candidate_gram(model, words)
+    Qw = stein.GramSystem(model, 2).candidate_gram(words)
     assert Qw.shape == (K, K)
     for a, b in itertools.product(range(K * n), repeat=2):
         (k, i), (l, j) = divmod(a, n), divmod(b, n)
         q = model.inner_l2(candidates[b][i], candidates[a][i])
         assert abs(q - (Qw[k, l] if i == j else 0)) <= TOL
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_candidate_gram_reads_the_leg_table(name, monkeypatch):
+    model = MODELS[name]()
+    gs = stein.GramSystem(model, 3)
+    words = [stein.monomial_words(model.system, 1, d) for d in (1, 2, 3, 4)]
+    want = [candidate_gram_reference(model, w) for w in words]
+    table, calls = model.moment_table, []
+    monkeypatch.setattr(model, "moment_table",
+                        lambda *a: calls.append(a) or table(*a))
+    got = [gs.candidate_gram(w) for w in words]
+    # d_xi <= d_proj reads the leg table; the degree-4 candidates, beyond
+    # d_proj, take one table call
+    assert len(calls) == 1
+    assert np.array_equal(got[-1], want[-1])
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+        if name == "semicircular n=2":  # integer moments: exact
+            assert np.array_equal(g, w)
 
 
 XI_MODELS = dict(MODELS, **{"cyclic group of order 3":

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import candidate_gram_reference, random_poly
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import DegreeCapError, ModelError, StructureError
@@ -85,7 +85,8 @@ def _random_spd():
 
 def _candidate_gram_semicircular2():
     model = SemicircularModel(2)
-    return stein._candidate_gram(model, monomial_words(model.system, 1, 3))
+    words = monomial_words(model.system, 1, 3)
+    return GramSystem(model, 5).candidate_gram(words)
 
 
 # the Grams of the benchmark's library estimates and CLI reports, a complex
@@ -443,7 +444,7 @@ def _interleaved_solves(model, scheme, radii):
         Zd = Zb[:, deg <= dx]
         y, _, rank, _ = np.linalg.lstsq(Zd, b, rcond=stein.RCOND)
         trail.append(float(np.linalg.norm(Zd @ y - b)))
-    Q = np.kron(stein._candidate_gram(model, words), np.eye(n))
+    Q = np.kron(candidate_gram_reference(model, words), np.eye(n))
     qvals, qvecs = stein._eigh_kept(Q)
     T = qvecs / np.sqrt(qvals)
     U, sv, Vh = np.linalg.svd(Zb @ T, full_matrices=False)
