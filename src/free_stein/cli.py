@@ -88,6 +88,12 @@ def _radii(text):
     return out
 
 
+def cond_limit(text):
+    if (limit := float(text)) != limit:  # no condition would exceed it
+        raise argparse.ArgumentTypeError("nan is not a condition limit")
+    return limit
+
+
 def _fields(text, form, last=None):
     """The nonempty comma-separated tokens of ``text``, each split at ``:``
     into as many fields as ``form`` has, the last one of the words ``last``
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
             cap(p)
         p.add_argument("--out", help="write the JSON report here")
         if gram:
-            p.add_argument("--cond-limit", type=float, default=1e12,
+            p.add_argument("--cond-limit", type=cond_limit, default=1e12,
                            help="Gram condition number beyond which exit "
                                 "code is 3")
         if degrees:

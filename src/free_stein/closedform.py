@@ -355,8 +355,8 @@ def eps_kernel(measure: MeasureModel, eps: float,
     The bound is nonincreasing in ``eps`` and converges to the sum of squared
     atom masses as ``eps -> 0``.
     """
-    if eps <= 0:
-        raise ModelError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ModelError(f"eps must be finite and positive, not {eps}")
     atoms = measure.atoms
     dens = measure.density
     e2 = eps * eps

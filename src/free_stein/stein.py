@@ -34,17 +34,19 @@ and the table is zero between the components of its nonzero pattern, so
 ``W`` is one gather and one bincount over the split pairs of one letter
 whose prefixes, and suffixes, share a component (:func:`_pair_index`).  The
 table is real when no entry has an imaginary part, and then so are the Gram
-matrix, its eigenvectors, the design and the solves.  The design needs no
-exact kernel per candidate: the r-row of a centered monomial candidate is
-read off table columns (``GramSystem.r_of_candidates``).  ``xi_i`` enters
-only row ``i`` of the kernel, and that row does not depend on the slot, so
-the slots share one design with a column per word and one candidate Gram
-over the words: the estimate is one least-squares solve with a right-hand
-side per slot, and in the R-bounded problem only the norm bound couples the
-slots.  Candidates stay a (word, slot) coefficient matrix through the
-solves.  A report's ``xi`` is assembled from it, with exact coefficients, on
-the first read of the field, so the sweeps, whose reports print only values,
-never build it.
+matrix, its eigenvectors, the design and the solves.  No report builds an
+exact kernel (``GramSystem.r_of_kernel`` sums one, as the test reference):
+the r-row of a centered monomial candidate is read off table columns
+(``GramSystem.r_of_candidates``), and the kernel is linear in ``xi``, so
+:func:`discrepancy` takes a given ``xi``'s r-rows as its coefficients times
+the rows of its words.  ``xi_i`` enters only row ``i`` of the kernel, and
+that row does not depend on the slot, so the slots share one design with a
+column per word and one candidate Gram over the words: the estimate is one
+least-squares solve with a right-hand side per slot, and in the R-bounded
+problem only the norm bound couples the slots.  Candidates stay a (word,
+slot) coefficient matrix through the solves.  A report's ``xi`` is assembled
+from it, with exact coefficients, on the first read of the field, so the
+sweeps, whose reports print only values, never build it.
 
 The index structure of a Gram system -- its basis words, the legs and the
 per-letter split arrays -- depends on nothing but ``(n, d_proj)``, since B
@@ -77,7 +79,7 @@ import numpy as np
 from .errors import DegreeCapError, ModelError, StructureError
 from .fdalg import MatrixCoordinates
 from .ncalg import (GeneratorSystem, KernelMatrix, NCPoly, TensorPoly,
-                    commutator_stein_kernel, diff_quotient, generator_tuple)
+                    diff_quotient)
 from .scalars import QQi
 from .serialize import poly_tuple_to_json
 from .trace import MatrixModel, TraceModel, real_if_exact
@@ -296,9 +298,9 @@ class GramSystem:
     pairs that can be nonzero (:func:`_gram_from_pairs`) and is real when
     the table is.  The r-vectors gather table columns at the per-letter
     split arrays: those of the legs (words of degree <= d_proj), and those
-    of longer kernel legs, traced on first use, one table call per batch:
-    :meth:`r_of_kernel` for exact kernels, :meth:`r_of_identity` and
-    :meth:`r_of_candidates` for the identity and the monomial candidates.
+    of longer kernel legs, traced on first use, one table call per batch.
+    Reports read :meth:`r_of_identity` and :meth:`r_of_candidates`;
+    :meth:`r_of_kernel`, for exact kernels, is their test reference.
     Scalar B only.  ``words``, ``_legs``, ``_splits`` and ``_degree_count``
     come from the read-only :func:`_layout` of ``(n, d_proj)``, the split
     pairs from that of the shape and table pattern; the table, ``W``, its
@@ -619,39 +621,31 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_partners(system) -> tuple:
-    """The generators the half-commutator kernel pairs ``xi_j`` with:
-    ``x_{pi(j)}`` for the star pairing ``pi``.
-
-    The kernel meets the derivation ``d_j`` through the tensor inner
-    product, whose adjoint turns ``x_j`` into ``x_j*``; on self-adjoint
-    tuples ``pi`` is the identity and these are the generators.
-    """
-    X = generator_tuple(system)
-    return tuple(X[j] for j in system.star_pairing)
-
-
 def discrepancy(model: TraceModel, xi, scheme: DegreeScheme) -> DiscrepancyReport:
     """Truncated Stein discrepancy of the generators relative to ``xi``.
 
-    Builds the half-commutator kernel of the centered ``xi``, projects its
-    deviation from the identity kernel onto the truncated Jacobian range and
-    reports the Hilbert-Schmidt norm.  Nondecreasing in ``d_proj``.
+    Projects the deviation of the half-commutator kernel of the centered
+    ``xi`` from the identity kernel onto the truncated Jacobian range and
+    reports the Hilbert-Schmidt norm.  Nondecreasing in ``d_proj``.  The
+    kernel's r-rows are ``xi``'s coefficients times its words' candidate rows.
     """
     xi = tuple(xi)
     if len(xi) != model.n:
         raise StructureError("xi must have one entry per generator")
     xi = tuple(model.centered(x) for x in xi)
-    A = commutator_stein_kernel(xi, _kernel_partners(model.system))
     gs = GramSystem(model, scheme.d_proj)
-    rA = gs.r_of_kernel(A)
+    words = sorted({w for x in xi for w in x.terms if len(w) > 1},
+                   key=lambda w: (len(w), w))
+    C = real_if_exact(np.array([[complex(x.terms.get(w, 0)) for w in words]
+                                for x in xi]))
+    rA = (C @ gs.r_of_candidates(words) if words
+          else np.zeros((model.n, len(gs.words))))
     r1 = gs.r_of_identity()
     trail = []
     for d in range(1, scheme.d_proj + 1):
         view = gs.view(d)
         value = float(np.linalg.norm(view.z(rA) - view.z(r1)))
         trail.append((d, value))
-    view = gs.view()
     return DiscrepancyReport(
         value=value, scheme=scheme, gram_condition=view.cond, trail=trail,
         xi=xi,
@@ -806,15 +800,15 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
 def irregularity_bounded(model: TraceModel, scheme: DegreeScheme,
                          radius: float) -> DiscrepancyReport:
     """Truncated irregularity under the constraint ``||xi||_2 <= radius``."""
-    if radius < 0:
-        raise StructureError("radius must be nonnegative")
+    if not radius >= 0:
+        raise StructureError(f"radius must be nonnegative, not {radius}")
     return _bounded_solver(model, scheme)(radius)
 
 
 def radius_sweep(model: TraceModel, scheme: DegreeScheme, radii) -> list:
     """R-bounded irregularity along increasing radii, on one design."""
     radii = [float(r) for r in radii]
-    if any(r < 0 for r in radii) or sorted(radii) != radii:
+    if not all(r >= 0 for r in radii) or sorted(radii) != radii:
         raise StructureError("radii must be nonnegative and increasing")
     solve = _bounded_solver(model, scheme)
     return [(r, solve(r)) for r in radii]

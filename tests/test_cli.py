@@ -398,6 +398,12 @@ def test_each_command_takes_only_the_options_it_reads():
     ["sigma-exact", "--model", "{ccmat}", "--cond-limit", "1e-300"],
     ["conjugate-check", "--model", "{semicircular2}", "--xi", "(t1, t2)",
      "--cond-limit", "1e-300"],
+    # nan passes no comparison, so it would slip past a guard written as
+    # one: a nan radius, eps or condition limit
+    ["bounded", "--model", "{semicircular1}", "--radii", "0.5,nan"],
+    ["closed-form", "eps-kernel", "--model", "{twopoint}", "--eps", "nan"],
+    ["closed-form", "eps-kernel", "--model", "{twopoint}", "--eps", "inf"],
+    ["irregularity", "--model", "{semicircular1}", "--cond-limit", "nan"],
 ])
 def test_usage_errors_exit_2(specs, capsys, argv):
     argv = [a.format(**specs) for a in argv]

@@ -174,6 +174,13 @@ def test_eps_kernel_point_mass():
         assert abs(rep.bound - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+def test_eps_kernel_rejects_eps_outside_the_positive_reals(twopoint_measure,
+                                                           eps):
+    with pytest.raises(ModelError, match="eps must be finite and positive"):
+        eps_kernel(twopoint_measure, eps)
+
+
 def test_eps_kernel_two_point(twopoint_measure):
     bounds = [eps_kernel(twopoint_measure, e).bound
               for e in (0.3, 0.1, 0.01, 0.001)]

@@ -9,7 +9,9 @@ same table and against the degree-block Kronecker sums it replaced
 against its own table, the moment tables of semicircular, measure and
 matrix models against the per-word traces they replaced
 (``_per_word_table``), and the reduced-word vectors of free products
-against the centering recursion they replaced.  The reported candidate
+against the centering recursion they replaced.  Discrepancies, read off the
+candidate rows, are checked against the symbolic kernel summed by
+``GramSystem.r_of_kernel``.  The reported candidate
 tuples are checked against the symbolic candidate basis (``_symbolic_xi``),
 and reports that build them on first read against reports that build them
 at once.  Gram systems of one shape
@@ -32,9 +34,10 @@ from conftest import (candidate_gram_reference, random_poly, random_word,
 from free_stein import stein
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
-from free_stein.ncalg import (BAlgebra, KernelMatrix, NCPoly, TensorPoly,
-                              commutator_stein_kernel, generator_tuple,
-                              gradient)
+from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
+                              TensorPoly, commutator_stein_kernel,
+                              generator_tuple, gradient)
+from free_stein.parser import parse_poly_tuple
 from free_stein.scalars import QQi
 from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircleDensity, SemicircularModel,
@@ -451,7 +454,7 @@ def test_candidate_rows_match_exact_kernels(name):
     gs = stein.GramSystem(model, scheme.d_proj)
     words = stein.monomial_words(system, 1, scheme.d_xi)
     R = gs.r_of_candidates(words)
-    X = stein._kernel_partners(system)
+    X = _kernel_partners(system)
     for w, row in zip(words, R):
         cand = model.centered(NCPoly.from_word(system, w))
         for i in range(model.n):
@@ -465,17 +468,85 @@ def test_candidate_rows_match_exact_kernels(name):
                                                          scheme.d_xi + 1)
 
 
-def test_design_builds_no_exact_kernels(monkeypatch):
+def _kernel_partners(system):
+    """The generators the half-commutator kernel pairs ``xi_j`` with:
+    ``x_{pi(j)}`` for the star pairing ``pi``."""
+    X = generator_tuple(system)
+    return tuple(X[j] for j in system.star_pairing)
+
+
+@pytest.fixture
+def exact_kernel_calls(monkeypatch):
+    """Every exact kernel matrix built and every ``r_of_kernel`` call made
+    while the test runs; stein has no name of its own for the kernel."""
+    assert not hasattr(stein, "commutator_stein_kernel")
     calls = []
-    exact = stein.commutator_stein_kernel
+    for owner, name in [(KernelMatrix, "__init__"),
+                        (stein.GramSystem, "r_of_kernel")]:
+        def counted(*args, _exact=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _exact(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
 
-    monkeypatch.setattr(stein, "commutator_stein_kernel", counted)
+def test_design_builds_no_exact_kernels(exact_kernel_calls):
     *_, Z, B = stein._xi_design(SemicircularModel(2), stein.DegreeScheme(2))
-    assert Z.shape[1] == 6 and B.shape[1] == 2 and not calls
+    assert Z.shape[1] == 6 and B.shape[1] == 2 and not exact_kernel_calls
+
+
+def test_discrepancy_builds_no_exact_kernels(exact_kernel_calls):
+    model = SemicircularModel(2)
+    xi = parse_poly_tuple("(t1 + t1*t2, t2)", model.system)
+    rep = stein.discrepancy(model, xi, stein.DegreeScheme(2, 4))
+    assert len(rep.trail) == 4 and not exact_kernel_calls
+
+
+# one centered xi per model: rational, complex and constant coefficients, and
+# words that repeat within a slot or across the slots
+DISCREPANCIES = {
+    "semicircular n=2": (lambda: SemicircularModel(2),
+                         "(1/3*t1*t2 + t1 - 2, t2*t2 + 1/3*t1*t2 + t1*t2 + 5)"),
+    "semicircular n=1": (lambda: SemicircularModel(1), "(t1 + 1/7*t1^3)"),
+    "two-point": (two_point_measure, "(t1 + 1/3*t1*t1 + 2 + t1)"),
+    "two-point * semicircular": (MODELS["two-point * semicircular"],
+                                 "(t1 - 1/3*t2*t1, i*t2 + t1*t1 + 1 - t2*t1)"),
+    "cyclic group of order 3": (lambda: cyclic_group_model(3),
+                                "(t1*t1 + 1/3*t2, 2*t2 - i*t1 + t1*t1)"),
+    "cyclic group of order 5": (lambda: cyclic_group_model(5),
+                                "(t1 + 1/3*t1*t1, t2 - t2*t2 + 3 + 1/3*t1*t1)"),
+    "two-point matrix": (two_point_matrix_model, "(t1 + 1/7*t1*t1*t1 - 1/2)"),
+    "two-block unitary": (_unitary_pair, "(t1 + i*t2*t1 + 1/3, t2 - 2*t1*t2)"),
+}
+
+
+@pytest.mark.parametrize("name", DISCREPANCIES)
+def test_discrepancy_matches_exact_kernel(name):
+    make, text = DISCREPANCIES[name]
+    model = make()
+    xi = parse_poly_tuple(text, model.system)
+    scheme = stein.DegreeScheme(max(p.degree() for p in xi))
+    rep = stein.discrepancy(model, xi, scheme)
+    gs = stein.GramSystem(model, scheme.d_proj)
+    centered = tuple(model.centered(p) for p in xi)
+    A = commutator_stein_kernel(centered, _kernel_partners(model.system))
+    rA, r1 = gs.r_of_kernel(A), gs.r_of_identity()
+    want = [float(np.linalg.norm(gs.view(d).z(rA) - gs.view(d).z(r1)))
+            for d in range(1, scheme.d_proj + 1)]
+    got = [v for _, v in rep.trail]
+    assert [d for d, _ in rep.trail] == list(range(1, scheme.d_proj + 1))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert rep.value == got[-1] and rep.xi == centered
+
+
+def test_discrepancy_rejects_foreign_and_short_xi():
+    model = SemicircularModel(2)
+    foreign = generator_tuple(GeneratorSystem(2, star_pairing=(1, 0)))
+    with pytest.raises(StructureError, match="different generator system"):
+        stein.discrepancy(model, foreign, stein.DegreeScheme(1))
+    with pytest.raises(StructureError, match="one entry per generator"):
+        stein.discrepancy(model, generator_tuple(model.system)[:1],
+                          stein.DegreeScheme(1))
 
 
 @pytest.mark.parametrize("make, real", [

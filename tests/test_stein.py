@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import candidate_gram_reference, random_poly
+from conftest import PushForwardModel, candidate_gram_reference, random_poly
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import DegreeCapError, ModelError, StructureError
@@ -386,6 +386,21 @@ def test_radius_sweep_convex(twopoint_measure):
     assert all(vals[i] >= vals[i + 1] - 1e-10 for i in range(len(vals) - 1))
     with pytest.raises(StructureError):
         radius_sweep(twopoint_measure, scheme, [1.0, 0.5])
+
+
+def test_bounded_rejects_nan_and_negative_radii(semicircular1):
+    scheme = DegreeScheme(2)
+    for radius in (float("nan"), -0.5):
+        with pytest.raises(StructureError, match="radius must be nonnegative"):
+            irregularity_bounded(semicircular1, scheme, radius)
+    for radii in ([0.5, float("nan")], [float("nan")], [-1.0, 0.5]):
+        with pytest.raises(StructureError, match="nonnegative and increasing"):
+            radius_sweep(semicircular1, scheme, radii)
+    # an infinite radius is the unconstrained solve
+    free = irregularity_bounded(semicircular1, scheme, float("inf"))
+    assert free.diagnostics["boundary"] is False and free.value < 1e-8
+    sweep = radius_sweep(semicircular1, scheme, [0.5, float("inf")])
+    assert sweep[1][1].to_json() == free.to_json()
 
 
 def test_radius_sweep_builds_one_design(monkeypatch):
@@ -1088,6 +1103,50 @@ def test_sigma_exact_of_pauli_generating_tuples(name):
     model = MatrixModel([(2, 1.0)], [[g] for g in PAULI_TUPLES[name]])
     rep = sigma_exact_fd(model, d=4)
     assert rep.trail == [(d, 0.75) for d in range(1, 5)]
+
+
+# -- *-algebra invariance on the Gram path ------------------------------------------
+
+
+def _pushed(base, square):
+    """``(S, S)`` or ``(S, S^2)`` of the one generator ``S`` of ``base``."""
+    S, = generator_tuple(base.system)
+    return PushForwardModel(base, (S, S * S if square else S))
+
+
+def test_push_forward_table_matches_word_traces():
+    model = _pushed(SemicircularModel(1, cap=24), square=True)
+    legs = monomial_words(model.system, 0, 3)
+    # the pushed generators are self-adjoint: the adjoint of a word reverses it
+    want = [[model.trace_word(a[::-1] + b[1:]) for b in legs] for a in legs]
+    assert np.max(np.abs(model.moment_table(legs) - np.array(want))) < 1e-12
+
+
+@pytest.mark.parametrize("base, square, sigma", [
+    (lambda: SemicircularModel(1, cap=24), False, 1.0),
+    (lambda: two_point_measure(cap=24), True, 0.5),
+])
+def test_irregularity_is_a_star_algebra_invariant(base, square, sigma):
+    # (S, S) and (S, S^2) generate the algebra of S: for the semicircle and
+    # the two-point measure (S^2 = 1) the estimate is exact at every degree
+    model = _pushed(base(), square)
+    for d_xi in (1, 2, 3):
+        assert abs(irregularity_estimate(model, DegreeScheme(d_xi)).sigma
+                   - sigma) < 1e-9
+
+
+def test_irregularity_of_semicircle_and_its_square_converges_up():
+    # (S, S^2) generates the algebra of the semicircular S, of dimension 1;
+    # the estimate approaches it from below as d_xi grows, while the Gram
+    # condition grows by about 50x per degree
+    model = _pushed(SemicircularModel(1, cap=24), square=True)
+    reps = [irregularity_estimate(model, DegreeScheme(d)) for d in (1, 2, 3)]
+    sigmas = [r.sigma for r in reps]
+    assert np.allclose(sigmas, [0.770014101783, 0.945188988534, 0.986619519157],
+                       rtol=0, atol=1e-6)
+    assert sigmas[0] < sigmas[1] < sigmas[2] < 1
+    conds = [r.gram_condition for r in reps]
+    assert all(30 < b / a < 100 for a, b in zip(conds, conds[1:]))
 
 
 def test_sigma_exact_requires_matrix_model(semicircular1):
