@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -33,8 +34,25 @@ EXIT_VALIDATION = 2
 EXIT_DIAGNOSTIC = 3
 
 
+def _infinities_as_strings(obj):
+    if isinstance(obj, float):
+        return str(obj) if obj in (math.inf, -math.inf) else obj
+    if isinstance(obj, dict):
+        return {k: _infinities_as_strings(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_infinities_as_strings(v) for v in obj]
+    return obj
+
+
 def _write_json(args, payload) -> int:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    """Write the report as strict JSON: an infinite float is written as the
+    string ``"inf"`` or ``"-inf"``, and a nan raises."""
+    dump = functools.partial(json.dumps, indent=2, sort_keys=True,
+                             default=str, allow_nan=False)
+    try:
+        text = dump(payload)
+    except ValueError:  # an infinity or a nan somewhere in the payload
+        text = dump(_infinities_as_strings(payload))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

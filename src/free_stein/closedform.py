@@ -22,6 +22,7 @@ potential, so one adaptive pass over the support is the only quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,9 +358,13 @@ def eps_kernel(measure: MeasureModel, eps: float,
     """
     if not 0 < eps < math.inf:
         raise ModelError(f"eps must be finite and positive, not {eps}")
+    e2 = eps * eps
+    if e2 * e2 < sys.float_info.min:
+        # the kernel at coinciding points would be 0/0
+        raise ModelError(f"eps = {eps} is too small: eps**4 underflows "
+                         f"below the least normal double")
     atoms = measure.atoms
     dens = measure.density
-    e2 = eps * eps
 
     def kern(d):
         d = np.asarray(d, dtype=float)

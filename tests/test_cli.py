@@ -562,3 +562,36 @@ def test_sweep_warnings_name_each_point(specs, tmp_path, capsys):
     assert run(["bounded", "--model", specs["twopoint"], "--dxi", "2",
                 "--radii", "0.5,1", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_eps_whose_fourth_power_underflows_exits_2(specs, capsys):
+    code = run(["closed-form", "eps-kernel", "--model", specs["twopoint"],
+                "--eps", "1e-170"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "underflows" in captured.err and "Traceback" not in captured.err
+
+
+def _strict_loads(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infinite_radius_is_written_as_strict_json(specs, capsys):
+    assert run(["bounded", "--model", specs["semicircular1"],
+                "--radii", "0.5,inf"]) == 0
+    points = _strict_loads(capsys.readouterr().out)["points"]
+    assert [p["radius"] for p in points] == [0.5, "inf"]
+    assert points[1]["diagnostics"]["radius"] == "inf"
+
+
+def test_report_writer_spells_infinities_and_refuses_nan(capsys):
+    from free_stein.cli import _write_json
+    args = argparse.Namespace(out=None)
+    payload = {"gram_condition": math.inf, "trail": [[1, -math.inf], [2, 0.5]]}
+    assert _write_json(args, payload) == 0
+    assert _strict_loads(capsys.readouterr().out) == {
+        "gram_condition": "inf", "trail": [[1, "-inf"], [2, 0.5]]}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(args, {"value": math.nan})

@@ -181,6 +181,21 @@ def test_eps_kernel_rejects_eps_outside_the_positive_reals(twopoint_measure,
         eps_kernel(twopoint_measure, eps)
 
 
+@pytest.mark.parametrize("eps", [1e-170, 1e-78, 5e-324])
+def test_eps_kernel_rejects_eps_whose_fourth_power_underflows(
+        twopoint_measure, eps):
+    with pytest.raises(ModelError, match=r"eps\*\*4 underflows"):
+        eps_kernel(twopoint_measure, eps)
+
+
+def test_eps_kernel_accepts_a_tiny_eps_with_a_normal_fourth_power(
+        twopoint_measure):
+    rep = eps_kernel(twopoint_measure, 1e-76)
+    # the two atoms' own terms: mass 1/2 each, the kernel 1 at distance 0
+    assert rep.bound == 0.5
+    assert all(np.isfinite(v) for _, v in rep.g_atoms)
+
+
 def test_eps_kernel_two_point(twopoint_measure):
     bounds = [eps_kernel(twopoint_measure, e).bound
               for e in (0.3, 0.1, 0.01, 0.001)]

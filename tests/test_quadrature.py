@@ -1,10 +1,13 @@
-"""Level-synchronous adaptive quadrature against the recursive rule it
-replaced."""
+"""Level-synchronous adaptive quadrature, which evaluates a look-ahead
+subtree of up to three levels in one integrand call within a fixed budget of
+sub-panels, against the recursive rule it replaced."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from free_stein import quadrature
 from free_stein.closedform import eps_kernel, log_energy
@@ -137,3 +140,95 @@ def test_one_integrand_call_per_level():
         quadrature.adaptive(counted(step), 0.0, 1.0, max_depth=8)
     assert calls["step"] <= 8 + 2
 
+
+
+# integrand families over [a, b]: endpoint singularities, a jump, a narrow
+# peak and a smooth one; ``c`` in (0, 1) places the feature, ``h`` scales it
+_FAMILIES = {
+    "sqrt_left": lambda a, b, c, h: lambda x: np.sqrt(x - a),
+    "sqrt_right": lambda a, b, c, h: lambda x: np.sqrt(b - x) * np.cos(x),
+    "log_left": lambda a, b, c, h: lambda x: np.log(x - a),
+    "x_log_x_right": lambda a, b, c, h: lambda x: (b - x) * np.log(b - x),
+    "jump": lambda a, b, c, h: (
+        lambda x: np.where(x < a + c * (b - a), 1.0, -2.0 + x)),
+    "peak": lambda a, b, c, h: (
+        lambda x: h / ((x - a - c * (b - a)) ** 2 + h * h)),
+    "smooth": lambda a, b, c, h: lambda x: np.exp(-c * x * x) * np.sin(3 * x),
+}
+
+
+def _outcome(rule, f, a, b, tol, max_depth):
+    try:
+        return rule(f, a, b, tol=tol, max_depth=max_depth)
+    except QuadratureError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)),
+       a=st.floats(-5.0, 5.0), width=st.floats(0.1, 10.0),
+       c=st.floats(0.01, 0.99), h=st.floats(1e-4, 1e-1),
+       tol_exp=st.integers(6, 12), max_depth=st.integers(1, 30))
+def test_adaptive_matches_recursive_rule(family, a, width, c, h, tol_exp,
+                                         max_depth):
+    b = a + width
+    f = _FAMILIES[family](a, b, c, h)
+    tol = 10.0 ** -tol_exp
+    new = _outcome(quadrature.adaptive, f, a, b, tol, max_depth)
+    old = _outcome(_adaptive_reference, f, a, b, tol, max_depth)
+    # a float equals a float, a QuadratureError message its message
+    assert type(new) is type(old) and new == old
+
+
+@pytest.mark.parametrize("center", [1e6, -3e9])
+def test_panels_too_narrow_to_split_match_recursive_rule(center):
+    # far from 0 a jump is refined until the panels reach the width floor,
+    # long before max_depth
+    def step(x):
+        return np.where(x < center + 3e-7, 1.0, -2.0)
+
+    a, b = center, center + 1e-6
+    assert quadrature.adaptive(step, a, b) == _adaptive_reference(step, a, b)
+
+
+def test_look_ahead_cuts_integrand_calls():
+    calls = [0]
+
+    def sqrt_log(x):
+        calls[0] += 1
+        return np.sqrt(x) * np.log(x)
+
+    quadrature.adaptive(sqrt_log, 0.0, 1.0)
+    assert calls[0] <= 20
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: np.sqrt(x) * np.log(x), 0.0, 1.0),
+    # hundreds of active panels: one level a call, two halves a panel
+    (lambda x: np.sin(300.0 * x), 0.0, 10.0),
+    (lambda x: np.where(x < 0.3, 0.0, 1.0) + np.abs(x - 0.71) ** 0.5,
+     -1.0, 2.0),
+], ids=["sqrt_log", "oscillating", "jump_and_kink"])
+def test_each_call_keeps_to_the_sub_panel_budget(f, a, b, monkeypatch):
+    nodes = []
+    panel_sums = quadrature._panel_sums
+
+    def recorded(g, lo, hi):
+        if lo.size > quadrature._SUBPANELS:
+            # only a one-level look-ahead may exceed the budget: the
+            # panels are the two halves of each of lo.size / 2 disjoint
+            # panels, left to right
+            parent_lo, parent_hi = lo[0::2], hi[1::2]
+            mid = 0.5 * (parent_lo + parent_hi)
+            assert np.array_equal(hi[0::2], mid)
+            assert np.array_equal(lo[1::2], mid)
+            assert np.all(parent_hi[:-1] <= parent_lo[1:])
+        return panel_sums(g, lo, hi)
+
+    def g(x):
+        nodes.append((x.min(), x.max()))
+        return f(x)
+
+    monkeypatch.setattr(quadrature, "_panel_sums", recorded)
+    quadrature.adaptive(g, a, b)
+    assert all(a < lo and hi < b for lo, hi in nodes)
