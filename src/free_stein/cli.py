@@ -47,12 +47,8 @@ def _infinities_as_strings(obj):
 def _write_json(args, payload) -> int:
     """Write the report as strict JSON: an infinite float is written as the
     string ``"inf"`` or ``"-inf"``, and a nan raises."""
-    dump = functools.partial(json.dumps, indent=2, sort_keys=True,
-                             default=str, allow_nan=False)
-    try:
-        text = dump(payload)
-    except ValueError:  # an infinity or a nan somewhere in the payload
-        text = dump(_infinities_as_strings(payload))
+    text = json.dumps(_infinities_as_strings(payload), indent=2,
+                      sort_keys=True, default=str, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -6,16 +6,17 @@ active panels of a level are arrays of endpoints, and one integrand call
 evaluates the look-ahead subtree of the next ``k`` levels below all of them
 (16 nodes a sub-panel).  ``k <= 3`` is the deepest look-ahead whose
 sub-panels fit the fixed budget ``_SUBPANELS``, and one level when many
-panels are active.  Each panel's whole-panel estimate is the half estimate
-its parent already computed.  The acceptance test runs once over every panel
-of the subtree: a panel whose estimate agrees with the sum of its halves is
-accepted, the rest are bisected into the next level with half the tolerance,
-and only these refine masks are replayed level by level, so the sums of
-sub-panels under accepted panels are thrown away.  Sub-panel edges come from
-the same bisection and every sum from the same arithmetic, and the panel
-totals are folded bottom-up in tree order, so the result is the one a
-depth-first recursion gives, bit for bit.  ``integrate`` runs ``adaptive`` on
-each piece between given cut points.
+panels are active; like the depth-first rule, the look-ahead stops at the
+halves of a panel too narrow to split.  Each panel's whole-panel estimate is
+the half estimate its parent already computed.  The acceptance test runs
+once over every panel of the subtree: a panel whose estimate agrees with the
+sum of its halves is accepted, the rest are bisected into the next level with
+half the tolerance, and only these refine masks are replayed level by level,
+so the sums of sub-panels under accepted panels are thrown away.  Sub-panel
+edges come from the same bisection and every sum from the same arithmetic,
+and the panel totals are folded bottom-up in tree order, so the result is the
+one a depth-first recursion gives, bit for bit.  ``integrate`` runs
+``adaptive`` on each piece between given cut points.
 
 Integrable endpoint singularities (logs, square roots) and interior kinks are
 left to bisection, which concentrates panels geometrically around them.  The
@@ -94,7 +95,8 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 52) -> 
     or when it is too narrow to split; otherwise both halves go to the next
     level.  One integrand call evaluates the next ``k <= 3`` levels below the
     active panels, as many as fit ``_SUBPANELS`` sub-panels (at least one
-    level, and none below ``max_depth``).
+    level, none below ``max_depth`` and none below the halves of a panel too
+    narrow to split).
     """
     if a == b:
         return 0.0
@@ -123,10 +125,20 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 52) -> 
         ilo, ihi, sizes = _subtree(p, k)
         flat = edges.ravel()
         lo, hi = flat[ilo], flat[ihi]
+        m = lo.size - (p << k)
+        narrow = (hi[:m] - lo[:m]
+                  <= 1e-15 * (np.abs(lo[:m]) + np.abs(hi[:m]) + 1.0))
+        # the depth-first rule evaluates the halves of a panel too narrow to
+        # split but nothing below them, so the look-ahead stops there too
+        first = np.argmax(narrow)
+        if narrow[first] and first < m - (p << (k - 1)):
+            k = int(first // p + 1).bit_length()  # the narrow panel's level + 1
+            m = p * ((1 << k) - 1)
+            lo, hi = lo[:m + (p << k)], hi[:m + (p << k)]
+            narrow, sizes = narrow[:m], sizes[:k]
         sums = np.concatenate(
             (whole, _panel_sums(f, lo[whole.size:], hi[whole.size:])))
         # the acceptance test on every panel of levels 0..k-1 at once
-        m = sums.size - (p << k)
         left, right = sums[p::2], sums[p + 1::2]
         pair = left + right
         err = np.abs(sums[:m] - pair)
@@ -137,8 +149,6 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 52) -> 
         for _ in range(k - 1):
             targets.append(targets[-1] / 2)
         bound = np.maximum(np.repeat(targets, sizes), floor)
-        narrow = (hi[:m] - lo[:m]
-                  <= 1e-15 * (np.abs(lo[:m]) + np.abs(hi[:m]) + 1.0))
         refine = ~((err <= bound) | narrow)
         # replay the refine masks: a level's active panels are the halves of
         # the panels refined on the level above

@@ -180,15 +180,50 @@ def test_adaptive_matches_recursive_rule(family, a, width, c, h, tol_exp,
     assert type(new) is type(old) and new == old
 
 
-@pytest.mark.parametrize("center", [1e6, -3e9])
-def test_panels_too_narrow_to_split_match_recursive_rule(center):
-    # far from 0 a jump is refined until the panels reach the width floor,
-    # long before max_depth
-    def step(x):
-        return np.where(x < center + 3e-7, 1.0, -2.0)
+def _too_narrow(lo, hi):
+    return hi - lo <= 1e-15 * (abs(lo) + abs(hi) + 1.0)
 
-    a, b = center, center + 1e-6
-    assert quadrature.adaptive(step, a, b) == _adaptive_reference(step, a, b)
+
+# far from 0 a jump, or a square-root endpoint singularity at a
+# non-dyadic endpoint, is refined until the panels reach the width floor,
+# long before max_depth
+@pytest.mark.parametrize("a, b, f, tol", [
+    (1e6, 1e6 + 1e-6, lambda x: np.where(x < 1e6 + 3e-7, 1.0, -2.0), 1e-12),
+    (-3e9, -3e9 + 1e-6, lambda x: np.where(x < -3e9 + 3e-7, 1.0, -2.0),
+     1e-12),
+    (3e7 + 0.1, 3e7 + 1.1, lambda x: np.sqrt(x - (3e7 + 0.1)), 1e-8),
+    (1e9 + 0.5, 1e9 + 2.5, lambda x: np.sqrt(1e9 + 2.5 - x), 1e-8),
+], ids=["jump_1e6", "jump_-3e9", "sqrt_left", "sqrt_right"])
+def test_panels_too_narrow_to_split_match_recursive_rule(a, b, f, tol,
+                                                         monkeypatch):
+    panels = set()
+    panel_sums = quadrature._panel_sums
+
+    def recorded(g, lo, hi):
+        panels.update(zip(lo.tolist(), hi.tolist()))
+        return panel_sums(g, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel_sums", recorded)
+    assert (quadrature.adaptive(f, a, b, tol)
+            == _adaptive_reference(f, a, b, tol))
+    assert all(lo < hi for lo, hi in panels)
+    # walk the evaluated tree down from [a, b]: the halves of a panel too
+    # narrow to split may be evaluated, their halves may not
+    stack, narrow_seen = [(a, b)], 0
+    while stack:
+        lo, hi = stack.pop()
+        mid = 0.5 * (lo + hi)
+        halves = [h for h in ((lo, mid), (mid, hi)) if h in panels]
+        if _too_narrow(lo, hi):
+            narrow_seen += 1
+            for h_lo, h_hi in halves:
+                h_mid = 0.5 * (h_lo + h_hi)
+                if h_lo < h_mid < h_hi:  # else one quarter is the half itself
+                    assert (h_lo, h_mid) not in panels
+                    assert (h_mid, h_hi) not in panels
+        else:
+            stack.extend(halves)
+    assert narrow_seen
 
 
 def test_look_ahead_cuts_integrand_calls():
