@@ -13,7 +13,8 @@ exactly Hermitian.  Four families are provided, each with its ``(V, K)``:
   flattened, and ``K = I``;
 * :class:`SemicircularModel` -- free standard semicircular tuples, traced by
   counting index-respecting non-crossing pairings; ``V`` is the Fock-space
-  vector ``x Omega`` and ``K = I``;
+  vector ``x Omega``, built for every prefix of the words on one stack, a
+  gather, a scatter and a gather-add per prefix length, and ``K = I``;
 * :class:`MeasureModel` -- one self-adjoint variable with an atomic plus
   absolutely-continuous spectral distribution; ``V`` is the one-hot degree
   row and ``K`` the Hankel matrix of the moments;
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -390,10 +392,11 @@ class SemicircularModel(TraceModel):
         ``C^n``, where ``s_l`` is left creation of ``e_l`` plus its adjoint:
         the vectors are ``x Omega`` and ``K = I``, exact on integers.
 
-        The vectors are built prefix by prefix.  The right semicircular ``d_l
-        = r_l + r_l*``, with ``r_l`` right creation of ``e_l``, commutes with
-        every ``s_m`` and ``d_l Omega = s_l Omega``, so ``(u s_l) Omega = d_l
-        (u Omega)``.  Both lists are built on one Fock space, cut at depth
+        The vectors are built prefix by prefix (:meth:`_fock_vectors`), all
+        prefixes of one length at once.  The right semicircular ``d_l = r_l
+        + r_l*``, with ``r_l`` right creation of ``e_l``, commutes with every
+        ``s_m`` and ``d_l Omega = s_l Omega``, so ``(u s_l) Omega = d_l (u
+        Omega)``.  Both lists are built on one Fock space, cut at depth
         ``(dx + dy) // 2``: after ``t`` of the ``dx + dy`` letters of ``x*
         y``, a component of depth above ``min(t, dx + dy - t)`` cannot return
         to the vacuum, so the cut drops nothing the table reads.
@@ -407,36 +410,43 @@ class SemicircularModel(TraceModel):
     def _fock_vectors(self, words, depth) -> np.ndarray:
         """``u Omega`` per letter tuple ``u``, over the Fock basis of letter
         tuples of length <= ``depth``, ordered by length and then
-        lexicographically; creations beyond ``depth`` are dropped."""
-        n = self.n
-        offsets = np.cumsum([0] + [n ** k for k in range(depth + 1)])
-        need = [set() for _ in range(max(map(len, words), default=0) + 1)]
-        for u in words:
-            for k in range(len(u) + 1):
-                need[k].add(u[:k])
-        prev = np.zeros((1, offsets[-1]))
-        prev[0, 0] = 1.0
-        index = {(): (0, 0)}  # tuple -> (level, row)
-        levels = [prev]
-        for e in range(1, len(need)):
-            level = sorted(need[e])
-            parents = prev[[index[u[:-1]][1] for u in level]]
-            last = np.array([u[-1] for u in level])
-            cur = np.zeros_like(parents)
-            for l in range(n):
-                rows = np.flatnonzero(last == l)
-                src, out = parents[rows], np.zeros((len(rows), offsets[-1]))
-                for k in range(depth):  # r_l: depth k -> k + 1; r_l*: back
-                    here = slice(offsets[k], offsets[k + 1])
-                    there = slice(offsets[k + 1] + l, offsets[k + 2], n)
-                    out[:, there] += src[:, here]
-                    out[:, here] += src[:, there]
-                cur[rows] = out
-            index.update((u, (e, r)) for r, u in enumerate(level))
-            levels.append(cur)
-            prev = cur
-        return np.array([levels[e][r] for e, r in map(index.__getitem__, words)]
-                        ).reshape(len(words), offsets[-1])
+        lexicographically; creations beyond ``depth`` are dropped.
+
+        One stack holds the vectors of every prefix of the words, by length
+        and then tuple.  A level is ``d_l`` applied to its parent rows, each
+        row at its own last letter ``l``: one scatter for ``r_l`` through
+        :func:`_fock_successors` and one gather-add for ``r_l*``."""
+        there = _fock_successors(self.n, depth)
+        h = there.shape[1]  # the tuples shorter than depth
+        prefixes = sorted({u[:k] for u in words for k in range(len(u) + 1)},
+                          key=lambda u: (len(u), u))
+        row = {u: r for r, u in enumerate(prefixes)}
+        V = np.zeros((len(prefixes), h + self.n ** depth))
+        V[:1, 0] = 1.0  # the vacuum, the empty prefix
+        lengths = [len(u) for u in prefixes]
+        ends = np.searchsorted(lengths,
+                               np.arange(1, max(lengths, default=0) + 2))
+        for lo, hi in zip(ends, ends[1:]):
+            level = prefixes[lo:hi]
+            src = V[[row[u[:-1]] for u in level]]
+            to = there[[u[-1] for u in level]]
+            cur, rows = V[lo:hi], np.arange(hi - lo)[:, None]
+            cur[rows, to] = src[:, :h]  # r_l: depth k -> k + 1
+            cur[:, :h] += src[rows, to]  # r_l*: back
+        return V[[row[u] for u in words]]
+
+
+@lru_cache(maxsize=None)
+def _fock_successors(n: int, depth: int) -> np.ndarray:
+    """``there[l, i]``: the Fock index of basis tuple ``i`` with letter ``l``
+    appended, for the tuples shorter than ``depth`` in the order of
+    :meth:`SemicircularModel._fock_vectors`.  Read-only, one per shape."""
+    offsets = np.cumsum([0] + [n ** k for k in range(depth + 1)])
+    there = np.concatenate([np.zeros(0, dtype=int)] + [
+        offsets[k + 1] + n * np.arange(n ** k) for k in range(depth)])
+    there = there + np.arange(n)[:, None]
+    there.setflags(write=False)
+    return there
 
 
 def catalan(k: int) -> int:
@@ -805,8 +815,8 @@ def _scalar_word(letters) -> tuple:
 def _reduced_coefficients(vectors) -> tuple:
     """The basis keys of ``vectors`` grouped by factor sequence, ``{sequence:
     (keys, column slice)}``, and the coefficient matrix whose columns are
-    the keys in group order; real when no coefficient has an imaginary
-    part."""
+    the keys in group order, written by one scatter of all coefficients;
+    real when no coefficient has an imaginary part."""
     groups: dict = {}
     for b in dict.fromkeys(b for v in vectors for b in v):
         groups.setdefault(tuple(fi for fi, _ in b), []).append(b)
@@ -816,8 +826,9 @@ def _reduced_coefficients(vectors) -> tuple:
         out[seq] = (keys, slice(off, off + len(keys)))
         off += len(keys)
     V = np.zeros((len(vectors), off), dtype=complex)
-    for a, v in enumerate(vectors):
-        V[a, [index[b] for b in v]] = list(v.values())
+    rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+    V[rows, [index[b] for v in vectors for b in v]] = [
+        c for v in vectors for c in v.values()]
     return out, real_if_exact(V)
 
 

@@ -9,7 +9,11 @@ same table and against the degree-block Kronecker sums it replaced
 against its own table, the moment tables of semicircular, measure and
 matrix models against the per-word traces they replaced
 (``_per_word_table``), and the reduced-word vectors of free products
-against the centering recursion they replaced.  Discrepancies, read off the
+against the centering recursion they replaced.  The semicircular Fock
+vectors and the free-product coefficient matrix are checked bit for bit
+against the slice loop and per-vector assignment they replaced
+(``_fock_vectors_reference``, ``_reduced_coefficients_reference``).
+Discrepancies, read off the
 candidate rows, are checked against the symbolic kernel summed by
 ``GramSystem.r_of_kernel``.  The reported candidate
 tuples are checked against the symbolic candidate basis (``_symbolic_xi``),
@@ -26,12 +30,12 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (candidate_gram_reference, random_poly, random_word,
                       word_of)
-from free_stein import stein
+from free_stein import stein, trace
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
 from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
@@ -617,6 +621,80 @@ def test_fock_table_keeps_the_cap():
         _per_word_table(model, xs, [(0, 1, 0, 1, 0, 1, 0, 1, 0)])
 
 
+def _fock_vectors_reference(n, words, depth):
+    """Oracle only: ``SemicircularModel._fock_vectors`` as the per-level,
+    per-letter slice loop it replaced.  Each level sorts its prefixes and
+    applies ``d_l = r_l + r_l*`` to the parents of last letter ``l`` one
+    Fock depth at a time."""
+    offsets = np.cumsum([0] + [n ** k for k in range(depth + 1)])
+    need = [set() for _ in range(max(map(len, words), default=0) + 1)]
+    for u in words:
+        for k in range(len(u) + 1):
+            need[k].add(u[:k])
+    prev = np.zeros((1, offsets[-1]))
+    prev[0, 0] = 1.0
+    index = {(): (0, 0)}  # tuple -> (level, row)
+    levels = [prev]
+    for e in range(1, len(need)):
+        level = sorted(need[e])
+        parents = prev[[index[u[:-1]][1] for u in level]]
+        last = np.array([u[-1] for u in level])
+        cur = np.zeros_like(parents)
+        for l in range(n):
+            rows = np.flatnonzero(last == l)
+            src, out = parents[rows], np.zeros((len(rows), offsets[-1]))
+            for k in range(depth):  # r_l: depth k -> k + 1; r_l*: back
+                here = slice(offsets[k], offsets[k + 1])
+                there = slice(offsets[k + 1] + l, offsets[k + 2], n)
+                out[:, there] += src[:, here]
+                out[:, here] += src[:, there]
+            cur[rows] = out
+        index.update((u, (e, r)) for r, u in enumerate(level))
+        levels.append(cur)
+        prev = cur
+    return np.array([levels[e][r] for e, r in map(index.__getitem__, words)]
+                    ).reshape(len(words), offsets[-1])
+
+
+@st.composite
+def fock_cases(draw):
+    """``(n, depth, words)``: letter tuples up to two letters longer than
+    ``depth`` (the rectangular tables' deeper side), in drawn order, with
+    repeats drawn back in."""
+    n, depth = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    word = st.lists(st.integers(0, n - 1), max_size=depth + 2).map(tuple)
+    words = draw(st.lists(word, max_size=12))
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=4))
+    return n, depth, words
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(fock_cases())
+@example((2, 3, []))
+@example((1, 0, [(), (0, 0)]))
+@example((3, 2, [(2, 1, 0, 1), (0,), (), (2, 1, 0, 1), (1, 2)]))
+def test_fock_vectors_equal_slice_loop_reference(case):
+    n, depth, words = case
+    V = SemicircularModel(n)._fock_vectors(words, depth)
+    assert V.shape == (len(words), sum(n ** k for k in range(depth + 1)))
+    assert np.array_equal(V, _fock_vectors_reference(n, words, depth))
+
+
+def test_fock_successors_are_one_read_only_table_per_shape():
+    trace._fock_successors.cache_clear()
+    a, b = SemicircularModel(2), SemicircularModel(2)
+    xs = stein.monomial_words(a.system, 0, 3)
+    assert np.array_equal(a.moment_table(xs), b.moment_table(xs))
+    info = trace._fock_successors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    there = trace._fock_successors(2, 3)
+    # basis tuple (1, 0), index 1 + 2 + 2, appended 1 -> (1, 0, 1), 7 + 5
+    assert there.shape == (2, 7) and there[1, 5] == 12
+    with pytest.raises(ValueError, match="read-only"):
+        there[0, 0] = 0
+
+
 def test_measure_table_is_a_hankel_gather():
     for model in (two_point_measure(), two_point_measure(0.3),
                   MeasureModel([(3.0, 0.5)], SemicircleDensity(mass=0.5)),
@@ -851,6 +929,58 @@ def test_free_product_leg_table_equals_centering_recursion():
     legs = stein.monomial_words(model.system, 0, 5)
     expected = _CenteringReference(_two_point_semicircular()).table(legs, legs)
     assert np.array_equal(model.moment_table(legs), expected)
+
+
+def _reduced_coefficients_reference(vectors):
+    """Oracle only: ``trace._reduced_coefficients`` with one assignment per
+    vector, as it was before the single scatter."""
+    groups: dict = {}
+    for b in dict.fromkeys(b for v in vectors for b in v):
+        groups.setdefault(tuple(fi for fi, _ in b), []).append(b)
+    index, out, off = {}, {}, 0
+    for seq, keys in groups.items():
+        index.update(zip(keys, range(off, off + len(keys))))
+        out[seq] = (keys, slice(off, off + len(keys)))
+        off += len(keys)
+    V = np.zeros((len(vectors), off), dtype=complex)
+    for a, v in enumerate(vectors):
+        V[a, [index[b] for b in v]] = list(v.values())
+    return out, real_if_exact(V)
+
+
+@st.composite
+def reduced_vectors(draw):
+    """Vectors ``w Omega`` of random words in one of the FREE_PRODUCTS, in
+    drawn order with repeats, or sparse vectors over random basis keys with
+    real or complex coefficients, some empty."""
+    if draw(st.booleans()):
+        model = FREE_PRODUCTS[draw(st.sampled_from(sorted(FREE_PRODUCTS)))]()
+        words = draw(st.lists(st.lists(st.integers(0, model.n - 1),
+                                       max_size=5).map(tuple), max_size=10))
+        if words:
+            words += draw(st.lists(st.sampled_from(words), max_size=3))
+        return [model._vector(u) for u in words]
+    block = st.tuples(st.integers(0, 2),
+                      st.lists(st.integers(0, 1), min_size=1,
+                               max_size=2).map(tuple))
+    key = st.lists(block, max_size=3).map(tuple)
+    real = st.floats(-4, 4).map(complex)
+    value = st.one_of(real, st.builds(complex, st.floats(-4, 4),
+                                      st.floats(-4, 4)))
+    return draw(st.lists(st.dictionaries(key, value, max_size=6),
+                         max_size=8))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(reduced_vectors())
+@example([])
+@example([{}, {(): 1 + 0j}])
+def test_reduced_coefficients_equal_per_vector_reference(vectors):
+    groups, V = trace._reduced_coefficients(vectors)
+    want_groups, want = _reduced_coefficients_reference(vectors)
+    assert groups == want_groups
+    assert V.dtype == want.dtype and V.shape == want.shape
+    assert np.array_equal(V, want)
 
 
 def test_free_product_leg_table_traces_no_product_words(monkeypatch):

@@ -138,6 +138,43 @@ def test_split_eigh_matches_full_eigh(name):
     assert abs(cond / full_cond - 1) <= 1e-10
 
 
+@st.composite
+def hermitian_patterns(draw):
+    """Hermitian ``m x m`` matrices, m from 0 to 80, real or complex, whose
+    nonzero pattern is random and sparse, one randomly permuted path through
+    some of the rows (the others isolated; the longest label chains), or
+    fully dense; some diagonal entries are zero."""
+    m = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(["sparse", "path", "dense"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "sparse":
+        mask = gen.random((m, m)) < draw(st.floats(0, 0.1))
+    elif kind == "path":
+        mask = np.zeros((m, m), dtype=bool)
+        walk = gen.permutation(m)[:draw(st.integers(0, m))]
+        mask[walk[:-1], walk[1:]] = True
+    else:
+        mask = np.ones((m, m), dtype=bool)
+    mask |= mask.T
+    mask[np.diag_indices(m)] = gen.random(m) < 0.5
+    A = np.where(mask, gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m)),
+                 0)
+    A = np.triu(A) + np.triu(A, 1).conj().T
+    np.fill_diagonal(A, A.diagonal().real)
+    return A.real.copy() if draw(st.booleans()) else A
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(hermitian_patterns())
+def test_components_match_breadth_first_search(A):
+    assert stein._components(A).tolist() == _bfs_components(A)
+
+
+def test_components_of_an_empty_matrix():
+    label = stein._components(np.zeros((0, 0)))
+    assert label.shape == (0,) and label.dtype == np.intp
+
+
 def test_split_components_of_structured_grams():
     labels = stein._components(GramSystem(SemicircularModel(3), 4).W)
     sizes = np.bincount(np.unique(labels, return_inverse=True)[1])
