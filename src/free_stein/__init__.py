@@ -20,7 +20,8 @@ from .parser import parse_poly, parse_poly_tuple
 from .scalars import QQi
 from .stein import (DegreeScheme, DiscrepancyReport, GramSystem, SigmaReport,
                     adjoint_action, alpha_estimate, conjugate_variable_check,
-                    discrepancy, irregularity_bounded, irregularity_estimate,
+                    degree_sweep, discrepancy, irregularity_bounded,
+                    irregularity_estimate,
                     join_free_factors, matrix_to_poly, radius_sweep,
                     sigma_exact_fd, solve_adjoint_fd)
 from .trace import (FreeProductModel, MatrixModel, MeasureModel,

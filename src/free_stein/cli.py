@@ -25,7 +25,7 @@ from .closedform import (CompressedGeneratorSpec, GraphSpec,
 from .errors import FreeSteinError, ModelError, ParseError
 from .parser import parse_poly_tuple
 from .stein import (DegreeScheme, alpha_estimate, conjugate_variable_check,
-                    discrepancy, irregularity_estimate,
+                    degree_sweep, discrepancy, irregularity_estimate,
                     radius_sweep, sigma_exact_fd)
 from .trace import MatrixModel, MeasureModel, _whole, load_model, spec_field
 
@@ -175,22 +175,18 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_sweep_degree(args) -> int:
-    model = _load(args)
-    rows = []
-    points = []
-    for dxi in range(1, args.dxi_max + 1):
-        scheme = DegreeScheme(dxi, dxi + args.dproj_offset)
-        rep = irregularity_estimate(model, scheme)
-        points.append({"d_xi": dxi, "d_proj": scheme.d_proj,
-                       "irregularity": rep.irregularity, "sigma": rep.sigma,
-                       "gram_condition": rep.gram_condition})
-        rows.append((f"dxi={dxi};dproj={scheme.d_proj}", rep.sigma,
-                     f"irregularity={rep.irregularity};"
-                     f"cond={rep.gram_condition:.6e}"))
+    reports = degree_sweep(_load(args), args.dxi_max, args.dproj_offset)
+    points = [{"d_xi": rep.scheme.d_xi, "d_proj": rep.scheme.d_proj,
+               "irregularity": rep.irregularity, "sigma": rep.sigma,
+               "gram_condition": rep.gram_condition} for rep in reports]
     _write_json(args, {"schema": "free-stein/1", "kind": "degree-sweep",
                        "points": points})
     if args.csv:
-        _write_csv(args.csv, rows)
+        _write_csv(args.csv, [(f"dxi={p['d_xi']};dproj={p['d_proj']}",
+                               p["sigma"],
+                               f"irregularity={p['irregularity']};"
+                               f"cond={p['gram_condition']:.6e}")
+                              for p in points])
     return _check_condition(args, [(f"d_xi={p['d_xi']}", p["gram_condition"])
                                    for p in points])
 

@@ -53,7 +53,9 @@ per-letter split arrays -- depends on nothing but ``(n, d_proj)``, since B
 is scalar and the star pairing does not enter.  It is built once per shape
 and process (:func:`_layout`) and shared read-only, as are the split pairs
 per shape and table pattern; the moment table and everything computed from
-it stay with each system.
+it stay with each system.  The layouts nest, so a degree sweep builds one
+system at its largest ``d_proj`` and reads every point off its prefix views
+(:func:`degree_sweep`).
 
 The Gram matrix and the candidate Gram are eigendecomposed block by block
 (:func:`_eigh_kept`): the connected components of their exact nonzero
@@ -311,14 +313,7 @@ class GramSystem:
 
     def __init__(self, model: TraceModel, d_proj: int):
         system = model.system
-        if not system.scalar_b:
-            raise StructureError(
-                "half-commutator kernels exist over scalar coefficients only; "
-                "use sigma_exact_fd for coefficient subalgebras")
-        if 2 * (d_proj + 1) > system.cap:
-            raise DegreeCapError(
-                f"d_proj={d_proj} needs trace words of degree {2 * d_proj}, "
-                f"beyond the cap {system.cap}")
+        _gram_guard(system, d_proj)
         self.model = model
         self.d_proj = d_proj
         (self.words, self._legs, _, self._splits,
@@ -418,7 +413,25 @@ class GramSystem:
         return real_if_exact(r)
 
 
-@lru_cache(maxsize=None)
+def _gram_guard(system, d_proj: int) -> None:
+    """The checks of a :class:`GramSystem` over ``system`` at ``d_proj``:
+    scalar B, and the degree of its trace words against the cap."""
+    if not system.scalar_b:
+        raise StructureError(
+            "half-commutator kernels exist over scalar coefficients only; "
+            "use sigma_exact_fd for coefficient subalgebras")
+    if 2 * (d_proj + 1) > system.cap:
+        raise DegreeCapError(
+            f"d_proj={d_proj} needs trace words of degree {2 * d_proj}, "
+            f"beyond the cap {system.cap}")
+
+
+# shapes and patterns whose split pairs stay cached; the workloads use at
+# most 8, and one dense pattern can hold over 100 MB of pairs
+PAIR_INDEX_CACHE = 32
+
+
+@lru_cache(maxsize=PAIR_INDEX_CACHE)
 def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     """``(bins, pre, suf, upper, lower)``: the split pairs that can add to
     ``W`` when the leg table has the :func:`_components` ``labels``.
@@ -429,7 +442,8 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     p'``, ``s * L + s'`` into ``G``, by ``(a, b)`` and then prefix degrees,
     the order of the Kronecker sums by degree block this replaced; ``upper``
     holds the bins above the diagonal, ``lower`` their mirror images.  No
-    table value enters, so one read-only build serves a shape and pattern.
+    table value enters, so one read-only build serves a shape and pattern;
+    the ``PAIR_INDEX_CACHE`` most recently used stay cached.
     """
     label = np.frombuffer(labels, dtype=np.intp)
     start = _layout(n, d_proj)[2]
@@ -663,7 +677,18 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme) -> DiscrepancyRepor
         diagnostics={"basis_size": model.n * view.k, "kept_rank": len(view.vals)})
 
 
-def _xi_design(model, scheme):
+def _design_guard(system, scheme: DegreeScheme) -> None:
+    """The degree of the design words of ``scheme`` against the cap."""
+    # kernel legs of a degree d_xi candidate meet the basis legs in words
+    # of degree d_proj + d_xi + 1, which the Gram guard does not count
+    need, cap = scheme.d_proj + scheme.d_xi + 1, system.cap
+    if need > cap:
+        raise DegreeCapError(
+            f"d_xi={scheme.d_xi} with d_proj={scheme.d_proj} needs design "
+            f"words of degree d_proj + d_xi + 1 = {need}, beyond the cap {cap}")
+
+
+def _xi_design(model, scheme, gs=None, rows=None):
     """The design of the candidates ``w - tau(w)``, ``w`` a word of degree 1
     to ``d_xi``: ``(gs, view, words, degrees, Z, B)``.
 
@@ -674,19 +699,21 @@ def _xi_design(model, scheme):
     identity kernel's row ``i``.  ``degrees`` holds the degree of each word.
     Column ``i`` of a coefficient matrix ``Y`` (words x n) is the slot-``i``
     candidate :func:`_assemble_xi` builds, and its residual is ``Z Y - B``.
+
+    A single report builds its Gram system at ``d_proj``.  A degree sweep
+    passes its one system ``gs``, built at its largest ``d_proj``, and the
+    r-rows ``rows = (R, r1)`` of its candidates and of the identity kernel:
+    the words of a smaller ``d_xi`` are the first rows of ``R``, and the
+    basis of a smaller ``d_proj`` the first columns, read by ``view(d_proj)``.
     """
-    gs = GramSystem(model, scheme.d_proj)
-    # kernel legs of a degree d_xi candidate meet the basis legs in words
-    # of degree d_proj + d_xi + 1, which the Gram guard does not count
-    need, cap = scheme.d_proj + scheme.d_xi + 1, model.system.cap
-    if need > cap:
-        raise DegreeCapError(
-            f"d_xi={scheme.d_xi} with d_proj={scheme.d_proj} needs design "
-            f"words of degree d_proj + d_xi + 1 = {need}, beyond the cap {cap}")
-    view = gs.view()
+    if gs is None:
+        gs = GramSystem(model, scheme.d_proj)
+    _design_guard(model.system, scheme)
+    view = gs.view(scheme.d_proj)
     words = monomial_words(model.system, 1, scheme.d_xi)
-    Z = view.z(gs.r_of_candidates(words)).T
-    B = view.z(gs.r_of_identity()).T
+    R, r1 = rows or (gs.r_of_candidates(words), gs.r_of_identity())
+    Z = view.z(R[:len(words)]).T
+    B = view.z(r1).T
     degrees = np.array([len(w) // 2 for w in words])
     return gs, view, words, degrees, Z, B
 
@@ -712,16 +739,10 @@ def _assemble_xi(model, words, Y) -> tuple:
     return tuple(xi)
 
 
-def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaReport:
-    """Minimize the truncated discrepancy over polynomial ``xi`` tuples.
-
-    The kernel is linear in ``xi``, so this is a linear least-squares problem
-    in the centered-monomial coefficients, one right-hand side per slot over
-    the shared design; the minimum-norm solution is reported.  The estimate
-    is nonincreasing in ``d_xi`` at fixed ``d_proj`` and converges to the
-    free Stein irregularity as both knobs grow.
-    """
-    _, view, words, degrees, Z, B = _xi_design(model, scheme)
+def _estimate(model, scheme, design) -> SigmaReport:
+    """The least-squares estimate over ``_xi_design``'s ``design``, with its
+    trail over the candidate degrees."""
+    _, view, words, degrees, Z, B = design
     n, trail = model.n, []
     for dx in range(1, scheme.d_xi + 1):
         Zd = Z[:, degrees <= dx]
@@ -737,6 +758,85 @@ def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaRepor
         diagnostics={"candidates": n * len(words), "design_rank": n * int(rank)})
 
 
+def irregularity_estimate(model: TraceModel, scheme: DegreeScheme) -> SigmaReport:
+    """Minimize the truncated discrepancy over polynomial ``xi`` tuples.
+
+    The kernel is linear in ``xi``, so this is a linear least-squares problem
+    in the centered-monomial coefficients, one right-hand side per slot over
+    the shared design; the minimum-norm solution is reported.  The estimate
+    is nonincreasing in ``d_xi`` at fixed ``d_proj`` and converges to the
+    free Stein irregularity as both knobs grow.
+    """
+    return _estimate(model, scheme, _xi_design(model, scheme))
+
+
+def degree_sweep(model: TraceModel, dxi_max: int, offset: int = 2) -> list:
+    """``irregularity_estimate`` at ``d_xi = 1 .. dxi_max`` with ``d_proj =
+    d_xi + offset``, on one Gram system.
+
+    Every point's basis words, legs and splits are a prefix of the largest
+    point's, and its candidates the first words of the largest point's, so
+    one :class:`GramSystem` at the largest ``d_proj`` and one pass of
+    candidate and identity r-rows serve all points: point ``d_xi`` reads the
+    view at its ``d_proj`` and its words' rows (see :func:`_xi_design`).
+    Each report is the one ``irregularity_estimate`` gives for that point
+    alone, up to the rounding of moment tables that a matrix model forms
+    as one product over more words.  Every point is checked before any
+    work, in order, so a sweep reaching beyond the cap fails before its
+    first point, with the error of the first point beyond it.
+    """
+    schemes = [DegreeScheme(dx, dx + offset) for dx in range(1, dxi_max + 1)]
+    if not schemes:
+        raise StructureError("d_xi must be at least 1")
+    for scheme in schemes:
+        _gram_guard(model.system, scheme.d_proj)
+        _design_guard(model.system, scheme)
+    gs = GramSystem(model, schemes[-1].d_proj)
+    words = monomial_words(model.system, 1, dxi_max)
+    rows = gs.r_of_candidates(words), gs.r_of_identity()
+    return [_estimate(model, scheme, _xi_design(model, scheme, gs, rows))
+            for scheme in schemes]
+
+
+def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
+                    radius: float) -> float:
+    """The multiplier ``lam > 0`` at which ``||u(lam)||_F = radius`` to 1e-10,
+    where ``||u(lam)||^2 = sum_j weights[j] / (sv2[j] + lam)^2``, for ``0 <
+    radius < ||u(0)||``.
+
+    ``1/||u(lam)|| - 1/radius`` is increasing, concave and nearly linear in
+    ``lam``, so Newton's method converges fast on it (Moré & Sorensen,
+    "Computing a trust region step", 1983).  Doubling from ``max(sv2[0],
+    1)`` brackets the root in ``[lo, hi]``, and Newton starts at ``hi``: from
+    the right a step may overshoot past ``lo``, and a step that leaves the
+    bracket is replaced by its midpoint; every evaluation narrows the
+    bracket.  From the left a step never overshoots, so once an iterate
+    lies left of the root the steps close in on it from below.
+    """
+    def size(lam):
+        return math.sqrt(float(np.sum(weights / (sv2 + lam) ** 2)))
+
+    lo, hi = 0.0, max(float(sv2[0]), 1.0)
+    while (norm := size(hi)) > radius:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e36:
+            raise ModelError("failed to bracket the KKT multiplier")
+    lam = hi
+    for _ in range(300):
+        if abs(norm - radius) <= 1e-10:
+            break
+        if norm > radius:
+            lo = lam
+        else:
+            hi = lam
+        # d(1/||u||)/dlam = sum_j weights[j] / (sv2[j] + lam)^3 / ||u||^3
+        slope = float(np.sum(weights / (sv2 + lam) ** 3))
+        step = lam + norm ** 2 * (norm - radius) / (radius * slope)
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
+        norm = size(lam)
+    return lam
+
+
 def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     """The design, candidate Gram and whitened SVD of the norm-constrained
     problem, built once; returns the solve at one radius.
@@ -745,11 +845,13 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     all n right-hand sides; only the bound ``||xi||_2 <= radius`` couples
     them, through the Frobenius norm of the whitened coefficients and one
     KKT multiplier.  Interior solutions reuse the unconstrained least
-    squares; otherwise the multiplier is found by bisection until the
-    candidate norm matches the radius to 1e-10; the shrink numerators and
-    squared singular values it divides are formed once.  Each report holds
-    ``xi`` as the deferred ``partial(_assemble_xi, ...)``, built on its
-    first read: ``bounded``, ``sweep-radius`` and ``alpha`` never read it.
+    squares; on the boundary the multiplier takes safeguarded Newton steps
+    (:func:`_kkt_multiplier`) until the candidate norm matches the radius
+    to 1e-10.  The shrink numerators and the per-singular-value weights,
+    their squared moduli summed over the slots, are formed once.  Each
+    report holds ``xi`` as the deferred ``partial(_assemble_xi, ...)``,
+    built on its first read: ``bounded``, ``sweep-radius`` and ``alpha``
+    never read it.
     """
     # the candidate Gram pairs two candidates of degree d_xi
     need, cap = 2 * scheme.d_xi, model.system.cap
@@ -767,9 +869,7 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     u_free = Vh.conj().T @ (beta / sv[:, None])
 
     num, sv2 = sv[:, None] * beta, sv ** 2
-
-    def shrunk(lam):
-        return num / (sv2 + lam)[:, None]
+    weights = np.sum(np.abs(num) ** 2, axis=1)
 
     def solve(radius: float) -> DiscrepancyReport:
         if radius == 0:
@@ -779,21 +879,8 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
             u = u_free
             diagnostics = {"multiplier": 0.0, "boundary": False}
         else:
-            lo, hi = 0.0, max(sv[0] ** 2, 1.0)
-            while np.linalg.norm(shrunk(hi)) > radius:
-                hi *= 2.0
-                if hi > 1e36:
-                    raise ModelError("failed to bracket the KKT multiplier")
-            for _ in range(300):
-                lam = 0.5 * (lo + hi)
-                norm = float(np.linalg.norm(shrunk(lam)))
-                if abs(norm - radius) <= 1e-10:
-                    break
-                if norm > radius:
-                    lo = lam
-                else:
-                    hi = lam
-            u = Vh.conj().T @ shrunk(lam)
+            lam = _kkt_multiplier(weights, sv2, radius)
+            u = Vh.conj().T @ (num / (sv2 + lam)[:, None])
             diagnostics = {"multiplier": lam, "boundary": True,
                            "norm_gap": abs(float(np.linalg.norm(u)) - radius)}
         Y = T @ u
@@ -943,6 +1030,8 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
     """Residual of the conjugate-variable identity
     ``<xi, ev P> = <identity kernel, ev J P>`` over monomial test tuples,
     plus the Fisher information ``||xi||_2^2``."""
+    if d < 0:
+        raise StructureError("d must be at least 0")
     xi = tuple(xi)
     if len(xi) != model.n:
         raise StructureError("xi must have one entry per generator")

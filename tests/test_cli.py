@@ -404,6 +404,11 @@ def test_each_command_takes_only_the_options_it_reads():
     ["closed-form", "eps-kernel", "--model", "{twopoint}", "--eps", "nan"],
     ["closed-form", "eps-kernel", "--model", "{twopoint}", "--eps", "inf"],
     ["irregularity", "--model", "{semicircular1}", "--cond-limit", "nan"],
+    # a sweep of no points, and a check of no test word
+    ["sweep-degree", "--model", "{semicircular1}", "--dxi-max", "0"],
+    ["sweep-degree", "--model", "{semicircular1}", "--dxi-max", "-1"],
+    ["conjugate-check", "--model", "{semicircular2}", "--xi", "(t1, t2)",
+     "--d", "-1"],
 ])
 def test_usage_errors_exit_2(specs, capsys, argv):
     argv = [a.format(**specs) for a in argv]
@@ -537,6 +542,63 @@ def test_closed_form_fd_keeps_the_exact_weight_sum(tmp_path, capsys):
     path.write_text(json.dumps(model_to_json(model)))
     assert run(["closed-form", "fd", "--model", str(path)]) == 2
     assert capsys.readouterr().err == "error: block weights must sum to 1\n"
+
+
+def test_empty_sweep_and_negative_check_degree_name_the_bound(specs,
+                                                              capsys):
+    for dxi_max in ("0", "-3"):
+        assert run(["sweep-degree", "--model", specs["twopoint"],
+                    "--dxi-max", dxi_max]) == 2
+        assert capsys.readouterr().err == "error: d_xi must be at least 1\n"
+    assert run(["conjugate-check", "--model", specs["semicircular2"],
+                "--xi", "(t1, t2)", "--d", "-1"]) == 2
+    assert capsys.readouterr().err == "error: d must be at least 0\n"
+    assert run(["conjugate-check", "--model", specs["semicircular2"],
+                "--xi", "(t1, t2)", "--d", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] == 0.0
+
+
+def _point_by_point_sweep(argv):
+    """Oracle only: the exit code and stderr of ``sweep-degree`` as it ran
+    before one Gram system served the sweep, one estimate per point in
+    order, stopping at the first error."""
+    from free_stein.errors import FreeSteinError
+    from free_stein.stein import DegreeScheme, irregularity_estimate
+    from free_stein.trace import load_model
+
+    args = build_parser().parse_args(argv)
+    try:
+        model = load_model(args.model, cap=args.cap)
+        for dxi in range(1, args.dxi_max + 1):
+            irregularity_estimate(
+                model, DegreeScheme(dxi, dxi + args.dproj_offset))
+    except FreeSteinError as exc:
+        return 2, f"error: {exc}\n"
+    return None
+
+
+@pytest.mark.parametrize("options", [
+    ["--dxi-max", "4"],
+    ["--dxi-max", "6"],
+    ["--dxi-max", "3", "--cap", "8"],
+    ["--dxi-max", "2", "--dproj-offset", "0", "--cap", "4"],
+    ["--dxi-max", "3", "--dproj-offset", "-1"],
+    ["--dxi-max", "1", "--dproj-offset", "-4"],
+    ["--dxi-max", "5", "--dproj-offset", "3", "--cap", "14"],
+])
+@pytest.mark.parametrize("name", ["semicircular1", "semicircular2",
+                                  "twopoint", "ccmat"])
+def test_failing_degree_sweeps_keep_their_error(specs, tmp_path, capsys,
+                                                name, options):
+    out, csv_path = tmp_path / "deg.json", tmp_path / "deg.csv"
+    argv = ["sweep-degree", "--model", specs[name], *options]
+    expected = _point_by_point_sweep(argv)
+    assert expected is not None
+    code = run(argv + ["--out", str(out), "--csv", str(csv_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == expected
+    assert captured.out == ""
+    assert not out.exists() and not csv_path.exists()
 
 
 def test_sweep_warnings_name_each_point(specs, tmp_path, capsys):

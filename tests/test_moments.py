@@ -20,7 +20,7 @@ tuples are checked against the symbolic candidate basis (``_symbolic_xi``),
 and reports that build them on first read against reports that build them
 at once.  Gram systems of one shape
 share one read-only layout, and those of one shape and table pattern one
-read-only list of split pairs.
+read-only list of split pairs, of which a bounded number stay cached.
 """
 
 import itertools
@@ -234,6 +234,29 @@ def test_gram_systems_of_one_shape_share_a_read_only_layout():
     for gs in (a, b, c):
         W = _gram_blocks_reference(gs._table, 2, start)
         assert np.max(np.abs(gs.W - W)) <= 1e-15 * np.max(np.abs(W))
+
+
+def test_pair_index_cache_is_bounded():
+    # far more labellings than the cache holds; the index needs labels below
+    # the leg count (7 for n=2 at d_proj 2), not a true component labelling
+    bound = stein.PAIR_INDEX_CACHE
+    assert stein._pair_index.cache_info().maxsize == bound
+    stein._pair_index.cache_clear()
+    rng = np.random.default_rng(0)
+    labels = {rng.integers(0, 7, 7).astype(np.intp).tobytes()
+              for _ in range(3 * bound)}
+    keys = [(2, 2, label) for label in sorted(labels)]
+    assert len(keys) > 2 * bound
+    for key in keys:
+        stein._pair_index(*key)
+        assert stein._pair_index.cache_info().currsize <= bound
+    assert stein._pair_index.cache_info().currsize == bound
+    # the most recent keys stay cached; the first was evicted
+    misses = stein._pair_index.cache_info().misses
+    stein._pair_index(*keys[-1])
+    assert stein._pair_index.cache_info().misses == misses
+    stein._pair_index(*keys[0])
+    assert stein._pair_index.cache_info().misses == misses + 1
 
 
 IDENTITY_MODELS = {

@@ -28,10 +28,10 @@ from free_stein.stein import (DegreeScheme, GramSystem, adjoint_action,
                               irregularity_estimate, join_free_factors,
                               monomial_words, radius_sweep, sigma_exact_fd,
                               solve_adjoint_fd)
-from free_stein.trace import (FreeProductModel, MatrixModel,
+from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircularModel, cyclic_group_model,
-                              diagonal_matrix_model, two_point_matrix_model,
-                              two_point_measure)
+                              diagonal_matrix_model, model_from_json,
+                              two_point_matrix_model, two_point_measure)
 
 
 # -- degree scheme and basis -----------------------------------------------------
@@ -367,6 +367,98 @@ def test_consistency_with_one_variable_closed_form(twopoint_measure,
         assert rep.sigma <= (1 - atoms2) + 1e-6
 
 
+# -- degree sweeps ----------------------------------------------------------------
+
+
+TWO_BLOCK = {"type": "matrix", "blocks": [[1, 0.5], [1, 0.5]],
+             "generators": [[[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]]}
+# model, largest d_xi, and whether every report equals the one-point
+# estimate bit for bit
+DEGREE_SWEEP_MODELS = {
+    "semicircular n=1": (lambda cap: SemicircularModel(1, cap=cap), 5, True),
+    "semicircular n=2": (lambda cap: SemicircularModel(2, cap=cap), 2, True),
+    "two-point": (lambda cap: two_point_measure(cap=cap), 5, True),
+    "two-point * semicircular": (lambda cap: FreeProductModel(
+        [two_point_measure(), SemicircularModel(1)], cap=cap), 2, True),
+    "two-block matrix spec": (
+        lambda cap: model_from_json(TWO_BLOCK, cap=cap), 4, True),
+    # the moment table of a matrix model is one BLAS product over the legs
+    # of the largest point, which rounds its entries apart
+    "cyclic group of order 5": (
+        lambda cap: cyclic_group_model(5, cap=cap), 2, False),
+}
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("cap", [12, 14])
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", DEGREE_SWEEP_MODELS)
+def test_degree_sweep_matches_single_estimates(name, offset, cap):
+    make, top, exact = DEGREE_SWEEP_MODELS[name]
+    # the largest point within the cap, at most ``top``
+    dxi_max = min(top, (cap - 2) // 2 - offset, (cap - offset - 1) // 2)
+    sweep = stein.degree_sweep(make(cap), dxi_max, offset)
+    model = make(cap)
+    singles = [irregularity_estimate(model, DegreeScheme(dx, dx + offset))
+               for dx in range(1, dxi_max + 1)]
+    assert [rep.scheme for rep in sweep] == [rep.scheme for rep in singles]
+    for got, want in zip(sweep, singles, strict=True):
+        if exact and (offset or name != "two-block matrix spec"):
+            assert got.to_json() == want.to_json()
+            continue
+        # the two-block estimate at d_proj = d_xi is a rounding of 0, and
+        # there a single estimate's one-word table batch is numpy's
+        # matrix-vector product, whose rounding the sweep's larger batch
+        # does not share
+        assert got.diagnostics == want.diagnostics
+        for field in ("sigma", "irregularity", "gram_condition"):
+            assert _close(getattr(got, field), getattr(want, field))
+        for (d, v), (e, w) in zip(got.trail, want.trail, strict=True):
+            assert d == e and _close(v, w)
+
+
+def test_degree_sweep_builds_one_gram_system(monkeypatch):
+    built = []
+    init = GramSystem.__init__
+
+    def counted(self, model, d_proj):
+        built.append(d_proj)
+        init(self, model, d_proj)
+
+    monkeypatch.setattr(GramSystem, "__init__", counted)
+    sweep = stein.degree_sweep(SemicircularModel(1, cap=14), 4, 2)
+    assert built == [6]
+    assert [rep.sigma for rep in sweep] == pytest.approx([1.0] * 4, abs=1e-9)
+
+
+@pytest.mark.parametrize("dxi_max, offset, cap, error, message", [
+    (0, 2, 12, StructureError, "d_xi must be at least 1"),
+    (-3, 2, 12, StructureError, "d_xi must be at least 1"),
+    (3, -1, 12, StructureError, "d_proj must be at least 1"),
+    # the first point beyond the cap names the error, as it did when each
+    # point built its own system
+    (4, 2, 12, DegreeCapError,
+     "d_proj=6 needs trace words of degree 12, beyond the cap 12"),
+    (6, 2, 12, DegreeCapError,
+     "d_proj=6 needs trace words of degree 12, beyond the cap 12"),
+    (3, 0, 6, DegreeCapError,
+     "d_proj=3 needs trace words of degree 6, beyond the cap 6"),
+])
+def test_degree_sweep_fails_before_its_first_point(monkeypatch, dxi_max,
+                                                   offset, cap, error,
+                                                   message):
+    def refuse(*args):
+        raise AssertionError("no Gram system may be built")
+
+    monkeypatch.setattr(GramSystem, "__init__", refuse)
+    with pytest.raises(error) as info:
+        stein.degree_sweep(SemicircularModel(1, cap=cap), dxi_max, offset)
+    assert str(info.value) == message
+
+
 # -- bounded irregularity -----------------------------------------------------------
 
 
@@ -484,7 +576,10 @@ def _interleaved_solves(model, scheme, radii):
     the design of one problem over all slots, as it was solved before the
     slots shared a design: column ``k * n + i`` is word k in slot i, the
     design is block-diagonal over the slots and the candidate Gram is
-    ``kron(Qw, I_n)``, both rebuilt from the shared ones."""
+    ``kron(Qw, I_n)``, both rebuilt from the shared ones.  The multiplier
+    is the solver's own :func:`stein._kkt_multiplier` over this design's
+    singular values, so both sides stop at the same step of the 1e-10 norm
+    tolerance; ``_kkt_bisection_reference`` checks the multiplier itself."""
     _, _, words, degrees, Z, B = stein._xi_design(model, scheme)
     n, (kept, K) = model.n, Z.shape
     Zb = np.zeros((n * kept, n * K), dtype=Z.dtype)
@@ -511,18 +606,160 @@ def _interleaved_solves(model, scheme, radii):
     for r in radii:
         lam = 0.0
         if np.linalg.norm(u_at(0.0)) > r + 1e-12:
-            lo, hi = 0.0, max(sv[0] ** 2, 1.0)
-            while np.linalg.norm(u_at(hi)) > r:
-                hi *= 2.0
-            for _ in range(300):
-                lam = 0.5 * (lo + hi)
-                norm = np.linalg.norm(u_at(lam))
-                if abs(norm - r) <= 1e-10:
-                    break
-                lo, hi = (lam, hi) if norm > r else (lo, lam)
+            lam = stein._kkt_multiplier(np.abs(sv * beta) ** 2, sv ** 2, r)
         bounded.append((float(np.linalg.norm(Zb @ (T @ u_at(lam)) - b)),
                         lam > 0))
     return trail, int(rank), bounded
+
+
+def _kkt_bisection_reference(num, sv2, radius):
+    """Oracle only: the KKT multiplier by bisection, as the bounded solver
+    found it before it took Newton steps: the norm of the shrunk numerators
+    ``num / (sv2 + lam)`` halves its way to the radius, to 1e-10."""
+    def shrunk(lam):
+        return num / (sv2 + lam)[:, None]
+
+    lo, hi = 0.0, max(sv2[0], 1.0)
+    while np.linalg.norm(shrunk(hi)) > radius:
+        hi *= 2.0
+        if hi > 1e36:
+            raise ModelError("failed to bracket the KKT multiplier")
+    for _ in range(300):
+        lam = 0.5 * (lo + hi)
+        norm = float(np.linalg.norm(shrunk(lam)))
+        if abs(norm - radius) <= 1e-10:
+            break
+        if norm > radius:
+            lo = lam
+        else:
+            hi = lam
+    return lam
+
+
+def _shrunk_norm(num, sv2, lam):
+    return float(np.linalg.norm(num / (sv2 + lam)[:, None]))
+
+
+@st.composite
+def kkt_problems(draw):
+    """Squared singular values (descending, up to six decades apart), shrink
+    numerators over 1 to 3 slots and a radius below the free norm: near 0,
+    inside, or just below the free norm."""
+    k = draw(st.integers(1, 6))
+    sv2 = np.sort([10.0 ** draw(st.floats(-3, 3)) for _ in range(k)])[::-1]
+    n = draw(st.integers(1, 3))
+    num = np.array([[draw(st.floats(-2, 2)) for _ in range(n)]
+                    for _ in range(k)])
+    if _shrunk_norm(num, sv2, 0.0) < 1e-6:
+        num[0, 0] = 1.0
+    free = _shrunk_norm(num, sv2, 0.0)
+    share = draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6,
+                                  1 - 1e-9]))
+    return num, sv2, share * free
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(kkt_problems())
+def test_kkt_newton_matches_bisection(problem):
+    num, sv2, radius = problem
+    lam = stein._kkt_multiplier(np.sum(num ** 2, axis=1), sv2, radius)
+    ref = _kkt_bisection_reference(num, sv2, radius)
+    assert lam > 0
+    # both meet the radius to the one tolerance, so they lie within the
+    # multiplier step that moves the norm by twice that tolerance; the
+    # norm's slope is smallest at the larger multiplier
+    assert abs(_shrunk_norm(num, sv2, lam) - radius) <= 1e-10
+    top = max(lam, ref)
+    slope = np.sum(np.sum(num ** 2, axis=1) / (sv2 + top) ** 3) / (
+        _shrunk_norm(num, sv2, top))
+    assert abs(lam - ref) * slope <= 2e-10 * (1 + 1e-6)
+
+
+def test_kkt_newton_is_exact_on_one_direction():
+    # with one singular value 1/||u(lam)|| = (sv2 + lam) / sqrt(w) is
+    # linear, so the first Newton step lands on lam = sqrt(w) / R - sv2;
+    # bisection stops anywhere the norm is within 1e-10, here up to 1e-6
+    # from the root
+    for w, sv2, radius in [(1.0, 1.0, 0.01), (4.0, 0.5, 0.02),
+                           (0.25, 3.0, 1e-3)]:
+        lam = stein._kkt_multiplier(np.array([w]), np.array([sv2]), radius)
+        root = np.sqrt(w) / radius - sv2
+        assert abs(lam - root) <= 1e-13 * root
+
+
+def test_kkt_safeguard_bisects_a_step_out_of_the_bracket():
+    # the tiny singular value makes 1/||u|| steep near 0 and flat at the top
+    # of the bracket, so the tangent there crosses the radius below 0
+    sv2, weights, radius = np.array([1.0, 1e-6]), np.array([1e-2, 1e-6]), 0.2
+    hi = 1.0
+    norm = np.sqrt(np.sum(weights / (sv2 + hi) ** 2))
+    assert norm <= radius  # the bracket is [0, 1]
+    slope = np.sum(weights / (sv2 + hi) ** 3)
+    assert hi + norm ** 2 * (norm - radius) / (radius * slope) < 0
+    lam = stein._kkt_multiplier(weights, sv2, radius)
+    num = np.sqrt(weights)[:, None]
+    assert abs(_shrunk_norm(num, sv2, lam) - radius) <= 1e-10
+    assert abs(lam - _kkt_bisection_reference(num, sv2, radius)) <= 1e-9
+    with pytest.raises(ModelError, match="failed to bracket"):
+        stein._kkt_multiplier(weights, sv2, 1e-40)
+
+
+def _bounded_reference(model, scheme):
+    """Oracle only: the bounded solve at one radius with its multiplier
+    found by bisection, returning ``(value, boundary, norm of the whitened
+    candidate)``."""
+    gs, _, words, _, Z, B = stein._xi_design(model, scheme)
+    qvals, qvecs = stein._eigh_kept(gs.candidate_gram(words))
+    T = qvecs / np.sqrt(qvals)
+    U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
+    keep = sv > stein.RCOND * sv[0]
+    U, sv, Vh = U[:, keep], sv[keep], Vh[keep]
+    beta = U.conj().T @ B
+    u_free = Vh.conj().T @ (beta / sv[:, None])
+    num = sv[:, None] * beta
+
+    def solve(radius):
+        if radius == 0:
+            u, boundary = np.zeros((T.shape[1], model.n)), True
+        elif np.linalg.norm(u_free) <= radius + 1e-12:
+            u, boundary = u_free, False
+        else:
+            lam = _kkt_bisection_reference(num, sv ** 2, radius)
+            u, boundary = Vh.conj().T @ (num / (sv ** 2 + lam)[:, None]), True
+        value = float(np.linalg.norm(Z @ (T @ u) - B))
+        return value, boundary, float(np.linalg.norm(u))
+
+    return solve
+
+
+@st.composite
+def atomic_measures(draw):
+    """Measures of 2 to 4 atoms at distinct locations."""
+    k = draw(st.integers(2, 4))
+    locs = draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k,
+                         unique=True))
+    masses = [draw(st.integers(1, 5)) for _ in range(k)]
+    total = sum(masses)
+    return [(loc / 4, m / total) for loc, m in zip(locs, masses)]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(atomic_measures(), st.sampled_from([1, 2, 3]))
+def test_bounded_solve_matches_bisection_reference(atoms, d_xi):
+    model, scheme = MeasureModel(atoms), DegreeScheme(d_xi)
+    reference = _bounded_reference(model, scheme)
+    free = reference(float("inf"))[2]
+    # radius 0, on the boundary, next to the free norm and beyond it
+    radii = [0.0, 0.25 * free, 0.5 * free, free * (1 - 1e-9),
+             free - 1e-13, free, 2 * free]
+    for radius, rep in radius_sweep(model, scheme, radii):
+        value, boundary, size = reference(radius)
+        assert rep.diagnostics["boundary"] == boundary
+        assert rep.diagnostics["radius"] == radius
+        assert abs(rep.value - value) <= 1e-9
+        if boundary and radius:
+            assert rep.diagnostics["norm_gap"] <= 1e-10
+            assert abs(size - radius) <= 1e-10
 
 
 @pytest.mark.parametrize("make", [
@@ -1259,6 +1496,15 @@ def test_conjugate_check_zero_xi(twopoint_measure):
     rep = conjugate_variable_check(twopoint_measure, z, d=2)
     assert abs(rep.residual - 1.0) < 1e-12  # <1, ev J(t)> = 1 survives
     assert rep.fisher_info == 0.0
+
+
+def test_conjugate_check_rejects_a_negative_degree(twopoint_measure):
+    z = (NCPoly.zero(twopoint_measure.system),)
+    for d in (-1, -4):
+        with pytest.raises(StructureError, match="^d must be at least 0$"):
+            conjugate_variable_check(twopoint_measure, z, d=d)
+    # d = 0 tests the unit word, on which both sides vanish
+    assert conjugate_variable_check(twopoint_measure, z, d=0).residual == 0.0
 
 
 # -- adjoint action ------------------------------------------------------------------
