@@ -800,9 +800,9 @@ def degree_sweep(model: TraceModel, dxi_max: int, offset: int = 2) -> list:
 
 def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
                     radius: float) -> float:
-    """The multiplier ``lam > 0`` at which ``||u(lam)||_F = radius`` to 1e-10,
-    where ``||u(lam)||^2 = sum_j weights[j] / (sv2[j] + lam)^2``, for ``0 <
-    radius < ||u(0)||``.
+    """The multiplier ``lam > 0`` at which ``||u(lam)||_F = radius`` to
+    ``max(1e-10, 4 ulp(radius))``, where ``||u(lam)||^2 = sum_j weights[j] /
+    (sv2[j] + lam)^2``, for ``0 < radius < ||u(0)||``.
 
     ``1/||u(lam)|| - 1/radius`` is increasing, concave and nearly linear in
     ``lam``, so Newton's method converges fast on it (Moré & Sorensen,
@@ -811,11 +811,15 @@ def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
     the right a step may overshoot past ``lo``, and a step that leaves the
     bracket is replaced by its midpoint; every evaluation narrows the
     bracket.  From the left a step never overshoots, so once an iterate
-    lies left of the root the steps close in on it from below.
+    lies left of the root the steps close in on it from below.  From
+    ``radius`` = 2**17 on, 1e-10 is less than 4 ulps of the radius, below
+    the rounding of the norm itself, so the tolerance is 4 ulps there; a
+    norm that never meets it raises ``ModelError``.
     """
     def size(lam):
         return math.sqrt(float(np.sum(weights / (sv2 + lam) ** 2)))
 
+    tol = max(1e-10, 4 * math.ulp(radius))
     lo, hi = 0.0, max(float(sv2[0]), 1.0)
     while (norm := size(hi)) > radius:
         lo, hi = hi, 2.0 * hi
@@ -823,8 +827,8 @@ def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
             raise ModelError("failed to bracket the KKT multiplier")
     lam = hi
     for _ in range(300):
-        if abs(norm - radius) <= 1e-10:
-            break
+        if abs(norm - radius) <= tol:
+            return lam
         if norm > radius:
             lo = lam
         else:
@@ -834,7 +838,8 @@ def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
         step = lam + norm ** 2 * (norm - radius) / (radius * slope)
         lam = step if lo < step < hi else 0.5 * (lo + hi)
         norm = size(lam)
-    return lam
+    raise ModelError(f"the KKT multiplier did not meet the radius {radius!r}: "
+                     f"the norm stays {abs(norm - radius):.3g} from it")
 
 
 def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
@@ -847,11 +852,11 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     KKT multiplier.  Interior solutions reuse the unconstrained least
     squares; on the boundary the multiplier takes safeguarded Newton steps
     (:func:`_kkt_multiplier`) until the candidate norm matches the radius
-    to 1e-10.  The shrink numerators and the per-singular-value weights,
-    their squared moduli summed over the slots, are formed once.  Each
-    report holds ``xi`` as the deferred ``partial(_assemble_xi, ...)``,
-    built on its first read: ``bounded``, ``sweep-radius`` and ``alpha``
-    never read it.
+    to 1e-10, or to 4 ulps of a radius of 2**17 or more.  The shrink
+    numerators and the per-singular-value weights, their squared moduli
+    summed over the slots, are formed once.  Each report holds ``xi`` as
+    the deferred ``partial(_assemble_xi, ...)``, built on its first read:
+    ``bounded``, ``sweep-radius`` and ``alpha`` never read it.
     """
     # the candidate Gram pairs two candidates of degree d_xi
     need, cap = 2 * scheme.d_xi, model.system.cap

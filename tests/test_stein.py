@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -702,6 +703,34 @@ def test_kkt_safeguard_bisects_a_step_out_of_the_bracket():
     assert abs(lam - _kkt_bisection_reference(num, sv2, radius)) <= 1e-9
     with pytest.raises(ModelError, match="failed to bracket"):
         stein._kkt_multiplier(weights, sv2, 1e-40)
+
+
+def test_kkt_tolerance_scales_with_a_large_radius(monkeypatch):
+    # at R ~ 1.4e6 one ulp of R is 2.3e-10, so the norm can never come
+    # within 1e-10 of R; the multiplier used to stop only after 300 steps
+    # (301 norm evaluations).  10 of the 13 evaluations here are halvings
+    # of the bracket [0, 1] down to the root at 8.2e-7.
+    sv2 = np.array([0.0019705900898110374, 1.1285173013272311e-06])
+    weights = np.array([0.01268104413598684, 7.651653384304673])
+    radius = 1416672.3366721354
+    evaluations = []
+
+    def sqrt(x):
+        evaluations.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(stein, "math", SimpleNamespace(sqrt=sqrt,
+                                                       ulp=math.ulp))
+    lam = stein._kkt_multiplier(weights, sv2, radius)
+    assert len(evaluations) <= 13
+    gap = abs(_shrunk_norm(np.sqrt(weights)[:, None], sv2, lam) - radius)
+    assert 1e-10 < gap <= 4 * math.ulp(radius)
+
+
+def test_kkt_raises_when_the_norm_never_meets_the_radius():
+    with pytest.raises(ModelError, match="did not meet the radius"):
+        stein._kkt_multiplier(np.array([1.0, np.nan]), np.array([1.0, 0.5]),
+                              0.1)
 
 
 def _bounded_reference(model, scheme):
