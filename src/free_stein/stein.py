@@ -71,7 +71,6 @@ largest eigenvalue over all components, never per component.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -585,8 +584,8 @@ def _coords(model: MatrixModel) -> MatrixCoordinates:
     return model._fd_coords
 
 
-def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
-    """``(words, E, S)`` over the monomial words of degree up to ``d + extra``.
+def _word_table(model: MatrixModel, d: int) -> tuple:
+    """``(words, E, S)`` over the monomial words of degree up to ``d``.
 
     ``words`` is in ``monomial_words`` order, ``E`` (D x words) holds their
     coordinates and ``S`` (words x n*D*D) their split coordinates:
@@ -611,25 +610,23 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
     real and imaginary parts.
     """
     system = model.system
-    top = d + extra
-    if top > system.cap:
-        need = f"d + {extra} = {top}" if extra else f"{top}"
+    if d > system.cap:
         raise DegreeCapError(
-            f"d={d} needs words of degree {need}, beyond the cap {system.cap}")
+            f"d={d} needs words of degree {d}, beyond the cap {system.cap}")
     coords = _coords(model)
     n, D, dim = model.n, coords.D, model.dim
     gens = real_if_exact(np.stack(model.gen_mats))
     bs = real_if_exact(np.stack(model.b_mats))
     level = bs
     ev = [coords.coords(level)]
-    for _ in range(top):
+    for _ in range(d):
         level = ((level[:, None] @ gens[None])[:, :, None] @ bs[None, None])
         level = level.reshape(-1, dim, dim)
         ev.append(coords.coords(level))
     sizes = [len(e) for e in ev]
     offsets = np.cumsum([0] + sizes)
     S = np.zeros((offsets[-1], n, D, D), dtype=np.result_type(*ev))
-    for e in range(1, top + 1):
+    for e in range(1, d + 1):
         rows = S[offsets[e]:offsets[e + 1]]
         for j in range(e):
             o = rows.reshape(sizes[j], n, sizes[e - 1 - j], n, D, D)
@@ -637,7 +634,7 @@ def _word_table(model: MatrixModel, d: int, extra: int = 0) -> tuple:
             for i in range(n):
                 diag = o[:, i, :, i]
                 diag += term
-    words = monomial_words(system, 0, top)
+    words = monomial_words(system, 0, d)
     return words, np.concatenate(ev).T, S.reshape(len(S), n * D * D)
 
 
@@ -922,6 +919,37 @@ def radius_sweep(model: TraceModel, scheme: DegreeScheme, radii) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _reduce(X: np.ndarray) -> np.ndarray:
+    """``X``, or its R factor ``qr(X, "r")`` when it is taller than wide.
+
+    ``X = Q R`` with ``Q`` orthonormal, so ``R`` keeps the Gram ``X^H X``,
+    the singular values and the row space up to ``Q``, in at most as many
+    rows as columns.  A stack of matrices is reduced matrix by matrix in one
+    batched ``qr``.
+    """
+    if X.shape[-2] > X.shape[-1]:
+        return np.linalg.qr(X, mode="r")
+    return X
+
+
+def _extend(T: np.ndarray, C: np.ndarray, ev_b: np.ndarray) -> np.ndarray:
+    """The rows ``a(u) M_ib`` of every row ``a(u)`` of ``T``, letter ``i``
+    and B slot ``b``: the augmented rows of the words ``u x_i b``.
+
+    A row ``(ev, S_1, ..., S_n)`` is ``1 + n D`` coordinate vectors of length
+    D, and appending ``x_i b`` right-multiplies each by ``C_ib`` (one batched
+    product), then adds the new split ``ev (x) ev(b)`` to ``S_i``.
+    """
+    n, nb, D, _ = C.shape
+    r, width = T.shape
+    Y = (T.reshape(-1, D) @ C).reshape(n, nb, r, width)
+    split = (T[None, :, :D, None] * ev_b[:, None, None, :]).reshape(
+        nb, r, D * D)
+    for i in range(n):
+        Y[i, :, :, D + i * D * D:D + (i + 1) * D * D] += split
+    return Y.reshape(-1, width)
+
+
 def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     """Exact free Stein dimension of a matrix model by relation projection.
 
@@ -931,18 +959,46 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     rows of the identity kernel onto that module.  The value is nonincreasing
     in ``d`` and stabilizes once the defining relations are generated.
 
-    The relation rows are never formed one by one.  With ``E`` the
-    evaluations (D x words) and ``S`` the split coordinates (words x n*D*D),
-    the relation rows ``c^T S`` over ``E c = 0`` span the row space of
-    ``(I - V^T conj(V)) S``, where ``V`` holds the top right singular vectors
-    of ``E``.  Translates are linear in the row, so the sharp translates of
-    the rows of that projected stack ``R`` span the same module as those of
-    every relation.  A stack taller than its n*D*D columns is first
-    replaced by its R factor ``qr(R, "r")``: ``M_ij(Q T) = (Q (x) I)
-    M_ij(T)`` with ``Q`` orthonormal, so the translate singular values stay.
-    ``E``, ``S`` and the relation stack ``R`` are real exactly when the
-    model's generator and B matrices are (see ``_word_table``), and every
-    step after them, the SVDs and the R factor included, runs in their dtype.
+    No word table is formed.  A word ``w`` has the augmented row ``a(w) =
+    (ev(w), S(w))`` of D + n*D*D coordinates: its evaluation and its split
+    coordinates, ``S_l(w)`` the sum of ``ev(left) (x) ev(right)`` over the
+    splits ``w = left x_l right``.  Appending a letter and a B slot is linear
+    on the row, ``a(u x_i b) = a(u) M_ib``: ``ev -> ev C_ib`` with ``C_ib[a,
+    :] = coords(f_a x_i b)``, and ``S_l -> S_l C_ib + delta_li ev(u) (x)
+    ev(b)`` (:func:`_extend`).  The words of degree up to e are the B slots
+    and the words ``u x_i b`` with ``u`` of degree up to e - 1.  So if ``Q
+    T`` (``Q`` orthonormal) holds the rows of the words of degree up to e -
+    1, those of degree up to e are, up to an orthonormal factor and the row
+    order, the B-slot rows stacked on ``T M_ib`` over all (i, b), and ``T``
+    becomes the R factor of that stack.  It never has more than D + n*D*D
+    rows, however many words there are.
+
+    At each degree, with ``[E^T | S_k] = Q [T_E | T_S]`` for the ``k`` words
+    (``E`` their evaluations, D x k, and ``S_k`` their split coordinates),
+    everything the value reads is read off ``E := T_E^T`` and ``S_k :=
+    T_S``, exactly in exact arithmetic: ``E`` and ``T_E^T`` have the same
+    singular values, so the same ``RCOND`` rank; ``|S_k|_F = |T_S|_F``; and
+    the relation rows ``c^T S_k`` over ``E c = 0`` are the rows ``c'^T T_S``
+    over ``T_E^T c' = 0`` (``c' = Q^T c`` runs over every vector).  Those
+    span the row space of ``(I - V^T conj(V)) T_S``, where ``V`` holds the
+    top right singular vectors of ``T_E^T``.  Translates are linear in the
+    row, so the sharp translates of the rows of that projected stack span
+    the same module as those of every relation.  The ``relations``
+    diagnostic is ``k - rank`` with ``k`` the true word count, never the
+    row count of ``T``.
+
+    One rule keeps every stack small (:func:`_reduce`): a stack taller than
+    wide is replaced by its R factor ``qr(., "r")``, which keeps its Gram,
+    its singular values and, up to ``Q``, its row space.  It reduces the
+    stacks of the recursion, the projected stack (``M_ij(Q T) = (Q (x) I)
+    M_ij(T)``, so the translate singular values stay) and a batch of
+    block-pair matrices ``M_ij`` before their SVDs.  A block-pair group of
+    one pair goes to the SVD as it is: numpy's ``qr`` costs more per call
+    than it saves on one small matrix.  Every step is an orthogonal
+    factorization, so no Gram is formed and the cut is never squared.  The
+    rows are real exactly when the model's generator and B matrices are,
+    and every step, the SVDs and the R factors included, runs in their
+    dtype.
 
     On the block pair (i, j) of ``A = (+) M_{k_i}`` that module is
     ``C^{k_i k_j} (x) span(M_ij)`` (see ``MatrixCoordinates.sharp_translates``),
@@ -956,17 +1012,26 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     translate singular value and ``c_max * |S_k|_F``, with ``c_max`` the
     largest block-pair scale ``c_i c_j`` of the coordinates.  The second term
     is the floor of the projection's rounding, which is of the size of
-    ``S_k``: without relations, or with only vanishing relation rows, ``R``
-    is that rounding and every rank is 0.
+    ``S_k``: without relations, or with only vanishing relation rows, the
+    projected stack is that rounding and every rank is 0.
     """
     if not isinstance(model, MatrixModel):
         raise ModelError("exact mode requires a finite-dimensional matrix model")
     if d < 1:
         raise StructureError("d must be at least 1")
-    # sorted by degree, so the words up to each degree are a prefix
-    words, E, S = _word_table(model, d, extra=1)
+    system = model.system
+    if d + 1 > system.cap:
+        raise DegreeCapError(f"d={d} needs words of degree d + 1 = {d + 1}, "
+                             f"beyond the cap {system.cap}")
     coords = _coords(model)
     n, D = model.n, coords.D
+    # C[i, b][a, :] = coords(f_a x_i b) for the basis matrices f_a, and
+    # ev_b[b] = coords(b), in the dtype of the model's data
+    gens = real_if_exact(np.stack(model.gen_mats))
+    bs = real_if_exact(np.stack(model.b_mats))
+    C = coords.coords(coords.basis @ (gens[:, None] @ bs[None])[:, :, None])
+    ev_b = coords.coords(bs)
+    nb = len(bs)
     # block pairs grouped by shape, so each group is one batched translate
     # and one batched SVD: (shape, pair index arrays, pair weights)
     groups = {}
@@ -977,33 +1042,43 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     groups = [(shape, np.array([p[:2] for p in pairs]).T,
                [w for *_, w in pairs]) for shape, pairs in groups.items()]
 
-    def value_at(dd: int) -> tuple:
-        k = bisect.bisect_right(words, 2 * (dd + 1) + 1, key=len)
-        _, s, vh = np.linalg.svd(E[:, :k], full_matrices=False)
+    def value_at(T: np.ndarray, k: int) -> tuple:
+        # E := T_E^T and S_k := T_S for the k words of degree up to dd + 1
+        TS = T[:, D:]
+        _, s, vh = np.linalg.svd(T[:, :D].T, full_matrices=False)
         rank = int(np.sum(s > RCOND * s[0]))
-        V, Sk = vh[:rank], S[:k]
-        R = Sk - V.T @ (V.conj() @ Sk)
-        if R.shape[0] > R.shape[1]:
-            R = np.linalg.qr(R, mode="r")
-        rows = R.reshape(-1, n, D, D)
-        svals = [np.linalg.svd(coords.sharp_translates(rows, ii, jj).reshape(
-                     len(ii), -1, n * ki * kj), compute_uv=False)
-                 for (ki, kj), (ii, jj), _ in groups]
-        # the projection leaves rounding of the size of S, not of R: without
-        # relations, or with only vanishing relation rows, R is that rounding,
-        # and the floor c_max |S_k| keeps its translates out of the ranks
+        V = vh[:rank]
+        rows = _reduce(TS - V.T @ (V.conj() @ TS)).reshape(-1, n, D, D)
+        svals = []
+        for (ki, kj), (ii, jj), _ in groups:
+            M = coords.sharp_translates(rows, ii, jj).reshape(
+                len(ii), -1, n * ki * kj)
+            svals.append(np.linalg.svd(_reduce(M) if len(ii) > 1 else M,
+                                       compute_uv=False))
+        # the projection leaves rounding of the size of S_k, not of the
+        # projected stack: without relations, or with only vanishing relation
+        # rows, the stack is that rounding, and the floor c_max |S_k| keeps
+        # its translates out of the ranks
         top = max(float(s[:, 0].max()) for s in svals)
-        cut = RCOND * max(top, c_max * np.linalg.norm(Sk))
+        cut = RCOND * max(top, c_max * np.linalg.norm(TS))
         # summed pair by pair in a fixed order: a dot product would reorder
         # the sum and move its last bits
         sig2 = sum(w * c for (*_, ws), s in zip(groups, svals)
                    for w, c in zip(ws, (s > cut).sum(axis=1).tolist()))
         return n - sig2, sig2, k - rank
 
+    # the degree-0 words are the B slots, with no splits
+    start = np.zeros((nb, D + n * D * D), dtype=np.result_type(C, ev_b))
+    start[:, :D] = ev_b
+    T, k, level = start, nb, nb
     trail = []
-    for dd in range(1, d + 1):
-        sigma_d, sig2, nrel = value_at(dd)
-        trail.append((dd, sigma_d))
+    for e in range(1, d + 2):
+        T = _reduce(np.concatenate([start, _extend(T, C, ev_b)]))
+        level *= n * nb
+        k += level
+        if e >= 2:
+            sigma_d, sig2, nrel = value_at(T, k)
+            trail.append((e - 1, sigma_d))
     sigma = trail[-1][1]
     return SigmaReport(
         sigma=sigma, irregularity=math.sqrt(max(sig2, 0.0)), mode="exact_fd",

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -962,7 +963,7 @@ def _projected_stacks(model, d):
     """Oracle only: per degree ``dd`` up to ``d``, the projected relation
     stack ``R = S_k - V^T (conj(V) S_k)`` of the words of degree up to
     ``2 (dd + 1) + 1``, with ``S_k`` and the relation count."""
-    words, E, S = stein._word_table(model, d, extra=1)
+    words, E, S = stein._word_table(model, d + 1)
     for dd in range(1, d + 1):
         k = bisect.bisect_right(words, 2 * (dd + 1) + 1, key=len)
         _, s, vh = np.linalg.svd(E[:, :k], full_matrices=False)
@@ -1274,6 +1275,160 @@ def test_sigma_exact_matches_basis_reference_on_random_blocks(spec):
     assert got == _sigma_exact_fd_basis_reference(model, 3)
 
 
+# -- the factored relation stack against the word table -----------------------------
+
+
+def _sigma_exact_fd_table_reference(model, d):
+    """Oracle only: relation projection over the full word table: the
+    projected stack of every degree, its R factor when it is taller than
+    wide, the block-pair translates grouped by shape and one global cut with
+    the floor ``RCOND * c_max * |S_k|``; ``(trail, relations,
+    irregularity)``."""
+    coords = MatrixCoordinates(model)
+    n, D = model.n, coords.D
+    c_max = max(c for _, _, c in coords.blocks) ** 2
+    groups = {}
+    for i, (ki, li) in enumerate(model.blocks):
+        for j, (kj, lj) in enumerate(model.blocks):
+            groups.setdefault((ki, kj), []).append((i, j, li * lj / (ki * kj)))
+    trail = []
+    for dd, R, Sk, relations in _projected_stacks(model, d):
+        if R.shape[0] > R.shape[1]:
+            R = np.linalg.qr(R, mode="r")
+        rows = R.reshape(-1, n, D, D)
+        svals = [[np.linalg.svd(coords.sharp_translates(rows, i, j),
+                                compute_uv=False) for i, j, _ in pairs]
+                 for pairs in groups.values()]
+        top = max(float(s[0]) for sv in svals for s in sv)
+        cut = stein.RCOND * max(top, c_max * np.linalg.norm(Sk))
+        sig2 = sum(w * int(np.sum(s > cut))
+                   for pairs, sv in zip(groups.values(), svals)
+                   for (_, _, w), s in zip(pairs, sv))
+        trail.append((dd, n - sig2))
+    return trail, relations, math.sqrt(max(sig2, 0.0))
+
+
+def _near_commuting():
+    return MatrixModel([(2, 1.0)], [[[[4.3, 0.54], [0.54, 1.13]]],
+                                    [[[0.79, -0.04], [-0.04, 1.13]]]])
+
+
+def _check_against_word_table(model, d):
+    # the factored stack gives the word table's trail, relation count and
+    # irregularity, equal to the last bit
+    rep = sigma_exact_fd(model, d=d)
+    got = rep.trail, rep.diagnostics["relations"], rep.irregularity
+    assert got == _sigma_exact_fd_table_reference(model, d)
+    return got
+
+
+WORD_TABLE_CASES = {
+    **EXACT_FD_CASES,
+    "near-commuting M_2": (_near_commuting, 3),
+    "vanishing B idempotent, no relation rows": (_vanishing_idempotent, 2),
+    "three-point, no relations": (
+        lambda: diagonal_matrix_model([-1.0, 0.0, 1.0], [1 / 3] * 3), 1),
+}
+
+
+@pytest.mark.parametrize("name", WORD_TABLE_CASES)
+def test_sigma_exact_matches_word_table(name):
+    make, d = WORD_TABLE_CASES[name]
+    _check_against_word_table(make(), d)
+
+
+@st.composite
+def paired_block_models(draw):
+    """A direct sum of 2-3 blocks of size <= 2 with rational weights, and
+    either two real-symmetric generators or a star-paired ``u``, ``u*`` with
+    complex entries, drawn from a seeded normal distribution."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    parts = draw(st.lists(st.integers(1, 6), min_size=len(sizes),
+                          max_size=len(sizes)))
+    weights = [Fraction(p, sum(parts)) for p in parts]
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        u = [gen.normal(size=(k, k)) + 1j * gen.normal(size=(k, k))
+             for k in sizes]
+        gens, pairing = [u, [a.conj().T for a in u]], (1, 0)
+    else:
+        gens, pairing = [], None
+        for _ in range(2):
+            a = [gen.normal(size=(k, k)) for k in sizes]
+            gens.append([x + x.T for x in a])
+    return MatrixModel(list(zip(sizes, weights)), gens, star_pairing=pairing)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None, database=None)
+@given(paired_block_models())
+def test_sigma_exact_matches_word_table_on_random_blocks(model):
+    got = _check_against_word_table(model, 3)
+    assert got[:2] == _sigma_exact_fd_basis_reference(model, 3)
+
+
+def test_sigma_exact_reads_no_word_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sigma_exact_fd built a word table")
+
+    models = [m2_over_m2(), cyclic_group_model(4), _three_two_one()]
+    monkeypatch.setattr(stein, "_word_table", refuse)
+    monkeypatch.setattr(stein, "monomial_words", refuse)
+    for model in models:
+        sigma_exact_fd(model, d=2)
+
+
+def test_sigma_exact_stack_never_exceeds_its_width(monkeypatch):
+    # M_2 over B = M_2 at d=4: 149 796 words of degree up to 5, against a
+    # factor of at most D + n*D*D = 36 rows; every stack the recursion
+    # reduces holds at most |B| + n*|B|*36 rows
+    model = m2_over_m2()
+    n, nb, D = 2, 4, 4
+    width = D + n * D * D
+    shapes = []
+    raw = stein._reduce
+
+    def recording(X):
+        out = raw(X)
+        shapes.append((X.shape, out.shape))
+        return out
+
+    monkeypatch.setattr(stein, "_reduce", recording)
+    start = time.perf_counter()
+    rep = sigma_exact_fd(model, d=4)
+    elapsed = time.perf_counter() - start
+    words = nb * sum((n * nb) ** e for e in range(6))
+    assert words == 149796
+    assert abs(rep.sigma) < 1e-9
+    assert rep.diagnostics["relations"] == words - D
+    assert [dd for dd, _ in rep.trail] == [1, 2, 3, 4]
+    stacks = [(x, y) for x, y in shapes if len(x) == 2 and x[1] == width]
+    assert len(stacks) == 5
+    assert all(x[0] <= nb + n * nb * width and y[0] <= width
+               for x, y in stacks)
+    # the 149 796-word table alone takes hundreds of milliseconds to form
+    assert elapsed < 0.1
+
+
+def test_pair_r_factors_keep_translate_singular_values():
+    # cyclic(10) at d=5: 100 block pairs of shape (1, 1), each M_ij of the
+    # 127 projected rows 127 x 2; one batched R factor keeps the singular
+    # values of every pair
+    model = cyclic_group_model(10)
+    coords = MatrixCoordinates(model)
+    n, D = model.n, coords.D
+    *_, (_, R, _, _) = _projected_stacks(model, 5)
+    ii, jj = np.array([(i, j) for i in range(10) for j in range(10)]).T
+    M = coords.sharp_translates(R.reshape(-1, n, D, D), ii, jj)
+    M = M.reshape(100, -1, n)
+    assert M.shape == (100, 127, 2)
+    T = stein._reduce(M)
+    assert T.shape == (100, 2, 2)
+    want = np.linalg.svd(M, compute_uv=False)
+    got = np.linalg.svd(T, compute_uv=False)
+    assert want.max() > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
 # -- the scatter-free split table and the batched translates -----------------------
 
 
@@ -1301,7 +1456,7 @@ def _pair_translates_reference(coords, rows, i, j):
 
 
 def _check_split_table(model, d):
-    words, E, S = stein._word_table(model, d, extra=1)
+    words, E, S = stein._word_table(model, d + 1)
     assert np.array_equal(S, _split_table_reference(model, words, E))
 
 
