@@ -1060,7 +1060,11 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
         # rows, the stack is that rounding, and the floor c_max |S_k| keeps
         # its translates out of the ranks
         top = max(float(s[:, 0].max()) for s in svals)
-        cut = RCOND * max(top, c_max * np.linalg.norm(TS))
+        # |S_k|_F over the real view of TS, which shares its memory: norm
+        # would copy the strided view first
+        parts = TS.view(TS.real.dtype)
+        cut = RCOND * max(top, c_max * math.sqrt(
+            np.einsum("ij,ij->", parts, parts)))
         # summed pair by pair in a fixed order: a dot product would reorder
         # the sum and move its last bits
         sig2 = sum(w * c for (*_, ws), s in zip(groups, svals)
@@ -1109,22 +1113,34 @@ def join_free_factors(*reports: SigmaReport) -> SigmaReport:
 def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateReport:
     """Residual of the conjugate-variable identity
     ``<xi, ev P> = <identity kernel, ev J P>`` over monomial test tuples,
-    plus the Fisher information ``||xi||_2^2``."""
+    plus the Fisher information ``||xi||_2^2``.
+
+    On the test word ``w`` in entry ``i``, the left side ``<xi_i, w> =
+    tau(w* xi_i)`` is read off one table of the test words against the
+    words of ``xi``.  The right side ``<1 (x) 1, d_i w>`` is ``conj(sum of
+    tau(p) tau(s))`` over the splits ``w = p x_i s``.  The Fisher
+    information reads the table over the words of ``xi``."""
     if d < 0:
         raise StructureError("d must be at least 0")
     xi = tuple(xi)
     if len(xi) != model.n:
         raise StructureError("xi must have one entry per generator")
-    system = model.system
-    unit = TensorPoly.unit(system)
-    residual = 0.0
-    for w in monomial_words(system, 0, d):
-        p = NCPoly.from_word(system, w)
-        for i in range(model.n):
-            lhs = model.inner_l2(xi[i], p)
-            rhs = model.inner_tensor(unit, diff_quotient(i, p))
-            residual = max(residual, abs(lhs - rhs))
-    fisher = float(sum(model.inner_l2(x, x).real for x in xi))
+    words = monomial_words(model.system, 0, d)
+    xi_words = list(dict.fromkeys(w for x in xi for w in x.terms))
+    col = {w: k for k, w in enumerate(xi_words)}
+    # C[i, k]: the coefficient of xi_words[k] in xi_i
+    C = np.zeros((model.n, len(xi_words)), dtype=complex)
+    for row, x in zip(C, xi):
+        for w, c in x.terms.items():
+            row[col[w]] = complex(c)
+    lhs = model.moment_table(words, xi_words) @ C.T
+    splits = np.zeros_like(lhs)
+    for r, w in enumerate(words):
+        for j in range(1, len(w), 2):
+            splits[r, w[j]] += (model.trace_word(w[:j])
+                                * model.trace_word(w[j + 1:]))
+    residual = float(np.abs(lhs - splits.conj()).max())
+    fisher = float(np.sum(C.conj() @ model.moment_table(xi_words) * C).real)
     return ConjugateReport(residual=residual, fisher_info=fisher)
 
 

@@ -1,12 +1,11 @@
 """Tracial-state models and the inner products they induce.
 
-A trace model evaluates the trace of canonical words in concrete generators;
-the L2, tensor and Hilbert-Schmidt inner products reduce to word traces.
-Moment tables ``G[x, y] = tau(x* y)`` over lists of words come from one
-layer instead, :meth:`TraceModel.moment_table`: it checks the words and the
-cap, forms ``conj(V_x) K V_y^T`` from the vectors and the pairing matrix
-``K`` a model supplies (``K = I`` when it is None), and makes square tables
-exactly Hermitian.  Four families are provided, each with its ``(V, K)``:
+A trace model evaluates the trace of canonical words in concrete generators,
+and moment tables ``G[x, y] = tau(x* y)`` over lists of words in one layer,
+:meth:`TraceModel.moment_table`: it checks the words and the cap, forms
+``conj(V_x) K V_y^T`` from the vectors and the pairing matrix ``K`` a model
+supplies (``K = I`` when it is None), and makes square tables exactly
+Hermitian.  Four families are provided, each with its ``(V, K)``:
 
 * :class:`MatrixModel` -- direct sums of matrix blocks with a weighted trace;
   ``V`` is the evaluated word with column ``k`` scaled by ``sqrt(w_k)``,
@@ -24,9 +23,10 @@ exactly Hermitian.  Four families are provided, each with its ``(V, K)``:
   pairs basis vectors of one factor sequence through the factors' centered
   tables, zero across sequences.
 
-Inner product conventions: ``<p, q> = tau(q* p)`` on polynomials,
-``<a(x)b, c(x)d> = tau(c* a) tau(b d*)`` on tensors, and the entrywise sum on
-kernel matrices.  All are linear in the first argument.
+The inner products read these tables, ``<p, q> = tau(q* p)`` on polynomials
+and ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)`` on tensors, both linear in the
+first argument.  Every model here is tracial, ``tau(xy) = tau(yx)``, so the
+second factor is the table entry ``tau(d* b)``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DegreeCapError, ModelError, StructureError
-from .ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
-                    TensorPoly)
+from .ncalg import BAlgebra, GeneratorSystem, NCPoly, TensorPoly
 from .scalars import QQi
 
 
@@ -51,13 +50,19 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _coefficients(poly) -> tuple:
+    """The keys of a polynomial's or tensor's terms, and their coefficients
+    as a complex vector."""
+    return list(poly.terms), np.array(
+        [complex(c) for c in poly.terms.values()], dtype=complex)
+
+
 class TraceModel:
     """Base class: word-trace evaluation plus derived inner products."""
 
     def __init__(self, system: GeneratorSystem):
         self.system = system
         self._word_cache: dict = {}
-        self._pair_cache: dict = {}
 
     # subclasses implement the raw word trace
     def _trace_word_impl(self, word) -> complex:
@@ -80,12 +85,12 @@ class TraceModel:
         return hit
 
     def moment_table(self, xs, ys=None) -> np.ndarray:
-        """Moment table ``G[a, b] = tau(xs[a]* ys[b])`` of scalar-B words, as
-        ``conj(V_x) K V_y^T`` from the model's :meth:`_table_vectors`.  The
-        words and the cap are checked once for the table.  Without ``ys``, the
-        table over ``xs``: its upper triangle is mirrored and its diagonal
-        made real, so it is exactly Hermitian.  The table is real when no
-        entry has an imaginary part."""
+        """Moment table ``G[a, b] = tau(xs[a]* ys[b])``, as ``conj(V_x) K
+        V_y^T`` from the model's :meth:`_table_vectors`; matrix models also
+        pair words with B slots.  The words and the cap are checked once for
+        the table.  Without ``ys``, the table over ``xs``: its upper triangle
+        is mirrored and its diagonal made real, so it is exactly Hermitian.
+        The table is real when no entry has an imaginary part."""
         square = ys is None
         dx, dy = self._table_degrees(xs, xs if square else ys)
         Vx, K, Vy = self._table_vectors(xs, None if square else ys, dx, dy)
@@ -120,77 +125,29 @@ class TraceModel:
         return sum((complex(c) * self.trace_word(w) for w, c in p.terms.items()),
                    complex(0))
 
-    # -- pairwise word traces, memoized --------------------------------------
-
-    def _tr_star_left(self, c_word, a_word) -> complex:
-        """tau(c* a) for canonical words."""
-        key = (0, c_word, a_word)
-        hit = self._pair_cache.get(key)
-        if hit is None:
-            hit = complex(0)
-            for cw, cc in self.system.adjoint_word(c_word):
-                for w, mc in self.system.mul_words(cw, a_word):
-                    hit += complex(cc * mc) * self.trace_word(w)
-            self._pair_cache[key] = hit
-        return hit
-
-    def _tr_star_right(self, b_word, d_word) -> complex:
-        """tau(b d*) for canonical words."""
-        key = (1, b_word, d_word)
-        hit = self._pair_cache.get(key)
-        if hit is None:
-            hit = complex(0)
-            for dw, dc in self.system.adjoint_word(d_word):
-                for w, mc in self.system.mul_words(b_word, dw):
-                    hit += complex(dc * mc) * self.trace_word(w)
-            self._pair_cache[key] = hit
-        return hit
-
-    # -- inner products --------------------------------------------------------
+    # -- inner products, read off moment tables ------------------------------
 
     def inner_l2(self, p: NCPoly, q: NCPoly) -> complex:
-        """GNS inner product tau(q* p), linear in ``p``."""
-        acc = complex(0)
-        for wq, cq in q.terms.items():
-            cqc = complex(cq.conjugate())
-            for wp, cp in p.terms.items():
-                acc += complex(cp) * cqc * self._tr_star_left(wq, wp)
-        return acc
-
-    def inner_l2_tuple(self, ps, qs) -> complex:
-        ps, qs = tuple(ps), tuple(qs)
-        if len(ps) != len(qs):
-            raise StructureError("tuple length mismatch")
-        return sum((self.inner_l2(p, q) for p, q in zip(ps, qs)), complex(0))
+        """GNS inner product tau(q* p), linear in ``p``: ``conj(c_q)^T G
+        c_p`` over the table ``G`` of q's words against p's."""
+        (qs, cq), (ps, cp) = _coefficients(q), _coefficients(p)
+        return complex(cq.conj() @ self.moment_table(qs, ps) @ cp)
 
     def inner_tensor(self, u: TensorPoly, v: TensorPoly) -> complex:
         """Tensor-trace inner product, sesquilinear extension of
-        ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)``."""
-        acc = complex(0)
-        for (c, d), cv in v.terms.items():
-            cvc = complex(cv.conjugate())
-            for (a, b), cu in u.terms.items():
-                left = self._tr_star_left(c, a)
-                if left == 0:
-                    continue
-                acc += complex(cu) * cvc * left * self._tr_star_right(b, d)
-        return acc
+        ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)``, from two tables over the
+        terms: ``tau(c* a)`` over the first legs and, the trace being
+        tracial, ``tau(b d*) = tau(d* b)`` over the second."""
+        (vs, cv), (us, cu) = _coefficients(v), _coefficients(u)
+        left = self.moment_table([c for c, _ in vs], [a for a, _ in us])
+        right = self.moment_table([d for _, d in vs], [b for _, b in us])
+        return complex(cv.conj() @ (left * right) @ cu)
 
     def inner_tensor_row(self, us, vs) -> complex:
         us, vs = tuple(us), tuple(vs)
         if len(us) != len(vs):
             raise StructureError("row length mismatch")
         return sum((self.inner_tensor(u, v) for u, v in zip(us, vs)), complex(0))
-
-    def inner_hs(self, A: KernelMatrix, B: KernelMatrix) -> complex:
-        """Hilbert-Schmidt inner product: entrywise tensor inner products."""
-        if A.size != B.size:
-            raise StructureError("kernel matrix size mismatch")
-        acc = complex(0)
-        for i in range(A.size):
-            for j in range(A.size):
-                acc += self.inner_tensor(A.entries[i][j], B.entries[i][j])
-        return acc
 
     def centered(self, p: NCPoly) -> NCPoly:
         """Remove the component along the scalars: p - tau(p) 1."""

@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from free_stein.ncalg import GeneratorSystem, NCPoly, generator_tuple
+from free_stein.errors import StructureError
+from free_stein.ncalg import (BAlgebra, GeneratorSystem, NCPoly,
+                              generator_tuple)
 from free_stein.scalars import QQi
 from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircleDensity, SemicircularModel, TraceModel,
@@ -22,6 +24,19 @@ def random_poly(system, rng, max_degree=4, terms=3, coeff_range=3,
             word = word * gens[rng.randrange(system.n)]
         im = rng.randint(-1, 1) if complex_coeffs else 0
         acc = acc + word * QQi(rng.randint(-coeff_range, coeff_range), im)
+    return acc
+
+
+def random_element(system, rng, max_degree=2, terms=3):
+    """Sum of ``terms`` random words of degree up to ``max_degree``, with
+    random B slots, times small integer complex coefficients."""
+    acc = NCPoly.zero(system)
+    for _ in range(terms):
+        word = [rng.randrange(system.b.dim)]
+        for _ in range(rng.randint(0, max_degree)):
+            word.extend((rng.randrange(system.n), rng.randrange(system.b.dim)))
+        acc = acc + NCPoly.from_word(system, word, QQi(rng.randint(-3, 3),
+                                                       rng.randint(-1, 1)))
     return acc
 
 
@@ -138,7 +153,8 @@ class PushForwardModel(TraceModel):
         for row, p in zip(C, polys):
             for u, c in p.terms.items():
                 row[col[u]] = complex(c)
-        return real_if_exact(C), basis, len(basis[-1]) // 2
+        return (real_if_exact(C), basis,
+                max((len(u) // 2 for u in basis), default=0))
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
         Cx, bx, ex = self._coefficients(xs)
@@ -146,3 +162,109 @@ class PushForwardModel(TraceModel):
         Vx, K, Vy = self.base._table_vectors(bx, None if ys is None else by,
                                              ex, ey)
         return Cx @ Vx, K, Cy @ Vy
+
+
+def _unitary_pair():
+    """Two unitaries with non-real traces, so a missing conjugation shows."""
+    u = (1j, np.exp(0.3j))
+    return MatrixModel([(1, 1 / 3), (1, 2 / 3)],
+                       [[[[z]] for z in u], [[[np.conj(z)]] for z in u]],
+                       star_pairing=(1, 0))
+
+
+def m2_over_m2():
+    """M_2 generated by the Pauli pair over B = M_2 with the matrix-unit
+    basis e11, e12, e21, e22."""
+    def idx(p, q):
+        return 2 * p + q
+    mul = {}
+    for p in range(2):
+        for q in range(2):
+            for r in range(2):
+                for s in range(2):
+                    mul[(idx(p, q), idx(r, s))] = \
+                        (((idx(p, s), 1),) if q == r else ())
+    star = [((idx(q, p), 1),) for p in range(2) for q in range(2)]
+    b = BAlgebra(4, mul, star=star, unit=((idx(0, 0), 1), (idx(1, 1), 1)))
+    basis_mats = [[[1.0, 0], [0, 0]], [[0, 1.0], [0, 0]],
+                  [[0, 0], [1.0, 0]], [[0, 0], [0, 1.0]]]
+    return MatrixModel([(2, 1.0)], [[[[1.0, 0], [0, -1.0]]],
+                                    [[[0, 1.0], [1.0, 0]]]],
+                       b_algebra=b, b_basis=[[m] for m in basis_mats])
+
+
+class SymbolicPairing:
+    """Oracle only: the inner products of a trace model from the traces of
+    symbolic product words, with ``tau(c* a)`` and ``tau(b d*)`` memoized
+    per word pair; no moment table is read."""
+
+    def __init__(self, model: TraceModel):
+        self.system = model.system
+        self.trace_word = model.trace_word
+        self._pair_cache: dict = {}
+
+    def _tr_star_left(self, c_word, a_word) -> complex:
+        """tau(c* a) for canonical words."""
+        key = (0, c_word, a_word)
+        hit = self._pair_cache.get(key)
+        if hit is None:
+            hit = complex(0)
+            for cw, cc in self.system.adjoint_word(c_word):
+                for w, mc in self.system.mul_words(cw, a_word):
+                    hit += complex(cc * mc) * self.trace_word(w)
+            self._pair_cache[key] = hit
+        return hit
+
+    def _tr_star_right(self, b_word, d_word) -> complex:
+        """tau(b d*) for canonical words."""
+        key = (1, b_word, d_word)
+        hit = self._pair_cache.get(key)
+        if hit is None:
+            hit = complex(0)
+            for dw, dc in self.system.adjoint_word(d_word):
+                for w, mc in self.system.mul_words(b_word, dw):
+                    hit += complex(dc * mc) * self.trace_word(w)
+            self._pair_cache[key] = hit
+        return hit
+
+    def inner_l2(self, p: NCPoly, q: NCPoly) -> complex:
+        """GNS inner product tau(q* p), linear in ``p``."""
+        acc = complex(0)
+        for wq, cq in q.terms.items():
+            cqc = complex(cq.conjugate())
+            for wp, cp in p.terms.items():
+                acc += complex(cp) * cqc * self._tr_star_left(wq, wp)
+        return acc
+
+    def inner_tensor(self, u, v) -> complex:
+        """Tensor-trace inner product, sesquilinear extension of
+        ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)``."""
+        acc = complex(0)
+        for (c, d), cv in v.terms.items():
+            cvc = complex(cv.conjugate())
+            for (a, b), cu in u.terms.items():
+                left = self._tr_star_left(c, a)
+                if left == 0:
+                    continue
+                acc += complex(cu) * cvc * left * self._tr_star_right(b, d)
+        return acc
+
+
+def inner_l2_tuple(pairing, ps, qs) -> complex:
+    """Sum of ``pairing.inner_l2`` over the entries of two tuples."""
+    ps, qs = tuple(ps), tuple(qs)
+    if len(ps) != len(qs):
+        raise StructureError("tuple length mismatch")
+    return sum((pairing.inner_l2(p, q) for p, q in zip(ps, qs)), complex(0))
+
+
+def inner_hs(pairing, A, B) -> complex:
+    """Hilbert-Schmidt inner product of two kernel matrices: the entrywise
+    sum of ``pairing.inner_tensor``."""
+    if A.size != B.size:
+        raise StructureError("kernel matrix size mismatch")
+    acc = complex(0)
+    for i in range(A.size):
+        for j in range(A.size):
+            acc += pairing.inner_tensor(A.entries[i][j], B.entries[i][j])
+    return acc

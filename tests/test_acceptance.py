@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import random_poly, random_word
+from conftest import (SymbolicPairing, inner_hs, inner_l2_tuple, random_poly,
+                      random_word)
 from free_stein.closedform import (CompressedGeneratorSpec, GraphSpec,
                                    compressed_semicircular_sigma, eps_kernel,
                                    fd_sigma, graph_sigma, log_energy,
@@ -67,6 +68,8 @@ def test_criterion_01_leibniz_calculus_suite():
 def test_criterion_02_kernel_identity(semicircular2):
     with _Criterion(2, "half-commutator kernel identity, residual <= 1e-8"):
         model = semicircular2
+        # the symbolic pair traces, memoized across the many small pairings
+        pairing = SymbolicPairing(model)
         sysm = model.system
         gens = generator_tuple(sysm)
         rng = random.Random(202)
@@ -80,17 +83,17 @@ def test_criterion_02_kernel_identity(semicircular2):
             for w in words:
                 p = NCPoly.from_word(sysm, w)
                 for i in range(2):
-                    lhs = model.inner_l2(xi[i], p)
-                    rhs = sum(model.inner_tensor(A.entries[i][m],
-                                                 diff_quotient(m, p))
+                    lhs = pairing.inner_l2(xi[i], p)
+                    rhs = sum(pairing.inner_tensor(A.entries[i][m],
+                                                   diff_quotient(m, p))
                               for m in range(2))
                     worst = max(worst, abs(lhs - rhs))
             # a full monomial tuple, not just one slot
             w1, w2 = rng.choice(words), rng.choice(words)
             P = (NCPoly.from_word(sysm, w1), NCPoly.from_word(sysm, w2))
-            lhs = model.inner_l2_tuple(xi, P)
-            rhs = sum(model.inner_tensor(A.entries[i][m],
-                                         diff_quotient(m, P[i]))
+            lhs = inner_l2_tuple(pairing, xi, P)
+            rhs = sum(pairing.inner_tensor(A.entries[i][m],
+                                           diff_quotient(m, P[i]))
                       for i in range(2) for m in range(2))
             worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-8
@@ -204,7 +207,7 @@ def test_criterion_09_kernel_gap(semicircular1):
         D = A - KernelMatrix.identity(model.system)
         # moment oracle: expanding term by term against tau(s^2) = 1,
         # tau(s^4) = 2 gives 1/4*2 + 1 + 1/4*2 + 1 + 2*(1/4 - 1/2 - 1/2) = 3/2
-        gap = model.inner_hs(D, D).real
+        gap = inner_hs(model, D, D).real
         assert abs(gap - 1.5) <= 1e-10
         rep = discrepancy(model, X, DegreeScheme(1, 4))
         assert rep.value <= 1e-8

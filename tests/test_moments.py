@@ -1,7 +1,8 @@
 """The moment-table Gram and design against the symbolic inner products.
 
 The reference builds the Jacobian rows with ``gradient`` and pairs them with
-the trace model's tensor inner product, entry by entry; the two-block unitary
+the symbolic tensor inner product (``SymbolicPairing``), entry by entry, and
+the candidate Gram with its L2 inner product; the two-block unitary
 model has non-real moments, so a missing conjugation shows there.  The
 split-pair assembly of ``W`` is checked against a per-split loop over the
 same table and against the degree-block Kronecker sums it replaced
@@ -33,8 +34,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (candidate_gram_reference, random_poly, random_word,
-                      word_of)
+from conftest import (SymbolicPairing, _unitary_pair, candidate_gram_reference,
+                      random_poly, random_word, word_of)
 from free_stein import stein, trace
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
@@ -52,13 +53,6 @@ from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
 TOL = 1e-12
 
 
-def _unitary_pair():
-    u = (1j, np.exp(0.3j))
-    return MatrixModel([(1, 1 / 3), (1, 2 / 3)],
-                       [[[[z]] for z in u], [[[np.conj(z)]] for z in u]],
-                       star_pairing=(1, 0))
-
-
 MODELS = {
     "semicircular n=2": lambda: SemicircularModel(2),
     "two-point * semicircular": lambda: FreeProductModel(
@@ -71,15 +65,20 @@ MODELS = {
 @pytest.mark.parametrize("name", MODELS)
 def test_gram_and_design_match_inner_products(name):
     model = MODELS[name]()
+    symbolic = SymbolicPairing(model)
+
+    def row_product(us, vs):
+        return sum(symbolic.inner_tensor(u, v) for u, v in zip(us, vs))
+
     gs = stein.GramSystem(model, 3)
     rows = [gradient(NCPoly.from_word(model.system, w)) for w in gs.words]
     m = len(rows)
-    W = np.array([[model.inner_tensor_row(rows[b], rows[a]) for b in range(m)]
+    W = np.array([[row_product(rows[b], rows[a]) for b in range(m)]
                   for a in range(m)])
     assert np.max(np.abs(gs.W - W)) <= TOL
 
     unit = TensorPoly.unit(model.system)
-    r1 = np.array([[model.inner_tensor(unit, row[i]) for row in rows]
+    r1 = np.array([[symbolic.inner_tensor(unit, row[i]) for row in rows]
                    for i in range(model.n)])
     assert np.max(np.abs(gs.r_of_identity() - r1)) <= TOL
 
@@ -88,7 +87,7 @@ def test_gram_and_design_match_inner_products(name):
     for _ in range(3):
         xi = tuple(random_poly(model.system, rng, 2) for _ in range(model.n))
         A = commutator_stein_kernel(xi, X)
-        rA = np.array([[model.inner_tensor_row(A.entries[i], row) for row in rows]
+        rA = np.array([[row_product(A.entries[i], row) for row in rows]
                        for i in range(model.n)])
         assert np.max(np.abs(gs.r_of_kernel(A) - rA)) <= TOL
 
@@ -328,9 +327,10 @@ def test_candidate_gram_matches_inner_l2(name):
                   for y in np.eye(K * n)]
     Qw = stein.GramSystem(model, 2).candidate_gram(words)
     assert Qw.shape == (K, K)
+    symbolic = SymbolicPairing(model)
     for a, b in itertools.product(range(K * n), repeat=2):
         (k, i), (l, j) = divmod(a, n), divmod(b, n)
-        q = model.inner_l2(candidates[b][i], candidates[a][i])
+        q = symbolic.inner_l2(candidates[b][i], candidates[a][i])
         assert abs(q - (Qw[k, l] if i == j else 0)) <= TOL
 
 

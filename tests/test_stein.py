@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PushForwardModel, candidate_gram_reference, random_poly
+from conftest import (PushForwardModel, SymbolicPairing, _unitary_pair,
+                      candidate_gram_reference, inner_hs, inner_l2_tuple,
+                      m2_over_m2, random_element, random_poly)
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import DegreeCapError, ModelError, StructureError
@@ -23,6 +25,7 @@ from free_stein.fdalg import MatrixCoordinates
 from free_stein.ncalg import (KernelMatrix, NCPoly, TensorPoly,
                               commutator_stein_kernel, diff_quotient,
                               generator_tuple, gradient)
+from free_stein.parser import parse_poly_tuple
 from free_stein.scalars import QQi
 from free_stein.stein import (DegreeScheme, GramSystem, adjoint_action,
                               alpha_estimate, conjugate_variable_check,
@@ -257,7 +260,7 @@ def test_discrepancy_trail_nondecreasing(twopoint_matrix, rng):
     # projected distance never exceeds the full distance
     A = commutator_stein_kernel(rep.xi, generator_tuple(twopoint_matrix.system))
     D = A - KernelMatrix.identity(twopoint_matrix.system)
-    full = math.sqrt(twopoint_matrix.inner_hs(D, D).real)
+    full = math.sqrt(inner_hs(twopoint_matrix, D, D).real)
     assert rep.value <= full + 1e-8
 
 
@@ -472,7 +475,7 @@ def test_bounded_interior_and_boundary(semicircular1):
     rep = irregularity_bounded(semicircular1, scheme, 0.5)
     assert rep.value > 0.05
     assert abs(rep.value - 0.5) < 1e-8
-    norm = math.sqrt(semicircular1.inner_l2_tuple(rep.xi, rep.xi).real)
+    norm = math.sqrt(inner_l2_tuple(semicircular1, rep.xi, rep.xi).real)
     assert abs(norm - 0.5) < 1e-8
 
 
@@ -852,28 +855,6 @@ def test_sigma_exact_generator_invariance():
 SZ = [[1.0, 0], [0, -1.0]]
 SX = [[0, 1.0], [1.0, 0]]
 SY = [[0, -1j], [1j, 0]]
-
-
-def m2_over_m2():
-    """M_2 generated by the Pauli pair over B = M_2 with the matrix-unit
-    basis e11, e12, e21, e22."""
-    from free_stein.ncalg import BAlgebra
-
-    def idx(p, q):
-        return 2 * p + q
-    mul = {}
-    for p in range(2):
-        for q in range(2):
-            for r in range(2):
-                for s in range(2):
-                    mul[(idx(p, q), idx(r, s))] = \
-                        (((idx(p, s), 1),) if q == r else ())
-    star = [((idx(q, p), 1),) for p in range(2) for q in range(2)]
-    b = BAlgebra(4, mul, star=star, unit=((idx(0, 0), 1), (idx(1, 1), 1)))
-    basis_mats = [[[1.0, 0], [0, 0]], [[0, 1.0], [0, 0]],
-                  [[0, 0], [1.0, 0]], [[0, 0], [0, 1.0]]]
-    return MatrixModel([(2, 1.0)], [[SZ], [SX]], b_algebra=b,
-                       b_basis=[[m] for m in basis_mats])
 
 
 def test_sigma_exact_b_relative():
@@ -1689,6 +1670,62 @@ def test_conjugate_check_rejects_a_negative_degree(twopoint_measure):
             conjugate_variable_check(twopoint_measure, z, d=d)
     # d = 0 tests the unit word, on which both sides vanish
     assert conjugate_variable_check(twopoint_measure, z, d=0).residual == 0.0
+
+
+def test_conjugate_check_rejects_test_words_beyond_the_cap(twopoint_measure):
+    # the test words of degree 13 are beyond the cap 12, whatever xi is
+    for xi in ("(0)", "(1)"):
+        xi = parse_poly_tuple(xi, twopoint_measure.system)
+        with pytest.raises(DegreeCapError,
+                           match="^product degree 13 exceeds cap 12$"):
+            conjugate_variable_check(twopoint_measure, xi, d=13)
+
+
+def _conjugate_check_reference(model, xi, d):
+    """Oracle only: ``(residual, fisher_info)`` of the conjugate-variable
+    check from symbolic pair traces, word by word, each test word paired
+    with ``xi`` and its difference quotients with ``1 (x) 1``."""
+    pairing = SymbolicPairing(model)
+    system = model.system
+    unit = TensorPoly.unit(system)
+    residual = 0.0
+    for w in monomial_words(system, 0, d):
+        p = NCPoly.from_word(system, w)
+        for i in range(model.n):
+            lhs = pairing.inner_l2(xi[i], p)
+            rhs = pairing.inner_tensor(unit, diff_quotient(i, p))
+            residual = max(residual, abs(lhs - rhs))
+    fisher = float(sum(pairing.inner_l2(x, x).real for x in xi))
+    return residual, fisher
+
+
+# family -> (model, largest test degree); over B = M_2 there are 4 * 8^e
+# test words of degree e
+CONJUGATE_FAMILIES = {
+    "two-block unitary": (_unitary_pair, 6),
+    "semicircular n=2": (partial(SemicircularModel, 2), 6),
+    "two-point measure": (two_point_measure, 6),
+    "cyclic_group_model(5)": (partial(cyclic_group_model, 5), 6),
+    "M_2 over B = M_2": (m2_over_m2, 2),
+    "two-point * semicircular": (lambda: FreeProductModel(
+        [two_point_measure(), SemicircularModel(1)]), 6),
+}
+
+
+@pytest.mark.parametrize("name, d", [
+    (name, d) for name, (_, d_max) in CONJUGATE_FAMILIES.items()
+    for d in range(d_max + 1)])
+@settings(derandomize=True, max_examples=4, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_conjugate_check_matches_the_symbolic_reference(name, d, seed):
+    model = CONJUGATE_FAMILIES[name][0]()
+    rng = random.Random(seed)
+    xi = tuple(random_element(model.system, rng, 2, rng.randint(0, 3))
+               for _ in range(model.n))
+    rep = conjugate_variable_check(model, xi, d=d)
+    residual, fisher = _conjugate_check_reference(model, xi, d)
+    assert abs(rep.residual - residual) <= 1e-12 * max(1.0, residual)
+    assert abs(rep.fisher_info - fisher) <= 1e-12 * max(1.0, fisher)
 
 
 # -- adjoint action ------------------------------------------------------------------

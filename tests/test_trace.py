@@ -5,8 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_word, word_of
-from free_stein.errors import ModelError
+from conftest import (PushForwardModel, SymbolicPairing, _unitary_pair,
+                      inner_hs, m2_over_m2, random_element, random_word,
+                      word_of)
+from free_stein.errors import DegreeCapError, ModelError
 from free_stein.ncalg import (KernelMatrix, NCPoly,
                               TensorPoly, commutator_stein_kernel,
                               generator_tuple)
@@ -125,9 +127,9 @@ def test_inner_product_examples(semicircular1, semicircular2, twopoint_measure):
     assert abs(s2.inner_tensor(w, w) - 1) < 1e-14
 
     I2 = KernelMatrix.identity(s2.system)
-    assert abs(s2.inner_hs(I2, I2) - 2) < 1e-14
+    assert abs(inner_hs(s2, I2, I2) - 2) < 1e-14
     Z = KernelMatrix.zero(s2.system)
-    assert abs(s2.inner_hs(I2, Z)) < 1e-14
+    assert abs(inner_hs(s2, I2, Z)) < 1e-14
 
 
 def test_commutator_kernel_hs_distance(semicircular1):
@@ -136,7 +138,65 @@ def test_commutator_kernel_hs_distance(semicircular1):
     s1 = semicircular1
     X = generator_tuple(s1.system)
     D = commutator_stein_kernel(X, X) - KernelMatrix.identity(s1.system)
-    assert abs(s1.inner_hs(D, D) - 1.5) < 1e-12
+    assert abs(inner_hs(s1, D, D) - 1.5) < 1e-12
+
+
+def _pushed_semicircle():
+    S, = generator_tuple(SemicircularModel(1, cap=24).system)
+    return PushForwardModel(SemicircularModel(1, cap=24), (S, S * S))
+
+
+PAIRING_FAMILIES = {
+    "semicircular n=2": lambda: SemicircularModel(2),
+    "two-point measure": two_point_measure,
+    "cyclic_group_model(5)": lambda: cyclic_group_model(5),
+    "two-block unitary": _unitary_pair,
+    "M_2 over B = M_2": m2_over_m2,
+    "two-point * semicircular": lambda: FreeProductModel(
+        [two_point_measure(), SemicircularModel(1)]),
+    "push-forward (S, S^2)": _pushed_semicircle,
+}
+
+
+def _random_tensor(system, rng):
+    acc = TensorPoly.zero(system)
+    for _ in range(rng.randint(0, 3)):
+        acc = acc + TensorPoly.from_pair(random_element(system, rng, 3, 1),
+                                         random_element(system, rng, 3, 2))
+    return acc
+
+
+@pytest.mark.parametrize("name", PAIRING_FAMILIES)
+def test_inner_products_match_the_symbolic_pair_traces(name):
+    # the table reads against the per-pair traces of symbolic product words
+    model = PAIRING_FAMILIES[name]()
+    oracle = SymbolicPairing(model)
+    rng = random.Random(29)
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    for _ in range(12):
+        p, q = (random_element(model.system, rng, 3) for _ in range(2))
+        close(model.inner_l2(p, q), oracle.inner_l2(p, q))
+        us, vs = ([_random_tensor(model.system, rng) for _ in range(2)]
+                  for _ in range(2))
+        close(model.inner_tensor(us[0], vs[0]),
+              oracle.inner_tensor(us[0], vs[0]))
+        close(model.inner_tensor_row(us, vs),
+              sum(oracle.inner_tensor(u, v) for u, v in zip(us, vs)))
+
+
+def test_inner_tensor_checks_the_cap_on_both_legs():
+    # tau(x* 1) = 0 on the left legs; the right legs need degree 3 + 2 > 4.
+    # The symbolic pairing skipped the right trace of a zero left trace, the
+    # tables check the cap on both legs
+    model = SemicircularModel(1, cap=4)
+    x, one = NCPoly.generator(model.system, 0), NCPoly.one(model.system)
+    u, v = TensorPoly.from_pair(one, x ** 3), TensorPoly.from_pair(x, x * x)
+    assert SymbolicPairing(model).inner_tensor(u, v) == 0
+    with pytest.raises(DegreeCapError, match="^product degree 5 exceeds cap 4$"):
+        model.inner_tensor(u, v)
 
 
 def test_inner_l2_sesquilinear(semicircular2, rng):
