@@ -29,7 +29,6 @@ from .trace import MatrixModel
 
 class MatrixCoordinates:
     def __init__(self, model: MatrixModel):
-        self.model = model
         basis = []
         self.blocks = []   # (coordinate slice, size, scale) per block
         off = coord = 0

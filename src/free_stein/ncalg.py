@@ -9,7 +9,10 @@ indeterminate letters,
 
 flattened to an odd-length tuple ``(b_0, i_1, b_1, ..., i_d, b_d)`` of basis
 and letter indices.  Adjacent B-coefficients are multiplied out eagerly via
-the structure constants, so equality of polynomials is equality of dicts.
+the structure constants, and no stored coefficient is zero, so equality of
+polynomials is equality of dicts.  Every exact sum of terms is formed in one
+helper, ``_collect``, which keeps keys in order of first appearance; that
+order is observable (``conjugate_variable_check`` orders its table by it).
 
 Tensors ``p (x) q`` live in ``B<T> (x) B<T>^op``; the second leg carries the
 opposite multiplication, which surfaces only through the sharp product
@@ -33,21 +36,24 @@ from .scalars import ONE, QQi
 DEFAULT_DEGREE_CAP = 12
 
 
-def _combo_mul(mul, a, b):
+def _collect(pairs) -> dict:
+    """Sum ``(key, coefficient)`` pairs per key, keys in order of first
+    appearance, and drop every key whose sum is zero."""
     acc = {}
-    for i, ci in a:
-        for j, cj in b:
-            for k, ck in mul.get((i, j), ()):
-                acc[k] = acc.get(k, QQi(0)) + ci * cj * ck
-    return tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero)
+    for k, c in pairs:
+        old = acc.get(k)
+        acc[k] = c if old is None else old + c
+    return {k: c for k, c in acc.items() if not c.is_zero}
+
+
+def _combo_mul(mul, a, b):
+    return tuple(sorted(_collect((k, ci * cj * ck) for i, ci in a for j, cj in b
+                                 for k, ck in mul.get((i, j), ())).items()))
 
 
 def _combo_star(star, a):
-    acc = {}
-    for i, ci in a:
-        for j, cj in star[i]:
-            acc[j] = acc.get(j, QQi(0)) + ci.conjugate() * cj
-    return tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero)
+    return tuple(sorted(_collect((j, ci.conjugate() * cj) for i, ci in a
+                                 for j, cj in star[i]).items()))
 
 
 @lru_cache
@@ -225,21 +231,43 @@ def _require_same(sys_a: GeneratorSystem, sys_b: GeneratorSystem):
         raise StructureError("operands belong to different generator systems")
 
 
-def _prune(terms: dict):
-    dead = [k for k, c in terms.items() if c.is_zero]
-    for k in dead:
-        del terms[k]
-    return terms
-
-
-class NCPoly:
-    """Finite exact linear combination of canonical words in B<T>."""
+class _Combination:
+    """Exact linear combination of keys over one generator system: ``terms``
+    maps each key to its coefficient, none of them zero."""
 
     __slots__ = ("system", "terms")
 
     def __init__(self, system: GeneratorSystem, terms: dict):
         self.system = system
         self.terms = terms
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _plus(self, other):
+        _require_same(self.system, other.system)
+        return type(self)(self.system, _collect(itertools.chain(
+            self.terms.items(), other.terms.items())))
+
+    def _scaled(self, scalar):
+        c = QQi.of(scalar)
+        if c.is_zero:
+            return type(self)(self.system, {})
+        return type(self)(self.system, {k: ck * c for k, ck in self.terms.items()})
+
+    def __neg__(self):
+        return type(self)(self.system, {k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.system == other.system
+                and self.terms == other.terms)
+
+
+class NCPoly(_Combination):
+    """Finite exact linear combination of canonical words in B<T>."""
+
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------------
 
@@ -255,12 +283,9 @@ class NCPoly:
     def generator(system, i) -> "NCPoly":
         if not 0 <= i < system.n:
             raise StructureError(f"generator index {i} out of range")
-        terms = {}
-        for (lw, lc) in system.unit_word_terms():
-            for (rw, rc) in system.unit_word_terms():
-                w = lw + (i,) + rw
-                terms[w] = terms.get(w, QQi(0)) + lc * rc
-        return NCPoly(system, _prune(terms))
+        units = system.unit_word_terms()
+        return NCPoly(system, _collect((lw + (i,) + rw, lc * rc)
+                                       for lw, lc in units for rw, rc in units))
 
     @staticmethod
     def b_element(system, k) -> "NCPoly":
@@ -280,10 +305,6 @@ class NCPoly:
 
     # -- structure -------------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Largest number of indeterminate letters in a word; 0 for the zero poly."""
         return max((len(w) // 2 for w in self.terms), default=0)
@@ -296,11 +317,7 @@ class NCPoly:
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             other = NCPoly.scalar(self.system, other)
-        _require_same(self.system, other.system)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, QQi(0)) + c
-        return NCPoly(self.system, _prune(terms))
+        return self._plus(other)
 
     __radd__ = __add__
 
@@ -312,22 +329,14 @@ class NCPoly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __neg__(self):
-        return NCPoly(self.system, {w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            _require_same(self.system, other.system)
-            terms = {}
-            for w, cw in self.terms.items():
-                for v, cv in other.terms.items():
-                    for u, cu in self.system.mul_words(w, v):
-                        terms[u] = terms.get(u, QQi(0)) + cw * cv * cu
-            return NCPoly(self.system, _prune(terms))
-        c = QQi.of(other)
-        if c.is_zero:
-            return NCPoly.zero(self.system)
-        return NCPoly(self.system, {w: cw * c for w, cw in self.terms.items()})
+        if not isinstance(other, NCPoly):
+            return self._scaled(other)
+        _require_same(self.system, other.system)
+        mul_words = self.system.mul_words
+        return NCPoly(self.system, _collect(
+            (u, cw * cv * cu) for w, cw in self.terms.items()
+            for v, cv in other.terms.items() for u, cu in mul_words(w, v)))
 
     def __rmul__(self, other):
         # scalars commute; NCPoly * NCPoly never reaches here
@@ -343,15 +352,10 @@ class NCPoly:
 
     def adjoint(self) -> "NCPoly":
         """Conjugate-linear anti-automorphism: reverse words, star letters and slots."""
-        terms = {}
-        for w, c in self.terms.items():
-            for v, cv in self.system.adjoint_word(w):
-                terms[v] = terms.get(v, QQi(0)) + c.conjugate() * cv
-        return NCPoly(self.system, _prune(terms))
-
-    def __eq__(self, other):
-        return (isinstance(other, NCPoly) and self.system == other.system
-                and self.terms == other.terms)
+        adjoint_word = self.system.adjoint_word
+        return NCPoly(self.system, _collect(
+            (v, c.conjugate() * cv) for w, c in self.terms.items()
+            for v, cv in adjoint_word(w)))
 
     def __repr__(self):
         if self.is_zero:
@@ -363,18 +367,14 @@ class NCPoly:
         return f"NCPoly({' + '.join(bits)}{more})"
 
 
-class TensorPoly:
+class TensorPoly(_Combination):
     """Finite linear combination of elementary tensors ``p (x) q^op``.
 
     Keys are pairs of canonical words; the opposite structure of the second
     leg shows up in :meth:`sharp`, not in storage.
     """
 
-    __slots__ = ("system", "terms")
-
-    def __init__(self, system: GeneratorSystem, terms: dict):
-        self.system = system
-        self.terms = terms
+    __slots__ = ()
 
     @staticmethod
     def zero(system) -> "TensorPoly":
@@ -383,21 +383,14 @@ class TensorPoly:
     @staticmethod
     def from_pair(p: NCPoly, q: NCPoly) -> "TensorPoly":
         _require_same(p.system, q.system)
-        terms = {}
-        for w, cw in p.terms.items():
-            for v, cv in q.terms.items():
-                key = (w, v)
-                terms[key] = terms.get(key, QQi(0)) + cw * cv
-        return TensorPoly(p.system, _prune(terms))
+        return TensorPoly(p.system, _collect(
+            ((w, v), cw * cv) for w, cw in p.terms.items()
+            for v, cv in q.terms.items()))
 
     @staticmethod
     def unit(system) -> "TensorPoly":
         """The tensor ``1 (x) 1``."""
         return TensorPoly.from_pair(NCPoly.one(system), NCPoly.one(system))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Largest combined letter count over both legs."""
@@ -410,50 +403,32 @@ class TensorPoly:
     def __add__(self, other):
         if not isinstance(other, TensorPoly):
             return NotImplemented
-        _require_same(self.system, other.system)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, QQi(0)) + c
-        return TensorPoly(self.system, _prune(terms))
+        return self._plus(other)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self):
-        return TensorPoly(self.system, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        c = QQi.of(scalar)
-        if c.is_zero:
-            return TensorPoly.zero(self.system)
-        return TensorPoly(self.system, {k: ck * c for k, ck in self.terms.items()})
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _Combination._scaled
 
     def sharp(self, other):
         """Sharp product: against a tensor, ``(a(x)b)#(c(x)d) = ac (x) db``;
         against a polynomial, ``(a(x)b)#c = acb``."""
         sysm = self.system
+        mul = sysm.mul_words
         if isinstance(other, TensorPoly):
             _require_same(sysm, other.system)
-            terms = {}
-            for (a, b), c1 in self.terms.items():
-                for (cw, dw), c2 in other.terms.items():
-                    for left, cl in sysm.mul_words(a, cw):
-                        for right, cr in sysm.mul_words(dw, b):
-                            key = (left, right)
-                            coeff = c1 * c2 * cl * cr
-                            terms[key] = terms.get(key, QQi(0)) + coeff
-            return TensorPoly(sysm, _prune(terms))
+            return TensorPoly(sysm, _collect(
+                ((left, right), c1 * c2 * cl * cr)
+                for (a, b), c1 in self.terms.items()
+                for (cw, dw), c2 in other.terms.items()
+                for left, cl in mul(a, cw) for right, cr in mul(dw, b)))
         if isinstance(other, NCPoly):
             _require_same(sysm, other.system)
-            terms = {}
-            for (a, b), c1 in self.terms.items():
-                for cw, c2 in other.terms.items():
-                    for mid, cm in sysm.mul_words(a, cw):
-                        for full, cf in sysm.mul_words(mid, b):
-                            terms[full] = terms.get(full, QQi(0)) + c1 * c2 * cm * cf
-            return NCPoly(sysm, _prune(terms))
+            return NCPoly(sysm, _collect(
+                (full, c1 * c2 * cm * cf)
+                for (a, b), c1 in self.terms.items()
+                for cw, c2 in other.terms.items()
+                for mid, cm in mul(a, cw) for full, cf in mul(mid, b)))
         raise TypeError("sharp expects a TensorPoly or NCPoly")
 
     def adjoint(self) -> "TensorPoly":
@@ -461,17 +436,10 @@ class TensorPoly:
 
         This is the conjugation that makes ``(u # v)^* = v^* # u^*`` hold.
         """
-        terms = {}
-        for (a, b), c in self.terms.items():
-            for aw, ca in self.system.adjoint_word(a):
-                for bw, cb in self.system.adjoint_word(b):
-                    key = (aw, bw)
-                    terms[key] = terms.get(key, QQi(0)) + c.conjugate() * ca * cb
-        return TensorPoly(self.system, _prune(terms))
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorPoly) and self.system == other.system
-                and self.terms == other.terms)
+        adjoint_word = self.system.adjoint_word
+        return TensorPoly(self.system, _collect(
+            ((aw, bw), c.conjugate() * ca * cb) for (a, b), c in self.terms.items()
+            for aw, ca in adjoint_word(a) for bw, cb in adjoint_word(b)))
 
     def __repr__(self):
         if self.is_zero:
@@ -539,26 +507,16 @@ class KernelMatrix:
         if isinstance(other, KernelMatrix):
             if other.size != self.size:
                 raise StructureError("kernel matrix size mismatch")
-            out = []
-            for i in range(self.size):
-                row = []
-                for j in range(self.size):
-                    acc = TensorPoly.zero(self.system)
-                    for k in range(self.size):
-                        acc = acc + self.entries[i][k].sharp(other.entries[k][j])
-                    row.append(acc)
-                out.append(row)
-            return KernelMatrix(self.system, out)
+            zero = TensorPoly.zero(self.system)
+            return KernelMatrix(self.system, [
+                [sum((a.sharp(b) for a, b in zip(row, col)), zero)
+                 for col in zip(*other.entries)] for row in self.entries])
         other = tuple(other)
         if len(other) != self.size:
             raise StructureError("tuple length must match kernel size")
-        out = []
-        for i in range(self.size):
-            acc = NCPoly.zero(self.system)
-            for j in range(self.size):
-                acc = acc + self.entries[i][j].sharp(other[j])
-            out.append(acc)
-        return tuple(out)
+        zero = NCPoly.zero(self.system)
+        return tuple(sum((a.sharp(p) for a, p in zip(row, other)), zero)
+                     for row in self.entries)
 
     def adjoint(self) -> "KernelMatrix":
         """Conjugate transpose with the tensor involution on entries."""
@@ -582,14 +540,9 @@ def diff_quotient(i: int, p: NCPoly) -> TensorPoly:
     sysm = p.system
     if not 0 <= i < sysm.n:
         raise StructureError(f"derivation index {i} out of range")
-    terms = {}
-    for w, c in p.terms.items():
-        d = len(w) // 2
-        for j in range(1, d + 1):
-            if w[2 * j - 1] == i:
-                key = (w[:2 * j - 1], w[2 * j:])
-                terms[key] = terms.get(key, QQi(0)) + c
-    return TensorPoly(sysm, _prune(terms))
+    return TensorPoly(sysm, _collect(
+        ((w[:j], w[j + 1:]), c) for w, c in p.terms.items()
+        for j in range(1, len(w), 2) if w[j] == i))
 
 
 def gradient(p: NCPoly) -> tuple:
@@ -661,8 +614,6 @@ def transform_kernel(a: Sequence[TensorPoly], f: Sequence[NCPoly]) -> tuple:
     out = []
     for fk in f:
         _require_same(sysm, fk.system)
-        acc = TensorPoly.zero(sysm)
-        for i in range(sysm.n):
-            acc = acc + a[i].sharp(diff_quotient(i, fk).adjoint())
-        out.append(acc)
+        out.append(sum((ai.sharp(diff_quotient(i, fk).adjoint())
+                        for i, ai in enumerate(a)), TensorPoly.zero(sysm)))
     return tuple(out)

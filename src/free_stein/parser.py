@@ -46,7 +46,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, system: GeneratorSystem):
-        self.text = text
         self.system = system
         self.tokens = _tokenize(text)
         self.i = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import StructureError
-from .ncalg import GeneratorSystem, NCPoly
+from .ncalg import GeneratorSystem, NCPoly, _collect
 from .scalars import QQi
 
 
@@ -63,13 +63,9 @@ def poly_to_json(p: NCPoly):
 def poly_from_json(data, system: GeneratorSystem) -> NCPoly:
     if data.get("n") != system.n or data.get("b_dim") != system.b.dim:
         raise StructureError("serialized polynomial does not match the generator system")
-    terms = {}
-    for item in data["terms"]:
-        w = word_from_json(item["word"], system)
-        c = coeff_from_json(item["coeff"])
-        if not c.is_zero:
-            terms[w] = terms.get(w, QQi(0)) + c
-    return NCPoly(system, terms)
+    return NCPoly(system, _collect((word_from_json(item["word"], system),
+                                    coeff_from_json(item["coeff"]))
+                                   for item in data["terms"]))
 
 
 def poly_tuple_to_json(polys):

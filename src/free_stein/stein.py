@@ -82,7 +82,7 @@ import numpy as np
 from .errors import DegreeCapError, ModelError, StructureError
 from .fdalg import MatrixCoordinates
 from .ncalg import (GeneratorSystem, KernelMatrix, NCPoly, TensorPoly,
-                    diff_quotient)
+                    _collect, diff_quotient)
 from .scalars import QQi
 from .serialize import poly_tuple_to_json
 from .trace import MatrixModel, TraceModel, real_if_exact
@@ -1147,12 +1147,9 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
 def _partial_trace(model, t: TensorPoly, keep: int) -> NCPoly:
     """Trace out one leg: ``keep=0`` gives (1 (x) tau)(a (x) b) = tau(b) a,
     ``keep=1`` gives (tau (x) 1)(a (x) b) = tau(a) b."""
-    acc = NCPoly.zero(t.system)
-    for legs, c in t.terms.items():
-        tr = model.trace_word(legs[1 - keep])
-        if tr != 0:
-            acc = acc + NCPoly.from_word(t.system, legs[keep], c * QQi.of(tr))
-    return acc
+    return NCPoly(t.system, _collect(
+        (legs[keep], c * QQi.of(tr)) for legs, c in t.terms.items()
+        if (tr := model.trace_word(legs[1 - keep])) != 0))
 
 
 def adjoint_action(model: TraceModel, eta, p: NCPoly, q: NCPoly,

@@ -47,6 +47,25 @@ def test_mul_unit_and_cancellation():
     assert ((T1 + T2) - (T1 + T2)).is_zero
 
 
+def test_collect_sums_in_first_appearance_order():
+    a, b, c = (0, 0, 0), (0, 1, 0), (0, 1, 0, 0, 0)
+    got = ncalg._collect([(a, QQi(1)), (b, QQi(2)), (a, QQi(-1)), (a, QQi(3))])
+    assert got == {a: QQi(3), b: QQi(2)}
+    assert list(got) == [a, b]
+    # a key whose sum cancels is dropped, even when it came first
+    got = ncalg._collect([(c, QQi(1, 2)), (b, QQi(1)), (c, QQi(-1, -2))])
+    assert list(got.items()) == [(b, QQi(1))]
+    assert ncalg._collect([]) == {}
+
+
+def test_sums_keep_first_appearance_order():
+    p = T2 + T1 * T2 + T1
+    assert list(p.terms) == [(0, 1, 0), (0, 0, 0, 1, 0), (0, 0, 0)]
+    q = p + (-T1 * T2) + T1 * T2
+    assert list(q.terms) == [(0, 1, 0), (0, 0, 0), (0, 0, 0, 1, 0)]
+    assert list(diff_quotient(1, p).terms) == [((0,), (0,)), ((0, 0, 0), (0,))]
+
+
 def test_mul_associative_random(rng):
     for _ in range(25):
         p = random_poly(S2, rng, 3)

@@ -81,6 +81,18 @@ def test_coeff_rationals_roundtrip(num, den, im):
     assert poly_from_json(poly_to_json(p), S2) == p
 
 
+def test_poly_from_json_drops_cancelled_words():
+    word = [["b", 0], ["t", 1], ["b", 0]]
+    data = {"n": 2, "b_dim": 1,
+            "terms": [{"word": word, "coeff": ["1", "0"]},
+                      {"word": word, "coeff": ["-1", "0"]}]}
+    p = poly_from_json(data, S2)
+    assert p.terms == {}
+    assert p.is_zero and p == NCPoly.zero(S2) and p.degree() == 0
+    data["terms"].append({"word": [["b", 0]], "coeff": ["2", "0"]})
+    assert poly_from_json(data, S2) == NCPoly.scalar(S2, 2)
+
+
 def test_roundtrip_rejects_wrong_system():
     p = T1 + T2
     with pytest.raises(StructureError):
