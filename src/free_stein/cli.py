@@ -275,7 +275,7 @@ def _cf_eps_kernel(args) -> int:
 
 
 def _cf_log_energy(args) -> int:
-    val = log_energy(_load(args, MeasureModel, "measure"), level=args.level)
+    val = log_energy(_load(args, MeasureModel, "measure"))
     finite = abs(val) != float("inf")
     return _write_json(args, {"schema": "free-stein/1", "kind": "log-energy",
                               "value": val if val == val and finite else "-inf",
@@ -388,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "smoothed difference-quotient kernel bound of a measure")
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--grid", type=int, default=41)
-    p = command(forms, "log-energy", _cf_log_energy,
-                "logarithmic energy of a measure")
-    p.add_argument("--level", type=int, default=10)
+    command(forms, "log-energy", _cf_log_energy,
+            "logarithmic energy of a measure")
     p = command(forms, "staircase", _cf_staircase,
                 "log-energy trail of the staircase measure", model=False)
     p.add_argument("--levels", type=int, default=6)

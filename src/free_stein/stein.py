@@ -797,43 +797,34 @@ def degree_sweep(model: TraceModel, dxi_max: int, offset: int = 2) -> list:
 
 def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
                     radius: float) -> float:
-    """The multiplier ``lam > 0`` at which ``||u(lam)||_F = radius`` to
+    """The multiplier ``lam >= 0`` at which ``||u(lam)||_F = radius > 0`` to
     ``max(1e-10, 4 ulp(radius))``, where ``||u(lam)||^2 = sum_j weights[j] /
-    (sv2[j] + lam)^2``, for ``0 < radius < ||u(0)||``.
+    (sv2[j] + lam)^2``; 0 when ``||u(0)|| <= radius + 1e-12``.
 
-    ``1/||u(lam)|| - 1/radius`` is increasing, concave and nearly linear in
-    ``lam``, so Newton's method converges fast on it (Moré & Sorensen,
-    "Computing a trust region step", 1983).  Doubling from ``max(sv2[0],
-    1)`` brackets the root in ``[lo, hi]``, and Newton starts at ``hi``: from
-    the right a step may overshoot past ``lo``, and a step that leaves the
-    bracket is replaced by its midpoint; every evaluation narrows the
-    bracket.  From the left a step never overshoots, so once an iterate
-    lies left of the root the steps close in on it from below.  From
-    ``radius`` = 2**17 on, 1e-10 is less than 4 ulps of the radius, below
-    the rounding of the norm itself, so the tolerance is 4 ulps there; a
-    norm that never meets it raises ``ModelError``.
+    ``1/||u(lam)|| - 1/radius`` is increasing and concave in ``lam``, so
+    Newton's method from ``lam = 0``, left of the root, never overshoots:
+    up to rounding every step lands between the iterate and the root, and
+    the iterates rise monotonically onto it, with no bracket (Moré &
+    Sorensen, "Computing a trust region step", 1983).  The norm divides
+    twice and the step takes the relative gap first, so a radius as small
+    as 1e-300 neither overflows nor divides by zero.  From ``radius`` =
+    2**17 on, 1e-10 is less than 4 ulps of the radius, below the rounding
+    of the norm itself, so the tolerance is 4 ulps there; a norm that never
+    meets it raises ``ModelError``.
     """
     def size(lam):
-        return math.sqrt(float(np.sum(weights / (sv2 + lam) ** 2)))
+        return math.sqrt(float(np.sum(weights / (sv2 + lam) / (sv2 + lam))))
 
     tol = max(1e-10, 4 * math.ulp(radius))
-    lo, hi = 0.0, max(float(sv2[0]), 1.0)
-    while (norm := size(hi)) > radius:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e36:
-            raise ModelError("failed to bracket the KKT multiplier")
-    lam = hi
+    lam = 0.0
+    if (norm := size(lam)) <= radius + 1e-12:
+        return lam
     for _ in range(300):
         if abs(norm - radius) <= tol:
             return lam
-        if norm > radius:
-            lo = lam
-        else:
-            hi = lam
         # d(1/||u||)/dlam = sum_j weights[j] / (sv2[j] + lam)^3 / ||u||^3
         slope = float(np.sum(weights / (sv2 + lam) ** 3))
-        step = lam + norm ** 2 * (norm - radius) / (radius * slope)
-        lam = step if lo < step < hi else 0.5 * (lo + hi)
+        lam += norm ** 2 * ((norm - radius) / radius) / slope
         norm = size(lam)
     raise ModelError(f"the KKT multiplier did not meet the radius {radius!r}: "
                      f"the norm stays {abs(norm - radius):.3g} from it")
@@ -846,14 +837,15 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     The slots share the design and the candidate Gram, so one SVD serves
     all n right-hand sides; only the bound ``||xi||_2 <= radius`` couples
     them, through the Frobenius norm of the whitened coefficients and one
-    KKT multiplier.  Interior solutions reuse the unconstrained least
-    squares; on the boundary the multiplier takes safeguarded Newton steps
-    (:func:`_kkt_multiplier`) until the candidate norm matches the radius
-    to 1e-10, or to 4 ulps of a radius of 2**17 or more.  The shrink
-    numerators and the per-singular-value weights, their squared moduli
-    summed over the slots, are formed once.  Each report holds ``xi`` as
-    the deferred ``partial(_assemble_xi, ...)``, built on its first read:
-    ``bounded``, ``sweep-radius`` and ``alpha`` never read it.
+    KKT multiplier.  Every nonzero radius takes the one shrink ``u = Vh^H
+    (num / (sv2 + lam))``: the multiplier is 0 inside the ball, and on its
+    boundary Newton steps from 0 (:func:`_kkt_multiplier`) until the
+    candidate norm matches the radius to 1e-10, or to 4 ulps of a radius of
+    2**17 or more.  The shrink numerators and the per-singular-value
+    weights, their squared moduli summed over the slots, are formed once.
+    Each report holds ``xi`` as the deferred ``partial(_assemble_xi,
+    ...)``, built on its first read: ``bounded``, ``sweep-radius`` and
+    ``alpha`` never read it.
     """
     # the candidate Gram pairs two candidates of degree d_xi
     need, cap = 2 * scheme.d_xi, model.system.cap
@@ -867,24 +859,20 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
     U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     svkeep = sv > RCOND * (sv[0] if len(sv) else 1.0)
     U, sv, Vh = U[:, svkeep], sv[svkeep], Vh[svkeep]
-    beta = U.conj().T @ B
-    u_free = Vh.conj().T @ (beta / sv[:, None])
-
-    num, sv2 = sv[:, None] * beta, sv ** 2
+    num, sv2 = sv[:, None] * (U.conj().T @ B), sv ** 2
     weights = np.sum(np.abs(num) ** 2, axis=1)
 
     def solve(radius: float) -> DiscrepancyReport:
         if radius == 0:
             u = np.zeros((T.shape[1], model.n))
             diagnostics = {"multiplier": None, "boundary": True}
-        elif np.linalg.norm(u_free) <= radius + 1e-12:
-            u = u_free
-            diagnostics = {"multiplier": 0.0, "boundary": False}
         else:
             lam = _kkt_multiplier(weights, sv2, radius)
             u = Vh.conj().T @ (num / (sv2 + lam)[:, None])
-            diagnostics = {"multiplier": lam, "boundary": True,
-                           "norm_gap": abs(float(np.linalg.norm(u)) - radius)}
+            diagnostics = {"multiplier": lam, "boundary": lam > 0}
+            if lam:
+                diagnostics["norm_gap"] = abs(float(np.linalg.norm(u))
+                                              - radius)
         Y = T @ u
         value = float(np.linalg.norm(Z @ Y - B))
         diagnostics["radius"] = radius

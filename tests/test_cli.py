@@ -78,6 +78,15 @@ def test_sweep_radius_is_bounded(specs, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_tiny_radius_gives_the_radius_zero_value(specs, capsys):
+    # the multiplier of R = 1e-40 is near 1e40: a valid radius, solved
+    assert run(["bounded", "--model", specs["semicircular1"], "--dxi", "2",
+                "--radii", "0,1e-40"]) == 0
+    zero, tiny = json.loads(capsys.readouterr().out)["points"]
+    assert tiny["diagnostics"]["boundary"] is True
+    assert abs(tiny["value"] - zero["value"]) <= 1e-12
+
+
 def test_discrepancy_and_conjugate(specs, tmp_path):
     out = tmp_path / "disc.json"
     code = run(["discrepancy", "--model", specs["semicircular1"],
@@ -373,10 +382,10 @@ def test_each_command_takes_only_the_options_it_reads():
         "compressed": {"--out", "--pairs"},
         "graph": {"--out", "--graph"},
         "eps-kernel": model | {"--eps", "--grid"},
-        "log-energy": model | {"--level"},
+        "log-energy": model,
         "staircase": {"--out", "--levels"},
     }
-    assert sum(len(opts) for opts in forms.values()) == 27
+    assert sum(len(opts) for opts in forms.values()) == 26
 
 
 @pytest.mark.parametrize("argv", [
@@ -384,6 +393,8 @@ def test_each_command_takes_only_the_options_it_reads():
     ["closed-form", "group", "--eps", "0.5"],
     ["closed-form", "one-var", "--model", "{twopoint}", "--levels", "3"],
     ["closed-form", "staircase", "--cap", "3"],
+    # the log energy refines to a fixed depth, so it takes no --level
+    ["closed-form", "log-energy", "--model", "{twopoint}", "--level", "10"],
     # an option before the form name
     ["closed-form", "--model", "{twopoint}", "one-var"],
     # a form without its required input
