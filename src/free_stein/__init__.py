@@ -18,22 +18,20 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "closedform": ("CompressedGeneratorSpec", "GraphSpec",
-                   "compressed_semicircular_sigma", "eigenvalue_sigma",
-                   "eps_kernel", "fd_sigma", "finite_group_sigma",
-                   "graph_sigma", "group_sigma", "log_energy",
-                   "one_var_sigma", "staircase_energy_trail"),
+                   "compressed_semicircular_sigma", "eps_kernel", "fd_sigma",
+                   "finite_group_sigma", "graph_sigma", "group_sigma",
+                   "log_energy", "one_var_sigma", "staircase_energy_trail"),
     "errors": ("DegreeCapError", "FreeSteinError", "ModelError", "ParseError",
                "QuadratureError", "StructureError"),
     "ncalg": ("BAlgebra", "GeneratorSystem", "KernelMatrix", "NCPoly",
               "TensorPoly", "commutator_stein_kernel", "diff_quotient",
-              "generator_tuple", "gradient", "jacobian", "transform_kernel"),
+              "generator_tuple", "gradient"),
     "parser": ("parse_poly", "parse_poly_tuple"),
     "scalars": ("QQi",),
     "stein": ("DegreeScheme", "DiscrepancyReport", "GramSystem", "SigmaReport",
-              "adjoint_action", "alpha_estimate", "conjugate_variable_check",
-              "degree_sweep", "discrepancy", "irregularity_bounded",
-              "irregularity_estimate", "join_free_factors", "matrix_to_poly",
-              "radius_sweep", "sigma_exact_fd", "solve_adjoint_fd"),
+              "alpha_estimate", "conjugate_variable_check", "degree_sweep",
+              "discrepancy", "irregularity_bounded", "irregularity_estimate",
+              "radius_sweep", "sigma_exact_fd"),
     "trace": ("FreeProductModel", "MatrixModel", "MeasureModel",
               "SemicircleDensity", "SemicircularModel", "TableDensity",
               "TraceModel", "UniformDensity", "catalan", "cyclic_group_model",

@@ -71,19 +71,6 @@ def one_var_sigma(measure):
     return sig2, 1 - sig2
 
 
-def eigenvalue_sigma(multiplicities, size=None):
-    """Atoms of a self-adjoint matrix under the normalized trace: squared
-    irregularity ``sum (m_j / N)^2`` over the distinct-eigenvalue
-    multiplicities."""
-    mult = [int(m) for m in multiplicities]
-    if any(m < 1 for m in mult):
-        raise ModelError("multiplicities must be positive integers")
-    N = int(size) if size is not None else sum(mult)
-    if sum(mult) != N:
-        raise ModelError("multiplicities must sum to the matrix size")
-    return one_var_sigma([(j, Fraction(m, N)) for j, m in enumerate(mult)])
-
-
 def fd_sigma(blocks) -> Fraction:
     """Stein dimension of any generating tuple of a multi-matrix algebra:
     ``1 - sum lambda_i^2 / k_i^2``."""

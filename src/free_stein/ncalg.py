@@ -550,21 +550,6 @@ def gradient(p: NCPoly) -> tuple:
     return tuple(diff_quotient(i, p) for i in range(p.system.n))
 
 
-def jacobian(polys: Sequence[NCPoly]) -> KernelMatrix:
-    """Noncommutative Jacobian: entry (i, j) is d_j applied to the i-th entry."""
-    polys = tuple(polys)
-    if not polys:
-        raise StructureError("empty tuple has no Jacobian")
-    sysm = polys[0].system
-    if len(polys) != sysm.n:
-        raise StructureError(
-            f"tuple length {len(polys)} must equal the generator count {sysm.n}")
-    for p in polys:
-        _require_same(sysm, p.system)
-    return KernelMatrix(sysm, [[diff_quotient(j, p) for j in range(sysm.n)]
-                               for p in polys])
-
-
 def generator_tuple(system: GeneratorSystem) -> tuple:
     return tuple(NCPoly.generator(system, i) for i in range(system.n))
 
@@ -596,24 +581,3 @@ def commutator_stein_kernel(xi: Sequence[NCPoly], x: Sequence[NCPoly]) -> Kernel
     right = [comm(g) for g in x]
     return KernelMatrix(sysm, [[left[i].sharp(right[j]) * half
                                 for j in range(len(x))] for i in range(len(xi))])
-
-
-def transform_kernel(a: Sequence[TensorPoly], f: Sequence[NCPoly]) -> tuple:
-    """Push a row of tensors through a polynomial change of variables.
-
-    Returns the row ``a # J(f)^*`` with entries ``sum_i a_i # (d_i f_k)^*``;
-    when ``f`` is the identity tuple the row is returned unchanged.
-    """
-    a = tuple(a)
-    f = tuple(f)
-    if not a:
-        raise StructureError("empty tensor row")
-    sysm = a[0].system
-    if len(a) != sysm.n:
-        raise StructureError("tensor row length must equal the generator count")
-    out = []
-    for fk in f:
-        _require_same(sysm, fk.system)
-        out.append(sum((ai.sharp(diff_quotient(i, fk).adjoint())
-                        for i, ai in enumerate(a)), TensorPoly.zero(sysm)))
-    return tuple(out)

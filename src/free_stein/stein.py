@@ -81,8 +81,7 @@ import numpy as np
 
 from .errors import DegreeCapError, ModelError, StructureError
 from .fdalg import MatrixCoordinates
-from .ncalg import (GeneratorSystem, KernelMatrix, NCPoly, TensorPoly,
-                    _collect, diff_quotient)
+from .ncalg import GeneratorSystem, KernelMatrix, NCPoly
 from .scalars import QQi
 from .serialize import poly_tuple_to_json
 from .trace import MatrixModel, TraceModel, real_if_exact
@@ -577,67 +576,6 @@ class _GramView:
         return (self.vecs.conj().T @ r.T).T / np.sqrt(self.vals)
 
 
-def _coords(model: MatrixModel) -> MatrixCoordinates:
-    """The model's matrix coordinates, built on first use."""
-    if "_fd_coords" not in model.__dict__:
-        model._fd_coords = MatrixCoordinates(model)
-    return model._fd_coords
-
-
-def _word_table(model: MatrixModel, d: int) -> tuple:
-    """``(words, E, S)`` over the monomial words of degree up to ``d``.
-
-    ``words`` is in ``monomial_words`` order, ``E`` (D x words) holds their
-    coordinates and ``S`` (words x n*D*D) their split coordinates:
-    ``S[w, letter]`` sums ``ev(left) (x) ev(right)`` over the splits ``w =
-    left letter right``.  The words are evaluated level by level: the
-    degree-e words are the degree-(e-1) words times a letter times a B slot,
-    which is both the order of ``monomial_words`` and the product order of
-    ``MatrixModel.eval_word``.
-
-    ``S`` is summed without a scatter, by degree blocks: the degree-e words
-    with letter ``i`` after a prefix of degree ``j`` are the slice ``[:, i,
-    :]`` of the ``(|L_j|, n, |L_(e-1-j)|)`` reshape of the degree-e range
-    (``L_j`` the degree-j words), so the splits after prefix degree ``j`` add
-    ``ev[L_j] (x) ev[L_(e-1-j)]`` on the letter diagonal ``[:, i, :, i]`` of
-    the degree-e rows of ``S`` viewed as ``(|L_j|, n, |L_(e-1-j)|, n, D,
-    D)``, in ascending ``j``.
-
-    The table is computed in the dtype of the model's data: ``E`` and ``S``
-    are real exactly when every generator and B matrix is real (no entry has
-    a nonzero imaginary part), and complex otherwise.  Each coordinate is
-    one matrix entry times a real scale, so no step of the table mixes the
-    real and imaginary parts.
-    """
-    system = model.system
-    if d > system.cap:
-        raise DegreeCapError(
-            f"d={d} needs words of degree {d}, beyond the cap {system.cap}")
-    coords = _coords(model)
-    n, D, dim = model.n, coords.D, model.dim
-    gens = real_if_exact(np.stack(model.gen_mats))
-    bs = real_if_exact(np.stack(model.b_mats))
-    level = bs
-    ev = [coords.coords(level)]
-    for _ in range(d):
-        level = ((level[:, None] @ gens[None])[:, :, None] @ bs[None, None])
-        level = level.reshape(-1, dim, dim)
-        ev.append(coords.coords(level))
-    sizes = [len(e) for e in ev]
-    offsets = np.cumsum([0] + sizes)
-    S = np.zeros((offsets[-1], n, D, D), dtype=np.result_type(*ev))
-    for e in range(1, d + 1):
-        rows = S[offsets[e]:offsets[e + 1]]
-        for j in range(e):
-            o = rows.reshape(sizes[j], n, sizes[e - 1 - j], n, D, D)
-            term = ev[j][:, None, :, None] * ev[e - 1 - j][None, :, None, :]
-            for i in range(n):
-                diag = o[:, i, :, i]
-                diag += term
-    words = monomial_words(system, 0, d)
-    return words, np.concatenate(ev).T, S.reshape(len(S), n * D * D)
-
-
 # ---------------------------------------------------------------------------
 # discrepancy and irregularity
 # ---------------------------------------------------------------------------
@@ -807,7 +745,10 @@ def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
     the iterates rise monotonically onto it, with no bracket (Moré &
     Sorensen, "Computing a trust region step", 1983).  The norm divides
     twice and the step takes the relative gap first, so a radius as small
-    as 1e-300 neither overflows nor divides by zero.  From ``radius`` =
+    as 1e-300 neither overflows nor divides by zero.  The root is about
+    ``sqrt(sum(weights)) / radius`` for a small radius; where that leaves
+    the floats (a subnormal radius and unit weights), the multiplier
+    overflows, and that raises ``ModelError``.  From ``radius`` =
     2**17 on, 1e-10 is less than 4 ulps of the radius, below the rounding
     of the norm itself, so the tolerance is 4 ulps there; a norm that never
     meets it raises ``ModelError``.
@@ -825,6 +766,9 @@ def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
         # d(1/||u||)/dlam = sum_j weights[j] / (sv2[j] + lam)^3 / ||u||^3
         slope = float(np.sum(weights / (sv2 + lam) ** 3))
         lam += norm ** 2 * ((norm - radius) / radius) / slope
+        if np.isinf(lam):
+            raise ModelError(f"the KKT multiplier overflows at the radius "
+                             f"{radius!r}: it exceeds the largest float")
         norm = size(lam)
     raise ModelError(f"the KKT multiplier did not meet the radius {radius!r}: "
                      f"the norm stays {abs(norm - radius):.3g} from it")
@@ -1011,7 +955,7 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     if d + 1 > system.cap:
         raise DegreeCapError(f"d={d} needs words of degree d + 1 = {d + 1}, "
                              f"beyond the cap {system.cap}")
-    coords = _coords(model)
+    coords = MatrixCoordinates(model)
     n, D = model.n, coords.D
     # C[i, b][a, :] = coords(f_a x_i b) for the basis matrices f_a, and
     # ev_b[b] = coords(b), in the dtype of the model's data
@@ -1080,21 +1024,8 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
                      and abs(trail[-1][1] - trail[-2][1]) < 1e-12})
 
 
-def join_free_factors(*reports: SigmaReport) -> SigmaReport:
-    """Combine exact reports of free factors through the block-diagonal
-    kernel: squared irregularities add, so the dimensions add as well."""
-    if not reports:
-        raise StructureError("need at least one factor report")
-    sig2 = sum(r.irregularity ** 2 for r in reports)
-    n = sum(r.sigma + r.irregularity ** 2 for r in reports)
-    return SigmaReport(sigma=n - sig2, irregularity=math.sqrt(sig2),
-                       mode="exact_fd",
-                       diagnostics={"factors": len(reports),
-                                    "construction": "block-diagonal"})
-
-
 # ---------------------------------------------------------------------------
-# conjugate variables, the adjoint action and the decay exponent
+# conjugate variables and the decay exponent
 # ---------------------------------------------------------------------------
 
 
@@ -1130,89 +1061,6 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
     residual = float(np.abs(lhs - splits.conj()).max())
     fisher = float(np.sum(C.conj() @ model.moment_table(xi_words) * C).real)
     return ConjugateReport(residual=residual, fisher_info=fisher)
-
-
-def _partial_trace(model, t: TensorPoly, keep: int) -> NCPoly:
-    """Trace out one leg: ``keep=0`` gives (1 (x) tau)(a (x) b) = tau(b) a,
-    ``keep=1`` gives (tau (x) 1)(a (x) b) = tau(a) b."""
-    return NCPoly(t.system, _collect(
-        (legs[keep], c * QQi.of(tr)) for legs, c in t.terms.items()
-        if (tr := model.trace_word(legs[1 - keep])) != 0))
-
-
-def adjoint_action(model: TraceModel, eta, p: NCPoly, q: NCPoly,
-                   eta_adj: NCPoly) -> NCPoly:
-    """Divergence of the two-sided translate ``(p (x) q) # eta``.
-
-    Given a row ``eta`` in the domain of the gradient adjoint with divergence
-    ``eta_adj``, the translate stays in the domain and its divergence is
-
-        (p (x) q) # eta_adj
-            - sum_j (1 (x) tau)( p . [eta_j # (d_j q*)*] )
-            - sum_j (tau (x) 1)( [eta_j # (d_j p*)*] . q ),
-
-    where the dots are the one-sided bimodule actions.
-    """
-    eta = tuple(eta)
-    system = model.system
-    if len(eta) != system.n:
-        raise StructureError("eta must have one entry per generator")
-    one = NCPoly.one(system)
-    out = TensorPoly.from_pair(p, q).sharp(eta_adj)
-    p_left = TensorPoly.from_pair(p, one)
-    q_right = TensorPoly.from_pair(one, q)
-    qstar, pstar = q.adjoint(), p.adjoint()
-    for j in range(system.n):
-        dq = diff_quotient(j, qstar).adjoint()
-        dp = diff_quotient(j, pstar).adjoint()
-        out = out - _partial_trace(model, p_left.sharp(eta[j].sharp(dq)), 0)
-        out = out - _partial_trace(model, q_right.sharp(eta[j].sharp(dp)), 1)
-    return out
-
-
-def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4):
-    """Directly solve the defining adjoint relation in a matrix model.
-
-    Returns ``(eta_adj, residual)`` where ``eta_adj`` is the least-squares
-    divergence of the row ``eta`` over test monomials of degree <= d and the
-    residual certifies membership in the adjoint domain.
-    """
-    if not isinstance(model, MatrixModel):
-        raise ModelError("the direct adjoint solve needs a matrix model")
-    eta = tuple(eta)
-    coords = _coords(model)
-    _, E, S = _word_table(model, d)
-    eta_coords = np.zeros((model.n, coords.D, coords.D), dtype=complex)
-    for t, acc in zip(eta, eta_coords):
-        for (a, b), c in t.terms.items():
-            acc += complex(c) * np.outer(coords.coords(model.eval_word(a)),
-                                         coords.coords(model.eval_word(b)))
-    M = E.T.conj()
-    # <eta_letter, split> with the Frobenius pairing, summed over the splits
-    rhs = S.conj() @ eta_coords.reshape(-1)
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=RCOND)
-    residual = float(np.linalg.norm(M @ sol - rhs))
-    mat = coords.mat(sol)
-    poly = matrix_to_poly(model, mat, d)
-    return poly, residual
-
-
-def matrix_to_poly(model: MatrixModel, mat: np.ndarray, d: int = 4) -> NCPoly:
-    """Express a matrix as a polynomial in the model generators (least squares
-    over monomials of degree <= d; exact when the words span the algebra).
-
-    Both floors scale with the input, so a matrix scaled by ``s`` gives the
-    same terms with coefficients scaled by ``s``: the residual may be up to
-    1e-8 of ``||mat||``, and coefficients up to ``RCOND`` times the largest
-    in modulus are dropped as rounding of the solve, as in ``_assemble_xi``."""
-    words, E, _ = _word_table(model, d)
-    target = _coords(model).coords(mat)
-    sol, *_ = np.linalg.lstsq(E, target, rcond=RCOND)
-    if np.linalg.norm(E @ sol - target) > 1e-8 * np.linalg.norm(target):
-        raise ModelError("matrix is not a polynomial of the given degree")
-    cut = RCOND * float(np.abs(sol).max(initial=0.0))
-    return NCPoly(model.system, {w: QQi.of(complex(c))
-                                 for w, c in zip(words, sol) if abs(c) > cut})
 
 
 ALPHA_FLOOR = 1e-12

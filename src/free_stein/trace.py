@@ -638,7 +638,8 @@ class FreeProductModel(TraceModel):
     prefix (:meth:`_vector`), its vacuum coefficient is ``tau(w)``, and
     moment tables pair the vectors through the factors' own tables
     (:meth:`_table_vectors`).  Only the factor states enter, so no factor needs
-    to be tracial.
+    to be tracial.  A product word traces factor words of up to its own
+    degree, so the product's cap may not exceed a factor's.
     """
 
     def __init__(self, factors, cap=None):
@@ -658,6 +659,11 @@ class FreeProductModel(TraceModel):
                 pairing.append(off + f.system.star_pairing[j])
             off += f.n
         super().__init__(GeneratorSystem(len(self._map), tuple(pairing), cap=cap))
+        for fi, f in enumerate(factors):
+            if f.system.cap < self.system.cap:
+                raise ModelError(
+                    f"free-product cap {self.system.cap} exceeds the cap "
+                    f"{f.system.cap} of factor {fi} ({type(f).__name__})")
         # letter tuple -> {basis key: coefficient}; a basis key is the tuple
         # of its blocks, each ``(factor, local letters)``
         self._vectors: dict = {(): {(): complex(1)}}

@@ -1,16 +1,42 @@
+import importlib
+import pkgutil
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from free_stein.errors import StructureError
-from free_stein.ncalg import (BAlgebra, GeneratorSystem, NCPoly,
-                              generator_tuple)
+import free_stein
+from free_stein.errors import DegreeCapError, ModelError, StructureError
+from free_stein.fdalg import MatrixCoordinates
+from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
+                              TensorPoly, _collect, _require_same,
+                              diff_quotient, generator_tuple)
 from free_stein.scalars import QQi
+from free_stein.stein import RCOND, monomial_words
 from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircleDensity, SemicircularModel, TraceModel,
                               diagonal_matrix_model, real_if_exact,
                               two_point_matrix_model, two_point_measure)
+
+# Every property test draws the same cases in every run and selection.
+# Hypothesis adds the constants of the loaded local modules to its draws,
+# harvesting them at the first draw and again whenever sys.modules grows, so
+# pytest_configure loads every package and test module before any draw.
+settings.register_profile("free-stein", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("free-stein")
+
+
+def pytest_configure(config):
+    for module in pkgutil.iter_modules(free_stein.__path__):
+        importlib.import_module(f"free_stein.{module.name}")
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        try:
+            importlib.import_module(path.stem)
+        except Exception:
+            pass  # collecting the module reports the error
 
 
 def random_poly(system, rng, max_degree=4, terms=3, coeff_range=3,
@@ -268,3 +294,181 @@ def inner_hs(pairing, A, B) -> complex:
         for j in range(A.size):
             acc += pairing.inner_tensor(A.entries[i][j], B.entries[i][j])
     return acc
+
+
+# -- adjoint-domain oracles ------------------------------------------------------
+
+
+def jacobian(polys) -> KernelMatrix:
+    """Oracle only: the noncommutative Jacobian, entry (i, j) the free
+    difference quotient d_j of the i-th entry."""
+    polys = tuple(polys)
+    if not polys:
+        raise StructureError("empty tuple has no Jacobian")
+    sysm = polys[0].system
+    if len(polys) != sysm.n:
+        raise StructureError(
+            f"tuple length {len(polys)} must equal the generator count {sysm.n}")
+    for p in polys:
+        _require_same(sysm, p.system)
+    return KernelMatrix(sysm, [[diff_quotient(j, p) for j in range(sysm.n)]
+                               for p in polys])
+
+
+def transform_kernel(a, f) -> tuple:
+    """Oracle only: a row of tensors pushed through a polynomial change of
+    variables, the row ``a # J(f)^*`` with entries ``sum_i a_i # (d_i
+    f_k)^*``; the identity tuple ``f`` returns the row unchanged."""
+    a = tuple(a)
+    f = tuple(f)
+    if not a:
+        raise StructureError("empty tensor row")
+    sysm = a[0].system
+    if len(a) != sysm.n:
+        raise StructureError("tensor row length must equal the generator count")
+    out = []
+    for fk in f:
+        _require_same(sysm, fk.system)
+        out.append(sum((ai.sharp(diff_quotient(i, fk).adjoint())
+                        for i, ai in enumerate(a)), TensorPoly.zero(sysm)))
+    return tuple(out)
+
+
+def _partial_trace(model, t: TensorPoly, keep: int) -> NCPoly:
+    """Trace out one leg: ``keep=0`` gives (1 (x) tau)(a (x) b) = tau(b) a,
+    ``keep=1`` gives (tau (x) 1)(a (x) b) = tau(a) b."""
+    return NCPoly(t.system, _collect(
+        (legs[keep], c * QQi.of(tr)) for legs, c in t.terms.items()
+        if (tr := model.trace_word(legs[1 - keep])) != 0))
+
+
+def adjoint_action(model, eta, p: NCPoly, q: NCPoly,
+                   eta_adj: NCPoly) -> NCPoly:
+    """Oracle only: the divergence of the two-sided translate ``(p (x) q) #
+    eta``, the bimodule property of the adjoint domain.
+
+    Given a row ``eta`` in the domain of the gradient adjoint with divergence
+    ``eta_adj``, the translate stays in the domain and its divergence is
+
+        (p (x) q) # eta_adj
+            - sum_j (1 (x) tau)( p . [eta_j # (d_j q*)*] )
+            - sum_j (tau (x) 1)( [eta_j # (d_j p*)*] . q ),
+
+    where the dots are the one-sided bimodule actions.
+    """
+    eta = tuple(eta)
+    system = model.system
+    if len(eta) != system.n:
+        raise StructureError("eta must have one entry per generator")
+    one = NCPoly.one(system)
+    out = TensorPoly.from_pair(p, q).sharp(eta_adj)
+    p_left = TensorPoly.from_pair(p, one)
+    q_right = TensorPoly.from_pair(one, q)
+    qstar, pstar = q.adjoint(), p.adjoint()
+    for j in range(system.n):
+        dq = diff_quotient(j, qstar).adjoint()
+        dp = diff_quotient(j, pstar).adjoint()
+        out = out - _partial_trace(model, p_left.sharp(eta[j].sharp(dq)), 0)
+        out = out - _partial_trace(model, q_right.sharp(eta[j].sharp(dp)), 1)
+    return out
+
+
+def _coords(model: MatrixModel) -> MatrixCoordinates:
+    """The model's matrix coordinates, built on first use."""
+    if "_fd_coords" not in model.__dict__:
+        model._fd_coords = MatrixCoordinates(model)
+    return model._fd_coords
+
+
+def _word_table(model: MatrixModel, d: int) -> tuple:
+    """Oracle only: ``(words, E, S)`` over the monomial words of degree up to
+    ``d``, the table that ``sigma_exact_fd`` reduces degree by degree.
+
+    ``words`` is in ``monomial_words`` order, ``E`` (D x words) holds their
+    coordinates and ``S`` (words x n*D*D) their split coordinates:
+    ``S[w, letter]`` sums ``ev(left) (x) ev(right)`` over the splits ``w =
+    left letter right``.  The words are evaluated level by level: the
+    degree-e words are the degree-(e-1) words times a letter times a B slot,
+    which is both the order of ``monomial_words`` and the product order of
+    ``MatrixModel.eval_word``.
+
+    ``S`` is summed without a scatter, by degree blocks: the degree-e words
+    with letter ``i`` after a prefix of degree ``j`` are the slice ``[:, i,
+    :]`` of the ``(|L_j|, n, |L_(e-1-j)|)`` reshape of the degree-e range
+    (``L_j`` the degree-j words), so the splits after prefix degree ``j`` add
+    ``ev[L_j] (x) ev[L_(e-1-j)]`` on the letter diagonal ``[:, i, :, i]`` of
+    the degree-e rows of ``S`` viewed as ``(|L_j|, n, |L_(e-1-j)|, n, D,
+    D)``, in ascending ``j``.
+
+    The table is computed in the dtype of the model's data: ``E`` and ``S``
+    are real exactly when every generator and B matrix is real.
+    """
+    system = model.system
+    if d > system.cap:
+        raise DegreeCapError(
+            f"d={d} needs words of degree {d}, beyond the cap {system.cap}")
+    coords = _coords(model)
+    n, D, dim = model.n, coords.D, model.dim
+    gens = real_if_exact(np.stack(model.gen_mats))
+    bs = real_if_exact(np.stack(model.b_mats))
+    level = bs
+    ev = [coords.coords(level)]
+    for _ in range(d):
+        level = ((level[:, None] @ gens[None])[:, :, None] @ bs[None, None])
+        level = level.reshape(-1, dim, dim)
+        ev.append(coords.coords(level))
+    sizes = [len(e) for e in ev]
+    offsets = np.cumsum([0] + sizes)
+    S = np.zeros((offsets[-1], n, D, D), dtype=np.result_type(*ev))
+    for e in range(1, d + 1):
+        rows = S[offsets[e]:offsets[e + 1]]
+        for j in range(e):
+            o = rows.reshape(sizes[j], n, sizes[e - 1 - j], n, D, D)
+            term = ev[j][:, None, :, None] * ev[e - 1 - j][None, :, None, :]
+            for i in range(n):
+                diag = o[:, i, :, i]
+                diag += term
+    words = monomial_words(system, 0, d)
+    return words, np.concatenate(ev).T, S.reshape(len(S), n * D * D)
+
+
+def matrix_to_poly(model: MatrixModel, mat: np.ndarray, d: int = 4) -> NCPoly:
+    """Oracle only: a matrix as a polynomial in the model generators (least
+    squares over monomials of degree <= d; exact when the words span the
+    algebra).
+
+    Both floors scale with the input, so a matrix scaled by ``s`` gives the
+    same terms with coefficients scaled by ``s``: the residual may be up to
+    1e-8 of ``||mat||``, and coefficients up to ``RCOND`` times the largest
+    in modulus are dropped as rounding of the solve."""
+    words, E, _ = _word_table(model, d)
+    target = _coords(model).coords(mat)
+    sol, *_ = np.linalg.lstsq(E, target, rcond=RCOND)
+    if np.linalg.norm(E @ sol - target) > 1e-8 * np.linalg.norm(target):
+        raise ModelError("matrix is not a polynomial of the given degree")
+    cut = RCOND * float(np.abs(sol).max(initial=0.0))
+    return NCPoly(model.system, {w: QQi.of(complex(c))
+                                 for w, c in zip(words, sol) if abs(c) > cut})
+
+
+def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4) -> tuple:
+    """Oracle only: the defining adjoint relation of a matrix model solved
+    directly, ``(eta_adj, residual)`` with ``eta_adj`` the least-squares
+    divergence of the row ``eta`` over test monomials of degree <= d; the
+    residual certifies membership in the adjoint domain."""
+    if not isinstance(model, MatrixModel):
+        raise ModelError("the direct adjoint solve needs a matrix model")
+    eta = tuple(eta)
+    coords = _coords(model)
+    _, E, S = _word_table(model, d)
+    eta_coords = np.zeros((model.n, coords.D, coords.D), dtype=complex)
+    for t, acc in zip(eta, eta_coords):
+        for (a, b), c in t.terms.items():
+            acc += complex(c) * np.outer(coords.coords(model.eval_word(a)),
+                                         coords.coords(model.eval_word(b)))
+    M = E.T.conj()
+    # <eta_letter, split> with the Frobenius pairing, summed over the splits
+    rhs = S.conj() @ eta_coords.reshape(-1)
+    sol, *_ = np.linalg.lstsq(M, rhs, rcond=RCOND)
+    residual = float(np.linalg.norm(M @ sol - rhs))
+    return matrix_to_poly(model, coords.mat(sol), d), residual

@@ -79,12 +79,26 @@ def test_sweep_radius_is_bounded(specs, tmp_path):
 
 
 def test_a_tiny_radius_gives_the_radius_zero_value(specs, capsys):
-    # the multiplier of R = 1e-40 is near 1e40: a valid radius, solved
+    # the multiplier of R = 1e-300 is near 1e300, and of R = 1e-40 near
+    # 1e40: valid radii, solved
     assert run(["bounded", "--model", specs["semicircular1"], "--dxi", "2",
-                "--radii", "0,1e-40"]) == 0
-    zero, tiny = json.loads(capsys.readouterr().out)["points"]
-    assert tiny["diagnostics"]["boundary"] is True
-    assert abs(tiny["value"] - zero["value"]) <= 1e-12
+                "--radii", "0,1e-300,1e-40"]) == 0
+    zero, *tiny = json.loads(capsys.readouterr().out)["points"]
+    for point in tiny:
+        assert point["diagnostics"]["boundary"] is True
+        assert math.isfinite(point["diagnostics"]["multiplier"])
+        assert abs(point["value"] - zero["value"]) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", ["5e-324", "1e-320"])
+def test_a_subnormal_radius_overflows_the_multiplier(specs, capsys, radius):
+    # the multiplier is about 1/R, beyond the largest float
+    assert run(["bounded", "--model", specs["semicircular1"],
+                "--radii", f"0,{radius}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: the KKT multiplier overflows at the radius {radius}: "
+            "it exceeds the largest float") in captured.err
 
 
 def test_discrepancy_and_conjugate(specs, tmp_path):

@@ -8,13 +8,12 @@ import pytest
 from free_stein import quadrature
 from free_stein.closedform import (CompressedGeneratorSpec, GraphSpec,
                                    compressed_semicircular_sigma,
-                                   eigenvalue_sigma, eps_kernel, fd_sigma,
-                                   finite_group_sigma, graph_sigma,
-                                   group_sigma, log_energy, one_var_sigma,
-                                   staircase_energy_trail)
+                                   eps_kernel, fd_sigma, finite_group_sigma,
+                                   graph_sigma, group_sigma, log_energy,
+                                   one_var_sigma, staircase_energy_trail)
 from free_stein.errors import ModelError
 from free_stein.stein import sigma_exact_fd
-from free_stein.trace import (MeasureModel, SemicircleDensity,
+from free_stein.trace import (MatrixModel, MeasureModel, SemicircleDensity,
                               UniformDensity, cyclic_group_model,
                               diagonal_matrix_model)
 
@@ -34,10 +33,15 @@ def test_one_var_sigma_examples():
 
 
 def test_eigenvalue_multiplicities():
-    sig2, _ = eigenvalue_sigma([2, 1])
+    # a 3 x 3 Hermitian matrix with eigenvalue multiplicities (2, 1) has
+    # atoms of mass 2/3 and 1/3 under the normalized trace, so its squared
+    # irregularity is sum (m_j / N)^2, in closed form and in exact mode
+    sig2, _ = one_var_sigma([(0, F(2, 3)), (1, F(1, 3))])
     assert sig2 == F(4, 9) + F(1, 9)
-    with pytest.raises(ModelError):
-        eigenvalue_sigma([2, 1], size=4)
+    q, _ = np.linalg.qr(np.array([[1.0, 2, 0], [0, 1, 3], [1, 0, 1]]))
+    mat = q @ np.diag([0.0, 0.0, 1.0]) @ q.T
+    rep = sigma_exact_fd(MatrixModel([(3, 1.0)], [[mat.tolist()]]), d=2)
+    assert abs(rep.irregularity ** 2 - float(sig2)) < 1e-10
 
 
 def test_one_var_matches_exact_fd(rng):

@@ -692,7 +692,7 @@ def fock_cases(draw):
     return n, depth, words
 
 
-@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(fock_cases())
 @example((2, 3, []))
 @example((1, 0, [(), (0, 0)]))
@@ -806,7 +806,7 @@ def matrix_specs(draw):
     return list(zip(sizes, weights)), gens, pairing, words
 
 
-@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(matrix_specs())
 def test_matrix_table_matches_per_word_table_on_random_blocks(spec):
     blocks, gens, pairing, ys = spec
@@ -994,7 +994,7 @@ def reduced_vectors(draw):
                          max_size=8))
 
 
-@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(reduced_vectors())
 @example([])
 @example([{}, {(): 1 + 0j}])

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import jacobian, random_poly, transform_kernel
 from free_stein import ncalg
 from free_stein.errors import DegreeCapError, StructureError
 from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
                               TensorPoly, commutator_stein_kernel,
-                              diff_quotient, generator_tuple,
-                              jacobian, transform_kernel)
+                              diff_quotient, generator_tuple)
 from free_stein.scalars import QQi
 
 S2 = GeneratorSystem(2)
@@ -103,7 +102,7 @@ def test_adjoint_star_pairing():
     assert (u * v).adjoint() == u * v  # (uv)* = v*u* = uv
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(poly_strategy(S2), poly_strategy(S2))
 def test_adjoint_antiautomorphism(p, q):
     assert (p * q).adjoint() == q.adjoint() * p.adjoint()
@@ -123,7 +122,7 @@ def test_sharp_examples():
     assert got == TensorPoly.from_pair(T1, T2)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(poly_strategy(S2, 2), poly_strategy(S2, 2), poly_strategy(S2, 2),
        poly_strategy(S2, 2))
 def test_sharp_is_associative_on_polys(a, b, c, d):
@@ -133,7 +132,7 @@ def test_sharp_is_associative_on_polys(a, b, c, d):
     assert u.sharp(v).sharp(p) == u.sharp(v.sharp(p))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(poly_strategy(S2, 2), poly_strategy(S2, 2), poly_strategy(S2, 2),
        poly_strategy(S2, 2))
 def test_tensor_adjoint_antiautomorphism(a, b, c, d):
@@ -168,7 +167,7 @@ def test_diff_quotient_term_degrees(rng):
                 assert any(len(w) // 2 == combined + 1 for w in p.terms)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(poly_strategy(S2, 3), poly_strategy(S2, 3), st.integers(0, 1))
 def test_leibniz_bimodule(p, q, i):
     lhs = diff_quotient(i, p * q)

@@ -1,5 +1,6 @@
 """The lazy package namespace: what each import loads, and the exports."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -55,13 +56,29 @@ def test_cli_loads_every_layer_the_probe_resolves():
 
 
 def test_every_export_is_its_module_attribute():
-    assert len(free_stein.__all__) == len(set(free_stein.__all__)) == 64
+    assert len(free_stein.__all__) == len(set(free_stein.__all__)) == 57
     for name in free_stein.__all__:
         obj = getattr(free_stein, name)
         assert obj.__module__.startswith("free_stein.")
         assert getattr(sys.modules[obj.__module__], name) is obj
     assert set(free_stein.__all__) <= set(dir(free_stein))
     assert "__version__" in dir(free_stein)
+
+
+# the adjoint-domain solvers and one-line formulas that left the package;
+# the solvers are test oracles in tests/conftest.py
+REMOVED = {"eigenvalue_sigma": "closedform", "jacobian": "ncalg",
+           "transform_kernel": "ncalg", "adjoint_action": "stein",
+           "join_free_factors": "stein", "matrix_to_poly": "stein",
+           "solve_adjoint_fd": "stein"}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_names_are_gone(name):
+    assert name not in free_stein.__all__
+    assert not hasattr(free_stein, name)
+    module = importlib.import_module(f"free_stein.{REMOVED[name]}")
+    assert not hasattr(module, name)
 
 
 def test_submodules_are_attributes():

@@ -74,7 +74,7 @@ def test_parse_then_serialize_roundtrip():
     assert poly_from_json(poly_to_json(p), S2) == p
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(-5, 5), st.integers(1, 7), st.integers(-4, 4))
 def test_coeff_rationals_roundtrip(num, den, im):
     p = NCPoly.scalar(S2, QQi(Fraction(num, den), Fraction(im, 3))) + T1

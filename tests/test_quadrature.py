@@ -164,7 +164,7 @@ def _outcome(rule, f, a, b, tol, max_depth):
         return str(exc)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(family=st.sampled_from(sorted(_FAMILIES)),
        a=st.floats(-5.0, 5.0), width=st.floats(0.1, 10.0),
        c=st.floats(0.01, 0.99), h=st.floats(1e-4, 1e-1),

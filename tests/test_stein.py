@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (PushForwardModel, SymbolicPairing, _unitary_pair,
-                      candidate_gram_reference, inner_hs, inner_l2_tuple,
-                      m2_over_m2, random_element, random_poly)
+                      _word_table, adjoint_action, candidate_gram_reference,
+                      inner_hs, inner_l2_tuple, m2_over_m2, matrix_to_poly,
+                      random_element, random_poly, solve_adjoint_fd,
+                      transform_kernel)
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import DegreeCapError, ModelError, StructureError
@@ -27,12 +30,10 @@ from free_stein.ncalg import (KernelMatrix, NCPoly, TensorPoly,
                               generator_tuple, gradient)
 from free_stein.parser import parse_poly_tuple
 from free_stein.scalars import QQi
-from free_stein.stein import (DegreeScheme, GramSystem, adjoint_action,
-                              alpha_estimate, conjugate_variable_check,
-                              discrepancy, irregularity_bounded,
-                              irregularity_estimate, join_free_factors,
-                              monomial_words, radius_sweep, sigma_exact_fd,
-                              solve_adjoint_fd)
+from free_stein.stein import (DegreeScheme, GramSystem, alpha_estimate,
+                              conjugate_variable_check, discrepancy,
+                              irregularity_bounded, irregularity_estimate,
+                              monomial_words, radius_sweep, sigma_exact_fd)
 from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircularModel, cyclic_group_model,
                               diagonal_matrix_model, model_from_json,
@@ -169,7 +170,7 @@ def hermitian_patterns(draw):
     return A.real.copy() if draw(st.booleans()) else A
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(hermitian_patterns())
 def test_components_match_breadth_first_search(A):
     assert stein._components(A).tolist() == _bfs_components(A)
@@ -384,7 +385,8 @@ DEGREE_SWEEP_MODELS = {
     "semicircular n=2": (lambda cap: SemicircularModel(2, cap=cap), 2, True),
     "two-point": (lambda cap: two_point_measure(cap=cap), 5, True),
     "two-point * semicircular": (lambda cap: FreeProductModel(
-        [two_point_measure(), SemicircularModel(1)], cap=cap), 2, True),
+        [two_point_measure(cap=cap), SemicircularModel(1, cap=cap)], cap=cap),
+        2, True),
     "two-block matrix spec": (
         lambda cap: model_from_json(TWO_BLOCK, cap=cap), 4, True),
     # the moment table of a matrix model is one BLAS product over the legs
@@ -663,7 +665,7 @@ def kkt_problems(draw):
     return num, sv2, share * free
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(kkt_problems())
 def test_kkt_newton_matches_bisection(problem):
     num, sv2, radius = problem
@@ -722,7 +724,7 @@ def _kkt_norms(weights, sv2, radius):
     return lam, norms
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(kkt_problems())
 def test_kkt_newton_takes_few_norm_evaluations(problem):
     # most draws take 2 to 5 evaluations; a staircase of weights many
@@ -792,7 +794,7 @@ def atomic_measures(draw):
     return [(loc / 4, m / total) for loc, m in zip(locs, masses)]
 
 
-@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(atomic_measures(), st.sampled_from([1, 2, 3]))
 def test_bounded_solve_matches_bisection_reference(atoms, d_xi):
     model, scheme = MeasureModel(atoms), DegreeScheme(d_xi)
@@ -960,7 +962,7 @@ def _projected_stacks(model, d):
     """Oracle only: per degree ``dd`` up to ``d``, the projected relation
     stack ``R = S_k - V^T (conj(V) S_k)`` of the words of degree up to
     ``2 (dd + 1) + 1``, with ``S_k`` and the relation count."""
-    words, E, S = stein._word_table(model, d + 1)
+    words, E, S = _word_table(model, d + 1)
     for dd in range(1, d + 1):
         k = bisect.bisect_right(words, 2 * (dd + 1) + 1, key=len)
         _, s, vh = np.linalg.svd(E[:, :k], full_matrices=False)
@@ -1164,7 +1166,7 @@ def test_sigma_exact_translates_at_most_basis_rows(monkeypatch):
 def test_word_table_matches_per_word_evaluation(make, dtype):
     model = make()
     coords = MatrixCoordinates(model)
-    words, E, S = stein._word_table(model, 3)
+    words, E, S = _word_table(model, 3)
     # real generator and B matrices give a real table, complex ones a
     # complex table; the values are the per-word evaluations either way
     assert E.dtype == S.dtype == dtype
@@ -1198,12 +1200,12 @@ def test_matrix_routines_degree_beyond_cap():
     model = two_point_matrix_model(cap=4)
     eta = tuple(KernelMatrix.identity(model.system).entries[0])
     for call in (lambda: solve_adjoint_fd(model, eta, d=5),
-                 lambda: stein.matrix_to_poly(model, np.eye(2), d=5)):
+                 lambda: matrix_to_poly(model, np.eye(2), d=5)):
         with pytest.raises(DegreeCapError, match="d=5 needs words of degree "
                                                  "5, beyond the cap 4"):
             call()
     # d equal to the cap is allowed
-    poly = stein.matrix_to_poly(model, np.eye(2), d=4)
+    poly = matrix_to_poly(model, np.eye(2), d=4)
     value = sum(complex(c) * model.eval_word(w) for w, c in poly.terms.items())
     assert np.max(np.abs(value - np.eye(2))) < 1e-12
 
@@ -1220,10 +1222,10 @@ PAULI_PAIR = MatrixModel([(2, 1.0)], [[[[1.0, 0.0], [0.0, -1.0]]],
 def test_matrix_to_poly_scales_with_the_matrix(model, mat):
     # the drop rule and the residual bound are relative: a matrix scaled
     # by 1e-14 or 1e14 keeps the same terms with scaled coefficients
-    base = stein.matrix_to_poly(model, mat, d=2)
+    base = matrix_to_poly(model, mat, d=2)
     top = max(abs(complex(c)) for c in base.terms.values())
     for scale in (1e-14, 1e14):
-        scaled = stein.matrix_to_poly(model, scale * mat, d=2)
+        scaled = matrix_to_poly(model, scale * mat, d=2)
         assert scaled.terms.keys() == base.terms.keys()
         for w, c in base.terms.items():
             assert abs(complex(scaled.terms[w]) / scale - complex(c)) \
@@ -1231,7 +1233,7 @@ def test_matrix_to_poly_scales_with_the_matrix(model, mat):
         value = sum(complex(c) * model.eval_word(w)
                     for w, c in scaled.terms.items())
         assert np.max(np.abs(value - scale * mat)) <= 1e-12 * scale
-    assert stein.matrix_to_poly(model, 0 * mat, d=2).terms == {}
+    assert matrix_to_poly(model, 0 * mat, d=2).terms == {}
 
 
 @st.composite
@@ -1253,7 +1255,7 @@ def block_models(draw):
     return list(zip(sizes, weights)), gens
 
 
-@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@settings(max_examples=12)
 @given(block_models())
 def test_sigma_exact_matches_fd_sigma_on_random_blocks(spec):
     blocks, gens = spec
@@ -1263,7 +1265,7 @@ def test_sigma_exact_matches_fd_sigma_on_random_blocks(spec):
     assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 
 
-@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@settings(max_examples=12)
 @given(block_models())
 def test_sigma_exact_matches_basis_reference_on_random_blocks(spec):
     model = MatrixModel(*spec)
@@ -1356,7 +1358,7 @@ def paired_block_models(draw):
     return MatrixModel(list(zip(sizes, weights)), gens, star_pairing=pairing)
 
 
-@settings(derandomize=True, max_examples=16, deadline=None, database=None)
+@settings(max_examples=16)
 @given(paired_block_models())
 def test_sigma_exact_matches_word_table_on_random_blocks(model):
     got = _check_against_word_table(model, 3)
@@ -1367,8 +1369,9 @@ def test_sigma_exact_reads_no_word_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sigma_exact_fd built a word table")
 
+    # the word table is a test oracle only
+    assert not hasattr(stein, "_word_table")
     models = [m2_over_m2(), cyclic_group_model(4), _three_two_one()]
-    monkeypatch.setattr(stein, "_word_table", refuse)
     monkeypatch.setattr(stein, "monomial_words", refuse)
     for model in models:
         sigma_exact_fd(model, d=2)
@@ -1453,7 +1456,7 @@ def _pair_translates_reference(coords, rows, i, j):
 
 
 def _check_split_table(model, d):
-    words, E, S = stein._word_table(model, d + 1)
+    words, E, S = _word_table(model, d + 1)
     assert np.array_equal(S, _split_table_reference(model, words, E))
 
 
@@ -1501,7 +1504,7 @@ def test_batched_translates_match_per_pair_stack(make):
     _check_batched_translates(make(), 11)
 
 
-@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@settings(max_examples=12)
 @given(block_models())
 def test_split_table_and_translates_on_random_blocks(spec):
     model = MatrixModel(*spec)
@@ -1534,7 +1537,7 @@ def mixed_block_models(draw):
     return blocks, tup
 
 
-@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(mixed_block_models())
 def test_sigma_exact_is_a_star_algebra_invariant(spec):
     # another generating tuple of the same algebra, even a longer one, has
@@ -1610,10 +1613,11 @@ def test_sigma_exact_requires_matrix_model(semicircular1):
 
 
 def test_join_free_factors(twopoint_matrix):
+    # two free copies meet in the block-diagonal kernel: their squared
+    # irregularities add, and so do their dimensions
     r = sigma_exact_fd(twopoint_matrix, d=2)
-    joined = join_free_factors(r, r)
-    assert abs(joined.irregularity ** 2 - 1.0) < 1e-12
-    assert abs(joined.sigma - 1.0) < 1e-12
+    assert abs((r.irregularity ** 2 + r.irregularity ** 2) - 1.0) < 1e-12
+    assert abs((r.sigma + r.sigma) - 1.0) < 1e-12
 
 
 def test_mixed_free_factors_add(threepoint_matrix):
@@ -1626,14 +1630,12 @@ def test_mixed_free_factors_add(threepoint_matrix):
     assert abs(est.irregularity ** 2 - 5 / 6) < 2e-3
     r1 = sigma_exact_fd(two_point_matrix_model(), d=2)
     r2 = sigma_exact_fd(threepoint_matrix, d=2)
-    joined = join_free_factors(r1, r2)
-    assert abs(joined.irregularity ** 2 - 5 / 6) < 1e-10
+    assert abs(r1.irregularity ** 2 + r2.irregularity ** 2 - 5 / 6) < 1e-10
 
 
 def test_transform_preserves_divergence(twopoint_matrix):
     # pushing a domain row through y = x + x^2 keeps its divergence: the
     # transformed row satisfies the substituted defining relation exactly
-    from free_stein.ncalg import transform_kernel
     m = twopoint_matrix
     t = NCPoly.generator(m.system, 0)
     xi = (t * QQi(Fraction(1, 2)),)
@@ -1731,7 +1733,7 @@ CONJUGATE_FAMILIES = {
 @pytest.mark.parametrize("name, d", [
     (name, d) for name, (_, d_max) in CONJUGATE_FAMILIES.items()
     for d in range(d_max + 1)])
-@settings(derandomize=True, max_examples=4, deadline=None, database=None)
+@settings(max_examples=4)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_conjugate_check_matches_the_symbolic_reference(name, d, seed):
     model = CONJUGATE_FAMILIES[name][0]()
@@ -1779,7 +1781,7 @@ def test_solve_adjoint_fd_builds_coordinates_once(monkeypatch):
             built.append(model)
             super().__init__(model)
 
-    monkeypatch.setattr(stein, "MatrixCoordinates", Counting)
+    monkeypatch.setattr(conftest, "MatrixCoordinates", Counting)
     model = two_point_matrix_model()
     eta = tuple(KernelMatrix.identity(model.system).entries[0])
     solve_adjoint_fd(model, eta, d=3)

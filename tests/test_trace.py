@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,25 @@ def test_free_product_semicircular_matches_joint_model():
     for _ in range(40):
         w = random_word(joint.system, rng, 8)
         assert abs(fp.trace_word(w) - joint.trace_word(w)) < 1e-12
+
+
+def test_free_product_cap_above_a_factor_cap_is_rejected():
+    # a product word of degree d traces factor words of degree up to d, so
+    # the product's cap may not exceed a factor's
+    with pytest.raises(ModelError, match=re.escape(
+            "free-product cap 16 exceeds the cap 12 of factor 0 "
+            "(MeasureModel)")):
+        FreeProductModel([two_point_measure(), SemicircularModel(1)], cap=16)
+    with pytest.raises(ModelError, match=re.escape(
+            "free-product cap 14 exceeds the cap 12 of factor 1 "
+            "(SemicircularModel)")):
+        FreeProductModel([two_point_measure(cap=14), SemicircularModel(1)],
+                         cap=14)
+    # equal caps, and a product cap below its factors', are accepted
+    fp = FreeProductModel([two_point_measure(cap=16),
+                           SemicircularModel(1, cap=16)], cap=16)
+    assert fp.system.cap == 16
+    assert FreeProductModel([two_point_measure()], cap=6).system.cap == 6
 
 
 # -- shared model properties -----------------------------------------------------------
