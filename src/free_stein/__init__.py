@@ -26,7 +26,7 @@ _EXPORTS = {
     "ncalg": ("BAlgebra", "GeneratorSystem", "KernelMatrix", "NCPoly",
               "TensorPoly", "commutator_stein_kernel", "diff_quotient",
               "generator_tuple", "gradient"),
-    "parser": ("parse_poly", "parse_poly_tuple"),
+    "parser": ("parse_poly_tuple",),
     "scalars": ("QQi",),
     "stein": ("DegreeScheme", "DiscrepancyReport", "GramSystem", "SigmaReport",
               "alpha_estimate", "conjugate_variable_check", "degree_sweep",

@@ -80,15 +80,12 @@ class _Parser:
 
     def _closes_at_end(self):
         depth = 0
-        for kind, val, _ in self.tokens[self.i:-1]:
-            if val == "(":
-                depth += 1
-            elif val == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        last = self.tokens[-2]
-        return depth == 0 and last[1] == ")"
+        for j in range(self.i, len(self.tokens) - 1):
+            val = self.tokens[j][1]
+            depth += (val == "(") - (val == ")")
+            if depth == 0:
+                return j == len(self.tokens) - 2
+        return False
 
     def _expect_end(self):
         kind, val, pos = self.peek()
@@ -149,14 +146,6 @@ class _Parser:
         if kind == "imag":
             return NCPoly.scalar(self.system, QQi(0, 1))
         raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
-
-
-def parse_poly(text: str, system: GeneratorSystem) -> NCPoly:
-    """Parse a single polynomial."""
-    p = _Parser(text, system)
-    poly = p.parse_expr()
-    p._expect_end()
-    return poly
 
 
 def parse_poly_tuple(text: str, system: GeneratorSystem) -> tuple:

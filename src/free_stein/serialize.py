@@ -2,26 +2,17 @@
 
 Words are arrays of letter tags (``["t", 1]`` for the first indeterminate,
 ``["b", k]`` for the k-th B-basis slot); coefficients are pairs of rational
-strings.  Round-trips are bit-exact because every component is an integer
-ratio.
+strings, so each component is written exactly as an integer ratio.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import StructureError
-from .ncalg import GeneratorSystem, NCPoly, _collect
+from .ncalg import NCPoly
 from .scalars import QQi
 
 
 def coeff_to_json(c: QQi):
     return [str(c.re), str(c.im)]
-
-
-def coeff_from_json(data) -> QQi:
-    re, im = data
-    return QQi(Fraction(str(re)), Fraction(str(im)))
 
 
 def word_to_json(word):
@@ -34,23 +25,6 @@ def word_to_json(word):
     return out
 
 
-def word_from_json(data, system: GeneratorSystem):
-    word = []
-    for pos, tag in enumerate(data):
-        kind, idx = tag
-        if pos % 2 == 1:
-            if kind != "t":
-                raise StructureError(f"expected a letter tag at position {pos}")
-            word.append(int(idx) - 1)
-        else:
-            if kind != "b":
-                raise StructureError(f"expected a B tag at position {pos}")
-            word.append(int(idx))
-    w = tuple(word)
-    system.check_word(w)
-    return w
-
-
 def poly_to_json(p: NCPoly):
     return {
         "n": p.system.n,
@@ -60,17 +34,5 @@ def poly_to_json(p: NCPoly):
     }
 
 
-def poly_from_json(data, system: GeneratorSystem) -> NCPoly:
-    if data.get("n") != system.n or data.get("b_dim") != system.b.dim:
-        raise StructureError("serialized polynomial does not match the generator system")
-    return NCPoly(system, _collect((word_from_json(item["word"], system),
-                                    coeff_from_json(item["coeff"]))
-                                   for item in data["terms"]))
-
-
 def poly_tuple_to_json(polys):
     return [poly_to_json(p) for p in polys]
-
-
-def poly_tuple_from_json(data, system) -> tuple:
-    return tuple(poly_from_json(d, system) for d in data)

@@ -736,8 +736,9 @@ def degree_sweep(model: TraceModel, dxi_max: int, offset: int = 2) -> list:
 def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
                     radius: float) -> float:
     """The multiplier ``lam >= 0`` at which ``||u(lam)||_F = radius > 0`` to
-    ``max(1e-10, 4 ulp(radius))``, where ``||u(lam)||^2 = sum_j weights[j] /
-    (sv2[j] + lam)^2``; 0 when ``||u(0)|| <= radius + 1e-12``.
+    the one tolerance ``tol = max(1e-10, 4 ulp(radius))``, where
+    ``||u(lam)||^2 = sum_j weights[j] / (sv2[j] + lam)^2``; 0 when
+    ``||u(0)|| - radius <= tol``, inside the ball or on its boundary.
 
     ``1/||u(lam)|| - 1/radius`` is increasing and concave in ``lam``, so
     Newton's method from ``lam = 0``, left of the root, never overshoots:
@@ -758,7 +759,7 @@ def _kkt_multiplier(weights: np.ndarray, sv2: np.ndarray,
 
     tol = max(1e-10, 4 * math.ulp(radius))
     lam = 0.0
-    if (norm := size(lam)) <= radius + 1e-12:
+    if (norm := size(lam)) - radius <= tol:
         return lam
     for _ in range(300):
         if abs(norm - radius) <= tol:

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly
-from free_stein.errors import ParseError, StructureError
+from free_stein.errors import ParseError
 from free_stein.ncalg import BAlgebra, GeneratorSystem, NCPoly, generator_tuple
-from free_stein.parser import parse_poly, parse_poly_tuple
+from free_stein.parser import parse_poly_tuple
 from free_stein.scalars import QQi
-from free_stein.serialize import (poly_from_json, poly_to_json,
-                                  poly_tuple_from_json, poly_tuple_to_json)
+from free_stein.serialize import poly_to_json, poly_tuple_to_json
 from free_stein.stein import (DegreeScheme, irregularity_bounded,
                               irregularity_estimate)
 from free_stein.trace import (FreeProductModel, SemicircularModel,
@@ -24,6 +23,26 @@ S2 = GeneratorSystem(2)
 T1, T2 = generator_tuple(S2)
 
 
+def parse_one(text, system):
+    (poly,) = parse_poly_tuple(text, system)
+    return poly
+
+
+def decode_poly(data, system):
+    """The polynomial a ``poly_to_json`` form fixes, read back exactly."""
+    assert (data["n"], data["b_dim"]) == (system.n, system.b.dim)
+    acc = NCPoly.zero(system)
+    for item in data["terms"]:
+        word = []
+        for pos, (kind, idx) in enumerate(item["word"]):
+            assert kind == ("t" if pos % 2 else "b")
+            word.append(idx - 1 if pos % 2 else idx)
+        re, im = item["coeff"]
+        acc = acc + NCPoly.from_word(system, word,
+                                     QQi(Fraction(re), Fraction(im)))
+    return acc
+
+
 def test_parse_single_and_tuple():
     assert parse_poly_tuple("(t1)", S1) == (NCPoly.generator(S1, 0),)
     got = parse_poly_tuple("(t1*t2 + 2, t2)", S2)
@@ -31,12 +50,14 @@ def test_parse_single_and_tuple():
 
 
 def test_parse_scalars_powers_groups():
-    assert parse_poly("3/2", S1) == NCPoly.scalar(S1, QQi(Fraction(3, 2)))
-    assert parse_poly("i", S1) == NCPoly.scalar(S1, QQi(0, 1))
-    assert parse_poly("2i", S1) == NCPoly.scalar(S1, QQi(0, 2))
-    assert parse_poly("t1^3", S1) == NCPoly.generator(S1, 0) ** 3
-    assert parse_poly("(t1 + t2)*t1", S2) == (T1 + T2) * T1
-    assert parse_poly("-t1 - -t2", S2) == -T1 + T2
+    assert parse_one("3/2", S1) == NCPoly.scalar(S1, QQi(Fraction(3, 2)))
+    assert parse_one("i", S1) == NCPoly.scalar(S1, QQi(0, 1))
+    assert parse_one("2i", S1) == NCPoly.scalar(S1, QQi(0, 2))
+    assert parse_one("t1^3", S1) == NCPoly.generator(S1, 0) ** 3
+    assert parse_one("(t1 + t2)*t1", S2) == (T1 + T2) * T1
+    assert parse_one("(t1 + t2)*(t1)", S2) == (T1 + T2) * T1
+    assert parse_one("(t1)^2*(t2)", S2) == T1 * T1 * T2
+    assert parse_one("-t1 - -t2", S2) == -T1 + T2
 
 
 def test_parse_unknown_generator_reports_position():
@@ -44,59 +65,41 @@ def test_parse_unknown_generator_reports_position():
         parse_poly_tuple("(t3)", S2)
     assert err.value.position == 1
     with pytest.raises(ParseError):
-        parse_poly("t1 + + ", S2)
+        parse_one("t1 + + ", S2)
     with pytest.raises(ParseError):
-        parse_poly("t1 )", S2)
+        parse_one("t1 )", S2)
     with pytest.raises(ParseError):
-        parse_poly("t1 $ t2", S2)
+        parse_one("t1 $ t2", S2)
 
 
 def test_parse_b_letters():
     b = BAlgebra(2, {(0, 0): ((0, 1),), (0, 1): (), (1, 0): (),
                      (1, 1): ((1, 1),)}, unit=((0, 1), (1, 1)))
     sysb = GeneratorSystem(1, b=b)
-    got = parse_poly("b0*t1*b1", sysb)
+    got = parse_one("b0*t1*b1", sysb)
     assert got == (NCPoly.b_element(sysb, 0) * NCPoly.generator(sysb, 0)
                    * NCPoly.b_element(sysb, 1))
     with pytest.raises(ParseError):
-        parse_poly("b2", sysb)
+        parse_one("b2", sysb)
 
 
 def test_poly_roundtrip_bit_exact(rng):
     for _ in range(25):
         p = random_poly(S2, rng, 5)
         data = json.loads(json.dumps(poly_to_json(p)))
-        assert poly_from_json(data, S2) == p
+        assert decode_poly(data, S2) == p
 
 
 def test_parse_then_serialize_roundtrip():
-    p = parse_poly("(t1*t2 + 2/3 - i)*t1", S2)
-    assert poly_from_json(poly_to_json(p), S2) == p
+    p = parse_one("(t1*t2 + 2/3 - i)*t1", S2)
+    assert decode_poly(poly_to_json(p), S2) == p
 
 
 @settings(max_examples=30)
 @given(st.integers(-5, 5), st.integers(1, 7), st.integers(-4, 4))
 def test_coeff_rationals_roundtrip(num, den, im):
     p = NCPoly.scalar(S2, QQi(Fraction(num, den), Fraction(im, 3))) + T1
-    assert poly_from_json(poly_to_json(p), S2) == p
-
-
-def test_poly_from_json_drops_cancelled_words():
-    word = [["b", 0], ["t", 1], ["b", 0]]
-    data = {"n": 2, "b_dim": 1,
-            "terms": [{"word": word, "coeff": ["1", "0"]},
-                      {"word": word, "coeff": ["-1", "0"]}]}
-    p = poly_from_json(data, S2)
-    assert p.terms == {}
-    assert p.is_zero and p == NCPoly.zero(S2) and p.degree() == 0
-    data["terms"].append({"word": [["b", 0]], "coeff": ["2", "0"]})
-    assert poly_from_json(data, S2) == NCPoly.scalar(S2, 2)
-
-
-def test_roundtrip_rejects_wrong_system():
-    p = T1 + T2
-    with pytest.raises(StructureError):
-        poly_from_json(poly_to_json(p), S1)
+    assert decode_poly(poly_to_json(p), S2) == p
 
 
 @pytest.mark.parametrize("make", [
@@ -109,7 +112,8 @@ def test_reported_xi_roundtrip(make):
                 irregularity_bounded(model, DegreeScheme(2), 0.5)):
         assert rep.xi and any(not p.is_zero for p in rep.xi)
         text = json.dumps(poly_tuple_to_json(rep.xi))
-        assert poly_tuple_from_json(json.loads(text), model.system) == rep.xi
+        assert tuple(decode_poly(d, model.system)
+                     for d in json.loads(text)) == rep.xi
 
 
 @pytest.mark.parametrize("make", [lambda: SemicircularModel(2),
