@@ -36,7 +36,7 @@ _EXPORTS = {
               "SemicircleDensity", "SemicircularModel", "TableDensity",
               "TraceModel", "UniformDensity", "catalan", "cyclic_group_model",
               "diagonal_matrix_model", "load_model", "model_from_json",
-              "model_to_json", "two_point_matrix_model", "two_point_measure"),
+              "two_point_matrix_model", "two_point_measure"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -276,10 +276,8 @@ def _cf_eps_kernel(args) -> int:
 
 def _cf_log_energy(args) -> int:
     val = log_energy(_load(args, MeasureModel, "measure"))
-    finite = abs(val) != float("inf")
     return _write_json(args, {"schema": "free-stein/1", "kind": "log-energy",
-                              "value": val if val == val and finite else "-inf",
-                              "finite": finite})
+                              "value": val, "finite": abs(val) != math.inf})
 
 
 def _cf_staircase(args) -> int:
@@ -406,7 +404,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FreeSteinError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (FreeSteinError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -84,7 +84,10 @@ def fd_sigma(blocks) -> Fraction:
 
 def group_sigma(beta0, beta1):
     """Stein dimension of self-adjoint generators of a group algebra from the
-    first two L2-Betti numbers."""
+    first two L2-Betti numbers, ``0 <= beta_0 <= 1`` and ``beta_1 >= 0``."""
+    if not (0 <= beta0 <= 1 and beta1 >= 0):
+        raise ModelError(f"L2-Betti numbers need 0 <= beta0 <= 1 and "
+                         f"beta1 >= 0, got beta0 = {beta0}, beta1 = {beta1}")
     return beta1 - beta0 + 1
 
 

@@ -206,8 +206,7 @@ class AlphaReport:
     floored: int
 
     def to_json(self):
-        alpha = self.alpha if math.isfinite(self.alpha) else "-inf"
-        return {"schema": "free-stein/1", "kind": "alpha", "alpha": alpha,
+        return {"schema": "free-stein/1", "kind": "alpha", "alpha": self.alpha,
                 "window": self.window, "floored_points": self.floored}
 
 

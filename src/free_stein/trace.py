@@ -2,26 +2,26 @@
 
 A trace model evaluates the trace of canonical words in concrete generators,
 and moment tables ``G[x, y] = tau(x* y)`` over lists of words in one layer,
-:meth:`TraceModel.moment_table`: it checks the words and the cap, forms
-``conj(V_x) K V_y^T`` from the vectors and the pairing matrix ``K`` a model
-supplies (``K = I`` when it is None), and makes square tables exactly
-Hermitian.  Four families are provided, each with its ``(V, K)``:
+:meth:`TraceModel.moment_table`: it checks the words and the cap, forms the
+one product ``conj(V_x) V_y^T`` of the two vector sets a model supplies, and
+makes square tables exactly Hermitian.  Four families are provided, each
+with its ``(V_x, V_y)``:
 
 * :class:`MatrixModel` -- direct sums of matrix blocks with a weighted trace;
-  ``V`` is the evaluated word with column ``k`` scaled by ``sqrt(w_k)``,
-  flattened, and ``K = I``;
+  both are the evaluated words with column ``k`` scaled by ``sqrt(w_k)``,
+  flattened;
 * :class:`SemicircularModel` -- free standard semicircular tuples, traced by
-  counting index-respecting non-crossing pairings; ``V`` is the Fock-space
-  vector ``x Omega``, built for every prefix of the words on one stack, a
-  gather, a scatter and a gather-add per prefix length, and ``K = I``;
+  counting index-respecting non-crossing pairings; both are the Fock-space
+  vectors ``x Omega``, built for every prefix of the words on one stack, a
+  gather, a scatter and a gather-add per prefix length;
 * :class:`MeasureModel` -- one self-adjoint variable with an atomic plus
-  absolutely-continuous spectral distribution; ``V`` is the one-hot degree
-  row and ``K`` the Hankel matrix of the moments;
+  absolutely-continuous spectral distribution; ``V_x`` is the one-hot degree
+  row and ``V_y`` the row of the Hankel matrix of the moments at ``deg y``;
 * :class:`FreeProductModel` -- free products of the above, evaluated on
   reduced-word vectors: ``w Omega`` in the reduced free-product space, whose
-  vacuum coefficient is the trace; ``V`` holds its coefficients and ``K``
-  pairs basis vectors of one factor sequence through the factors' centered
-  tables, zero across sequences.
+  vacuum coefficient is the trace; ``V_x`` holds its coefficients and ``V_y``
+  those of ``K (y Omega)``, where ``K`` pairs basis vectors of one factor
+  sequence through the factors' centered tables, zero across sequences.
 
 The inner products read these tables, ``<p, q> = tau(q* p)`` on polynomials
 and ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)`` on tensors, both linear in the
@@ -85,7 +85,7 @@ class TraceModel:
         return hit
 
     def moment_table(self, xs, ys=None) -> np.ndarray:
-        """Moment table ``G[a, b] = tau(xs[a]* ys[b])``, as ``conj(V_x) K
+        """Moment table ``G[a, b] = tau(xs[a]* ys[b])``, as ``conj(V_x)
         V_y^T`` from the model's :meth:`_table_vectors`; matrix models also
         pair words with B slots.  The words and the cap are checked once for
         the table.  Without ``ys``, the table over ``xs``: its upper triangle
@@ -93,18 +93,17 @@ class TraceModel:
         The table is real when no entry has an imaginary part."""
         square = ys is None
         dx, dy = self._table_degrees(xs, xs if square else ys)
-        Vx, K, Vy = self._table_vectors(xs, None if square else ys, dx, dy)
-        G = Vx.conj() @ (Vy.T if K is None else K @ Vy.T)
+        Vx, Vy = self._table_vectors(xs, None if square else ys, dx, dy)
+        G = Vx.conj() @ Vy.T
         if square:
             np.copyto(G, G.T.conj(), where=np.tri(len(xs), k=-1, dtype=bool))
             np.fill_diagonal(G, G.diagonal().real)
         return real_if_exact(G)
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
-        """``(V_x, K, V_y)`` with ``tau(x* y) = conj(V_x[a]) K V_y[b]`` for
-        ``x = xs[a]``, ``y = ys[b]``; ``K`` is None for the identity.  ``ys``
-        is None for the square table over ``xs``; ``dx`` and ``dy`` are the
-        largest degrees of the two lists."""
+        """``(V_x, V_y)`` with ``tau(x* y) = conj(V_x[a]) . V_y[b]`` for ``x
+        = xs[a]``, ``y = ys[b]``.  ``ys`` is None for the square table over
+        ``xs``; ``dx`` and ``dy`` are the largest degrees of the two lists."""
         raise NotImplementedError
 
     def _table_degrees(self, xs, ys) -> tuple:
@@ -160,12 +159,17 @@ class TraceModel:
 # ---------------------------------------------------------------------------
 
 
-def _block_diag(mats) -> np.ndarray:
-    total = sum(m.shape[0] for m in mats)
+def _block_diag(parts, blocks, what) -> np.ndarray:
+    """The block-diagonal matrix of one ``k_i x k_i`` part per block; the
+    error names ``what`` the parts are."""
+    parts = [np.asarray(p, dtype=complex) for p in parts]
+    if len(parts) != len(blocks) or any(
+            p.shape != (k, k) for p, (k, _) in zip(parts, blocks)):
+        raise ModelError(f"{what} blocks do not match the block sizes")
+    total = sum(k for k, _ in blocks)
     out = np.zeros((total, total), dtype=complex)
     off = 0
-    for m in mats:
-        k = m.shape[0]
+    for m, (k, _) in zip(parts, blocks):
         out[off:off + k, off:off + k] = m
         off += k
     return out
@@ -176,8 +180,8 @@ class MatrixModel(TraceModel):
 
     ``generators[g]`` is a list of one ``k_i x k_i`` matrix per block.  An
     optional B-subalgebra is given by an abstract :class:`BAlgebra` together
-    with one concrete matrix per basis element; the representation is checked
-    against the structure constants.
+    with one such list of blocks per basis element; the representation is
+    checked against the structure constants.
     """
 
     def __init__(self, blocks, generators, star_pairing=None,
@@ -188,13 +192,7 @@ class MatrixModel(TraceModel):
         if abs(sum(lam for _, lam in blocks) - 1.0) > 1e-12:
             raise ModelError("block weights must sum to 1")
         self.blocks = blocks
-        mats = []
-        for g in generators:
-            parts = [np.asarray(p, dtype=complex) for p in g]
-            if len(parts) != len(blocks) or any(
-                    p.shape != (k, k) for p, (k, _) in zip(parts, blocks)):
-                raise ModelError("generator blocks do not match the block sizes")
-            mats.append(_block_diag(parts))
+        mats = [_block_diag(g, blocks, "generator") for g in generators]
         if not mats:
             raise ModelError("need at least one generator")
         self.gen_mats = mats
@@ -219,10 +217,8 @@ class MatrixModel(TraceModel):
             self.b_mats = [np.eye(self.dim, dtype=complex)]
         else:
             if b_basis is None or len(b_basis) != b.dim:
-                raise ModelError("need one matrix per B basis element")
-            self.b_mats = [_block_diag([np.asarray(p, dtype=complex) for p in el])
-                           if isinstance(el, (list, tuple)) else
-                           np.asarray(el, dtype=complex)
+                raise ModelError("need one list of blocks per B basis element")
+            self.b_mats = [_block_diag(el, blocks, "B basis")
                            for el in b_basis]
             self._check_b_representation()
 
@@ -267,8 +263,8 @@ class MatrixModel(TraceModel):
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
         """``tau(x* y) = sum_lk conj(X_lk) w_k Y_lk`` for the evaluated words
-        ``X``, ``Y`` and the trace weights ``w``: each word's vector is ``X``
-        with column ``k`` scaled by ``sqrt(w_k)``, flattened, and ``K = I``."""
+        ``X``, ``Y`` and the trace weights ``w``: each word's vector is its
+        matrix with column ``k`` scaled by ``sqrt(w_k)``, flattened."""
         root = np.sqrt(self.weights)
 
         def vectors(words):
@@ -276,7 +272,7 @@ class MatrixModel(TraceModel):
                             ).reshape(len(words), self.dim ** 2)
 
         Vx = vectors(xs)
-        return Vx, None, Vx if ys is None else vectors(ys)
+        return Vx, Vx if ys is None else vectors(ys)
 
 
 def two_point_matrix_model(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
@@ -347,7 +343,7 @@ class SemicircularModel(TraceModel):
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
         """``tau(x* y) = <y Omega, x Omega>`` in the full Fock space over
         ``C^n``, where ``s_l`` is left creation of ``e_l`` plus its adjoint:
-        the vectors are ``x Omega`` and ``K = I``, exact on integers.
+        the vectors are ``x Omega``, exact on integers.
 
         The vectors are built prefix by prefix (:meth:`_fock_vectors`), all
         prefixes of one length at once.  The right semicircular ``d_l = r_l
@@ -362,7 +358,7 @@ class SemicircularModel(TraceModel):
         Vx = self._fock_vectors([w[1::2] for w in xs], depth)
         Vy = Vx if ys is None else self._fock_vectors([w[1::2] for w in ys],
                                                       depth)
-        return Vx, None, Vy
+        return Vx, Vy
 
     def _fock_vectors(self, words, depth) -> np.ndarray:
         """``u Omega`` per letter tuple ``u``, over the Fock basis of letter
@@ -607,15 +603,15 @@ class MeasureModel(TraceModel):
         return complex(self.moment(len(word) // 2))
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
-        """``tau(x* y)`` is the moment of order ``deg x + deg y``: one-hot
-        degree rows, and ``K`` the Hankel matrix of the moments up to ``dx +
-        dy``."""
+        """``tau(x* y)`` is the moment of order ``deg x + deg y``: ``V_x`` is
+        the one-hot degree row, and ``V_y[b, k] = m_(deg ys[b] + k)`` for
+        ``k = 0..dx``, a row of the Hankel matrix of the moments."""
         ys = xs if ys is None else ys
         moments = np.array([self.moment(k) for k in range(dx + dy + 1)])
-        K = moments[np.add.outer(np.arange(dx + 1), np.arange(dy + 1))]
         Vx = np.eye(dx + 1)[[len(x) // 2 for x in xs]]
-        Vy = np.eye(dy + 1)[[len(y) // 2 for y in ys]]
-        return Vx, K, Vy
+        Vy = moments[np.add.outer(np.array([len(y) // 2 for y in ys],
+                                           dtype=int), np.arange(dx + 1))]
+        return Vx, Vy
 
 
 def two_point_measure(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
@@ -705,8 +701,9 @@ class FreeProductModel(TraceModel):
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
         """``tau(x* y) = <y Omega, x Omega>`` over the basis vectors of
-        :meth:`_vector`: the rows are the coefficients of ``x Omega`` (see
-        :func:`_reduced_coefficients`), and ``K`` is zero between different
+        :meth:`_vector`: ``V_x`` holds the coefficients of ``x Omega`` (see
+        :func:`_reduced_coefficients`) and ``V_y`` those of ``K (y Omega)``,
+        with ``K`` the Gram matrix of the basis, zero between different
         factor sequences.  Basis vectors of one sequence pair block by block,
         ``<e_b', e_b> = prod_j Kc_(i_j)[u_j, u'_j]``, where ``Kc_i = M_i -
         outer(conj(t_i), t_i)`` is the centered table of factor ``i``, read
@@ -732,7 +729,7 @@ class FreeProductModel(TraceModel):
                 Kc, rindex, cindex = centered[fi]
                 block *= Kc[np.ix_([rindex[b[j][1]] for b in rkeys],
                                    [cindex[b[j][1]] for b in ckeys])]
-        return Vx, K, Vy
+        return Vx, (K @ Vy.T).T
 
     def _centered_tables(self, rows, cols) -> dict:
         """Per factor met in both key groups: ``(Kc, row index, column
@@ -800,10 +797,6 @@ def _reduced_coefficients(vectors) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _mat_to_json(m: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
-
-
 def _mat_entry(x) -> complex:
     if (not isinstance(x, list) or len(x) != 2
             or not all(isinstance(v, (int, float)) for v in x)):
@@ -816,43 +809,6 @@ def _mat_from_json(data):
         raise ModelError("matrices must be lists of rows of [re, im] pairs, "
                          f"got {data!r}")
     return np.array([[_mat_entry(x) for x in row] for row in data])
-
-
-def model_to_json(model: TraceModel) -> dict:
-    if isinstance(model, MatrixModel):
-        out = {
-            "type": "matrix",
-            "blocks": [[k, lam] for k, lam in model.blocks],
-            "generators": [],
-            "star_pairing": [j + 1 for j in model.system.star_pairing],
-        }
-        for g in model.gen_mats:
-            parts = []
-            off = 0
-            for k, _ in model.blocks:
-                parts.append(_mat_to_json(g[off:off + k, off:off + k]))
-                off += k
-            out["generators"].append(parts)
-        return out
-    if isinstance(model, SemicircularModel):
-        return {"type": "semicircular", "n": model.n}
-    if isinstance(model, MeasureModel):
-        out = {"type": "measure", "atoms": [[t, m] for t, m in model.atoms]}
-        d = model.density
-        if isinstance(d, SemicircleDensity):
-            out["density"] = {"kind": "semicircle", "center": d.center,
-                              "radius": d.radius}
-        elif isinstance(d, UniformDensity):
-            out["density"] = {"kind": "uniform", "a": d.a, "b": d.b}
-        elif isinstance(d, TableDensity):
-            out["density"] = {"kind": "table",
-                              "points": [[float(x), float(y)]
-                                         for x, y in zip(d.xs, d.ys)]}
-        return out
-    if isinstance(model, FreeProductModel):
-        return {"type": "free_product",
-                "factors": [model_to_json(f) for f in model.factors]}
-    raise ModelError(f"cannot serialize model {type(model).__name__}")
 
 
 _REQUIRED = object()

@@ -154,7 +154,7 @@ class PushForwardModel(TraceModel):
     tau_base(w(p))``.  Both generate the same *-algebra when the base generators are polynomials
     in ``polys``.  A table over pushed words is the base table over the base
     words they expand to: with ``C`` the expansion coefficients (pushed words
-    x base words), the vectors are ``(C_x V_x, K, C_y V_y)``."""
+    x base words), the vectors are ``(C_x V_x, C_y V_y)``."""
 
     def __init__(self, base, polys, cap=12):
         super().__init__(GeneratorSystem(len(polys), cap=cap))
@@ -185,9 +185,9 @@ class PushForwardModel(TraceModel):
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
         Cx, bx, ex = self._coefficients(xs)
         Cy, by, ey = (Cx, bx, ex) if ys is None else self._coefficients(ys)
-        Vx, K, Vy = self.base._table_vectors(bx, None if ys is None else by,
-                                             ex, ey)
-        return Cx @ Vx, K, Cy @ Vy
+        Vx, Vy = self.base._table_vectors(bx, None if ys is None else by,
+                                          ex, ey)
+        return Cx @ Vx, Cy @ Vy
 
 
 def _unitary_pair():

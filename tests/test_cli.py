@@ -4,11 +4,9 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from free_stein.cli import build_parser, main
-from free_stein.trace import MatrixModel, model_to_json
 
 SEMI1 = {"type": "semicircular", "n": 1}
 SEMI2 = {"type": "semicircular", "n": 2}
@@ -170,6 +168,44 @@ def test_closed_form_misc(tmp_path, capsys):
     code = run(["closed-form", "staircase", "--levels", "6"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0 and data["trail"][-1][1] < -1e6
+
+
+@pytest.mark.parametrize("betti, want", [
+    (["--beta0", "0", "--beta1", "1"], "2"),  # the free group F_2
+    ([], "1"),  # Z
+    # a group of order 3, as finite-group --order 3 gives it
+    (["--beta0", "1/3"], "2/3"),
+])
+def test_closed_form_group(capsys, betti, want):
+    assert run(["closed-form", "group", *betti]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_exact"] == want
+
+
+@pytest.mark.parametrize("betti, named", [
+    (["--beta0", "2"], "beta0 = 2, beta1 = 0"),
+    (["--beta0", "-1"], "beta0 = -1, beta1 = 0"),
+    (["--beta1", "-1"], "beta0 = 0, beta1 = -1"),
+])
+def test_closed_form_group_rejects_impossible_betti_numbers(capsys, betti,
+                                                            named):
+    assert run(["closed-form", "group", *betti]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_a_value_beyond_a_float_is_a_validation_error(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"weights": {"a": "1/2", "b": "1/2"},
+                                 "edges": [["a", "b", 10 ** 400]]}))
+    for argv in (["staircase", "--levels", "300"],
+                 ["group", "--beta1", "1e400"],
+                 ["graph", "--graph", str(graph)]):
+        assert run(["closed-form", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: integer division result too large "
+                                "for a float\n")
 
 
 def test_log_energy_and_eps_cli(specs, tmp_path, capsys):
@@ -528,9 +564,11 @@ def test_closed_form_fd_reads_float_model_weights(tmp_path, capsys, blocks,
                                                  want):
     # the weights of a spec are binary floats whose exact sum is not 1; each
     # is read as the nearest small fraction, as --blocks would give it
-    gens = [[np.diag(np.arange(k, dtype=float)).tolist() for k, _ in blocks]]
+    gens = [[[[[float(i) if i == j else 0.0, 0.0] for j in range(k)]
+              for i in range(k)] for k, _ in blocks]]
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_json(MatrixModel(blocks, gens))))
+    path.write_text(json.dumps({"type": "matrix", "blocks": blocks,
+                                "generators": gens}))
     assert run(["closed-form", "fd", "--model", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["sigma_exact"] == want
     spec = ",".join(f"{k}:{Fraction(lam).limit_denominator(100)}"
@@ -542,9 +580,10 @@ def test_closed_form_fd_reads_float_model_weights(tmp_path, capsys, blocks,
 def test_closed_form_fd_names_a_weight_that_rounds_to_zero(tmp_path, capsys):
     # a positive weight below the 1e-6 resolution of --model weights reads
     # as 0: the error names that block, not the model's validity
-    model = MatrixModel([(1, 1e-7), (1, 1 - 1e-7)], [[[[0.0]], [[1.0]]]])
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_json(model)))
+    path.write_text(json.dumps(
+        {"type": "matrix", "blocks": [[1, 1e-7], [1, 1 - 1e-7]],
+         "generators": [[[[[0.0, 0.0]]], [[[1.0, 0.0]]]]]}))
     assert run(["closed-form", "fd", "--model", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: block 0 (size 1) has weight 1e-07, which rounds to 0 at the "
@@ -561,10 +600,10 @@ def test_closed_form_fd_keeps_the_exact_weight_sum(tmp_path, capsys):
     # fractions sum to 1 - 1.4e-12: fd_sigma still rejects them
     weights = [0.1234567, 0.2345678, 0.6419755]
     assert sum(weights) == 1.0
-    model = MatrixModel([(1, w) for w in weights],
-                        [[[[1.0]], [[0.0]], [[-1.0]]]])
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_json(model)))
+    path.write_text(json.dumps(
+        {"type": "matrix", "blocks": [[1, w] for w in weights],
+         "generators": [[[[[1.0, 0.0]]], [[[0.0, 0.0]]], [[[-1.0, 0.0]]]]]}))
     assert run(["closed-form", "fd", "--model", str(path)]) == 2
     assert capsys.readouterr().err == "error: block weights must sum to 1\n"
 

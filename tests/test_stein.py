@@ -1029,7 +1029,7 @@ def _vanishing_idempotent():
                      (1, 0): ()},
                  star=[((0, 1),), ((1, 1),)], unit=((0, 1), (1, 1)))
     return MatrixModel([(1, 0.25)] * 4, [[[[x]] for x in (-1.0, 0.0, 1.0, 2.0)]],
-                       b_algebra=b, b_basis=[[[[1.0]]] * 4, [[[[0.0]]]] * 4])
+                       b_algebra=b, b_basis=[[[[1.0]]] * 4, [[[0.0]]] * 4])
 
 
 def _three_two_one():

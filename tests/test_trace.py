@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 import re
 
@@ -10,7 +9,7 @@ from conftest import (PushForwardModel, SymbolicPairing, _unitary_pair,
                       inner_hs, m2_over_m2, random_element, random_word,
                       word_of)
 from free_stein.errors import DegreeCapError, ModelError
-from free_stein.ncalg import (KernelMatrix, NCPoly,
+from free_stein.ncalg import (BAlgebra, KernelMatrix, NCPoly,
                               TensorPoly, commutator_stein_kernel,
                               generator_tuple)
 from free_stein.stein import monomial_words
@@ -18,8 +17,7 @@ from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircleDensity, SemicircularModel,
                               TableDensity, UniformDensity, catalan,
                               cyclic_group_model, model_from_json,
-                              model_to_json, two_point_matrix_model,
-                              two_point_measure)
+                              two_point_matrix_model, two_point_measure)
 
 
 def brute_noncrossing_pair_count(letters):
@@ -68,6 +66,23 @@ def test_matrix_model_validation():
     with pytest.raises(ModelError):
         # adjoint of the generator is not the declared star partner
         MatrixModel([(2, 1.0)], [[[[0, 1], [0, 0]]]])
+
+
+def test_matrix_model_b_blocks_match_the_block_sizes():
+    # B = C^2 by p -> 1, q -> 0 on two 1 x 1 blocks: a B basis element is a
+    # list of blocks, checked like a generator's, never broadcast
+    b = BAlgebra(2, {(0, 0): ((0, 1),), (1, 1): ((1, 1),), (0, 1): (),
+                     (1, 0): ()},
+                 star=[((0, 1),), ((1, 1),)], unit=((0, 1), (1, 1)))
+    blocks, gens = [(1, 0.5), (1, 0.5)], [[[[1.0]], [[-1.0]]]]
+    m = MatrixModel(blocks, gens, b_algebra=b,
+                    b_basis=[[[[1.0]]] * 2, [[[0.0]]] * 2])
+    assert m.trace_word((1, 0, 0)) == 0
+    for q in ([[[[0.0]]]] * 2, [[[0.0]]], [[[0.0, 0.0], [0.0, 0.0]]] * 2):
+        with pytest.raises(ModelError, match=re.escape(
+                "B basis blocks do not match the block sizes")):
+            MatrixModel(blocks, gens, b_algebra=b,
+                        b_basis=[[[[1.0]]] * 2, q])
 
 
 def test_matrix_star_pairing_pair():
@@ -347,10 +362,36 @@ def test_gram_positivity_degree3(model):
 # -- JSON specs ---------------------------------------------------------------------
 
 
+TWO_POINT_SPEC = {"type": "matrix", "blocks": [[1, 0.5], [1, 0.5]],
+                  "generators": [[[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]]}
+JSON_SPECS = [
+    (TWO_POINT_SPEC, two_point_matrix_model),
+    ({"type": "matrix", "blocks": [[2, 1.0]],
+      "generators": [[[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
+                     [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]]},
+     lambda: MatrixModel([(2, 1.0)], [[[[1, 0], [0, -1]]],
+                                      [[[0, 1], [1, 0]]]])),
+    ({"type": "matrix", "blocks": [[1, 1 / 3], [1, 2 / 3]],
+      "generators": [[[[[0, 1]]], [[[0.955336489125606, 0.29552020666133955]]]],
+                     [[[[0, -1]]], [[[0.955336489125606, -0.29552020666133955]]]]],
+      "star_pairing": [2, 1]}, _unitary_pair),
+    ({"type": "semicircular", "n": 2}, lambda: SemicircularModel(2)),
+    ({"type": "measure", "density": {"kind": "semicircle"}},
+     lambda: MeasureModel([], SemicircleDensity())),
+    ({"type": "measure", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
+     two_point_measure),
+    ({"type": "free_product", "factors": [TWO_POINT_SPEC, TWO_POINT_SPEC]},
+     lambda: FreeProductModel([two_point_matrix_model(),
+                               two_point_matrix_model()])),
+]
+
+
 def test_model_json_roundtrip():
-    for model in _all_models():
-        data = json.loads(json.dumps(model_to_json(model)))
-        again = model_from_json(data)
+    # every model type read from a literal spec traces as the model built
+    # in Python
+    for data, make in JSON_SPECS:
+        model, again = make(), model_from_json(data)
+        assert type(again) is type(model) and again.system == model.system
         rng = random.Random(3)
         for _ in range(10):
             w = random_word(model.system, rng, 5)
