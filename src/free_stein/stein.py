@@ -25,7 +25,8 @@ degree up to ``d + 1`` are scanned.
 
 Numbers enter the Gram and design path through one moment table,
 ``G[x, y] = tau(x* y)`` of scalar-B words (``TraceModel.moment_table``, which
-forms ``conj(V_x) K V_y^T`` from each model's own vectors and pairing).
+forms the one product ``conj(V_x) V_y^T`` of the two vector sets each model
+supplies).
 Every trace model here is tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b,
 c (x) d> = G[c, a] G[d, b]``: the Gram matrix, the r-vectors and the
 candidate Gram are sums of products of table entries.  ``W[a, b]`` sums

@@ -18,10 +18,11 @@ with its ``(V_x, V_y)``:
   absolutely-continuous spectral distribution; ``V_x`` is the one-hot degree
   row and ``V_y`` the row of the Hankel matrix of the moments at ``deg y``;
 * :class:`FreeProductModel` -- free products of the above, evaluated on
-  reduced-word vectors: ``w Omega`` in the reduced free-product space, whose
-  vacuum coefficient is the trace; ``V_x`` holds its coefficients and ``V_y``
-  those of ``K (y Omega)``, where ``K`` pairs basis vectors of one factor
-  sequence through the factors' centered tables, zero across sequences.
+  ``w Omega`` in the reduced free-product space, whose vacuum coefficient is
+  the trace, built on the same prefix stack as the Fock vectors, a gather
+  and an ordered scatter per prefix length; ``V_x`` holds its coefficients
+  and ``V_y`` those of ``K (y Omega)``, where ``K`` pairs basis keys of one
+  factor sequence block by block through the factors' centered tables.
 
 The inner products read these tables, ``<p, q> = tau(q* p)`` on polynomials
 and ``<a(x)b, c(x)d> = tau(c* a) tau(b d*)`` on tensors, both linear in the
@@ -76,9 +77,10 @@ class TraceModel:
         word = tuple(word)
         hit = self._word_cache.get(word)
         if hit is None:
-            if self.system.word_degree(word) > self.system.cap:
+            degree = self.system.word_degree(word)
+            if degree > self.system.cap:
                 raise DegreeCapError(
-                    f"word degree {self.system.word_degree(word)} exceeds cap")
+                    f"word degree {degree} exceeds cap {self.system.cap}")
             self.system.check_word(word)
             hit = complex(self._trace_word_impl(word))
             self._word_cache[word] = hit
@@ -371,22 +373,41 @@ class SemicircularModel(TraceModel):
         :func:`_fock_successors` and one gather-add for ``r_l*``."""
         there = _fock_successors(self.n, depth)
         h = there.shape[1]  # the tuples shorter than depth
-        prefixes = sorted({u[:k] for u in words for k in range(len(u) + 1)},
-                          key=lambda u: (len(u), u))
-        row = {u: r for r, u in enumerate(prefixes)}
-        V = np.zeros((len(prefixes), h + self.n ** depth))
-        V[:1, 0] = 1.0  # the vacuum, the empty prefix
-        lengths = [len(u) for u in prefixes]
-        ends = np.searchsorted(lengths,
-                               np.arange(1, max(lengths, default=0) + 2))
-        for lo, hi in zip(ends, ends[1:]):
-            level = prefixes[lo:hi]
-            src = V[[row[u[:-1]] for u in level]]
-            to = there[[u[-1] for u in level]]
+        size, levels, at = _prefix_stack(words)
+        V = np.zeros((size, h + self.n ** depth))
+        V[0, 0] = 1.0  # the vacuum, the empty prefix
+        for lo, hi, parents, letters in levels:
+            src, to = V[parents], there[letters]
             cur, rows = V[lo:hi], np.arange(hi - lo)[:, None]
             cur[rows, to] = src[:, :h]  # r_l: depth k -> k + 1
             cur[:, :h] += src[rows, to]  # r_l*: back
-        return V[[row[u] for u in words]]
+        return V[at]
+
+
+def _prefix_stack(words) -> tuple:
+    """Every prefix of the letter tuples ``words`` on one stack, by length
+    and then tuple, the empty prefix in row 0: ``(size, levels, rows)``.
+    ``levels`` holds per length from 1 ``(lo, hi, parents, letters)``: the
+    stack rows ``lo:hi`` of that length, each one's parent row and its last
+    letter; ``rows`` holds each word's row.  The prefixes are found from the
+    longest down, one slice per prefix."""
+    by_length = [{()}] + [set() for _ in range(max(map(len, words),
+                                                   default=0))]
+    for u in words:
+        by_length[len(u)].add(u)
+    found, parents = [], ()
+    for k in range(len(by_length) - 1, 0, -1):
+        level = sorted(by_length[k].union(parents))
+        parents = [u[:-1] for u in level]
+        found.append((level, parents))
+    row, levels, lo = {(): 0}, [], 1
+    for level, parents in reversed(found):
+        hi = lo + len(level)
+        levels.append((lo, hi, np.array([row[u] for u in parents]),
+                       np.array([u[-1] for u in level])))
+        row.update(zip(level, range(lo, hi)))
+        lo = hi
+    return lo, levels, np.array([row[u] for u in words], dtype=int)
 
 
 @lru_cache(maxsize=None)
@@ -627,15 +648,19 @@ def two_point_measure(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
 class FreeProductModel(TraceModel):
     """Free product of trace models; generators are concatenated.
 
-    Words act on the reduced free-product space.  A letter tuple ``b``
-    splits into maximal same-factor blocks ``u_1 ... u_k``; its basis vector
-    is ``e_b = u_1° Omega (x) ... (x) u_k° Omega`` with ``u° = u - tau(u)``,
-    and ``e_()`` is the vacuum.  The vector ``w Omega`` is built prefix by
-    prefix (:meth:`_vector`), its vacuum coefficient is ``tau(w)``, and
-    moment tables pair the vectors through the factors' own tables
-    (:meth:`_table_vectors`).  Only the factor states enter, so no factor needs
-    to be tracial.  A product word traces factor words of up to its own
-    degree, so the product's cap may not exceed a factor's.
+    Words act on the reduced free-product space ``C Omega (+) sum of
+    H°_(i_1) (x) ... (x) H°_(i_k)`` over alternating factor sequences.  A
+    basis key is a letter tuple ``b``: consecutive blocks lie in different
+    factors, so its maximal same-factor runs ``u_1 ... u_k`` are its blocks,
+    and its basis vector is ``e_b = u_1° Omega (x) ... (x) u_k° Omega`` with
+    ``u° = u - tau(u)``; ``e_()`` is the vacuum.  The vectors ``w Omega``
+    are built on one stack of every prefix of the words, one prefix length
+    at a time, over the keys the words reach (:meth:`_reduced_vectors`);
+    the vacuum coefficient is ``tau(w)``, and moment tables pair the vectors
+    through the factors' own tables (:meth:`_table_vectors`).  Only the
+    factor states enter, so no factor needs to be tracial.  A product word
+    traces factor words of up to its own degree, so the product's cap may
+    not exceed a factor's.
     """
 
     def __init__(self, factors, cap=None):
@@ -660,109 +685,186 @@ class FreeProductModel(TraceModel):
                 raise ModelError(
                     f"free-product cap {self.system.cap} exceeds the cap "
                     f"{f.system.cap} of factor {fi} ({type(f).__name__})")
-        # letter tuple -> {basis key: coefficient}; a basis key is the tuple
-        # of its blocks, each ``(factor, local letters)``
-        self._vectors: dict = {(): {(): complex(1)}}
-
-    def _vector(self, letters) -> dict:
-        """``w Omega`` for the letter tuple ``w``, from the vector of ``w``
-        without its last letter ``x`` (local letter ``l`` of factor ``i``)
-        by the right action of ``x``, which commutes with the left action of
-        the product.  A basis vector ``e_b`` whose last block is not in
-        factor ``i`` goes to ``e_(b x) + tau(x) e_b``; for ``b = b' v`` with
-        ``v`` in factor ``i`` it goes to ``e_(b x) - tau(v) e_(b' x) +
-        (tau(v x) - tau(v) tau(x)) e_(b')``, all traces in factor ``i``."""
-        hit = self._vectors.get(letters)
-        if hit is not None:
-            return hit
-        prev = self._vector(letters[:-1])
-        fi, l = self._map[letters[-1]]
-        factor = self.factors[fi]
-        t_x = factor.trace_word((0, l, 0))
-        out: dict = {}
-        for b, c in prev.items():
-            if b and b[-1][0] == fi:
-                head, v = b[:-1], b[-1][1]
-                t_v = factor.trace_word(_scalar_word(v))
-                t_vx = factor.trace_word(_scalar_word(v + (l,)))
-                terms = ((head + ((fi, v + (l,)),), c),
-                         (head + ((fi, (l,)),), -c * t_v),
-                         (head, c * (t_vx - t_v * t_x)))
-            else:
-                terms = ((b + ((fi, (l,)),), c), (b, c * t_x))
-            for key, val in terms:
-                if val:
-                    out[key] = out.get(key, 0) + val
-        self._vectors[letters] = out
-        return out
 
     def _trace_word_impl(self, word) -> complex:
-        return self._vector(word[1::2]).get((), complex(0))
+        V, _ = self._reduced_vectors([word[1::2]])
+        return V[0, 0]
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
-        """``tau(x* y) = <y Omega, x Omega>`` over the basis vectors of
-        :meth:`_vector`: ``V_x`` holds the coefficients of ``x Omega`` (see
-        :func:`_reduced_coefficients`) and ``V_y`` those of ``K (y Omega)``,
-        with ``K`` the Gram matrix of the basis, zero between different
-        factor sequences.  Basis vectors of one sequence pair block by block,
-        ``<e_b', e_b> = prod_j Kc_(i_j)[u_j, u'_j]``, where ``Kc_i = M_i -
-        outer(conj(t_i), t_i)`` is the centered table of factor ``i``, read
-        from the factor's own ``moment_table`` over the blocks of the row
-        vectors against those of the column vectors, so no factor traces a
+        """``tau(x* y) = <y Omega, x Omega>`` over the basis keys of
+        :meth:`_reduced_vectors`: ``V_x`` holds the coefficients of ``x
+        Omega`` and ``V_y`` those of ``K (y Omega)``, with ``K`` the Gram
+        matrix of the basis (:meth:`_basis_gram`)."""
+        Vx, rows = self._reduced_vectors([x[1::2] for x in xs])
+        Vy, cols = ((Vx, rows) if ys is None
+                    else self._reduced_vectors([y[1::2] for y in ys]))
+        return Vx, Vy @ self._basis_gram(rows, cols).T
+
+    def _reduced_vectors(self, words) -> tuple:
+        """``(V, basis)``: row ``a`` of ``V`` holds the coefficients of
+        ``words[a] Omega`` over the keys of ``basis`` (a
+        :class:`_ReducedBasis`), those the words reach, numbered as reached
+        with the vacuum first.
+
+        Each prefix level is the right action of its last letters on its
+        parent rows, which commutes with the left action of the product.  A
+        letter ``x`` sends ``e_b`` to ``e_(b x)`` with coefficient 1 and,
+        when the last block ``v`` of ``b = b' v`` is in the factor of ``x``,
+        to ``e_(b' x)`` with ``-tau(v)`` and to ``e_(b')`` with ``tau(v x) -
+        tau(v) tau(x)``, else to ``e_b`` with ``tau(x)``, all traces in that
+        factor.  A level is one gather of the parent rows and one ordered
+        scatter of the three terms of their nonzero coefficients, at the
+        targets and coefficients of :meth:`_ReducedBasis.successors`: a
+        target sums its terms by source key, then term.  Keys that only a
+        zero coefficient would reach are not numbered."""
+        size, levels, at = _prefix_stack(words)
+        basis = _ReducedBasis(self)
+        done, prev = [np.ones((1, 1))], 0  # the vacuum row
+        for lo, hi, parents, letters in levels:
+            src, prev = done[-1][parents - prev], lo
+            at_nz = np.flatnonzero(src != 0)
+            r, b = np.divmod(at_nz, src.shape[1])
+            to, coef = basis.successors((b * self.n + letters[r]).tolist())
+            # column -1 takes the zero terms of absent targets
+            cur = np.zeros((hi - lo, len(basis) + 1),
+                           dtype=np.result_type(src, coef))
+            np.add.at(cur, (r[:, None], to), src.ravel()[at_nz, None] * coef)
+            done.append(cur[:, :-1])
+        V = np.zeros((size, len(basis)), dtype=np.result_type(*done))
+        lo = 0
+        for level in done:
+            V[lo:lo + len(level), :level.shape[1]] = level
+            lo += len(level)
+        return V[at], basis
+
+    def _basis_gram(self, rows, cols) -> np.ndarray:
+        """``K[a, c] = <e_c, e_a>`` between the keys of the bases ``rows``
+        and ``cols``, one basis for a square table.  Keys of ``k`` blocks pair block by block, ``prod_j
+        Kc[u_j, u'_j]`` over the stacked centered table ``Kc``
+        (:meth:`_centered_table`), accumulated in block order: the pairs of
+        ``k`` blocks are those of their heads times one gather of ``Kc`` at
+        their last blocks.  Keys of different block counts are orthogonal,
+        and so are those of different factor sequences, since ``Kc`` is zero
+        across factors."""
+        Kc = self._centered_table(rows, cols)
+        K = np.zeros((len(rows), len(cols)), dtype=np.result_type(1.0, Kc))
+        K[0, 0] = 1  # the vacuum
+        groups = list(rows.by_count())
+        for (rk, rh, rl), (ck, ch, cl) in zip(
+                groups, groups if cols is rows else cols.by_count()):
+            K[rk[:, None], ck] = K[rh[:, None], ch] * Kc[rl[:, None], cl]
+        return K
+
+    def _centered_table(self, rows, cols) -> np.ndarray:
+        """``Kc[u, u'] = tau(u* u') - conj(tau(u)) tau(u')`` over the blocks
+        ``u`` of ``rows`` and ``u'`` of ``cols``, zero across factors.  Each
+        factor's part is read from its own ``moment_table`` over its blocks
+        in the two bases, square when the table is, so no factor traces a
         word beyond the table's degree."""
-        rows, Vx = _reduced_coefficients([self._vector(x[1::2]) for x in xs])
-        if ys is None:
-            cols, Vy = rows, Vx
+        parts, square = [], cols is rows
+        for fi, factor in enumerate(self.factors):
+            rids, rwords = rows.factor_blocks(fi)
+            cids, cwords = (rids, rwords) if square else cols.factor_blocks(fi)
+            if rids and cids:
+                M = factor.moment_table(rwords, None if square else cwords)
+                # M[a, 0] = tau(u_a*) = conj(tau(u_a)) and M[0, b] = tau(u_b)
+                parts.append((rids, cids,
+                              M[1:, 1:] - np.outer(M[1:, 0], M[0, 1:])))
+        Kc = np.zeros((len(rows.block_factor), len(cols.block_factor)),
+                      dtype=np.result_type(1.0, *(p for _, _, p in parts)))
+        for rids, cids, part in parts:
+            Kc[np.ix_(rids, cids)] = part
+        return Kc
+
+
+class _ReducedBasis:
+    """The basis keys that one :class:`FreeProductModel` build reaches,
+    numbered as reached, and their blocks.
+
+    A key ``b x`` is numbered with its pair code ``b n + x``, the code of
+    its parent key and last letter.  Per key: its head ``b'``, the key
+    without its last block, its last block and its block count.  A block is
+    a factor word, numbered as reached, with its factor, its local letters
+    and its trace in the factor, real when the trace is."""
+
+    def __init__(self, model):
+        self.model = model
+        self.head, self.last, self.count = [0], [-1], [0]
+        self.block_factor, self.block_letters, self.block_trace = [], [], []
+        self._blocks = {}   # (block, letter) -> block, (-1, x) for one letter
+        self._pairs = {}    # pair code -> targets and coefficients
+
+    def __len__(self) -> int:
+        return len(self.head)
+
+    def _block(self, v, x) -> int:
+        """The block ``v x`` in the factor of the letter ``x``, ``v`` -1 for
+        the empty block, numbered and traced if new."""
+        u = self._blocks.get((v, x))
+        if u is None:
+            fi, l = self.model._map[x]
+            letters = (self.block_letters[v] if v >= 0 else ()) + (l,)
+            t = self.model.factors[fi].trace_word(_scalar_word(letters))
+            u = self._blocks[(v, x)] = len(self.block_factor)
+            self.block_factor.append(fi)
+            self.block_letters.append(letters)
+            self.block_trace.append(t if t.imag else t.real)
+        return u
+
+    def _pair(self, code) -> tuple:
+        """Number the key ``b x`` of a new pair code ``b n + x``, and keep
+        its targets and coefficients.  When the last block of ``b`` is in
+        the factor of ``x``, the head ``b'`` of ``b`` does not end in that
+        factor, so the pair of ``b' x`` needs no further pair."""
+        n = self.model.n
+        b, x = divmod(code, n)
+        one, v = self._block(-1, x), self.last[b]
+        t_x = self.block_trace[one]
+        if v >= 0 and self.block_factor[v] == self.block_factor[one]:
+            h, vx = self.head[b], self._block(v, x)
+            hx = (self._pairs.get(h * n + x) or self._pair(h * n + x))[0][0]
+            t_v = self.block_trace[v]
+            hit = ((len(self.head), hx, h),
+                   (1, -t_v, self.block_trace[vx] - t_v * t_x))
+            self.head.append(h)
+            self.last.append(vx)
+            self.count.append(self.count[b])
         else:
-            cols, Vy = _reduced_coefficients(
-                [self._vector(y[1::2]) for y in ys])
-        centered = self._centered_tables(rows, None if ys is None else cols)
-        K = np.zeros((Vx.shape[1], Vy.shape[1]), dtype=np.result_type(
-            1.0, *(Kc for Kc, _, _ in centered.values())))
-        for seq, (rkeys, rsl) in rows.items():
-            if seq not in cols:
-                continue
-            ckeys, csl = cols[seq]
-            block = K[rsl, csl]
-            block[...] = 1
-            for j, fi in enumerate(seq):
-                Kc, rindex, cindex = centered[fi]
-                block *= Kc[np.ix_([rindex[b[j][1]] for b in rkeys],
-                                   [cindex[b[j][1]] for b in ckeys])]
-        return Vx, (K @ Vy.T).T
+            hit = (len(self.head), -1, b), (1, 0, t_x)
+            self.head.append(b)
+            self.last.append(one)
+            self.count.append(self.count[b] + 1)
+        self._pairs[code] = hit
+        return hit
 
-    def _centered_tables(self, rows, cols) -> dict:
-        """Per factor met in both key groups: ``(Kc, row index, column
-        index)``, with ``Kc[u, u'] = tau(u* u') - conj(tau(u)) tau(u')`` over
-        the factor's row blocks ``u`` and column blocks ``u'`` (the row
-        blocks on both sides when ``cols`` is None)."""
-        shared = rows.keys() if cols is None else rows.keys() & cols.keys()
+    def successors(self, codes) -> tuple:
+        """Per pair code ``b n + x``: the three target keys of ``e_b`` under
+        the right action of ``x``, -1 for none, and their coefficients."""
+        pairs, to, coef = self._pairs, [], []
+        for code in codes:
+            hit = pairs.get(code) or self._pair(code)
+            to += hit[0]
+            coef += hit[1]
+        return (np.array(to, dtype=int).reshape(-1, 3),
+                np.array(coef).reshape(-1, 3))
 
-        def blocks(groups):
-            # per factor, block -> its row in the factor table, from 1: row
-            # 0 is the empty word, whose entries are the traces
-            out = {}
-            for seq, (keys, _) in groups.items():
-                if seq in shared:
-                    for b in keys:
-                        for fi, u in b:
-                            index = out.setdefault(fi, {})
-                            index.setdefault(u, len(index) + 1)
-            return out
+    def by_count(self):
+        """Per block count from 1: the keys of that count, their heads and
+        their last blocks."""
+        count = np.array(self.count)
+        order = np.argsort(count, kind="stable")
+        ends = np.searchsorted(count[order], np.arange(1, count.max() + 2))
+        head, last = np.array(self.head), np.array(self.last)
+        for lo, hi in zip(ends, ends[1:]):
+            keys = order[lo:hi]
+            yield keys, head[keys], last[keys]
 
-        def words(index):
-            return [(0,)] + [_scalar_word(u) for u in index]
-
-        rblocks = blocks(rows)
-        cblocks = rblocks if cols is None else blocks(cols)
-        tables = {}
-        for fi, rindex in rblocks.items():
-            cindex = cblocks[fi]
-            M = self.factors[fi].moment_table(
-                words(rindex), None if cols is None else words(cindex))
-            # M[a, 0] = tau(u_a*) = conj(tau(u_a)) and M[0, b] = tau(u_b)
-            tables[fi] = (M - np.outer(M[:, 0], M[0]), rindex, cindex)
-        return tables
+    def factor_blocks(self, fi) -> tuple:
+        """The numbers of the blocks in factor ``fi``, and the factor words
+        of the unit and of those blocks."""
+        ids = [u for u, f in enumerate(self.block_factor) if f == fi]
+        return ids, [(0,)] + [_scalar_word(self.block_letters[u])
+                              for u in ids]
 
 
 def _scalar_word(letters) -> tuple:
@@ -770,26 +872,6 @@ def _scalar_word(letters) -> tuple:
     word = [0] * (2 * len(letters) + 1)
     word[1::2] = letters
     return tuple(word)
-
-
-def _reduced_coefficients(vectors) -> tuple:
-    """The basis keys of ``vectors`` grouped by factor sequence, ``{sequence:
-    (keys, column slice)}``, and the coefficient matrix whose columns are
-    the keys in group order, written by one scatter of all coefficients;
-    real when no coefficient has an imaginary part."""
-    groups: dict = {}
-    for b in dict.fromkeys(b for v in vectors for b in v):
-        groups.setdefault(tuple(fi for fi, _ in b), []).append(b)
-    index, out, off = {}, {}, 0
-    for seq, keys in groups.items():
-        index.update(zip(keys, range(off, off + len(keys))))
-        out[seq] = (keys, slice(off, off + len(keys)))
-        off += len(keys)
-    V = np.zeros((len(vectors), off), dtype=complex)
-    rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
-    V[rows, [index[b] for v in vectors for b in v]] = [
-        c for v in vectors for c in v.values()]
-    return out, real_if_exact(V)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,132 @@ def inner_hs(pairing, A, B) -> complex:
     return acc
 
 
+# -- free-product oracle ---------------------------------------------------------
+
+
+class DictFreeProduct:
+    """Oracle only: the traces and moment tables of a ``FreeProductModel``
+    from dict-keyed reduced-word vectors, built key by key.
+
+    A basis key is the tuple of its blocks, each ``(factor, local
+    letters)``.  ``w Omega`` is built from the vector of ``w`` without its
+    last letter ``x`` by the right action of ``x``: ``e_b`` goes to ``e_(b
+    x) + tau(x) e_b`` when its last block is not in the factor ``i`` of
+    ``x``, and for ``b = b' v`` with ``v`` in factor ``i`` to ``e_(b x) -
+    tau(v) e_(b' x) + (tau(v x) - tau(v) tau(x)) e_(b')``.  Tables pair the
+    vectors through ``K``, filled block by block with one ``np.ix_`` gather
+    of the factors' centered tables per factor sequence."""
+
+    def __init__(self, model):
+        self.model = model
+        self.system = model.system
+        self.factors = [DictFreeProduct(f) if isinstance(f, FreeProductModel)
+                        else f for f in model.factors]
+        self._vectors = {(): {(): complex(1)}}
+
+    def vector(self, letters) -> dict:
+        hit = self._vectors.get(letters)
+        if hit is not None:
+            return hit
+        prev = self.vector(letters[:-1])
+        fi, l = self.model._map[letters[-1]]
+        factor = self.factors[fi]
+        t_x = factor.trace_word((0, l, 0))
+        out: dict = {}
+        for b, c in prev.items():
+            if b and b[-1][0] == fi:
+                head, v = b[:-1], b[-1][1]
+                t_v = factor.trace_word(word_of(v))
+                t_vx = factor.trace_word(word_of(v + (l,)))
+                terms = ((head + ((fi, v + (l,)),), c),
+                         (head + ((fi, (l,)),), -c * t_v),
+                         (head, c * (t_vx - t_v * t_x)))
+            else:
+                terms = ((b + ((fi, (l,)),), c), (b, c * t_x))
+            for key, val in terms:
+                if val:
+                    out[key] = out.get(key, 0) + val
+        self._vectors[letters] = out
+        return out
+
+    def trace_word(self, word) -> complex:
+        return self.vector(tuple(word[1::2])).get((), complex(0))
+
+    def moment_table(self, xs, ys=None) -> np.ndarray:
+        """The table ``tau(xs[a]* ys[b])`` as ``conj(V_x) (K V_y)``, mirrored
+        and real on the diagonal when square, as ``TraceModel.moment_table``
+        finishes it."""
+        square = ys is None
+        rows, Vx = _dict_coefficients([self.vector(x[1::2]) for x in xs])
+        if square:
+            cols, Vy = rows, Vx
+        else:
+            cols, Vy = _dict_coefficients([self.vector(y[1::2]) for y in ys])
+        centered = self._centered_tables(rows, None if square else cols)
+        K = np.zeros((Vx.shape[1], Vy.shape[1]), dtype=np.result_type(
+            1.0, *(Kc for Kc, _, _ in centered.values())))
+        for seq, (rkeys, rsl) in rows.items():
+            if seq not in cols:
+                continue
+            ckeys, csl = cols[seq]
+            block = K[rsl, csl]
+            block[...] = 1
+            for j, fi in enumerate(seq):
+                Kc, rindex, cindex = centered[fi]
+                block *= Kc[np.ix_([rindex[b[j][1]] for b in rkeys],
+                                   [cindex[b[j][1]] for b in ckeys])]
+        G = Vx.conj() @ (K @ Vy.T)
+        if square:
+            np.copyto(G, G.T.conj(), where=np.tri(len(xs), k=-1, dtype=bool))
+            np.fill_diagonal(G, G.diagonal().real)
+        return real_if_exact(G)
+
+    def _centered_tables(self, rows, cols) -> dict:
+        """Per factor: ``(Kc, row index, column index)`` over the blocks of
+        the factor sequences met on both sides."""
+        shared = rows.keys() if cols is None else rows.keys() & cols.keys()
+
+        def blocks(groups):
+            out = {}
+            for seq, (keys, _) in groups.items():
+                if seq in shared:
+                    for b in keys:
+                        for fi, u in b:
+                            index = out.setdefault(fi, {})
+                            index.setdefault(u, len(index) + 1)
+            return out
+
+        def words(index):
+            return [(0,)] + [word_of(u) for u in index]
+
+        rblocks = blocks(rows)
+        cblocks = rblocks if cols is None else blocks(cols)
+        tables = {}
+        for fi, rindex in rblocks.items():
+            cindex = cblocks[fi]
+            M = self.factors[fi].moment_table(
+                words(rindex), None if cols is None else words(cindex))
+            tables[fi] = (M - np.outer(M[:, 0], M[0]), rindex, cindex)
+        return tables
+
+
+def _dict_coefficients(vectors) -> tuple:
+    """The keys of dict vectors grouped by factor sequence, ``{sequence:
+    (keys, column slice)}``, and their coefficient matrix."""
+    groups: dict = {}
+    for b in dict.fromkeys(b for v in vectors for b in v):
+        groups.setdefault(tuple(fi for fi, _ in b), []).append(b)
+    index, out, off = {}, {}, 0
+    for seq, keys in groups.items():
+        index.update(zip(keys, range(off, off + len(keys))))
+        out[seq] = (keys, slice(off, off + len(keys)))
+        off += len(keys)
+    V = np.zeros((len(vectors), off), dtype=complex)
+    for a, v in enumerate(vectors):
+        V[a, [index[b] for b in v]] = list(v.values())
+    return out, real_if_exact(V)
+
+
 # -- adjoint-domain oracles ------------------------------------------------------
 
 

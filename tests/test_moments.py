@@ -11,9 +11,9 @@ against its own table, the moment tables of semicircular, measure and
 matrix models against the per-word traces they replaced
 (``_per_word_table``), and the reduced-word vectors of free products
 against the centering recursion they replaced.  The semicircular Fock
-vectors and the free-product coefficient matrix are checked bit for bit
-against the slice loop and per-vector assignment they replaced
-(``_fock_vectors_reference``, ``_reduced_coefficients_reference``).
+vectors are checked bit for bit against the slice loop they replaced
+(``_fock_vectors_reference``), and the free-product vectors, traces and
+tables against the dict-keyed builder they replaced (``DictFreeProduct``).
 Discrepancies, read off the
 candidate rows, are checked against the symbolic kernel summed by
 ``GramSystem.r_of_kernel``.  The reported candidate
@@ -34,8 +34,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (SymbolicPairing, _unitary_pair, candidate_gram_reference,
-                      random_poly, random_word, word_of)
+from conftest import (DictFreeProduct, SymbolicPairing, _unitary_pair,
+                      candidate_gram_reference, random_poly, random_word,
+                      word_of)
 from free_stein import stein, trace
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
@@ -954,56 +955,68 @@ def test_free_product_leg_table_equals_centering_recursion():
     assert np.array_equal(model.moment_table(legs), expected)
 
 
-def _reduced_coefficients_reference(vectors):
-    """Oracle only: ``trace._reduced_coefficients`` with one assignment per
-    vector, as it was before the single scatter."""
-    groups: dict = {}
-    for b in dict.fromkeys(b for v in vectors for b in v):
-        groups.setdefault(tuple(fi for fi, _ in b), []).append(b)
-    index, out, off = {}, {}, 0
-    for seq, keys in groups.items():
-        index.update(zip(keys, range(off, off + len(keys))))
-        out[seq] = (keys, slice(off, off + len(keys)))
-        off += len(keys)
-    V = np.zeros((len(vectors), off), dtype=complex)
-    for a, v in enumerate(vectors):
-        V[a, [index[b] for b in v]] = list(v.values())
-    return out, real_if_exact(V)
+# The arrays form the dict builder's terms, but sum three or more terms of
+# one coefficient by key number rather than in dict order, multiply complex
+# numbers with numpy's fused products, and form the final products in BLAS
+# order: values agree to a few units in the last place of the largest.
+ORDER_TOL = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", FREE_PRODUCTS)
+def test_free_product_tables_match_dict_builder(name):
+    model = FREE_PRODUCTS[name]()
+    oracle = DictFreeProduct(FREE_PRODUCTS[name]())
+    legs = stein.monomial_words(model.system, 0, 4)
+    rng = random.Random(23)
+    ys = [random_word(model.system, rng, 7) for _ in range(30)]
+    for args in ((legs,), (legs, ys), (ys, legs)):
+        G, R = model.moment_table(*args), oracle.moment_table(*args)
+        assert G.dtype == R.dtype and G.shape == R.shape
+        assert np.max(np.abs(G - R)) <= ORDER_TOL * np.max(np.abs(R))
+    for w in legs + ys:
+        want = oracle.trace_word(w)
+        assert abs(model.trace_word(w) - want) <= ORDER_TOL * max(1, abs(want))
+
+
+def _block_keys(basis):
+    """The dict builder's key of every key of a ``_ReducedBasis``: the tuple
+    of its ``(factor, local letters)`` blocks, read through the heads."""
+    keys = [()]
+    for head, last in zip(basis.head[1:], basis.last[1:]):
+        keys.append(keys[head] + ((basis.block_factor[last],
+                                   basis.block_letters[last]),))
+    return keys
 
 
 @st.composite
-def reduced_vectors(draw):
-    """Vectors ``w Omega`` of random words in one of the FREE_PRODUCTS, in
-    drawn order with repeats, or sparse vectors over random basis keys with
-    real or complex coefficients, some empty."""
-    if draw(st.booleans()):
-        model = FREE_PRODUCTS[draw(st.sampled_from(sorted(FREE_PRODUCTS)))]()
-        words = draw(st.lists(st.lists(st.integers(0, model.n - 1),
-                                       max_size=5).map(tuple), max_size=10))
-        if words:
-            words += draw(st.lists(st.sampled_from(words), max_size=3))
-        return [model._vector(u) for u in words]
-    block = st.tuples(st.integers(0, 2),
-                      st.lists(st.integers(0, 1), min_size=1,
-                               max_size=2).map(tuple))
-    key = st.lists(block, max_size=3).map(tuple)
-    real = st.floats(-4, 4).map(complex)
-    value = st.one_of(real, st.builds(complex, st.floats(-4, 4),
-                                      st.floats(-4, 4)))
-    return draw(st.lists(st.dictionaries(key, value, max_size=6),
-                         max_size=8))
+def free_product_words(draw):
+    """A FREE_PRODUCTS entry and letter tuples of up to five of its letters,
+    in drawn order with repeats."""
+    name = draw(st.sampled_from(sorted(FREE_PRODUCTS)))
+    n = FREE_PRODUCTS[name]().n
+    words = draw(st.lists(st.lists(st.integers(0, n - 1),
+                                   max_size=5).map(tuple), max_size=10))
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=3))
+    return name, words
 
 
 @settings(max_examples=80)
-@given(reduced_vectors())
-@example([])
-@example([{}, {(): 1 + 0j}])
-def test_reduced_coefficients_equal_per_vector_reference(vectors):
-    groups, V = trace._reduced_coefficients(vectors)
-    want_groups, want = _reduced_coefficients_reference(vectors)
-    assert groups == want_groups
-    assert V.dtype == want.dtype and V.shape == want.shape
-    assert np.array_equal(V, want)
+@given(free_product_words())
+@example(("plateau * cyclic(4)", []))
+@example(("semicircular(2) * two-point(0.3)", [(), (2, 2), (0, 2, 2, 1)]))
+def test_reduced_vectors_equal_dict_builder(case):
+    name, words = case
+    V, basis = FREE_PRODUCTS[name]()._reduced_vectors(words)
+    oracle = DictFreeProduct(FREE_PRODUCTS[name]())
+    keys = _block_keys(basis)
+    assert V.shape == (len(words), len(basis)) and len(set(keys)) == len(keys)
+    for row, u in zip(V, words):
+        got = {keys[k]: row[k] for k in np.flatnonzero(row)}
+        want = oracle.vector(u)
+        scale = max(abs(c) for c in want.values())
+        assert all(abs(got.get(b, 0) - want.get(b, 0)) <= ORDER_TOL * scale
+                   for b in got.keys() | want.keys())
 
 
 def test_free_product_leg_table_traces_no_product_words(monkeypatch):

@@ -203,6 +203,15 @@ def test_inner_products_match_the_symbolic_pair_traces(name):
               sum(oracle.inner_tensor(u, v) for u, v in zip(us, vs)))
 
 
+@pytest.mark.parametrize("model", [
+    SemicircularModel(2),
+    FreeProductModel([two_point_measure(), SemicircularModel(1)]),
+], ids=["semicircular", "free product"])
+def test_trace_word_names_the_cap(model):
+    with pytest.raises(DegreeCapError, match="^word degree 13 exceeds cap 12$"):
+        model.trace_word(word_of([0] * 13))
+
+
 def test_inner_tensor_checks_the_cap_on_both_legs():
     # tau(x* 1) = 0 on the left legs; the right legs need degree 3 + 2 > 4.
     # The symbolic pairing skipped the right trace of a zero left trace, the
