@@ -32,12 +32,13 @@ c (x) d> = G[c, a] G[d, b]``: the Gram matrix, the r-vectors and the
 candidate Gram are sums of products of table entries.  ``W[a, b]`` sums
 ``G[p, p'] G[s, s']`` over the splits ``a = p x_i s``, ``b = p' x_i s'``,
 and the table is zero between the components of its nonzero pattern, so
-``W`` is one gather and one bincount over the split pairs of one letter
-whose prefixes, and suffixes, share a component (:func:`_pair_index`).  The
-table is real when no entry has an imaginary part, and then so are the Gram
-matrix, its eigenvectors, the design and the solves.  No report builds an
-exact kernel (``GramSystem.r_of_kernel`` sums one, as the test reference):
-the r-row of a centered monomial candidate is read off table columns
+``W`` is kept as its structural upper entries, one gather and one bincount
+over the split pairs of one letter whose prefixes, and suffixes, share a
+component (:func:`_pair_index`); no dense ``W`` is formed.  The table is
+real when no entry has an imaginary part, and then so are the Gram matrix,
+its eigenvectors, the design and the solves.  No report builds an exact
+kernel (``GramSystem.r_of_kernel`` sums one, as the test reference): the
+r-row of a centered monomial candidate is read off table columns
 (``GramSystem.r_of_candidates``), and the kernel is linear in ``xi``, so
 :func:`discrepancy` takes a given ``xi``'s r-rows as its coefficients times
 the rows of its words.  ``xi_i`` enters only row ``i`` of the kernel, and
@@ -59,15 +60,15 @@ system at its largest ``d_proj`` and reads every point off its prefix views
 (:func:`degree_sweep`).
 
 The Gram matrix and the candidate Gram are eigendecomposed block by block
-(:func:`_eigh_kept`): the connected components of their exact nonzero
-pattern are decomposed apart, one batched ``eigh`` per component size.
-Symmetric models, whose odd moments vanish, and free semicircular families,
-whose Wick words are orthogonal, split into many components (94 for
-semicircular n=3 at ``d_proj`` 4); a model without zeros is one block.  The
-components are labelled by min-label propagation over the flat list of
-nonzeros (:func:`_components`, O(nnz) work per pass), as is the leg table
-for the split pairs.  The kept range is cut once, at ``RCOND`` times the
-largest eigenvalue over all components, never per component.
+(:func:`_eigh_blocks`): the connected components of their exact nonzero
+pattern apart, one batched ``eigh`` per component size, under one cut at
+``RCOND`` times the largest eigenvalue over all components.  Symmetric
+models, whose odd moments vanish, and free semicircular families, whose
+Wick words are orthogonal, split into many components (94 for semicircular
+n=3 at ``d_proj`` 4); a model without zeros is one block.  Min-label
+propagation (:func:`_min_labels`, O(nnz) per pass) labels them: a view of
+``W`` over the pattern's rows below it, its blocks filled by one scatter of
+the entries (:func:`_block_layout`); dense tables over their nonzeros.
 """
 
 from __future__ import annotations
@@ -296,17 +297,19 @@ class GramSystem:
     monomials is slot-independent, so only the word block is stored.  The
     i-th gradient entry of a basis word sums its splits ``pre (x) suf`` at
     ``t_i``, so ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of
-    the tracial moment table over splits.  ``W`` is summed over the split
-    pairs that can be nonzero (:func:`_gram_from_pairs`) and is real when
-    the table is.  The r-vectors gather table columns at the per-letter
-    split arrays: those of the legs (words of degree <= d_proj), and those
-    of longer kernel legs, traced on first use, one table call per batch.
-    Reports read :meth:`r_of_identity` and :meth:`r_of_candidates`;
-    :meth:`r_of_kernel`, for exact kernels, is their test reference.
-    Scalar B only.  ``words``, ``_legs``, ``_splits`` and ``_degree_count``
-    come from the read-only :func:`_layout` of ``(n, d_proj)``, the split
-    pairs from that of the shape and table pattern; the table, ``W``, its
-    views and the r-vectors are this system's own.
+    the tracial moment table over splits.  ``W`` is kept as its structural
+    upper entries, each summed over the split pairs that can reach it
+    (:func:`_pair_index`), real when the table is, and each view decomposes
+    straight from them.  The r-vectors gather table columns at the
+    per-letter split arrays: those of the legs (words of degree <= d_proj),
+    and those of longer kernel legs, traced on first use, one table call
+    per batch.  Reports read :meth:`r_of_identity` and
+    :meth:`r_of_candidates`; :meth:`r_of_kernel`, for exact kernels, is
+    their test reference.  Scalar B only.  ``words``, ``_legs``,
+    ``_splits`` and ``_degree_count`` come from the read-only
+    :func:`_layout` of ``(n, d_proj)``, the split pairs and the pattern of
+    ``W`` from that of ``_key``, the shape and table pattern; the table,
+    the entries, the views and the r-vectors are this system's own.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -316,16 +319,42 @@ class GramSystem:
         self.d_proj = d_proj
         (self.words, self._legs, _, self._splits,
          self._degree_count) = _layout(system.n, d_proj)
-        self._table = G = model.moment_table(self._legs)
+        # the legs are built valid: only the cap is checked
+        self._table = G = model._moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
-        self.W = _gram_from_pairs(G, system.n, d_proj)
+        self._key = (system.n, d_proj, _components(G).tobytes())
+        entry, pre, suf, *self._edges = _pair_index(*self._key)
+        terms = G.ravel()[pre] * G.ravel()[suf]
+        self._entries = v = np.bincount(entry, terms.real).astype(G.dtype)
+        if v.dtype.kind == "c":
+            v.imag = np.bincount(entry, terms.imag)
+            row, col, eid = self._edges  # a Hermitian diagonal is real
+            v.imag[eid[row == col]] = 0
         self._views = {}
 
     def view(self, d: int | None = None) -> "_GramView":
+        """``W[:k, :k]``, one scatter of the entries into its blocks."""
         d = self.d_proj if d is None else d
         if d not in self._views:
-            self._views[d] = _GramView(self.W, self._degree_count[d])
+            k = self._degree_count[d]
+            runs, pos, src, size = _block_layout(*self._key,
+                                                 self._labels(k).tobytes())
+            v = self._entries
+            flat = np.zeros(size, dtype=v.dtype)
+            flat[pos] = np.concatenate([v, v.conj()])[src]
+            self._views[d] = _GramView(k, *_eigh_blocks(
+                [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs],
+                k, v.dtype))
         return self._views[d]
+
+    def _labels(self, k: int) -> np.ndarray:
+        """The :func:`_components` of ``W[:k, :k]``, propagated over the
+        pattern's rows below ``k``; an entry that is zero links nothing."""
+        row, col, eid = (x[:np.searchsorted(self._edges[0], k)]
+                         for x in self._edges)
+        keep = (col < k) & ((self._entries[eid] != 0) | (row == col))
+        return _min_labels(col[keep],
+                           np.flatnonzero(np.diff(row[keep], prepend=-1)))
 
     # r-vectors against the full basis ------------------------------------
 
@@ -398,7 +427,7 @@ class GramSystem:
         legs for d_xi <= d_proj, else one table call traces them."""
         k = len(words) + 1
         G = (self._table[:k, :k] if k <= len(self._legs)
-             else self.model.moment_table([(0,)] + words))
+             else self.model._moment_table([(0,)] + words))
         return G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
 
     def r_of_identity(self) -> np.ndarray:
@@ -424,25 +453,24 @@ def _gram_guard(system, d_proj: int) -> None:
             f"beyond the cap {system.cap}")
 
 
-# shapes and patterns whose split pairs stay cached; the workloads use at
-# most 8, and one dense pattern can hold over 100 MB of pairs
+# split pairs, and block layouts, cached; the workloads use at most 8 of
+# each, and one dense pattern can hold over 100 MB of pairs
 PAIR_INDEX_CACHE = 32
 
 
 @lru_cache(maxsize=PAIR_INDEX_CACHE)
 def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
-    """``(bins, pre, suf, upper, lower)``: the split pairs that can add to
+    """``(entry, pre, suf, row, col, eid)``: the split pairs that can add to
     ``W`` when the leg table has the :func:`_components` ``labels``.
     ``W[a, b]`` sums ``G[p, p'] G[s, s']`` over the splits ``a = p x_i s``,
     ``b = p' x_i s'``; ``G`` is zero between components, so only splits of
     one letter, prefix component and suffix component pair.  The pairs with
-    ``a <= b`` come as flat indices ``a * m + b`` into ``W`` and ``p * L +
-    p'``, ``s * L + s'`` into ``G``, by ``(a, b)`` and then prefix degrees,
-    the order of the Kronecker sums by degree block this replaced; ``upper``
-    holds the bins above the diagonal, ``lower`` their mirror images.  No
-    table value enters, so one read-only build serves a shape and pattern;
-    the ``PAIR_INDEX_CACHE`` most recently used stay cached.
-    """
+    ``a <= b`` come by ``(a, b)``, numbered ``entry`` among the structural
+    entries, and then prefix degrees, the order of the Kronecker sums by
+    degree block this replaced, as flat indices ``p * L + p'``, ``s * L +
+    s'`` into ``G``.  Entry ``eid`` sits at ``(row, col)``, both triangles
+    by row and column.  No table value enters, so one read-only build
+    serves a shape and pattern, ``PAIR_INDEX_CACHE`` of them cached."""
     label = np.frombuffer(labels, dtype=np.intp)
     start = _layout(n, d_proj)[2]
     m, L, D = int(start[-1]) - 1, int(start[-2]), d_proj + 2
@@ -462,57 +490,54 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     bins = word[s] * m + word[t]
     sort = np.argsort((bins * D + degree[s]) * D + degree[t])
     s, t, bins = s[sort], t[sort], bins[sort]
-    upper = bins[np.flatnonzero(np.diff(bins, prepend=-1))]
-    upper = upper[upper // m < upper % m]
-    index = (bins, pre[s] * L + pre[t], suf[s] * L + suf[t], upper,
-             upper % m * m + upper // m)
-    for a in index:
-        a.setflags(write=False)
+    first = np.diff(bins, prepend=-1) != 0
+    a, b = np.divmod(bins[first], m)
+    off = np.flatnonzero(a < b)
+    row, col = np.concatenate([a, b[off]]), np.concatenate([b, a[off]])
+    order = np.lexsort((col, row))
+    index = (np.cumsum(first) - 1, pre[s] * L + pre[t], suf[s] * L + suf[t],
+             row[order], col[order],
+             np.concatenate([np.arange(len(a)), off])[order])
+    for x in index:
+        x.setflags(write=False)
     return index
 
 
-def _gram_from_pairs(G: np.ndarray, n: int, d_proj: int) -> np.ndarray:
-    """``W`` from the leg table ``G``: the products over :func:`_pair_index`
-    summed by one bincount (one per part of a complex table) and mirrored
-    by conjugation, so it is exactly Hermitian."""
-    bins, pre, suf, upper, lower = _pair_index(n, d_proj,
-                                               _components(G).tobytes())
-    m = len(_layout(n, d_proj)[0])
-    flat = G.ravel()
-    terms = flat[pre] * flat[suf]
-    W = np.bincount(bins, terms.real, minlength=m * m).astype(G.dtype,
-                                                               copy=False)
-    if W.dtype.kind == "c":
-        W.imag = np.bincount(bins, terms.imag, minlength=m * m)
-    W[lower] = W[upper].conj()
-    W = W.reshape(m, m)
-    # the diagonal of a Hermitian matrix is real; a complex table's rounding
-    # can leave it an imaginary part
-    np.fill_diagonal(W, W.diagonal().real)
-    return W
+@lru_cache(maxsize=PAIR_INDEX_CACHE)
+def _block_layout(n: int, d_proj: int, pattern: bytes, labels: bytes) -> tuple:
+    """``(runs, pos, src, size)``: the blocks of the view of ``W`` with the
+    component ``labels``.  Per size, ``runs`` holds the rows (by
+    :func:`_size_runs`) and the slice of their stack in a buffer of
+    ``size``, which takes at ``pos`` the entries inside components and then
+    their conjugates below the diagonal, at ``src``.  Read-only, cached."""
+    label = np.frombuffer(labels, dtype=np.intp)
+    k = len(label)
+    entry, _, _, row, col, eid = _pair_index(n, d_proj, pattern)
+    at = np.flatnonzero(col[:np.searchsorted(row, k)] < k)
+    at = at[label[row[at]] == label[col[at]]]
+    # per row: the start of its row in its block, and its place there
+    start, place = np.empty((2, k), dtype=int)
+    runs, size = [], 0
+    for idx in _size_runs(label):
+        c, w = idx.shape
+        start[idx] = size + w * (w * np.arange(c)[:, None] + np.arange(w))
+        place[idx] = np.arange(w)
+        runs.append((idx, slice(size, size + c * w * w)))
+        size += c * w * w
+    pos = start[row[at]] + place[col[at]]
+    src = eid[at] + (row[at] > col[at]) * (int(entry[-1]) + 1)
+    for x in (pos, src, *(idx for idx, _ in runs)):
+        x.setflags(write=False)
+    return tuple(runs), pos, src, size
 
 
-def _components(A: np.ndarray) -> np.ndarray:
-    """Connected components of the nonzero pattern of the Hermitian ``A``:
-    each row is labelled with the smallest row index of its component.
-
-    Min-label propagation with pointer jumping: every row takes the least
-    label among itself and its neighbours, then the label of its label.
-    Labels only fall and stay inside their component, and at the fixed
-    point they are constant along every edge.  A pass runs over the flat
-    nonzero list of the pattern with its diagonal set, so every row holds
-    at least one entry: one gather of the column labels, one
-    ``minimum.reduceat`` over the row runs and one jump, O(nnz) work.
-    """
-    m = len(A)
-    label = np.arange(m)
-    if not m:
-        return label
-    linked = A != 0
-    np.fill_diagonal(linked, True)
-    flat = np.flatnonzero(linked)
-    col = flat % m
-    starts = np.searchsorted(flat, m * np.arange(m))
+def _min_labels(col: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Min-label propagation with pointer jumping over the columns ``col``
+    of a pattern, row ``r``'s from ``starts[r]`` and its diagonal among
+    them: each pass, O(nnz) work, gives every row the least label of itself
+    and its neighbours, then the label of that label, down to the smallest
+    row of its component."""
+    label = np.arange(len(starts))
     while True:
         new = np.minimum.reduceat(label[col], starts)
         new = new[new]
@@ -521,52 +546,64 @@ def _components(A: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _eigh_kept(A: np.ndarray) -> tuple:
-    """Eigenpairs ``(vals, vecs)`` of the Hermitian ``A`` above the cut
-    ``RCOND`` times its largest eigenvalue, eigenvalues ascending.
-
-    Entries off the components of ``A``'s nonzero pattern are exact zeros,
-    so ``A`` is the direct sum of its components: they are decomposed
-    apart, one batched ``eigh`` per component size, and the eigenvectors
-    are scattered back into the rows of their component.  The cut is one
-    global cut over all components; a cut relative to each component's own
-    top would keep directions that are rounding next to the whole matrix.
-    """
+def _components(A: np.ndarray) -> np.ndarray:
+    """Connected components of the nonzero pattern of the Hermitian ``A``,
+    each row labelled with the smallest row of its component: the
+    :func:`_min_labels` of its flat nonzero list with the diagonal set."""
     m = len(A)
-    label = _components(A)
-    size = np.bincount(label, minlength=m)[label]
-    # rows by component size, then component, then index: each run of
-    # equal size reshapes to one row of indices per component
+    linked = A != 0
+    np.fill_diagonal(linked, True)
+    flat = np.flatnonzero(linked)
+    return _min_labels(flat % m, np.searchsorted(flat, m * np.arange(m)))
+
+
+def _size_runs(label: np.ndarray) -> list:
+    """The rows of the components of ``label``, one array per component
+    size with a row per component: by size, then component, then row."""
+    size = np.bincount(label, minlength=len(label))[label]
     order = np.lexsort((label, size))
     runs = np.flatnonzero(np.diff(size[order])) + 1
-    vals, blocks = np.empty(m), []
-    for idx in np.split(order, runs):
-        idx = idx.reshape(-1, size[idx[0]])
-        w, v = np.linalg.eigh(A[idx[:, :, None], idx[:, None, :]])
+    return [idx.reshape(-1, size[idx[0]]) for idx in np.split(order, runs)]
+
+
+def _eigh_blocks(blocks, m: int, dtype) -> tuple:
+    """Eigenpairs ``(vals, vecs)`` above ``RCOND`` times the top eigenvalue,
+    ascending, of the ``m x m`` direct sum of ``blocks``: (rows, stack)
+    per component size, one batched ``eigh`` per stack.  The cut is global:
+    one per component would keep rounding of the whole matrix."""
+    vals, pairs = np.empty(m), []
+    for idx, stack in blocks:
+        w, v = np.linalg.eigh(stack)
         vals[idx] = w  # eigenpair j of a component sits at slot idx[c, j]
-        blocks.append((idx, v))
+        pairs.append((idx, v))
     # scatter each eigenvector straight into the column of its sorted slot
     order = np.argsort(vals, kind="stable")
     rank = np.empty(m, dtype=int)
     rank[order] = np.arange(m)
-    vecs = np.zeros((m, m), dtype=A.dtype)
-    for idx, v in blocks:
+    vecs = np.zeros((m, m), dtype=dtype)
+    for idx, v in pairs:
         vecs[idx[:, :, None], rank[idx][:, None, :]] = v
     vals = vals[order]
-    top = float(vals[-1])
-    drop = m - int(np.count_nonzero(vals > RCOND * max(top, 1e-300)))
+    drop = m - np.count_nonzero(vals > RCOND * max(float(vals[-1]), 1e-300))
     return vals[drop:], vecs[:, drop:]
+
+
+def _eigh_kept(A: np.ndarray) -> tuple:
+    """:func:`_eigh_blocks` of the Hermitian ``A`` (the candidate Gram), its
+    components gathered out of it: off them its entries are exact zeros."""
+    return _eigh_blocks([(idx, A[idx[:, :, None], idx[:, None, :]])
+                         for idx in _size_runs(_components(A))],
+                        len(A), A.dtype)
 
 
 class _GramView:
     """The prefix ``W[:k, :k]`` of a :class:`GramSystem`, decomposed block by
-    block under one global cut (:func:`_eigh_kept`), with isometric
+    block under one global cut (:func:`_eigh_blocks`), with isometric
     coordinates on the truncated projection range; ``cond`` is the top
     eigenvalue over the smallest kept one."""
 
-    def __init__(self, W: np.ndarray, k: int):
-        self.k = k
-        self.vals, self.vecs = _eigh_kept(W[:k, :k])
+    def __init__(self, k: int, vals: np.ndarray, vecs: np.ndarray):
+        self.k, self.vals, self.vecs = k, vals, vecs
         self.cond = (float(self.vals[-1] / self.vals[0]) if len(self.vals)
                      else float("inf"))
 
@@ -1038,8 +1075,9 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
     On the test word ``w`` in entry ``i``, the left side ``<xi_i, w> =
     tau(w* xi_i)`` is read off one table of the test words against the
     words of ``xi``.  The right side ``<1 (x) 1, d_i w>`` is ``conj(sum of
-    tau(p) tau(s))`` over the splits ``w = p x_i s``.  The Fisher
-    information reads the table over the words of ``xi``."""
+    tau(p) tau(s))`` over the splits ``w = p x_i s``, all traces read off
+    one table of the unit against the test words.  The Fisher information
+    reads the table over the words of ``xi``."""
     if d < 0:
         raise StructureError("d must be at least 0")
     xi = tuple(xi)
@@ -1054,11 +1092,13 @@ def conjugate_variable_check(model: TraceModel, xi, d: int = 4) -> ConjugateRepo
         for w, c in x.terms.items():
             row[col[w]] = complex(c)
     lhs = model.moment_table(words, xi_words) @ C.T
+    unit = model.system.unit_word_terms()  # tau(w) = tau(1* w)
+    tr = dict(zip(words, np.array([complex(c) for _, c in unit]).conj()
+                  @ model._moment_table([u for u, _ in unit], words)))
     splits = np.zeros_like(lhs)
     for r, w in enumerate(words):
         for j in range(1, len(w), 2):
-            splits[r, w[j]] += (model.trace_word(w[:j])
-                                * model.trace_word(w[j + 1:]))
+            splits[r, w[j]] += tr[w[:j]] * tr[w[j + 1:]]
     residual = float(np.abs(lhs - splits.conj()).max())
     fisher = float(np.sum(C.conj() @ model.moment_table(xi_words) * C).real)
     return ConjugateReport(residual=residual, fisher_info=fisher)

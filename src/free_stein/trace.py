@@ -93,8 +93,20 @@ class TraceModel:
         the table.  Without ``ys``, the table over ``xs``: its upper triangle
         is mirrored and its diagonal made real, so it is exactly Hermitian.
         The table is real when no entry has an imaginary part."""
+        for w in xs if ys is None else (*xs, *ys):
+            self.system.check_word(w)
+        return self._moment_table(xs, ys)
+
+    def _moment_table(self, xs, ys=None) -> np.ndarray:
+        """:meth:`moment_table` over words the program builds, valid by
+        construction: only the degree of the largest product is checked
+        against the cap."""
         square = ys is None
-        dx, dy = self._table_degrees(xs, xs if square else ys)
+        dx = max((len(w) // 2 for w in xs), default=0)
+        dy = dx if square else max((len(w) // 2 for w in ys), default=0)
+        if dx + dy > self.system.cap:
+            raise DegreeCapError(
+                f"product degree {dx + dy} exceeds cap {self.system.cap}")
         Vx, Vy = self._table_vectors(xs, None if square else ys, dx, dy)
         G = Vx.conj() @ Vy.T
         if square:
@@ -107,18 +119,6 @@ class TraceModel:
         = xs[a]``, ``y = ys[b]``.  ``ys`` is None for the square table over
         ``xs``; ``dx`` and ``dy`` are the largest degrees of the two lists."""
         raise NotImplementedError
-
-    def _table_degrees(self, xs, ys) -> tuple:
-        """Check the words of a moment table, and the degree of its largest
-        product against the cap; returns the largest degrees of both lists."""
-        for w in xs if ys is xs else (*xs, *ys):
-            self.system.check_word(w)
-        dx = max((len(w) // 2 for w in xs), default=0)
-        dy = max((len(w) // 2 for w in ys), default=0)
-        if dx + dy > self.system.cap:
-            raise DegreeCapError(
-                f"product degree {dx + dy} exceeds cap {self.system.cap}")
-        return dx, dy
 
     def trace_poly(self, p: NCPoly) -> complex:
         if p.system != self.system:
@@ -758,15 +758,16 @@ class FreeProductModel(TraceModel):
     def _centered_table(self, rows, cols) -> np.ndarray:
         """``Kc[u, u'] = tau(u* u') - conj(tau(u)) tau(u')`` over the blocks
         ``u`` of ``rows`` and ``u'`` of ``cols``, zero across factors.  Each
-        factor's part is read from its own ``moment_table`` over its blocks
-        in the two bases, square when the table is, so no factor traces a
-        word beyond the table's degree."""
+        factor's part is read from its own table over its blocks in the two
+        bases (:meth:`TraceModel._moment_table`: the blocks are built
+        valid), square when the table is, so no factor traces a word beyond
+        the table's degree."""
         parts, square = [], cols is rows
         for fi, factor in enumerate(self.factors):
             rids, rwords = rows.factor_blocks(fi)
             cids, cwords = (rids, rwords) if square else cols.factor_blocks(fi)
             if rids and cids:
-                M = factor.moment_table(rwords, None if square else cwords)
+                M = factor._moment_table(rwords, None if square else cwords)
                 # M[a, 0] = tau(u_a*) = conj(tau(u_a)) and M[0, b] = tau(u_b)
                 parts.append((rids, cids,
                               M[1:, 1:] - np.outer(M[1:, 0], M[0, 1:])))

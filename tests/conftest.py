@@ -14,6 +14,7 @@ from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
                               TensorPoly, _collect, _require_same,
                               diff_quotient, generator_tuple)
 from free_stein.scalars import QQi
+from free_stein import stein
 from free_stein.stein import RCOND, monomial_words
 from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
                               SemicircleDensity, SemicircularModel, TraceModel,
@@ -146,6 +147,48 @@ def candidate_gram_reference(model, words):
     table over the unit and the words (row 0 holds the traces)."""
     G = model.moment_table([(0,)] + words)
     return G[1:, 1:] - np.outer(G[0, 1:].conj(), G[0, 1:])
+
+
+def dense_gram(gs):
+    """Oracle only: the dense Gram matrix ``W`` of the Gram system ``gs``,
+    as it was built before ``W`` was kept as its structural entries: each
+    entry at its ``(a, b)``, its conjugate at ``(b, a)``, and zeros
+    elsewhere."""
+    _, _, _, row, col, eid = stein._pair_index(*gs._key)
+    v = gs._entries
+    W = np.zeros((len(gs.words),) * 2, dtype=v.dtype)
+    W[row, col] = np.where(row <= col, v[eid], v[eid].conj())
+    return W
+
+
+def dense_eigh_kept(A):
+    """Oracle only: the kept eigenpairs ``(vals, vecs)`` of the Hermitian
+    ``A`` as the dense block decomposition gave them before the Gram views
+    decomposed from entries: the components of ``A``'s nonzero pattern
+    gathered out of ``A`` and decomposed one batched ``eigh`` per size,
+    the eigenvectors scattered into an ``m x m`` array, one global cut at
+    ``RCOND`` times the largest eigenvalue."""
+    m = len(A)
+    label = stein._components(A)
+    size = np.bincount(label, minlength=m)[label]
+    order = np.lexsort((label, size))
+    runs = np.flatnonzero(np.diff(size[order])) + 1
+    vals, blocks = np.empty(m), []
+    for idx in np.split(order, runs):
+        idx = idx.reshape(-1, size[idx[0]])
+        w, v = np.linalg.eigh(A[idx[:, :, None], idx[:, None, :]])
+        vals[idx] = w
+        blocks.append((idx, v))
+    order = np.argsort(vals, kind="stable")
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    vecs = np.zeros((m, m), dtype=A.dtype)
+    for idx, v in blocks:
+        vecs[idx[:, :, None], rank[idx][:, None, :]] = v
+    vals = vals[order]
+    drop = m - int(np.count_nonzero(vals > RCOND * max(float(vals[-1]),
+                                                        1e-300)))
+    return vals[drop:], vecs[:, drop:]
 
 
 class PushForwardModel(TraceModel):

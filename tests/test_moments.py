@@ -4,9 +4,12 @@ The reference builds the Jacobian rows with ``gradient`` and pairs them with
 the symbolic tensor inner product (``SymbolicPairing``), entry by entry, and
 the candidate Gram with its L2 inner product; the two-block unitary
 model has non-real moments, so a missing conjugation shows there.  The
-split-pair assembly of ``W`` is checked against a per-split loop over the
-same table and against the degree-block Kronecker sums it replaced
-(``_gram_blocks_reference``), the candidate Gram read off the leg table
+split-pair assembly of ``W``, as the dense matrix of its entries
+(``dense_gram``), is checked against a per-split loop over the same table
+and against the degree-block Kronecker sums it replaced
+(``_gram_blocks_reference``), every Gram view, decomposed from the entries,
+against that matrix through the dense block decomposition it replaced
+(``dense_eigh_kept``), the candidate Gram read off the leg table
 against its own table, the moment tables of semicircular, measure and
 matrix models against the per-word traces they replaced
 (``_per_word_table``), and the reduced-word vectors of free products
@@ -35,8 +38,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (DictFreeProduct, SymbolicPairing, _unitary_pair,
-                      candidate_gram_reference, random_poly, random_word,
-                      word_of)
+                      candidate_gram_reference, dense_eigh_kept, dense_gram,
+                      random_poly, random_word, word_of)
 from free_stein import stein, trace
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
@@ -76,7 +79,7 @@ def test_gram_and_design_match_inner_products(name):
     m = len(rows)
     W = np.array([[row_product(rows[b], rows[a]) for b in range(m)]
                   for a in range(m)])
-    assert np.max(np.abs(gs.W - W)) <= TOL
+    assert np.max(np.abs(dense_gram(gs) - W)) <= TOL
 
     unit = TensorPoly.unit(model.system)
     r1 = np.array([[symbolic.inner_tensor(unit, row[i]) for row in rows]
@@ -172,11 +175,12 @@ def test_gram_blocks_equal_per_split_reference(name):
     for _ in range(2):
         gs = stein.GramSystem(make(), d_proj)
         W, arrays = _gram_reference(gs)
-        assert np.array_equal(gs.W, W)
+        dense = dense_gram(gs)
+        assert np.array_equal(dense, W)
         start = stein._layout(gs.model.n, d_proj)[2]
-        assert np.array_equal(gs.W, _gram_blocks_reference(gs._table,
-                                                           gs.model.n, start))
-        assert np.array_equal(gs.W, gs.W.conj().T)
+        assert np.array_equal(dense, _gram_blocks_reference(gs._table,
+                                                            gs.model.n, start))
+        assert np.array_equal(dense, dense.conj().T)
         for got, want in zip(gs._splits, arrays, strict=True):
             assert all(np.array_equal(g, w)
                        for g, w in zip(got, want, strict=True))
@@ -192,8 +196,9 @@ def test_gram_sums_each_entry_in_the_reference_order():
                               SemicircularModel(1)])
     gs = stein.GramSystem(model, 4)
     W = _gram_blocks_reference(gs._table, 2, stein._layout(2, 4)[2])
-    assert np.array_equal(gs.W, W)
-    assert not np.array_equal(gs.W, _gram_reference(gs)[0])
+    dense = dense_gram(gs)
+    assert np.array_equal(dense, W)
+    assert not np.array_equal(dense, _gram_reference(gs)[0])
 
 
 def _pairs_of(gs):
@@ -216,7 +221,7 @@ def test_gram_systems_of_one_shape_share_a_read_only_layout():
     with pytest.raises(TypeError):
         a._degree_count[1] = 0
     # the model values stay per system
-    assert not np.array_equal(a.W, b.W)
+    assert not np.array_equal(dense_gram(a), dense_gram(b))
     assert a._columns is not b._columns
     # the split pairs follow the table's zero pattern: the unitary pair's
     # table is one component, the semicircular family's many
@@ -233,7 +238,7 @@ def test_gram_systems_of_one_shape_share_a_read_only_layout():
     start = stein._layout(2, 3)[2]
     for gs in (a, b, c):
         W = _gram_blocks_reference(gs._table, 2, start)
-        assert np.max(np.abs(gs.W - W)) <= 1e-15 * np.max(np.abs(W))
+        assert np.max(np.abs(dense_gram(gs) - W)) <= 1e-15 * np.max(np.abs(W))
 
 
 def test_pair_index_cache_is_bounded():
@@ -293,11 +298,12 @@ def test_gram_blocks_match_per_split_reference(name):
     make, d_proj = TOLERANCE_GRAMS[name]
     gs = stein.GramSystem(make(), d_proj)
     W, _ = _gram_reference(gs)
-    assert np.max(np.abs(gs.W - W)) <= TOL
+    assert np.max(np.abs(dense_gram(gs) - W)) <= TOL
     start = stein._layout(gs.model.n, d_proj)[2]
     W = _gram_blocks_reference(gs._table, gs.model.n, start)
-    assert np.max(np.abs(gs.W - W)) <= 1e-15 * np.max(np.abs(W))
-    assert np.array_equal(gs.W, gs.W.conj().T)
+    assert np.max(np.abs(dense_gram(gs) - W)) <= 1e-15 * np.max(np.abs(W))
+    W = dense_gram(gs)
+    assert np.array_equal(W, W.conj().T)
 
 
 def _symbolic_xi(model, words, Y):
@@ -341,8 +347,9 @@ def test_candidate_gram_reads_the_leg_table(name, monkeypatch):
     gs = stein.GramSystem(model, 3)
     words = [stein.monomial_words(model.system, 1, d) for d in (1, 2, 3, 4)]
     want = [candidate_gram_reference(model, w) for w in words]
-    table, calls = model.moment_table, []
-    monkeypatch.setattr(model, "moment_table",
+    # the words are built valid, so the table skips the word checks
+    table, calls = model._moment_table, []
+    monkeypatch.setattr(model, "_moment_table",
                         lambda *a: calls.append(a) or table(*a))
     got = [gs.candidate_gram(w) for w in words]
     # d_xi <= d_proj reads the leg table; the degree-4 candidates, beyond
@@ -585,7 +592,7 @@ def test_discrepancy_rejects_foreign_and_short_xi():
 ])
 def test_gram_is_real_exactly_for_real_tables(make, real):
     gs = stein.GramSystem(make(), 2)
-    assert np.isrealobj(gs.W) == real
+    assert np.isrealobj(dense_gram(gs)) == real
     assert np.isrealobj(gs.r_of_identity()) == real
 
 
@@ -599,7 +606,13 @@ def _per_word_table(model, xs, ys=None):
     its upper triangle and mirrored by conjugation."""
     square = ys is None
     ys = xs if square else ys
-    model._table_degrees(xs, ys)
+    for w in (*xs, *ys):
+        model.system.check_word(w)
+    degree = (max((len(w) // 2 for w in xs), default=0)
+              + max((len(w) // 2 for w in ys), default=0))
+    if degree > model.system.cap:
+        raise DegreeCapError(
+            f"product degree {degree} exceeds cap {model.system.cap}")
     cache, impl = model._word_cache, model._trace_word_impl
     G = np.empty((len(xs), len(ys)), dtype=complex)
     for a, x in enumerate(xs):
@@ -634,6 +647,38 @@ def test_fock_table_equals_per_word_table(n):
                           _per_word_table(per_word, xs, ys))
     assert np.array_equal(model.moment_table(ys, xs),
                           _per_word_table(per_word, ys, xs))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SemicircularModel(2, cap=6), lambda: two_point_measure(cap=6),
+    lambda: cyclic_group_model(3, cap=6),
+    lambda: FreeProductModel([two_point_measure(), SemicircularModel(1)],
+                             cap=6)],
+    ids=["semicircular", "measure", "matrix", "free product"])
+def test_moment_table_checks_every_word(make):
+    # the program's own tables skip the word checks; the public table and
+    # the word trace keep each check and its message, and both tables the cap
+    model = make()
+    n = model.n
+    for bad, message in [((0, 0), f"malformed word {(0, 0)!r}"),
+                         ((0, n, 0), f"letter index {n} out of range in "
+                                     f"{(0, n, 0)!r}"),
+                         ((0, 0, 1), f"B index 1 out of range in "
+                                     f"{(0, 0, 1)!r}")]:
+        for call in (lambda: model.moment_table([(0,), bad]),
+                     lambda: model.moment_table([(0,)], [(0,), bad]),
+                     lambda: model.moment_table([bad], [(0,)]),
+                     lambda: model.trace_word(bad)):
+            with pytest.raises(StructureError) as err:
+                call()
+            assert str(err.value) == message
+    deep = word_of((0,) * 7)
+    for table in (model.moment_table, model._moment_table):
+        with pytest.raises(DegreeCapError,
+                           match="^product degree 7 exceeds cap 6$"):
+            table([(0,)], [deep])
+    xs = stein.monomial_words(model.system, 0, 2)
+    assert np.array_equal(model._moment_table(xs), model.moment_table(xs))
 
 
 def test_fock_table_keeps_the_cap():
@@ -920,6 +965,90 @@ FREE_PRODUCTS = {
     "plateau * cyclic(4)": lambda: FreeProductModel(
         [_plateau(), cyclic_group_model(4)]),
 }
+
+
+# models and depths whose Gram views are checked against the dense oracle
+VIEW_GRAMS = {
+    "semicircular n=1": (lambda: SemicircularModel(1, cap=14), 6),
+    "semicircular n=2": (lambda: SemicircularModel(2), 5),
+    "semicircular n=3": (lambda: SemicircularModel(3), 4),
+    "atom plus uniform": (lambda: MeasureModel(
+        [(3.0, 0.4)], UniformDensity(0, 1, mass=0.6), cap=14), 6),
+    "plateau": (lambda: MeasureModel(
+        [(3.0, 0.5)], SemicircleDensity(mass=0.5), cap=14), 6),
+    **{name: (make, 4) for name, make in FREE_PRODUCTS.items()},
+    "cyclic group of order 5": (lambda: cyclic_group_model(5), 5),
+    "two-block unitary": (_unitary_pair, 4),
+}
+
+
+@pytest.mark.parametrize("name", VIEW_GRAMS)
+def test_gram_views_equal_the_dense_oracle(name):
+    # every prefix view decomposes from the entries exactly as the dense
+    # W[:k, :k] through the dense block decomposition
+    make, d_proj = VIEW_GRAMS[name]
+    gs = stein.GramSystem(make(), d_proj)
+    W = dense_gram(gs)
+    for d in range(1, d_proj + 1):
+        view = gs.view(d)
+        vals, vecs = dense_eigh_kept(W[:view.k, :view.k])
+        assert view.vals.dtype == vals.dtype and view.vecs.dtype == vecs.dtype
+        assert np.array_equal(view.vals, vals)
+        assert np.array_equal(view.vecs, vecs)
+        assert np.array_equal(gs._labels(view.k),
+                              stein._components(W[:view.k, :view.k]))
+    assert np.iscomplexobj(W) == (name == "two-block unitary"
+                                  or "cyclic" in name)
+
+
+@pytest.mark.parametrize("make, d_proj, a, b, splits", [
+    (lambda: SemicircularModel(1), 3, 0, 2, True),
+    (lambda: SemicircularModel(2), 2, 6, 9, False),
+], ids=["splitting", "inside a component"])
+def test_gram_view_of_a_structural_entry_that_is_zero(make, d_proj, a, b,
+                                                      splits):
+    # a synthetic W: the structural entry (a, b) set to an exact zero links
+    # nothing, as in the dense pattern; when it was a component's only link
+    # between its ends the component splits, else its block holds the zero
+    gs = stein.GramSystem(make(), d_proj)
+    row, col, eid = gs._edges
+    (e,) = eid[(row == a) & (col == b)]
+    m = len(gs.words)
+    before = len(set(gs._labels(m).tolist()))
+    gs._entries = gs._entries.copy()
+    gs._entries[e] = 0
+    W = dense_gram(gs)
+    assert W[a, b] == W[b, a] == 0
+    for d in range(1, d_proj + 1):
+        view = gs.view(d)
+        A = W[:view.k, :view.k]
+        assert np.array_equal(gs._labels(view.k), stein._components(A))
+        vals, vecs = dense_eigh_kept(A)
+        assert np.array_equal(view.vals, vals)
+        assert np.array_equal(view.vecs, vecs)
+    labels = gs._labels(m)
+    assert len(set(labels.tolist())) == before + splits
+    assert (labels[a] != labels[b]) == splits
+
+
+def test_block_layouts_are_read_only_and_cached_per_labelling():
+    stein._block_layout.cache_clear()
+    assert stein._block_layout.cache_info().maxsize == stein.PAIR_INDEX_CACHE
+    # semicircular n=2 and two-point * semicircular share the table pattern
+    # and the labelling of every view: one layout per view
+    a = stein.GramSystem(SemicircularModel(2), 4)
+    b = stein.GramSystem(MODELS["two-point * semicircular"](), 4)
+    for d in range(1, 5):
+        a.view(d)
+        b.view(d)
+    assert stein._block_layout.cache_info().misses == 4
+    assert stein._block_layout.cache_info().hits == 4
+    labels = a._labels(len(a.words)).tobytes()
+    runs, pos, src, size = stein._block_layout(*a._key, labels)
+    assert size == sum(idx.size * idx.shape[1] for idx, _ in runs)
+    for arr in (pos, src, *(idx for idx, _ in runs)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("name", FREE_PRODUCTS)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import conftest
 from conftest import (PushForwardModel, SymbolicPairing, _unitary_pair,
                       _word_table, adjoint_action, candidate_gram_reference,
-                      inner_hs, inner_l2_tuple, m2_over_m2, matrix_to_poly,
-                      random_element, random_poly, solve_adjoint_fd,
-                      transform_kernel)
+                      dense_eigh_kept, dense_gram, inner_hs, inner_l2_tuple,
+                      m2_over_m2, matrix_to_poly, random_element, random_poly,
+                      solve_adjoint_fd, transform_kernel)
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import DegreeCapError, ModelError, StructureError
@@ -77,7 +77,17 @@ def test_gram_view_projects_identity_exactly(twopoint_matrix):
 
 
 def _gram(make_model, d_proj):
-    return lambda: GramSystem(make_model(), d_proj).W
+    return lambda: GramSystem(make_model(), d_proj)
+
+
+def _decomposed(A):
+    """``(A, labels, vals, vecs)``: a Gram system's full view, decomposed
+    from its entries, with the dense oracle of its ``W``; any other matrix
+    through the dense decomposition."""
+    if isinstance(A, GramSystem):
+        view = A.view()
+        return dense_gram(A), A._labels(view.k), view.vals, view.vecs
+    return A, stein._components(A), *stein._eigh_kept(A)
 
 
 def _free_product():
@@ -95,8 +105,8 @@ def _candidate_gram_semicircular2():
     return GramSystem(model, 5).candidate_gram(words)
 
 
-# the Grams of the benchmark's library estimates and CLI reports, a complex
-# Gram with one component, a candidate Gram and a dense matrix
+# the Gram systems of the benchmark's library estimates and CLI reports, a
+# complex Gram with one component, a candidate Gram and a dense matrix
 SPLIT_MATRICES = {
     "semicircular n=3, d_proj=4": _gram(lambda: SemicircularModel(3), 4),
     "semicircular n=2, d_proj=5": _gram(lambda: SemicircularModel(2), 5),
@@ -129,9 +139,8 @@ def _bfs_components(A):
 
 @pytest.mark.parametrize("name", SPLIT_MATRICES)
 def test_split_eigh_matches_full_eigh(name):
-    A = SPLIT_MATRICES[name]()
-    assert stein._components(A).tolist() == _bfs_components(A)
-    vals, vecs = stein._eigh_kept(A)
+    A, labels, vals, vecs = _decomposed(SPLIT_MATRICES[name]())
+    assert labels.tolist() == _bfs_components(A)
     full, full_vecs = np.linalg.eigh(A)
     keep = full > stein.RCOND * full[-1]
     full, full_vecs = full[keep], full_vecs[:, keep]
@@ -182,7 +191,8 @@ def test_components_of_an_empty_matrix():
 
 
 def test_split_components_of_structured_grams():
-    labels = stein._components(GramSystem(SemicircularModel(3), 4).W)
+    gs = GramSystem(SemicircularModel(3), 4)
+    labels = gs._labels(len(gs.words))
     sizes = np.bincount(np.unique(labels, return_inverse=True)[1])
     assert len(sizes) == 94 and sizes.max() == 35
     # odd moments vanish: no odd-degree candidate links an even-degree one
@@ -193,9 +203,8 @@ def test_split_components_of_structured_grams():
     assert len(set(labels)) == 8
     # no zero pattern: one block, decomposed as the whole matrix
     for make in (_gram(lambda: cyclic_group_model(3), 4), _random_spd):
-        A = make()
-        assert set(stein._components(A)) == {0}
-        vals, vecs = stein._eigh_kept(A)
+        A, labels, vals, vecs = _decomposed(make())
+        assert set(labels) == {0}
         full, full_vecs = np.linalg.eigh(A)
         keep = full > stein.RCOND * full[-1]
         assert np.array_equal(vals, full[keep])
@@ -230,7 +239,7 @@ def test_semicircular_gram_is_fock_factorization():
         L = model._fock_vectors([w[1::2] for w in gs.words], depth)[:, 1:]
         lengths = [len(u) for k in range(1, depth + 1)
                    for u in itertools.product(range(n), repeat=k)]
-        assert np.max(np.abs(gs.W - (L * lengths) @ L.T)) == 0.0
+        assert np.max(np.abs(dense_gram(gs) - (L * lengths) @ L.T)) == 0.0
 
 
 # -- discrepancy ---------------------------------------------------------------------
