@@ -93,7 +93,10 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 52) -> 
     A panel is accepted when its estimate and the sum of its halves differ by
     at most ``tol / 2**depth`` (or by the rounding floor of the panel values),
     or when it is too narrow to split; otherwise both halves go to the next
-    level.  One integrand call evaluates the next ``k <= 3`` levels below the
+    level.  The width floor, ``2**-42 (|lo| + |hi|) + 1e-15``, keeps the
+    nodes of every panel below a split one more than an ulp inside it, so
+    an integrand singular at an endpoint of ``[a, b]`` is not evaluated
+    there.  One integrand call evaluates the next ``k <= 3`` levels below the
     active panels, as many as fit ``_SUBPANELS`` sub-panels (at least one
     level, none below ``max_depth`` and none below the halves of a panel too
     narrow to split).
@@ -126,8 +129,14 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 52) -> 
         flat = edges.ravel()
         lo, hi = flat[ilo], flat[ihi]
         m = lo.size - (p << k)
-        narrow = (hi[:m] - lo[:m]
-                  <= 1e-15 * (np.abs(lo[:m]) + np.abs(hi[:m]) + 1.0))
+        # A panel at most 2**-42 (|lo| + |hi|) + 1e-15 wide is not split.
+        # Below a panel that is split, the rule evaluates at most its
+        # quarters, wider than 2**-44 (|lo| + |hi|), whose outermost node
+        # lies (1 - 0.98940...) / 2 = 2**-7.56 of their width inside: over
+        # 2**-51.6 (|lo| + |hi|), more than an ulp of either endpoint, so
+        # no node rounds onto an edge.
+        narrow = (hi[:m] - lo[:m] <= 2.0 ** -42 * (np.abs(lo[:m])
+                                                   + np.abs(hi[:m])) + 1e-15)
         # the depth-first rule evaluates the halves of a panel too narrow to
         # split but nothing below them, so the look-ahead stops there too
         first = np.argmax(narrow)

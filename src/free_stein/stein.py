@@ -309,7 +309,7 @@ class GramSystem:
     ``_splits`` and ``_degree_count`` come from the read-only
     :func:`_layout` of ``(n, d_proj)``, the split pairs and the pattern of
     ``W`` from that of ``_key``, the shape and table pattern; the table,
-    the entries, the views and the r-vectors are this system's own.
+    the entries and the r-vectors are its own; views are not cached.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -330,22 +330,18 @@ class GramSystem:
             v.imag = np.bincount(entry, terms.imag)
             row, col, eid = self._edges  # a Hermitian diagonal is real
             v.imag[eid[row == col]] = 0
-        self._views = {}
 
     def view(self, d: int | None = None) -> "_GramView":
         """``W[:k, :k]``, one scatter of the entries into its blocks."""
-        d = self.d_proj if d is None else d
-        if d not in self._views:
-            k = self._degree_count[d]
-            runs, pos, src, size = _block_layout(*self._key,
-                                                 self._labels(k).tobytes())
-            v = self._entries
-            flat = np.zeros(size, dtype=v.dtype)
-            flat[pos] = np.concatenate([v, v.conj()])[src]
-            self._views[d] = _GramView(k, *_eigh_blocks(
-                [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs],
-                k, v.dtype))
-        return self._views[d]
+        k = self._degree_count[self.d_proj if d is None else d]
+        runs, pos, src, size = _block_layout(*self._key,
+                                             self._labels(k).tobytes())
+        v = self._entries
+        flat = np.zeros(size, dtype=v.dtype)
+        flat[pos] = np.concatenate([v, v.conj()])[src]
+        return _GramView(k, *_eigh_blocks(
+            [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs],
+            k, v.dtype))
 
     def _labels(self, k: int) -> np.ndarray:
         """The :func:`_components` of ``W[:k, :k]``, propagated over the
@@ -604,8 +600,7 @@ class _GramView:
 
     def __init__(self, k: int, vals: np.ndarray, vecs: np.ndarray):
         self.k, self.vals, self.vecs = k, vals, vecs
-        self.cond = (float(self.vals[-1] / self.vals[0]) if len(self.vals)
-                     else float("inf"))
+        self.cond = float(vals[-1] / vals[0])
 
     def z(self, r_full: np.ndarray) -> np.ndarray:
         """Isometric coordinates of the projection, stacked over slots."""

@@ -9,7 +9,7 @@ with its ``(V_x, V_y)``:
 
 * :class:`MatrixModel` -- direct sums of matrix blocks with a weighted trace;
   both are the evaluated words with column ``k`` scaled by ``sqrt(w_k)``,
-  flattened;
+  flattened, built on the prefix stack of the Fock vectors below;
 * :class:`SemicircularModel` -- free standard semicircular tuples, traced by
   counting index-respecting non-crossing pairings; both are the Fock-space
   vectors ``x Omega``, built for every prefix of the words on one stack, a
@@ -49,6 +49,14 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a) and not a.imag.any():
         return np.ascontiguousarray(a.real)
     return a
+
+
+def _finite(owner: str, **values) -> None:
+    """A ModelError naming the first of the ``values`` of ``owner`` that
+    holds a number that is not finite."""
+    for name, v in values.items():
+        if not np.isfinite(v).all():
+            raise ModelError(f"{owner} {name} must be finite")
 
 
 def _coefficients(poly) -> tuple:
@@ -174,6 +182,7 @@ def _block_diag(parts, blocks, what) -> np.ndarray:
     for m, (k, _) in zip(parts, blocks):
         out[off:off + k, off:off + k] = m
         off += k
+    _finite(what, entries=out)
     return out
 
 
@@ -183,12 +192,14 @@ class MatrixModel(TraceModel):
     ``generators[g]`` is a list of one ``k_i x k_i`` matrix per block.  An
     optional B-subalgebra is given by an abstract :class:`BAlgebra` together
     with one such list of blocks per basis element; the representation is
-    checked against the structure constants.
+    checked against the structure constants.  Every weight and entry must
+    be finite.  Words are evaluated together, on one prefix stack.
     """
 
     def __init__(self, blocks, generators, star_pairing=None,
                  b_algebra=None, b_basis=None, cap=None):
         blocks = [(int(k), float(lam)) for k, lam in blocks]
+        _finite("block", weights=[lam for _, lam in blocks])
         if not blocks or any(k < 1 or lam <= 0 for k, lam in blocks):
             raise ModelError("blocks must be (size >= 1, weight > 0) pairs")
         if abs(sum(lam for _, lam in blocks) - 1.0) > 1e-12:
@@ -203,7 +214,6 @@ class MatrixModel(TraceModel):
             w.extend([lam / k] * k)
         self.weights = np.array(w)
         self.dim = int(self.weights.size)
-        self._mat_cache: dict = {}
 
         n = len(mats)
         pairing = tuple(star_pairing) if star_pairing is not None else tuple(range(n))
@@ -246,22 +256,22 @@ class MatrixModel(TraceModel):
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval_word(self, word) -> np.ndarray:
-        word = tuple(word)
-        hit = self._mat_cache.get(word)
-        if hit is None:
-            m = self.b_mats[word[0]].copy()
-            for j in range(1, len(word), 2):
-                m = m @ self.gen_mats[word[j]]
-                m = m @ self.b_mats[word[j + 1]]
-            self._mat_cache[word] = hit = m
-        return hit
-
-    def trace_mat(self, m: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * np.diag(m)))
+    def _word_matrices(self, words) -> np.ndarray:
+        """The matrices of ``words`` on one stack of their prefixes
+        (:func:`_prefix_stack`): the first level is the B slots, and each
+        later one right-multiplies its parent rows by the stacked generator
+        or B matrices of its letters in one batched product."""
+        size, levels, at = _prefix_stack(words)
+        mats = np.stack(self.b_mats), np.stack(self.gen_mats)
+        M = np.zeros((size, self.dim, self.dim), dtype=complex)
+        for j, (lo, hi, parents, letters) in enumerate(levels):
+            step = mats[j % 2][letters]
+            M[lo:hi] = M[parents] @ step if j else step
+        return M[at]
 
     def _trace_word_impl(self, word) -> complex:
-        return self.trace_mat(self.eval_word(word))
+        (m,) = self._word_matrices([word])
+        return complex(np.sum(self.weights * np.diag(m)))
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
         """``tau(x* y) = sum_lk conj(X_lk) w_k Y_lk`` for the evaluated words
@@ -270,8 +280,8 @@ class MatrixModel(TraceModel):
         root = np.sqrt(self.weights)
 
         def vectors(words):
-            return np.array([self.eval_word(w) * root for w in words]
-                            ).reshape(len(words), self.dim ** 2)
+            return (self._word_matrices(words) * root).reshape(
+                len(words), self.dim ** 2)
 
         Vx = vectors(xs)
         return Vx, Vx if ys is None else vectors(ys)
@@ -466,11 +476,13 @@ class SemicircleDensity(Density):
     """
 
     def __init__(self, center=0.0, radius=2.0, mass=1.0):
-        if radius <= 0 or mass <= 0:
-            raise ModelError("semicircle radius and mass must be positive")
         self.center = float(center)
         self.radius = float(radius)
         self.mass = float(mass)
+        _finite("semicircle", center=self.center, radius=self.radius,
+                mass=self.mass)
+        if self.radius <= 0 or self.mass <= 0:
+            raise ModelError("semicircle radius and mass must be positive")
         self.support = (self.center - self.radius, self.center + self.radius)
 
     def pdf(self, t):
@@ -559,10 +571,11 @@ def _xlog_antiderivative(d, level, slope):
 
 class UniformDensity(_PiecewiseLinearDensity):
     def __init__(self, a, b, mass=1.0):
-        if not b > a or mass <= 0:
-            raise ModelError("uniform density needs b > a and positive mass")
         self.a, self.b = float(a), float(b)
         self.mass = float(mass)
+        _finite("uniform density", a=self.a, b=self.b, mass=self.mass)
+        if not self.b > self.a or self.mass <= 0:
+            raise ModelError("uniform density needs b > a and positive mass")
         self.support = (self.a, self.b)
         self.xs = np.array(self.support)
         self.ys = np.full(2, self.mass / (self.b - self.a))
@@ -579,6 +592,7 @@ class TableDensity(_PiecewiseLinearDensity):
 
     def __init__(self, points, mass=1.0):
         pts = sorted((float(x), float(y)) for x, y in points)
+        _finite("table density", points=pts, mass=float(mass))
         if len(pts) < 2 or any(y < 0 for _, y in pts):
             raise ModelError("table density needs >= 2 points with rho >= 0")
         self.xs = np.array([x for x, _ in pts])
@@ -599,11 +613,7 @@ class MeasureModel(TraceModel):
     """One self-adjoint variable with distribution ``sum of atoms + density``."""
 
     def __init__(self, atoms=(), density: Density | None = None, cap=None):
-        self.atoms = tuple((float(t), float(m)) for t, m in atoms)
-        if any(m <= 0 for _, m in self.atoms):
-            raise ModelError("atom masses must be positive")
-        if len({t for t, _ in self.atoms}) != len(self.atoms):
-            raise ModelError("atom locations must be distinct")
+        self.atoms = _atoms(atoms)
         self.density = density
         total = sum(m for _, m in self.atoms) + (density.mass if density else 0.0)
         if abs(total - 1.0) > 1e-12:
@@ -633,6 +643,19 @@ class MeasureModel(TraceModel):
         Vy = moments[np.add.outer(np.array([len(y) // 2 for y in ys],
                                            dtype=int), np.arange(dx + 1))]
         return Vx, Vy
+
+
+def _atoms(atoms) -> tuple:
+    """``atoms`` as ``(location, mass)`` float pairs: finite, of positive
+    mass and at distinct locations."""
+    atoms = tuple((float(t), float(m)) for t, m in atoms)
+    _finite("atom", locations=[t for t, _ in atoms],
+            masses=[m for _, m in atoms])
+    if any(m <= 0 for _, m in atoms):
+        raise ModelError("atom masses must be positive")
+    if len({t for t, _ in atoms}) != len(atoms):
+        raise ModelError("atom locations must be distinct")
+    return atoms
 
 
 def two_point_measure(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):
@@ -964,7 +987,8 @@ def model_from_json(data: dict, cap=None) -> TraceModel:
     if kind == "semicircular":
         return SemicircularModel(field("n", _whole), cap=cap)
     if kind == "measure":
-        atoms = field("atoms", _pairs(float, float), [])
+        # the atoms are checked before the density takes the rest of the mass
+        atoms = field("atoms", _atoms, ())
         density = data.get("density")
         if density is not None:
             density = _density_from_json(density,

@@ -542,6 +542,16 @@ def adjoint_action(model, eta, p: NCPoly, q: NCPoly,
     return out
 
 
+def eval_word(model: MatrixModel, word) -> np.ndarray:
+    """Oracle only: the matrix of one canonical word, its B and generator
+    matrices multiplied in word order, one product at a time."""
+    m = model.b_mats[word[0]].copy()
+    for j in range(1, len(word), 2):
+        m = m @ model.gen_mats[word[j]]
+        m = m @ model.b_mats[word[j + 1]]
+    return m
+
+
 def _coords(model: MatrixModel) -> MatrixCoordinates:
     """The model's matrix coordinates, built on first use."""
     if "_fd_coords" not in model.__dict__:
@@ -559,7 +569,7 @@ def _word_table(model: MatrixModel, d: int) -> tuple:
     left letter right``.  The words are evaluated level by level: the
     degree-e words are the degree-(e-1) words times a letter times a B slot,
     which is both the order of ``monomial_words`` and the product order of
-    ``MatrixModel.eval_word``.
+    :func:`eval_word`.
 
     ``S`` is summed without a scatter, by degree blocks: the degree-e words
     with letter ``i`` after a prefix of degree ``j`` are the slice ``[:, i,
@@ -633,8 +643,8 @@ def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4) -> tuple:
     eta_coords = np.zeros((model.n, coords.D, coords.D), dtype=complex)
     for t, acc in zip(eta, eta_coords):
         for (a, b), c in t.terms.items():
-            acc += complex(c) * np.outer(coords.coords(model.eval_word(a)),
-                                         coords.coords(model.eval_word(b)))
+            acc += complex(c) * np.outer(coords.coords(eval_word(model, a)),
+                                         coords.coords(eval_word(model, b)))
     M = E.T.conj()
     # <eta_letter, split> with the Frobenius pairing, summed over the splits
     rhs = S.conj() @ eta_coords.reshape(-1)

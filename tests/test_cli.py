@@ -721,3 +721,134 @@ def test_report_writer_spells_infinities_and_refuses_nan(capsys):
         "gram_condition": "inf", "trail": [[1, "-inf"], [2, 0.5]]}
     with pytest.raises(ValueError, match="not JSON compliant"):
         _write_json(args, {"value": math.nan})
+
+
+def _exits_2_without_a_report(tmp_path, capsys, argv, message):
+    """``argv`` with ``{out}`` set to a report path exits 2, prints exactly
+    ``error: <message>``, and writes no report."""
+    out = tmp_path / "report.json"
+    assert run([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+# JSON reads Infinity and NaN; the model constructors reject them
+NON_FINITE = [
+    (["closed-form", "log-energy"],
+     '{"type": "measure", "density": {"kind": "semicircle", '
+     '"center": Infinity}}', "semicircle center must be finite"),
+    (["closed-form", "one-var"],
+     '{"type": "measure", "atoms": [[Infinity, 1.0]]}',
+     "atom locations must be finite"),
+    (["irregularity", "--dxi", "1"],
+     '{"type": "measure", "atoms": [[-1.0, 0.5], [1.0, NaN]]}',
+     "atom masses must be finite"),
+    # the atoms are checked before a density takes the rest of the mass
+    (["irregularity", "--dxi", "1"],
+     '{"type": "measure", "atoms": [[-1.0, 0.5], [1.0, NaN]], '
+     '"density": {"kind": "semicircle"}}', "atom masses must be finite"),
+    (["irregularity", "--dxi", "1"],
+     '{"type": "matrix", "blocks": [[1, 0.5], [1, 0.5]], '
+     '"generators": [[[[[Infinity, 0.0]]], [[[-1.0, 0.0]]]]]}',
+     "generator entries must be finite"),
+    (["sigma-exact"],
+     '{"type": "matrix", "blocks": [[1, NaN], [1, 0.5]], '
+     '"generators": [[[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]]}',
+     "block weights must be finite"),
+    (["closed-form", "log-energy"],
+     '{"type": "measure", "density": {"kind": "uniform", "a": 0, '
+     '"b": Infinity}}', "uniform density b must be finite"),
+    (["closed-form", "log-energy"],
+     '{"type": "measure", "density": {"kind": "table", '
+     '"points": [[0, 1], [Infinity, 1]]}}',
+     "table density points must be finite"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, text, message", NON_FINITE,
+                         ids=[m for _, _, m in NON_FINITE])
+def test_non_finite_spec_numbers_name_the_field(tmp_path, capsys, argv, text,
+                                                message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    _exits_2_without_a_report(
+        tmp_path, capsys, argv + ["--model", str(spec), "--out", "{out}"],
+        message)
+
+
+CCMAT_TEXT = json.dumps(CCMAT)
+SEMI2_TEXT = json.dumps(SEMI2)
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["irregularity"], '{"type": "measure", "atoms": [[0.0, -0.5], '
+     '[1.0, 1.5]]}', "atom masses must be positive"),
+    (["closed-form", "one-var"], '{"type": "measure", "atoms": '
+     '[[0.0, 0.5]], "density": {"kind": "weird"}}',
+     "unknown density kind 'weird'"),
+    (["closed-form", "one-var"], '{"type": "measure", "atoms": '
+     '[[0.0, 1.0]], "density": {"kind": "semicircle"}}',
+     "density mass must be positive"),
+    (["closed-form", "log-energy"], '{"type": "measure", "density": '
+     '{"kind": "uniform", "a": 1, "b": 0}}',
+     "uniform density needs b > a and positive mass"),
+    (["closed-form", "log-energy"], '{"type": "measure", "density": '
+     '{"kind": "semicircle", "radius": -1}}',
+     "semicircle radius and mass must be positive"),
+    (["closed-form", "log-energy"], '{"type": "measure", "density": '
+     '{"kind": "table", "points": [[0, 1]]}}',
+     "table density needs >= 2 points with rho >= 0"),
+    (["closed-form", "log-energy"], '{"type": "measure", "density": '
+     '{"kind": "table", "points": [[0, 0], [1, 0]]}}',
+     "table density has zero mass"),
+    (["sigma-exact"], '{"type": "matrix", "blocks": [[1, 1.0]], '
+     '"generators": []}', "need at least one generator"),
+    (["sigma-exact"], '{"type": "matrix", "blocks": [[0, 1.0]], '
+     '"generators": [[[]]]}', "blocks must be (size >= 1, weight > 0) pairs"),
+    (["irregularity"], '{"type": "free_product", "factors": []}',
+     "free product needs at least one factor"),
+    (["irregularity"], "not json",
+     "malformed model spec {spec}: Expecting value: line 1 column 1 "
+     "(char 0)"),
+    (["discrepancy"], SEMI2_TEXT,
+     "missing xi (use --xi or --xi-file) (at position 0)"),
+    (["bounded", "--radii", ","], SEMI2_TEXT, "empty radius list"),
+    (["discrepancy", "--xi", "(t1, t2"], SEMI2_TEXT,
+     "expected ')', found ',' (at position 3)"),
+    (["discrepancy", "--xi", "t1^t2"], SEMI2_TEXT,
+     "exponent must be a nonnegative integer (at position 3)"),
+    (["conjugate-check", "--xi", "(t1)"], SEMI2_TEXT,
+     "xi must have one entry per generator"),
+    (["sigma-exact", "--d", "0"], CCMAT_TEXT, "d must be at least 1"),
+], ids=["atom mass", "density kind", "density mass", "uniform bounds",
+        "semicircle radius", "one-point table", "zero table",
+        "no generators", "block size", "no factors", "not json", "no xi",
+        "no radii", "xi bracket", "xi exponent", "xi length", "d"])
+def test_each_input_guard_exits_2_without_a_report(tmp_path, capsys, argv,
+                                                   text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    _exits_2_without_a_report(
+        tmp_path, capsys, argv + ["--model", str(spec), "--out", "{out}"],
+        message.format(spec=spec))
+
+
+def test_group_order_guard_exits_2_without_a_report(tmp_path, capsys):
+    _exits_2_without_a_report(
+        tmp_path, capsys,
+        ["closed-form", "finite-group", "--order", "0", "--out", "{out}"],
+        "group order must be at least 1")
+
+
+def test_xi_file_gives_the_bytes_of_xi(specs, tmp_path):
+    text = "(t1 + t1*t2 - t1*t2, t2)"
+    xi = tmp_path / "xi.txt"
+    xi.write_text(text + "\n")
+    for command in (["discrepancy"], ["conjugate-check", "--d", "4"]):
+        base = command + ["--model", specs["semicircular2"]]
+        from_file, from_text = tmp_path / "file.json", tmp_path / "text.json"
+        assert run(base + ["--xi-file", str(xi), "--out", str(from_file)]) == 0
+        assert run(base + ["--xi", text, "--out", str(from_text)]) == 0
+        assert from_file.read_bytes() == from_text.read_bytes()

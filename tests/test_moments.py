@@ -39,7 +39,8 @@ from hypothesis import strategies as st
 
 from conftest import (DictFreeProduct, SymbolicPairing, _unitary_pair,
                       candidate_gram_reference, dense_eigh_kept, dense_gram,
-                      random_poly, random_word, word_of)
+                      eval_word, m2_over_m2, random_poly, random_word,
+                      word_of)
 from free_stein import stein, trace
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
@@ -865,6 +866,33 @@ def test_matrix_table_matches_per_word_table_on_random_blocks(spec):
         assert np.max(np.abs(G - R)) <= 1e-13 * np.max(np.abs(R))
     square = model.moment_table(xs)
     assert np.array_equal(square, square.conj().T)
+
+
+def _word_matrices_match_per_word_products(model, words):
+    """The stacked matrices of ``words``, of the words reversed with a
+    repeat, and of one word alone equal the per-word products bit for
+    bit."""
+    for ws in (words, [*words[::-1], words[0]], words[-1:]):
+        want = np.array([eval_word(model, w) for w in ws])
+        assert np.array_equal(model._word_matrices(ws), want)
+
+
+@pytest.mark.parametrize("make", [m2_over_m2, _unitary_pair,
+                                  lambda: cyclic_group_model(5)],
+                         ids=["m2_over_m2", "unitary_pair", "cyclic5"])
+def test_word_matrices_equal_per_word_products(make):
+    model = make()
+    _word_matrices_match_per_word_products(
+        model, stein.monomial_words(model.system, 0, 3))
+
+
+@settings(max_examples=30)
+@given(matrix_specs())
+def test_word_matrices_equal_per_word_products_on_random_blocks(spec):
+    blocks, gens, pairing, ys = spec
+    model = MatrixModel(blocks, gens, star_pairing=pairing)
+    _word_matrices_match_per_word_products(
+        model, stein.monomial_words(model.system, 0, 3) + ys)
 
 
 # -- free products against the centering recursion --------------------------------

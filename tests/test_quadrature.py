@@ -23,6 +23,11 @@ def _panel_reference(f, a, b, n=16):
     return half * float(np.sum(w * f(mid + half * x)))
 
 
+def _too_narrow(lo, hi):
+    """The width floor below which a panel is not split."""
+    return hi - lo <= 2.0 ** -42 * (abs(lo) + abs(hi)) + 1e-15
+
+
 def _adaptive_reference(f, a, b, tol=1e-12, max_depth=52):
     """The depth-first rule: one 16-point integrand call per panel, and the
     whole panel evaluated again at every node.  Oracle only."""
@@ -36,7 +41,7 @@ def _adaptive_reference(f, a, b, tol=1e-12, max_depth=52):
         right = _panel_reference(f, mid, hi)
         err = abs(whole - (left + right))
         floor = 1e-15 * (abs(whole) + abs(left) + abs(right)) + 1e-300
-        if err <= max(target, floor) or hi - lo <= 1e-15 * (abs(lo) + abs(hi) + 1.0):
+        if err <= max(target, floor) or _too_narrow(lo, hi):
             return left + right
         if depth >= max_depth:
             if err > 1e6 * max(target, floor):
@@ -180,10 +185,6 @@ def test_adaptive_matches_recursive_rule(family, a, width, c, h, tol_exp,
     assert type(new) is type(old) and new == old
 
 
-def _too_narrow(lo, hi):
-    return hi - lo <= 1e-15 * (abs(lo) + abs(hi) + 1.0)
-
-
 # far from 0 a jump, or a square-root endpoint singularity at a
 # non-dyadic endpoint, is refined until the panels reach the width floor,
 # long before max_depth
@@ -224,6 +225,21 @@ def test_panels_too_narrow_to_split_match_recursive_rule(a, b, f, tol,
         else:
             stack.extend(halves)
     assert narrow_seen
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [0.1, 3.3, -7.7, 1e6 + 0.1])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_log_singularity_at_an_edge_is_never_evaluated(a, side):
+    # the integral of log over a unit panel from its singular end is -1;
+    # a node rounded onto the edge would give log(0) = -inf and a warning
+    if side == "left":
+        def f(x):
+            return np.log(x - a)
+    else:
+        def f(x):
+            return np.log(a + 1 - x)
+    assert abs(quadrature.adaptive(f, a, a + 1) + 1) <= 1e-9
 
 
 def test_look_ahead_cuts_integrand_calls():

@@ -12,15 +12,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conftest
 from conftest import (PushForwardModel, SymbolicPairing, _unitary_pair,
                       _word_table, adjoint_action, candidate_gram_reference,
-                      dense_eigh_kept, dense_gram, inner_hs, inner_l2_tuple,
-                      m2_over_m2, matrix_to_poly, random_element, random_poly,
-                      solve_adjoint_fd, transform_kernel)
+                      dense_eigh_kept, dense_gram, eval_word, inner_hs,
+                      inner_l2_tuple, m2_over_m2, matrix_to_poly,
+                      random_element, random_poly, solve_adjoint_fd,
+                      transform_kernel)
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import DegreeCapError, ModelError, StructureError
@@ -939,7 +940,7 @@ def _sigma_exact_fd_reference(model, d):
     unit = coords.coords(np.eye(model.dim, dtype=complex))
     n, D = model.n, coords.D
     words = monomial_words(model.system, 0, d + 1)
-    ev = {w: coords.coords(model.eval_word(w)) for w in words}
+    ev = {w: coords.coords(eval_word(model, w)) for w in words}
     split = {w: np.zeros((n, D, D), dtype=complex) for w in words}
     for w in words:
         for j in range(1, len(w) // 2 + 1):
@@ -1191,15 +1192,16 @@ def test_word_table_matches_per_word_evaluation(make, dtype):
     n, nb = model.n, model.system.b.dim
     assert words == sorted(set(words), key=lambda w: (len(w), w))
     assert len(words) == sum(nb ** (e + 1) * n ** e for e in range(4))
-    want = np.stack([coords.coords(model.eval_word(w)) for w in words], axis=1)
+    want = np.stack([coords.coords(eval_word(model, w)) for w in words],
+                    axis=1)
     assert np.array_equal(E, want)
     D = coords.D
     split = np.zeros((len(words), n, D, D), dtype=complex)
     for k, w in enumerate(words):
         for j in range(1, len(w) // 2 + 1):
             split[k, w[2 * j - 1]] += np.outer(
-                coords.coords(model.eval_word(w[:2 * j - 1])),
-                coords.coords(model.eval_word(w[2 * j:])))
+                coords.coords(eval_word(model, w[:2 * j - 1])),
+                coords.coords(eval_word(model, w[2 * j:])))
     assert np.array_equal(S, split.reshape(len(words), -1))
 
 
@@ -1223,7 +1225,8 @@ def test_matrix_routines_degree_beyond_cap():
             call()
     # d equal to the cap is allowed
     poly = matrix_to_poly(model, np.eye(2), d=4)
-    value = sum(complex(c) * model.eval_word(w) for w, c in poly.terms.items())
+    value = sum(complex(c) * eval_word(model, w)
+                for w, c in poly.terms.items())
     assert np.max(np.abs(value - np.eye(2))) < 1e-12
 
 
@@ -1247,7 +1250,7 @@ def test_matrix_to_poly_scales_with_the_matrix(model, mat):
         for w, c in base.terms.items():
             assert abs(complex(scaled.terms[w]) / scale - complex(c)) \
                 <= 1e-12 * top
-        value = sum(complex(c) * model.eval_word(w)
+        value = sum(complex(c) * eval_word(model, w)
                     for w, c in scaled.terms.items())
         assert np.max(np.abs(value - scale * mat)) <= 1e-12 * scale
     assert matrix_to_poly(model, 0 * mat, d=2).terms == {}
@@ -1578,6 +1581,63 @@ def test_sigma_exact_of_pauli_generating_tuples(name):
     model = MatrixModel([(2, 1.0)], [[g] for g in PAULI_TUPLES[name]])
     rep = sigma_exact_fd(model, d=4)
     assert rep.trail == [(d, 0.75) for d in range(1, 5)]
+
+
+def _real_and_imaginary_parts(order):
+    """``cyclic_group_model(order)`` with the self-adjoint generators ``(Re
+    u, Im u)`` in place of ``(u, u*)``: the same algebra."""
+    u = np.exp(2j * np.pi * np.arange(order) / order)
+    return MatrixModel([(1, 1 / order)] * order,
+                       [[[[z.real]] for z in u], [[[z.imag]] for z in u]])
+
+
+# self-adjoint generators, and the (u, u*) model of the same algebra
+SELF_ADJOINT_MODELS = {
+    "cyclic group of order 4": (partial(_real_and_imaginary_parts, 4),
+                                lambda: cyclic_group_model(4)),
+    "cyclic group of order 5": (partial(_real_and_imaginary_parts, 5),
+                                lambda: cyclic_group_model(5)),
+    "M_2 + C": (_m2_plus_c, None),
+    "Pauli pair": (lambda: PAULI_PAIR, None),
+    "two-point": (two_point_matrix_model, None),
+}
+
+
+def _push(model, A):
+    """The matrix model of the generators ``sum_j A[i, j] x_j``, block by
+    block."""
+    ends = np.cumsum([0] + [k for k, _ in model.blocks])
+    mats = np.einsum("ij,jkl->ikl", A, np.stack(model.gen_mats))
+    return MatrixModel(model.blocks, [[m[a:b, a:b] for a, b in zip(ends,
+                                                                ends[1:])]
+                                      for m in mats])
+
+
+@st.composite
+def invertible_maps(draw):
+    """A model of ``SELF_ADJOINT_MODELS`` and a real ``n x n`` map with
+    ``|det A| >= 0.1``."""
+    name = draw(st.sampled_from(sorted(SELF_ADJOINT_MODELS)))
+    n = SELF_ADJOINT_MODELS[name][0]().n
+    A = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    assume(abs(np.linalg.det(A)) >= 0.1)
+    return name, A
+
+
+@settings(max_examples=30)
+@given(invertible_maps())
+def test_sigma_exact_trail_is_invariant_under_invertible_maps(case):
+    # an invertible linear change of generators keeps the algebra, and
+    # sigma_exact_fd keeps every trail entry, not only the limit
+    name, A = case
+    make, paired = SELF_ADJOINT_MODELS[name]
+    pushed = sigma_exact_fd(_push(make(), A), 4).trail
+    for other in [make] + ([paired] if paired else []):
+        trail = sigma_exact_fd(other(), 4).trail
+        assert [d for d, _ in pushed] == [d for d, _ in trail]
+        assert max(abs(v - w) for (_, v), (_, w) in zip(pushed, trail)) \
+            <= 1e-9
 
 
 # -- *-algebra invariance on the Gram path ------------------------------------------

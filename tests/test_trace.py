@@ -85,6 +85,34 @@ def test_matrix_model_b_blocks_match_the_block_sizes():
                         b_basis=[[[[1.0]]] * 2, q])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MatrixModel([(1, 0.5), (1, 0.5)], [[[[np.inf]], [[-1.0]]]]),
+     "generator entries must be finite"),
+    (lambda: MatrixModel([(1, 1.0)], [[[[1.0]]]], b_algebra=BAlgebra.scalar(),
+                         b_basis=[[[[np.nan]]]]),
+     "B basis entries must be finite"),
+    (lambda: MatrixModel([(1, np.nan), (1, 0.5)], [[[[1.0]], [[-1.0]]]]),
+     "block weights must be finite"),
+    (lambda: MeasureModel([(np.inf, 1.0)]), "atom locations must be finite"),
+    (lambda: MeasureModel([(-1.0, 0.5), (1.0, np.nan)]),
+     "atom masses must be finite"),
+    (lambda: SemicircleDensity(center=np.inf), "semicircle center must be "
+     "finite"),
+    (lambda: SemicircleDensity(radius=np.nan), "semicircle radius must be "
+     "finite"),
+    (lambda: UniformDensity(0.0, np.inf), "uniform density b must be finite"),
+    (lambda: UniformDensity(0.0, 1.0, mass=np.nan),
+     "uniform density mass must be finite"),
+    (lambda: TableDensity([(0.0, 1.0), (np.inf, 1.0)]),
+     "table density points must be finite"),
+    (lambda: TableDensity([(0.0, 1.0), (1.0, np.nan)]),
+     "table density points must be finite"),
+])
+def test_constructors_reject_non_finite_numbers(make, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_matrix_star_pairing_pair():
     m = cyclic_group_model(3)
     sysm = m.system
