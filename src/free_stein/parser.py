@@ -64,7 +64,8 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
 
     def parse_tuple(self):
-        # a leading '(' whose matching ')' closes the whole input delimits a tuple
+        # a leading '(' whose matching ')' closes the whole input, or is
+        # missing, delimits a tuple
         if self.peek()[1] == "(" and self._closes_at_end():
             self.next()
             polys = [self.parse_expr()]
@@ -85,7 +86,7 @@ class _Parser:
             depth += (val == "(") - (val == ")")
             if depth == 0:
                 return j == len(self.tokens) - 2
-        return False
+        return True
 
     def _expect_end(self):
         kind, val, pos = self.peek()

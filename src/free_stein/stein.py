@@ -59,16 +59,17 @@ it stay with each system.  The layouts nest, so a degree sweep builds one
 system at its largest ``d_proj`` and reads every point off its prefix views
 (:func:`degree_sweep`).
 
-The Gram matrix and the candidate Gram are eigendecomposed block by block
-(:func:`_eigh_blocks`): the connected components of their exact nonzero
-pattern apart, one batched ``eigh`` per component size, under one cut at
-``RCOND`` times the largest eigenvalue over all components.  Symmetric
-models, whose odd moments vanish, and free semicircular families, whose
-Wick words are orthogonal, split into many components (94 for semicircular
-n=3 at ``d_proj`` 4); a model without zeros is one block.  Min-label
-propagation (:func:`_min_labels`, O(nnz) per pass) labels them: a view of
-``W`` over the pattern's rows below it, its blocks filled by one scatter of
-the entries (:func:`_block_layout`); dense tables over their nonzeros.
+The Gram matrix is eigendecomposed block by block (:func:`_eigh_blocks`):
+the connected components of its exact nonzero pattern apart, one batched
+``eigh`` per component size, under one cut at ``RCOND`` times the largest
+eigenvalue over all components.  Symmetric models, whose odd moments
+vanish, and free semicircular families, whose Wick words are orthogonal,
+split into many components (94 for semicircular n=3 at ``d_proj`` 4); a
+model without zeros is one block.  Min-label propagation
+(:func:`_min_labels`, O(nnz) per pass) labels them: a view of ``W`` over the
+pattern's rows below it, its blocks filled by one scatter of the entries
+(:func:`_block_layout`); dense tables over their nonzeros.  The candidate
+Gram goes through :func:`_eigh_blocks` as one block, under the views' cut.
 """
 
 from __future__ import annotations
@@ -565,8 +566,9 @@ def _size_runs(label: np.ndarray) -> list:
 def _eigh_blocks(blocks, m: int, dtype) -> tuple:
     """Eigenpairs ``(vals, vecs)`` above ``RCOND`` times the top eigenvalue,
     ascending, of the ``m x m`` direct sum of ``blocks``: (rows, stack)
-    per component size, one batched ``eigh`` per stack.  The cut is global:
-    one per component would keep rounding of the whole matrix."""
+    per component size, one batched ``eigh`` per stack; the candidate Gram
+    is one block of all its rows.  The cut is global: one per component
+    would keep rounding of the whole matrix."""
     vals, pairs = np.empty(m), []
     for idx, stack in blocks:
         w, v = np.linalg.eigh(stack)
@@ -582,14 +584,6 @@ def _eigh_blocks(blocks, m: int, dtype) -> tuple:
     vals = vals[order]
     drop = m - np.count_nonzero(vals > RCOND * max(float(vals[-1]), 1e-300))
     return vals[drop:], vecs[:, drop:]
-
-
-def _eigh_kept(A: np.ndarray) -> tuple:
-    """:func:`_eigh_blocks` of the Hermitian ``A`` (the candidate Gram), its
-    components gathered out of it: off them its entries are exact zeros."""
-    return _eigh_blocks([(idx, A[idx[:, :, None], idx[:, None, :]])
-                         for idx in _size_runs(_components(A))],
-                        len(A), A.dtype)
 
 
 class _GramView:
@@ -831,7 +825,9 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
             f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
             f"2*d_xi = {need}, beyond the cap {cap}")
     gs, view, words, _, Z, B = _xi_design(model, scheme)
-    qvals, qvecs = _eigh_kept(gs.candidate_gram(words))
+    Q = gs.candidate_gram(words)  # one block under the views' cut
+    qvals, qvecs = _eigh_blocks([(np.arange(len(Q))[None], Q[None])],
+                                len(Q), Q.dtype)
     T = qvecs / np.sqrt(qvals)  # Y = T U, ||xi(Y)||_2 = ||U||_F
     U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     svkeep = sv > RCOND * (sv[0] if len(sv) else 1.0)

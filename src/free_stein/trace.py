@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -198,7 +197,11 @@ class MatrixModel(TraceModel):
 
     def __init__(self, blocks, generators, star_pairing=None,
                  b_algebra=None, b_basis=None, cap=None):
-        blocks = [(int(k), float(lam)) for k, lam in blocks]
+        try:
+            blocks = [(_whole(k), float(lam)) for k, lam in blocks]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"blocks must be (whole size, weight) pairs: "
+                             f"{exc}") from exc
         _finite("block", weights=[lam for _, lam in blocks])
         if not blocks or any(k < 1 or lam <= 0 for k, lam in blocks):
             raise ModelError("blocks must be (size >= 1, weight > 0) pairs")
@@ -379,15 +382,17 @@ class SemicircularModel(TraceModel):
 
         One stack holds the vectors of every prefix of the words, by length
         and then tuple.  A level is ``d_l`` applied to its parent rows, each
-        row at its own last letter ``l``: one scatter for ``r_l`` through
-        :func:`_fock_successors` and one gather-add for ``r_l*``."""
-        there = _fock_successors(self.n, depth)
-        h = there.shape[1]  # the tuples shorter than depth
+        row at its own last letter ``l``: one scatter for ``r_l`` and one
+        gather-add for ``r_l*``.  In this order the tuple at index ``i``
+        with ``l`` appended sits at ``n i + 1 + l``."""
+        n = self.n
+        h = sum(n ** k for k in range(depth))  # the tuples shorter than depth
+        there = n * np.arange(h) + 1
         size, levels, at = _prefix_stack(words)
-        V = np.zeros((size, h + self.n ** depth))
+        V = np.zeros((size, h + n ** depth))
         V[0, 0] = 1.0  # the vacuum, the empty prefix
         for lo, hi, parents, letters in levels:
-            src, to = V[parents], there[letters]
+            src, to = V[parents], there + letters[:, None]
             cur, rows = V[lo:hi], np.arange(hi - lo)[:, None]
             cur[rows, to] = src[:, :h]  # r_l: depth k -> k + 1
             cur[:, :h] += src[rows, to]  # r_l*: back
@@ -418,19 +423,6 @@ def _prefix_stack(words) -> tuple:
         row.update(zip(level, range(lo, hi)))
         lo = hi
     return lo, levels, np.array([row[u] for u in words], dtype=int)
-
-
-@lru_cache(maxsize=None)
-def _fock_successors(n: int, depth: int) -> np.ndarray:
-    """``there[l, i]``: the Fock index of basis tuple ``i`` with letter ``l``
-    appended, for the tuples shorter than ``depth`` in the order of
-    :meth:`SemicircularModel._fock_vectors`.  Read-only, one per shape."""
-    offsets = np.cumsum([0] + [n ** k for k in range(depth + 1)])
-    there = np.concatenate([np.zeros(0, dtype=int)] + [
-        offsets[k + 1] + n * np.arange(n ** k) for k in range(depth)])
-    there = there + np.arange(n)[:, None]
-    there.setflags(write=False)
-    return there
 
 
 def catalan(k: int) -> int:

@@ -816,7 +816,7 @@ SEMI2_TEXT = json.dumps(SEMI2)
      "missing xi (use --xi or --xi-file) (at position 0)"),
     (["bounded", "--radii", ","], SEMI2_TEXT, "empty radius list"),
     (["discrepancy", "--xi", "(t1, t2"], SEMI2_TEXT,
-     "expected ')', found ',' (at position 3)"),
+     "expected ')', found 'end of input' (at position 7)"),
     (["discrepancy", "--xi", "t1^t2"], SEMI2_TEXT,
      "exponent must be a nonnegative integer (at position 3)"),
     (["conjugate-check", "--xi", "(t1)"], SEMI2_TEXT,

@@ -41,7 +41,7 @@ from conftest import (DictFreeProduct, SymbolicPairing, _unitary_pair,
                       candidate_gram_reference, dense_eigh_kept, dense_gram,
                       eval_word, m2_over_m2, random_poly, random_word,
                       word_of)
-from free_stein import stein, trace
+from free_stein import stein
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
 from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
@@ -749,20 +749,6 @@ def test_fock_vectors_equal_slice_loop_reference(case):
     V = SemicircularModel(n)._fock_vectors(words, depth)
     assert V.shape == (len(words), sum(n ** k for k in range(depth + 1)))
     assert np.array_equal(V, _fock_vectors_reference(n, words, depth))
-
-
-def test_fock_successors_are_one_read_only_table_per_shape():
-    trace._fock_successors.cache_clear()
-    a, b = SemicircularModel(2), SemicircularModel(2)
-    xs = stein.monomial_words(a.system, 0, 3)
-    assert np.array_equal(a.moment_table(xs), b.moment_table(xs))
-    info = trace._fock_successors.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    there = trace._fock_successors(2, 3)
-    # basis tuple (1, 0), index 1 + 2 + 2, appended 1 -> (1, 0, 1), 7 + 5
-    assert there.shape == (2, 7) and there[1, 5] == 12
-    with pytest.raises(ValueError, match="read-only"):
-        there[0, 0] = 0
 
 
 def test_measure_table_is_a_hankel_gather():

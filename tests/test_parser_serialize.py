@@ -72,6 +72,17 @@ def test_parse_unknown_generator_reports_position():
         parse_one("t1 $ t2", S2)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(t1, t2", 7),  # an unclosed tuple
+    ("(t1 + t2", 8),  # an unclosed expression
+])
+def test_parse_unclosed_bracket_names_the_end(text, position):
+    with pytest.raises(ParseError,
+                       match=r"^expected '\)', found 'end of input'") as err:
+        parse_poly_tuple(text, S2)
+    assert err.value.position == position
+
+
 def test_parse_b_letters():
     b = BAlgebra(2, {(0, 0): ((0, 1),), (0, 1): (), (1, 0): (),
                      (1, 1): ((1, 1),)}, unit=((0, 1), (1, 1)))

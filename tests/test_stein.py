@@ -84,11 +84,15 @@ def _gram(make_model, d_proj):
 def _decomposed(A):
     """``(A, labels, vals, vecs)``: a Gram system's full view, decomposed
     from its entries, with the dense oracle of its ``W``; any other matrix
-    through the dense decomposition."""
+    through :func:`stein._eigh_blocks`, its components gathered out of it
+    as the blocks."""
     if isinstance(A, GramSystem):
         view = A.view()
         return dense_gram(A), A._labels(view.k), view.vals, view.vecs
-    return A, stein._components(A), *stein._eigh_kept(A)
+    labels = stein._components(A)
+    blocks = [(idx, A[idx[:, :, None], idx[:, None, :]])
+              for idx in stein._size_runs(labels)]
+    return A, labels, *stein._eigh_blocks(blocks, len(A), A.dtype)
 
 
 def _free_product():
@@ -221,11 +225,31 @@ def test_split_eigh_cuts_globally():
     A[np.ix_([0, 2], [0, 2])] = rot @ np.diag([1.0, 0.5]) @ rot.T
     A[np.ix_([1, 3], [1, 3])] = small
     assert stein._components(A).tolist() == [0, 1, 0, 1]
-    vals, vecs = stein._eigh_kept(A)
+    idx = np.array([[0, 2], [1, 3]])
+    vals, vecs = stein._eigh_blocks([(idx, A[idx[:, :, None],
+                                            idx[:, None, :]])], 4, A.dtype)
     assert vecs.shape == (4, 3)
     assert np.allclose(vals, [1e-3, 0.5, 1.0], rtol=1e-12, atol=0)
     block = np.linalg.eigvalsh(small)
     assert np.sum(block > stein.RCOND * block[-1]) == 2  # a per-block cut
+
+
+@pytest.mark.parametrize("make, rank", [
+    (lambda: SemicircularModel(2), 14),
+    (two_point_measure, 1),  # t^2 = 1: t^2 and t^3 add no direction
+    (lambda: cyclic_group_model(5), 4),
+], ids=["semicircular n=2", "two-point measure", "cyclic group of order 5"])
+def test_candidate_gram_as_one_block_keeps_the_oracle_eigenvalues(make, rank):
+    # the bounded solver's call: the candidate Gram as the one block
+    model = make()
+    Q = GramSystem(model, 3).candidate_gram(monomial_words(model.system, 1, 3))
+    vals, vecs = stein._eigh_blocks([(np.arange(len(Q))[None], Q[None])],
+                                    len(Q), Q.dtype)
+    want, want_vecs = dense_eigh_kept(Q)
+    assert len(vals) == len(want) == rank
+    assert np.max(np.abs(vals - want)) <= 1e-12 * want[-1]
+    proj = vecs @ vecs.conj().T - want_vecs @ want_vecs.conj().T
+    assert np.max(np.abs(proj)) <= 1e-12
 
 
 def test_semicircular_gram_is_fock_factorization():
@@ -609,7 +633,7 @@ def _interleaved_solves(model, scheme, radii):
         y, _, rank, _ = np.linalg.lstsq(Zd, b, rcond=stein.RCOND)
         trail.append(float(np.linalg.norm(Zd @ y - b)))
     Q = np.kron(candidate_gram_reference(model, words), np.eye(n))
-    qvals, qvecs = stein._eigh_kept(Q)
+    qvals, qvecs = dense_eigh_kept(Q)
     T = qvecs / np.sqrt(qvals)
     U, sv, Vh = np.linalg.svd(Zb @ T, full_matrices=False)
     keep = sv > stein.RCOND * sv[0]
@@ -778,7 +802,7 @@ def _bounded_reference(model, scheme):
     found by bisection, returning ``(value, boundary, norm of the whitened
     candidate)``."""
     gs, _, words, _, Z, B = stein._xi_design(model, scheme)
-    qvals, qvecs = stein._eigh_kept(gs.candidate_gram(words))
+    qvals, qvecs = dense_eigh_kept(gs.candidate_gram(words))
     T = qvecs / np.sqrt(qvals)
     U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     keep = sv > stein.RCOND * sv[0]

@@ -113,6 +113,15 @@ def test_constructors_reject_non_finite_numbers(make, message):
         make()
 
 
+def test_matrix_block_sizes_must_be_whole():
+    gens = [[[[1.0, 0.0], [0.0, -1.0]]]]
+    for size in (2.7, 2.5):
+        with pytest.raises(ModelError, match=re.escape(f"{size} is not a "
+                                                       "whole number")):
+            MatrixModel([(size, 1.0)], gens)
+    assert MatrixModel([(2.0, 1.0)], gens).blocks == [(2, 1.0)]
+
+
 def test_matrix_star_pairing_pair():
     m = cyclic_group_model(3)
     sysm = m.system
