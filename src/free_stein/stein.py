@@ -60,16 +60,18 @@ system at its largest ``d_proj`` and reads every point off its prefix views
 (:func:`degree_sweep`).
 
 The Gram matrix is eigendecomposed block by block (:func:`_eigh_blocks`):
-the connected components of its exact nonzero pattern apart, one batched
+the connected components of its structural pattern apart, one batched
 ``eigh`` per component size, under one cut at ``RCOND`` times the largest
 eigenvalue over all components.  Symmetric models, whose odd moments
 vanish, and free semicircular families, whose Wick words are orthogonal,
 split into many components (94 for semicircular n=3 at ``d_proj`` 4); a
 model without zeros is one block.  Min-label propagation
-(:func:`_min_labels`, O(nnz) per pass) labels them: a view of ``W`` over the
-pattern's rows below it, its blocks filled by one scatter of the entries
-(:func:`_block_layout`); dense tables over their nonzeros.  The candidate
-Gram goes through :func:`_eigh_blocks` as one block, under the views' cut.
+(:func:`_min_labels`, O(nnz) per pass) labels them over a view's structural
+rows, with no table value, so its blocks and scatter positions are cached
+per shape, table pattern and size (:func:`_block_layout`), and an entry
+that is zero stays inside its block; dense tables are labelled over their
+nonzeros (:func:`_components`).  The candidate Gram goes through
+:func:`_eigh_blocks` as one block, under the views' cut.
 """
 
 from __future__ import annotations
@@ -263,8 +265,10 @@ def _layout(n: int, d_proj: int) -> tuple:
     the degree-e legs are ``start[e]:start[e + 1]``, the degree-e words one
     index lower.  ``splits`` holds per letter the splits by word and then
     position, as (owner word of each group, group starts, prefixes,
-    suffixes).  With B scalar none of it depends on the model, so one
-    read-only build serves every Gram system of the shape."""
+    suffixes), and ``flat`` all of them as the :func:`_split_index` arrays
+    ``(word, letter, pre, suf)``, words numbered from 0.  With B scalar none
+    of it depends on the model, so one read-only build serves every Gram
+    system of the shape."""
     system = GeneratorSystem(n)
     words = tuple(monomial_words(system, 1, d_proj + 1))
     legs = tuple(monomial_words(system, 0, d_proj))
@@ -278,12 +282,13 @@ def _layout(n: int, d_proj: int) -> tuple:
         own = word[rows]
         starts = np.flatnonzero(np.diff(own, prepend=-1))
         splits.append((own[starts], starts, pre[rows], suf[rows]))
-    for a in [start, *itertools.chain.from_iterable(splits)]:
+    flat = word, letter, pre, suf
+    for a in [start, *flat, *itertools.chain.from_iterable(splits)]:
         a.setflags(write=False)
     # words of degree <= d + 1 span the tensor degree d
     degree_count = MappingProxyType({d: int(start[d + 2]) - 1
                                      for d in range(1, d_proj + 1)})
-    return words, legs, start, tuple(splits), degree_count
+    return words, legs, start, tuple(splits), degree_count, flat
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +306,17 @@ class GramSystem:
     the tracial moment table over splits.  ``W`` is kept as its structural
     upper entries, each summed over the split pairs that can reach it
     (:func:`_pair_index`), real when the table is, and each view decomposes
-    straight from them.  The r-vectors gather table columns at the
+    straight from them over the blocks of its structural pattern
+    (:func:`_block_layout`).  The r-vectors gather table columns at the
     per-letter split arrays: those of the legs (words of degree <= d_proj),
     and those of longer kernel legs, traced on first use, one table call
     per batch.  Reports read :meth:`r_of_identity` and
     :meth:`r_of_candidates`; :meth:`r_of_kernel`, for exact kernels, is
     their test reference.  Scalar B only.  ``words``, ``_legs``,
     ``_splits`` and ``_degree_count`` come from the read-only
-    :func:`_layout` of ``(n, d_proj)``, the split pairs and the pattern of
-    ``W`` from that of ``_key``, the shape and table pattern; the table,
-    the entries and the r-vectors are its own; views are not cached.
+    :func:`_layout` of ``(n, d_proj)``, the split pairs and the views'
+    block layouts from those of ``_key``, the shape and table pattern; the
+    table, the entries and the r-vectors are its own; views are not cached.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -319,39 +325,28 @@ class GramSystem:
         self.model = model
         self.d_proj = d_proj
         (self.words, self._legs, _, self._splits,
-         self._degree_count) = _layout(system.n, d_proj)
+         self._degree_count, _) = _layout(system.n, d_proj)
         # the legs are built valid: only the cap is checked
         self._table = G = model._moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
         self._key = (system.n, d_proj, _components(G).tobytes())
-        entry, pre, suf, *self._edges = _pair_index(*self._key)
+        entry, pre, suf, row, col, eid = _pair_index(*self._key)
         terms = G.ravel()[pre] * G.ravel()[suf]
         self._entries = v = np.bincount(entry, terms.real).astype(G.dtype)
         if v.dtype.kind == "c":
             v.imag = np.bincount(entry, terms.imag)
-            row, col, eid = self._edges  # a Hermitian diagonal is real
-            v.imag[eid[row == col]] = 0
+            v.imag[eid[row == col]] = 0  # a Hermitian diagonal is real
 
     def view(self, d: int | None = None) -> "_GramView":
         """``W[:k, :k]``, one scatter of the entries into its blocks."""
         k = self._degree_count[self.d_proj if d is None else d]
-        runs, pos, src, size = _block_layout(*self._key,
-                                             self._labels(k).tobytes())
+        runs, pos, src, size = _block_layout(*self._key, k)
         v = self._entries
         flat = np.zeros(size, dtype=v.dtype)
         flat[pos] = np.concatenate([v, v.conj()])[src]
         return _GramView(k, *_eigh_blocks(
             [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs],
             k, v.dtype))
-
-    def _labels(self, k: int) -> np.ndarray:
-        """The :func:`_components` of ``W[:k, :k]``, propagated over the
-        pattern's rows below ``k``; an entry that is zero links nothing."""
-        row, col, eid = (x[:np.searchsorted(self._edges[0], k)]
-                         for x in self._edges)
-        keep = (col < k) & ((self._entries[eid] != 0) | (row == col))
-        return _min_labels(col[keep],
-                           np.flatnonzero(np.diff(row[keep], prepend=-1)))
 
     # r-vectors against the full basis ------------------------------------
 
@@ -469,10 +464,8 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     by row and column.  No table value enters, so one read-only build
     serves a shape and pattern, ``PAIR_INDEX_CACHE`` of them cached."""
     label = np.frombuffer(labels, dtype=np.intp)
-    start = _layout(n, d_proj)[2]
+    _, _, start, _, _, (word, letter, pre, suf) = _layout(n, d_proj)
     m, L, D = int(start[-1]) - 1, int(start[-2]), d_proj + 2
-    word, letter, pre, suf = _split_index(n, start)
-    word -= 1
     degree = np.searchsorted(start, pre, side="right") - 1
     key = (letter * L + label[pre]) * L + label[suf]
     order = np.lexsort((word, key))
@@ -501,17 +494,19 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
 
 
 @lru_cache(maxsize=PAIR_INDEX_CACHE)
-def _block_layout(n: int, d_proj: int, pattern: bytes, labels: bytes) -> tuple:
-    """``(runs, pos, src, size)``: the blocks of the view of ``W`` with the
-    component ``labels``.  Per size, ``runs`` holds the rows (by
-    :func:`_size_runs`) and the slice of their stack in a buffer of
-    ``size``, which takes at ``pos`` the entries inside components and then
+def _block_layout(n: int, d_proj: int, pattern: bytes, k: int) -> tuple:
+    """``(runs, pos, src, size)``: the blocks of the view ``W[:k, :k]`` of
+    the table ``pattern``, the components of its structural entries, each
+    labelled with its smallest row by :func:`_min_labels` over the
+    :func:`_pair_index` rows below ``k``; no table value enters, so an
+    entry that is zero stays in its block.  Per size, ``runs`` holds the
+    rows (by :func:`_size_runs`) and the slice of their stack in a buffer
+    of ``size``, which takes at ``pos`` the structural entries and then
     their conjugates below the diagonal, at ``src``.  Read-only, cached."""
-    label = np.frombuffer(labels, dtype=np.intp)
-    k = len(label)
     entry, _, _, row, col, eid = _pair_index(n, d_proj, pattern)
     at = np.flatnonzero(col[:np.searchsorted(row, k)] < k)
-    at = at[label[row[at]] == label[col[at]]]
+    row, col, eid = row[at], col[at], eid[at]
+    label = _min_labels(col, np.flatnonzero(np.diff(row, prepend=-1)))
     # per row: the start of its row in its block, and its place there
     start, place = np.empty((2, k), dtype=int)
     runs, size = [], 0
@@ -521,8 +516,8 @@ def _block_layout(n: int, d_proj: int, pattern: bytes, labels: bytes) -> tuple:
         place[idx] = np.arange(w)
         runs.append((idx, slice(size, size + c * w * w)))
         size += c * w * w
-    pos = start[row[at]] + place[col[at]]
-    src = eid[at] + (row[at] > col[at]) * (int(entry[-1]) + 1)
+    pos = start[row] + place[col]
+    src = eid + (row > col) * (int(entry[-1]) + 1)
     for x in (pos, src, *(idx for idx, _ in runs)):
         x.setflags(write=False)
     return tuple(runs), pos, src, size
@@ -843,9 +838,6 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
             lam = _kkt_multiplier(weights, sv2, radius)
             u = Vh.conj().T @ (num / (sv2 + lam)[:, None])
             diagnostics = {"multiplier": lam, "boundary": lam > 0}
-            if lam:
-                diagnostics["norm_gap"] = abs(float(np.linalg.norm(u))
-                                              - radius)
         Y = T @ u
         value = float(np.linalg.norm(Z @ Y - B))
         diagnostics["radius"] = radius

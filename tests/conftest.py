@@ -161,15 +161,26 @@ def dense_gram(gs):
     return W
 
 
-def dense_eigh_kept(A):
+def view_labels(gs, k):
+    """The component labels of the Gram view ``W[:k, :k]`` of ``gs`` as its
+    cached block layout holds them, each row labelled with the smallest row
+    of its block, as ``stein._components`` labels them."""
+    label = np.empty(k, dtype=np.intp)
+    for idx, _ in stein._block_layout(*gs._key, k)[0]:
+        label[idx] = idx[:, :1]
+    return label
+
+
+def dense_eigh_kept(A, label=None):
     """Oracle only: the kept eigenpairs ``(vals, vecs)`` of the Hermitian
     ``A`` as the dense block decomposition gave them before the Gram views
-    decomposed from entries: the components of ``A``'s nonzero pattern
-    gathered out of ``A`` and decomposed one batched ``eigh`` per size,
-    the eigenvectors scattered into an ``m x m`` array, one global cut at
-    ``RCOND`` times the largest eigenvalue."""
+    decomposed from entries: the components ``label`` (by default those of
+    ``A``'s nonzero pattern) gathered out of ``A`` and decomposed one
+    batched ``eigh`` per size, the eigenvectors scattered into an ``m x m``
+    array, one global cut at ``RCOND`` times the largest eigenvalue."""
     m = len(A)
-    label = stein._components(A)
+    if label is None:
+        label = stein._components(A)
     size = np.bincount(label, minlength=m)[label]
     order = np.lexsort((label, size))
     runs = np.flatnonzero(np.diff(size[order])) + 1

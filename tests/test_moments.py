@@ -16,7 +16,8 @@ matrix models against the per-word traces they replaced
 against the centering recursion they replaced.  The semicircular Fock
 vectors are checked bit for bit against the slice loop they replaced
 (``_fock_vectors_reference``), and the free-product vectors, traces and
-tables against the dict-keyed builder they replaced (``DictFreeProduct``).
+tables against the dict-keyed builder they replaced (``DictFreeProduct``);
+a free semicircular family against the free product of its semicircles.
 Discrepancies, read off the
 candidate rows, are checked against the symbolic kernel summed by
 ``GramSystem.r_of_kernel``.  The reported candidate
@@ -40,7 +41,7 @@ from hypothesis import strategies as st
 from conftest import (DictFreeProduct, SymbolicPairing, _unitary_pair,
                       candidate_gram_reference, dense_eigh_kept, dense_gram,
                       eval_word, m2_over_m2, random_poly, random_word,
-                      word_of)
+                      view_labels, word_of)
 from free_stein import stein
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
@@ -993,13 +994,18 @@ VIEW_GRAMS = {
     **{name: (make, 4) for name, make in FREE_PRODUCTS.items()},
     "cyclic group of order 5": (lambda: cyclic_group_model(5), 5),
     "two-block unitary": (_unitary_pair, 4),
+    # Pauli Z + 1 and X + 0: exact-zero structural entries inside blocks
+    "M_2 + C": (lambda: MatrixModel(
+        [(2, Fraction(2, 3)), (1, Fraction(1, 3))],
+        [[[[1, 0], [0, -1]], [[1]]], [[[0, 1], [1, 0]], [[0]]]]), 5),
 }
 
 
 @pytest.mark.parametrize("name", VIEW_GRAMS)
 def test_gram_views_equal_the_dense_oracle(name):
     # every prefix view decomposes from the entries exactly as the dense
-    # W[:k, :k] through the dense block decomposition
+    # W[:k, :k] through the dense block decomposition, and the blocks of its
+    # structural pattern are the components of its nonzero one
     make, d_proj = VIEW_GRAMS[name]
     gs = stein.GramSystem(make(), d_proj)
     W = dense_gram(gs)
@@ -1009,10 +1015,14 @@ def test_gram_views_equal_the_dense_oracle(name):
         assert view.vals.dtype == vals.dtype and view.vecs.dtype == vecs.dtype
         assert np.array_equal(view.vals, vals)
         assert np.array_equal(view.vecs, vecs)
-        assert np.array_equal(gs._labels(view.k),
+        assert np.array_equal(view_labels(gs, view.k),
                               stein._components(W[:view.k, :view.k]))
     assert np.iscomplexobj(W) == (name == "two-block unitary"
                                   or "cyclic" in name)
+    # the structural positions that hold an exact zero, all inside blocks
+    _, _, _, row, col, _ = stein._pair_index(*gs._key)
+    assert np.count_nonzero(W[row, col] == 0) == (396 if name == "M_2 + C"
+                                                  else 0)
 
 
 @pytest.mark.parametrize("make, d_proj, a, b, splits", [
@@ -1021,44 +1031,43 @@ def test_gram_views_equal_the_dense_oracle(name):
 ], ids=["splitting", "inside a component"])
 def test_gram_view_of_a_structural_entry_that_is_zero(make, d_proj, a, b,
                                                       splits):
-    # a synthetic W: the structural entry (a, b) set to an exact zero links
-    # nothing, as in the dense pattern; when it was a component's only link
-    # between its ends the component splits, else its block holds the zero
+    # a synthetic W: the structural entry (a, b) set to an exact zero stays
+    # inside its block, also where it is the only link between its ends and
+    # the dense nonzero pattern splits there; every view is the dense block
+    # decomposition over the layout's blocks, bit for bit
     gs = stein.GramSystem(make(), d_proj)
-    row, col, eid = gs._edges
+    _, _, _, row, col, eid = stein._pair_index(*gs._key)
     (e,) = eid[(row == a) & (col == b)]
-    m = len(gs.words)
-    before = len(set(gs._labels(m).tolist()))
     gs._entries = gs._entries.copy()
     gs._entries[e] = 0
     W = dense_gram(gs)
     assert W[a, b] == W[b, a] == 0
     for d in range(1, d_proj + 1):
         view = gs.view(d)
-        A = W[:view.k, :view.k]
-        assert np.array_equal(gs._labels(view.k), stein._components(A))
-        vals, vecs = dense_eigh_kept(A)
+        vals, vecs = dense_eigh_kept(W[:view.k, :view.k],
+                                     view_labels(gs, view.k))
         assert np.array_equal(view.vals, vals)
         assert np.array_equal(view.vecs, vecs)
-    labels = gs._labels(m)
-    assert len(set(labels.tolist())) == before + splits
-    assert (labels[a] != labels[b]) == splits
+    labels = view_labels(gs, len(gs.words))
+    assert labels[a] == labels[b]
+    dense = stein._components(W)
+    assert (dense[a] != dense[b]) == splits
 
 
-def test_block_layouts_are_read_only_and_cached_per_labelling():
+def test_block_layouts_are_read_only_and_cached_per_view():
     stein._block_layout.cache_clear()
     assert stein._block_layout.cache_info().maxsize == stein.PAIR_INDEX_CACHE
-    # semicircular n=2 and two-point * semicircular share the table pattern
-    # and the labelling of every view: one layout per view
+    # semicircular n=2 and two-point * semicircular share the table pattern:
+    # one layout per view, keyed by its size
     a = stein.GramSystem(SemicircularModel(2), 4)
     b = stein.GramSystem(MODELS["two-point * semicircular"](), 4)
+    assert a._key == b._key
     for d in range(1, 5):
         a.view(d)
         b.view(d)
     assert stein._block_layout.cache_info().misses == 4
     assert stein._block_layout.cache_info().hits == 4
-    labels = a._labels(len(a.words)).tobytes()
-    runs, pos, src, size = stein._block_layout(*a._key, labels)
+    runs, pos, src, size = stein._block_layout(*a._key, len(a.words))
     assert size == sum(idx.size * idx.shape[1] for idx, _ in runs)
     for arr in (pos, src, *(idx for idx, _ in runs)):
         with pytest.raises(ValueError, match="read-only"):
@@ -1096,6 +1105,32 @@ def test_free_product_leg_table_equals_centering_recursion():
     legs = stein.monomial_words(model.system, 0, 5)
     expected = _CenteringReference(_two_point_semicircular()).table(legs, legs)
     assert np.array_equal(model.moment_table(legs), expected)
+
+
+@pytest.mark.parametrize("n, d", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_semicircular_family_is_the_free_product_of_its_semicircles(n, d):
+    # a free semicircular family is the free product of its semicircles
+    # (Voiculescu, Dykema & Nica, Free Random Variables, 1.5): the Fock
+    # vectors, the reduced free-product vectors with their fold and, for one
+    # letter, the Hankel rows of the measure give one table, bit for bit
+    models = [SemicircularModel(n), FreeProductModel(
+        [MeasureModel([], SemicircleDensity()) for _ in range(n)])]
+    if n == 1:
+        models.append(MeasureModel([], SemicircleDensity()))
+    words = stein.monomial_words(models[0].system, 0, d)
+    lower = stein.monomial_words(models[0].system, 0, d - 1)
+    square, rect = models[0].moment_table(words), models[0].moment_table(
+        lower, words)
+    for model in models[1:]:
+        assert np.array_equal(model.moment_table(words), square)
+        assert np.array_equal(model.moment_table(lower, words), rect)
+    for d_xi in (1, 2):
+        want, *reps = [stein.irregularity_estimate(m, stein.DegreeScheme(d_xi))
+                       for m in models]
+        for rep in reps:
+            assert rep.sigma == want.sigma and rep.trail == want.trail
+            assert rep.gram_condition == want.gram_condition
+            assert rep.xi == want.xi
 
 
 # The arrays form the dict builder's terms, but sum three or more terms of
