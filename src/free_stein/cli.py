@@ -254,7 +254,11 @@ def _cf_compressed(args) -> int:
 
 def _cf_graph(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelError(
+                f"malformed graph spec {args.graph}: {exc}") from exc
     if not isinstance(data, dict) or not {"weights", "edges"} <= data.keys():
         raise ModelError(f"graph spec {args.graph} needs the fields "
                          "'weights' and 'edges'")

@@ -51,7 +51,7 @@ from it, with exact coefficients, on the first read of the field, so the
 sweeps, whose reports print only values, never build it.
 
 The index structure of a Gram system -- its basis words, the legs and the
-per-letter split arrays -- depends on nothing but ``(n, d_proj)``, since B
+one split table -- depends on nothing but ``(n, d_proj)``, since B
 is scalar and the star pairing does not enter.  It is built once per shape
 and process (:func:`_layout`) and shared read-only, as are the split pairs
 per shape and table pattern; the moment table and everything computed from
@@ -76,7 +76,6 @@ nonzeros (:func:`_components`).  The candidate Gram goes through
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -259,36 +258,33 @@ def _split_index(n: int, offsets) -> tuple:
 @lru_cache(maxsize=None)
 def _layout(n: int, d_proj: int) -> tuple:
     """The model-independent structure of a :class:`GramSystem` over ``n``
-    letters at ``d_proj``: ``(words, legs, start, splits, degree_count)``.
+    letters at ``d_proj``: ``(words, legs, start, degree_count, splits)``.
     ``words`` are the basis words (degree 1 to ``d_proj + 1``) and ``legs``
     the split legs (degree 0 to ``d_proj``), in ``monomial_words`` order;
     the degree-e legs are ``start[e]:start[e + 1]``, the degree-e words one
-    index lower.  ``splits`` holds per letter the splits by word and then
-    position, as (owner word of each group, group starts, prefixes,
-    suffixes), and ``flat`` all of them as the :func:`_split_index` arrays
-    ``(word, letter, pre, suf)``, words numbered from 0.  With B scalar none
-    of it depends on the model, so one read-only build serves every Gram
-    system of the shape."""
+    index lower.  ``splits`` holds the :func:`_split_index` arrays ``(word,
+    letter, pre, suf)``, words numbered from 0, by letter, then word, then
+    position, and their runs, one per (letter, word) pair: ``(owner,
+    starts)``, the owner ``letter * m + word`` of each run and where it
+    starts.  With B scalar none of it depends on the model, so one
+    read-only build serves every Gram system of the shape."""
     system = GeneratorSystem(n)
     words = tuple(monomial_words(system, 1, d_proj + 1))
     legs = tuple(monomial_words(system, 0, d_proj))
     start = np.cumsum([0] + [n ** e for e in range(d_proj + 2)])
     word, letter, pre, suf = _split_index(n, start)
     word -= 1
-    order = np.argsort(word, kind="stable")
-    splits = []
-    for i in range(n):
-        rows = order[letter[order] == i]
-        own = word[rows]
-        starts = np.flatnonzero(np.diff(own, prepend=-1))
-        splits.append((own[starts], starts, pre[rows], suf[rows]))
-    flat = word, letter, pre, suf
-    for a in [start, *flat, *itertools.chain.from_iterable(splits)]:
+    order = np.lexsort((word, letter))
+    word, letter, pre, suf = word[order], letter[order], pre[order], suf[order]
+    owner = letter * len(words) + word
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    splits = word, letter, pre, suf, owner[starts], starts
+    for a in (start, *splits):
         a.setflags(write=False)
     # words of degree <= d + 1 span the tensor degree d
     degree_count = MappingProxyType({d: int(start[d + 2]) - 1
                                      for d in range(1, d_proj + 1)})
-    return words, legs, start, tuple(splits), degree_count, flat
+    return words, legs, start, degree_count, splits
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +304,10 @@ class GramSystem:
     (:func:`_pair_index`), real when the table is, and each view decomposes
     straight from them over the blocks of its structural pattern
     (:func:`_block_layout`).  The r-vectors gather table columns at the
-    per-letter split arrays: those of the legs (words of degree <= d_proj),
-    and those of longer kernel legs, traced on first use, one table call
-    per batch.  Reports read :meth:`r_of_identity` and
+    one split table, every letter at once, and sum each (letter, word) run
+    (:meth:`_by_letter`): columns of the legs (words of degree <= d_proj),
+    and of longer kernel legs, traced on first use, one table call per
+    batch.  Reports read :meth:`r_of_identity` and
     :meth:`r_of_candidates`; :meth:`r_of_kernel`, for exact kernels, is
     their test reference.  Scalar B only.  ``words``, ``_legs``,
     ``_splits`` and ``_degree_count`` come from the read-only
@@ -324,8 +321,8 @@ class GramSystem:
         _gram_guard(system, d_proj)
         self.model = model
         self.d_proj = d_proj
-        (self.words, self._legs, _, self._splits,
-         self._degree_count, _) = _layout(system.n, d_proj)
+        (self.words, self._legs, _, self._degree_count,
+         self._splits) = _layout(system.n, d_proj)
         # the legs are built valid: only the cap is checked
         self._table = G = model._moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
@@ -358,27 +355,32 @@ class GramSystem:
             table = self.model.moment_table(self._legs, missing)
             self._columns.update(zip(missing, table.T))
 
-    def _gather(self, words) -> np.ndarray:
-        """``G[:, p]`` over the legs, one row per word ``p``."""
-        self._fetch(words)
-        return np.array([self._columns[p] for p in words])
+    def _by_letter(self, terms: np.ndarray) -> np.ndarray:
+        """Per-split ``terms`` ``(..., splits)`` summed over each (letter,
+        word) run into ``(..., letter, word)``: one ``reduceat``, one
+        scatter."""
+        *_, owners, starts = self._splits
+        shape = terms.shape[:-1]
+        out = np.zeros((*shape, self.model.n * len(self.words)), terms.dtype)
+        out[..., owners] = np.add.reduceat(terms, starts, axis=-1)
+        return out.reshape(*shape, self.model.n, -1)
 
     def r_of_kernel(self, A: KernelMatrix) -> np.ndarray:
-        """r-vectors of a kernel matrix, one row per slot; complex only when
-        the result has an imaginary part."""
+        """r-vectors of a kernel matrix, one row per slot, its entries summed
+        term by term, letter by letter; complex only when the result has an
+        imaginary part."""
         self._fetch([w for row in A.entries for entry in row
                      for pq in entry.terms for w in pq])
         col = self._columns
-        r = np.zeros((self.model.n, len(self.words)), dtype=complex)
+        _, letter, pre, suf, _, _ = self._splits
+        acc = np.zeros((self.model.n, len(pre)), dtype=complex)
         for i, row in enumerate(A.entries):
-            for (owners, starts, pre, suf), entry in zip(self._splits, row):
-                if entry.is_zero:
-                    continue
-                acc = np.zeros(len(pre), dtype=complex)
+            for j, entry in enumerate(row):
+                at = letter == j
                 for (p, q), c in entry.terms.items():
-                    acc += complex(c) * (col[p][pre] * col[q][suf])
-                r[i, owners] += np.add.reduceat(acc, starts)
-        return real_if_exact(r)
+                    acc[i, at] += complex(c) * (col[p][pre[at]]
+                                                * col[q][suf[at]])
+        return real_if_exact(self._by_letter(acc).sum(axis=1))
 
     def r_of_candidates(self, words) -> np.ndarray:
         """r-rows of the monomial candidates ``words``, one row per word.
@@ -388,29 +390,21 @@ class GramSystem:
         ``1/2 (w x_p (x) 1 - w (x) x_p - x_p (x) w + 1 (x) x_p w)`` in entry
         ``j``, ``p = pi(j)``.  That row does not depend on the slot, and each
         of its terms is a product of two table columns gathered at the
-        splits, so all words take one pass per letter.
+        splits, so all words and letters take one pass.
         """
         gens = [(0, p, 0) for p in self.model.system.star_pairing]
-        right = [[v[:-1] + x for v in words] for x in gens]  # w x_p
-        left = [[x[:-1] + v for v in words] for x in gens]   # x_p w
-        self._fetch(words + sum(right, []) + sum(left, []))
-        w, unit = self._gather(words), self._columns[(0,)]
-        R = 0
-        for x, wx, xw, (owners, starts, pre, suf) in zip(
-                gens, right, left, self._splits):
-            wx, xw, gen = self._gather(wx), self._gather(xw), self._columns[x]
-            mid = w[:, pre] * gen[suf]
-            acc = wx[:, pre] * unit[suf] - mid - gen[pre] * w[:, suf]
-            if x in words:
-                # w = x_p: the kernel holds the middle terms as one term of
-                # coefficient -1; summing it so keeps r_of_kernel's rounding
-                k = words.index(x)
-                acc[k] = wx[k, pre] * unit[suf] - 2 * mid[k]
-            acc += unit[pre] * xw[:, suf]
-            part = np.zeros((len(words), len(self.words)), dtype=acc.dtype)
-            part[:, owners] = np.add.reduceat(acc, starts, axis=1)
-            R = R + part
-        return R / 2
+        right = [v[:-1] + x for x in gens for v in words]  # w x_p
+        left = [x[:-1] + v for x in gens for v in words]   # x_p w
+        k, n = len(words), self.model.n
+        every = words + right + left
+        self._fetch(every)
+        cols = np.array([self._columns[p] for p in every + gens])
+        w, unit, gen = cols[:k], self._columns[(0,)], cols[k + 2 * n * k:]
+        wx, xw = cols[k:k + 2 * n * k].reshape(2, n, k, -1).swapaxes(1, 2)
+        _, letter, pre, suf, _, _ = self._splits
+        acc = (wx[:, letter, pre] * unit[suf] - w[:, pre] * gen[letter, suf]
+               - gen[letter, pre] * w[:, suf] + unit[pre] * xw[:, letter, suf])
+        return self._by_letter(acc).sum(axis=1) / 2
 
     def candidate_gram(self, words) -> np.ndarray:
         """L2 Gram ``tau(v* w) - conj(tau(v)) tau(w)`` of the candidates ``w -
@@ -425,11 +419,9 @@ class GramSystem:
     def r_of_identity(self) -> np.ndarray:
         """r-vectors of the identity kernel: row ``i`` sums ``1 (x) 1`` over
         the splits at letter ``i``, the products of the unit column."""
+        _, _, pre, suf, _, _ = self._splits
         unit = self._columns[(0,)]
-        r = np.zeros((self.model.n, len(self.words)), dtype=unit.dtype)
-        for i, (owners, starts, pre, suf) in enumerate(self._splits):
-            r[i, owners] = np.add.reduceat(unit[pre] * unit[suf], starts)
-        return real_if_exact(r)
+        return real_if_exact(self._by_letter(unit[pre] * unit[suf]))
 
 
 def _gram_guard(system, d_proj: int) -> None:
@@ -464,7 +456,7 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     by row and column.  No table value enters, so one read-only build
     serves a shape and pattern, ``PAIR_INDEX_CACHE`` of them cached."""
     label = np.frombuffer(labels, dtype=np.intp)
-    _, _, start, _, _, (word, letter, pre, suf) = _layout(n, d_proj)
+    _, _, start, _, (word, letter, pre, suf, _, _) = _layout(n, d_proj)
     m, L, D = int(start[-1]) - 1, int(start[-2]), d_proj + 2
     degree = np.searchsorted(start, pre, side="right") - 1
     key = (letter * L + label[pre]) * L + label[suf]

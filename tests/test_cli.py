@@ -842,6 +842,16 @@ def test_group_order_guard_exits_2_without_a_report(tmp_path, capsys):
         "group order must be at least 1")
 
 
+def test_malformed_graph_spec_names_its_file(tmp_path, capsys):
+    graph = tmp_path / "bad.json"
+    graph.write_text("{bad")
+    _exits_2_without_a_report(
+        tmp_path, capsys,
+        ["closed-form", "graph", "--graph", str(graph), "--out", "{out}"],
+        f"malformed graph spec {graph}: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)")
+
+
 def test_xi_file_gives_the_bytes_of_xi(specs, tmp_path):
     text = "(t1 + t1*t2 - t1*t2, t2)"
     xi = tmp_path / "xi.txt"

@@ -59,6 +59,12 @@ from free_stein.trace import (FreeProductModel, MatrixModel, MeasureModel,
 TOL = 1e-12
 
 
+def _m2_plus_c():
+    """Pauli Z + 1 and X + 0 on M_2 (+) C."""
+    return MatrixModel([(2, Fraction(2, 3)), (1, Fraction(1, 3))],
+                       [[[[1, 0], [0, -1]], [[1]]], [[[0, 1], [1, 0]], [[0]]]])
+
+
 MODELS = {
     "semicircular n=2": lambda: SemicircularModel(2),
     "two-point * semicircular": lambda: FreeProductModel(
@@ -101,7 +107,9 @@ def test_gram_and_design_match_inner_products(name):
 def _gram_reference(gs):
     """Oracle only: ``W`` one row per basis word, from that word's splits
     against every split of the same letter, summed by owner; returns ``W``
-    and the per-letter split arrays it was built from."""
+    and the per-letter split arrays it was built from, concatenated over
+    the letters as ``(word, letter, pre, suf, owner, starts)``, each
+    (letter, word) run owned by ``letter * m + word``."""
     G = np.array([gs._columns[p] for p in gs._legs]).T
     leg_index = {w: k for k, w in enumerate(gs._legs)}
     splits = [[] for _ in range(gs.model.n)]
@@ -111,15 +119,18 @@ def _gram_reference(gs):
     m = len(gs.words)
     W = np.zeros((m, m), dtype=G.dtype)
     arrays = []
-    for rows in splits:
+    for i, rows in enumerate(splits):
         own, pre, suf = np.array(rows).T
         starts = np.flatnonzero(np.diff(own, prepend=-1))
         owners = own[starts]
-        arrays.append((owners, starts, pre, suf))
+        arrays.append((own, np.full_like(own, i), pre, suf))
         for a, group in zip(owners, np.split(np.arange(len(pre)), starts[1:])):
             block = G[pre[group]][:, pre] * G[suf[group]][:, suf]
             W[a, owners] += np.add.reduceat(block.sum(axis=0), starts)
-    return W, arrays
+    word, letter, pre, suf = map(np.concatenate, zip(*arrays))
+    owner = letter * m + word
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return W, (word, letter, pre, suf, owner[starts], starts)
 
 
 def _gram_blocks_reference(G, n, start):
@@ -176,16 +187,15 @@ def test_gram_blocks_equal_per_split_reference(name):
     # from the cache
     for _ in range(2):
         gs = stein.GramSystem(make(), d_proj)
-        W, arrays = _gram_reference(gs)
+        W, table = _gram_reference(gs)
         dense = dense_gram(gs)
         assert np.array_equal(dense, W)
         start = stein._layout(gs.model.n, d_proj)[2]
         assert np.array_equal(dense, _gram_blocks_reference(gs._table,
                                                             gs.model.n, start))
         assert np.array_equal(dense, dense.conj().T)
-        for got, want in zip(gs._splits, arrays, strict=True):
-            assert all(np.array_equal(g, w)
-                       for g, w in zip(got, want, strict=True))
+        for got, want in zip(gs._splits, table, strict=True):
+            assert np.array_equal(got, want)
         for d in range(1, d_proj + 1):
             assert gs._degree_count[d] == sum(len(w) // 2 <= d + 1
                                               for w in gs.words)
@@ -215,11 +225,10 @@ def test_gram_systems_of_one_shape_share_a_read_only_layout():
     a = stein.GramSystem(SemicircularModel(2), 3)
     b = stein.GramSystem(_unitary_pair(), 3)
     assert a.words is b.words and a._legs is b._legs
-    for got, want in zip(a._splits, b._splits, strict=True):
-        assert all(g is w for g, w in zip(got, want, strict=True))
-        for arr in got:
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
+    assert a._splits is b._splits
+    for arr in a._splits:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
     with pytest.raises(TypeError):
         a._degree_count[1] = 0
     # the model values stay per system
@@ -481,6 +490,11 @@ DESIGNS = {name: (make, stein.DegreeScheme(2)) for name, make in MODELS.items()}
 # d_proj < d_xi + 1: the w x_p and x_p w columns lie beyond the legs
 DESIGNS["semicircular n=2, d_proj=2"] = (lambda: SemicircularModel(2),
                                          stein.DegreeScheme(3, d_proj=2))
+# three letters in one stacked gather
+DESIGNS["semicircular n=3"] = (lambda: SemicircularModel(3),
+                               stein.DegreeScheme(2))
+# real and self-adjoint, yet its rows sit a rounding away from the kernel's
+DESIGNS["M_2 + C"] = (_m2_plus_c, stein.DegreeScheme(2))
 
 
 @pytest.mark.parametrize("name", DESIGNS)
@@ -995,9 +1009,7 @@ VIEW_GRAMS = {
     "cyclic group of order 5": (lambda: cyclic_group_model(5), 5),
     "two-block unitary": (_unitary_pair, 4),
     # Pauli Z + 1 and X + 0: exact-zero structural entries inside blocks
-    "M_2 + C": (lambda: MatrixModel(
-        [(2, Fraction(2, 3)), (1, Fraction(1, 3))],
-        [[[[1, 0], [0, -1]], [[1]]], [[[0, 1], [1, 0]], [[0]]]]), 5),
+    "M_2 + C": (_m2_plus_c, 5),
 }
 
 
