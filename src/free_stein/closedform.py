@@ -345,6 +345,9 @@ def eps_kernel(measure: MeasureModel, eps: float,
         # the kernel at coinciding points would be 0/0
         raise ModelError(f"eps = {eps} is too small: eps**4 underflows "
                          f"below the least normal double")
+    if grid_points < 0:
+        raise ModelError(f"the grid needs a nonnegative number of points, "
+                         f"not {grid_points}")
     atoms = measure.atoms
     dens = measure.density
 

@@ -1,13 +1,16 @@
 """Coordinates for finite-dimensional matrix models.
 
-Fixes an orthonormal basis of ``A = (+)_i M_{k_i}`` under ``<u, v> =
-tau(v* u)``: the scaled matrix units ``c_i e_pq``, ``c_i = sqrt(k_i /
-lambda_i)``, of each block, ordered by block, row and column.  Elements,
-tensors and the sharp action then become plain numpy arrays:
+Works in the orthonormal basis of ``A = (+)_i M_{k_i}`` under ``<u, v> =
+tau(v* u)`` that :meth:`MatrixModel.coords` reads: the scaled matrix units
+``f_a = c_i e_pq``, ``c_i = sqrt(k_i / lambda_i)``, of each block, ordered
+by block, row and column.  No basis matrix is formed: elements, tensors and
+the sharp action are plain numpy arrays, read off matrices by index:
 
-* an algebra element is a vector in C^D, ``D = sum k_i^2``.  The basis
-  matrices are real, so the coordinates of a real element are real, and
-  :meth:`MatrixCoordinates.coords` returns them in the dtype of its input;
+* an algebra element is a vector in C^D, ``D = sum k_i^2``, of its
+  diagonal-block entries ``(p_a, q_a)`` over ``c_i``, real for a real matrix;
+* right multiplication by ``m`` is the D x D matrix
+  :meth:`MatrixCoordinates.right`: ``f_a m`` has the coordinates ``m[q_a,
+  q_a']`` where ``p_a' = p_a`` (the scales cancel within a block);
 * a tensor ``u (x) v`` is the outer product of the two coordinate vectors,
   and the tensor-trace inner product is the Frobenius pairing;
 * left sharp multiplication ``(f (x) g) # (u (x) v) = f u (x) v g`` moves
@@ -29,35 +32,23 @@ from .trace import MatrixModel
 
 class MatrixCoordinates:
     def __init__(self, model: MatrixModel):
-        basis = []
-        self.blocks = []   # (coordinate slice, size, scale) per block
-        off = coord = 0
-        for k, lam in model.blocks:
-            scale = np.sqrt(k / lam)
-            for p in range(k):
-                for q in range(k):
-                    E = np.zeros((model.dim, model.dim))
-                    E[off + p, off + q] = scale
-                    basis.append(E)
-            self.blocks.append((slice(coord, coord + k * k), k, scale))
-            off += k
-            coord += k * k
-        self.D = len(basis)
-        self._start = np.array([s.start for s, _, _ in self.blocks])
+        ends = np.cumsum([0] + [k * k for k, _ in model.blocks])
+        # (coordinate slice, size, scale) per block
+        self.blocks = [(slice(a, b), k, np.sqrt(k / lam)) for a, b, (k, lam)
+                       in zip(ends, ends[1:], model.blocks)]
+        self.D = int(ends[-1])
+        self._start = ends[:-1]
         self._scale = np.array([c for _, _, c in self.blocks])
-        self.basis = np.stack(basis)
-        # coords(u)_a = tau(f_a^* u) = sum_{ij} f_a[i,j] w_j u[i,j], f_a real
-        self._coord = np.einsum("aij,j->aij", self.basis, model.weights)
-        self._coord = self._coord.reshape(self.D, -1)
+        self.coords = model.coords
+        self._p, self._q = model._entries
 
-    def coords(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a matrix, or of a stack of matrices (..., D), real
-        for real matrices and complex for complex ones."""
-        mat = np.asarray(mat)
-        return mat.reshape(*mat.shape[:-2], -1) @ self._coord.T
-
-    def mat(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(coords, self.basis, axes=1)
+    def right(self, mats: np.ndarray) -> np.ndarray:
+        """Matrices ``(..., D, D)`` of right multiplication by a matrix, or
+        by each of a stack of matrices: row ``a`` is ``coords(f_a m)``, read
+        by index, ``m[q_a, q_a']`` where ``p_a = p_a'`` and 0 elsewhere."""
+        p, q = self._p, self._q
+        return np.where(p[:, None] == p[None, :],
+                        np.asarray(mats)[..., q[:, None], q[None, :]], 0)
 
     def sharp_translates(self, rows: np.ndarray, i, j) -> np.ndarray:
         """Multiplicity matrices ``M_ij`` of the left sharp translates of a

@@ -613,11 +613,11 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme) -> DiscrepancyRepor
                                 for x in xi]))
     rA = (C @ gs.r_of_candidates(words) if words
           else np.zeros((model.n, len(gs.words))))
-    r1 = gs.r_of_identity()
+    r = rA - gs.r_of_identity()
     trail = []
     for d in range(1, scheme.d_proj + 1):
         view = gs.view(d)
-        value = float(np.linalg.norm(view.z(rA) - view.z(r1)))
+        value = float(np.linalg.norm(view.z(r)))
         trail.append((d, value))
     return DiscrepancyReport(
         value=value, scheme=scheme, gram_condition=view.cond, trail=trail,
@@ -974,7 +974,7 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     # ev_b[b] = coords(b), in the dtype of the model's data
     gens = real_if_exact(np.stack(model.gen_mats))
     bs = real_if_exact(np.stack(model.b_mats))
-    C = coords.coords(coords.basis @ (gens[:, None] @ bs[None])[:, :, None])
+    C = coords.right(gens[:, None] @ bs[None])
     ev_b = coords.coords(bs)
     nb = len(bs)
     # block pairs grouped by shape, so each group is one batched translate

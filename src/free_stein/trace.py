@@ -8,8 +8,8 @@ makes square tables exactly Hermitian.  Four families are provided, each
 with its ``(V_x, V_y)``:
 
 * :class:`MatrixModel` -- direct sums of matrix blocks with a weighted trace;
-  both are the evaluated words with column ``k`` scaled by ``sqrt(w_k)``,
-  flattened, built on the prefix stack of the Fock vectors below;
+  both are the block coordinates (:meth:`MatrixModel.coords`) of the
+  evaluated words, built on the prefix stack of the Fock vectors below;
 * :class:`SemicircularModel` -- free standard semicircular tuples, traced by
   counting index-respecting non-crossing pairings; both are the Fock-space
   vectors ``x Omega``, built for every prefix of the words on one stack, a
@@ -212,11 +212,13 @@ class MatrixModel(TraceModel):
         if not mats:
             raise ModelError("need at least one generator")
         self.gen_mats = mats
-        w = []
-        for k, lam in blocks:
-            w.extend([lam / k] * k)
-        self.weights = np.array(w)
+        sizes = [k for k, _ in blocks]
+        self.weights = np.repeat([lam / k for k, lam in blocks], sizes)
         self.dim = int(self.weights.size)
+        # the diagonal-block entries (p, q), by block, then row, then column
+        block = np.repeat(np.arange(len(blocks)), sizes)
+        self._entries = np.nonzero(block[:, None] == block[None, :])
+        self._root = np.sqrt(self.weights)[self._entries[1]]
 
         n = len(mats)
         pairing = tuple(star_pairing) if star_pairing is not None else tuple(range(n))
@@ -276,18 +278,19 @@ class MatrixModel(TraceModel):
         (m,) = self._word_matrices([word])
         return complex(np.sum(self.weights * np.diag(m)))
 
+    def coords(self, mats) -> np.ndarray:
+        """Coordinates ``(..., D)``, ``D = sum k_i^2``, of a block-diagonal
+        matrix or a stack of them in the orthonormal basis of block matrix
+        units scaled by ``1/sqrt(w)``, ``w = lambda_i / k_i``: the entries
+        ``sqrt(w_q) m[p, q]`` of the diagonal blocks, in the input's dtype."""
+        p, q = self._entries
+        return self._root * np.asarray(mats)[..., p, q]
+
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
-        """``tau(x* y) = sum_lk conj(X_lk) w_k Y_lk`` for the evaluated words
-        ``X``, ``Y`` and the trace weights ``w``: each word's vector is its
-        matrix with column ``k`` scaled by ``sqrt(w_k)``, flattened."""
-        root = np.sqrt(self.weights)
-
-        def vectors(words):
-            return (self._word_matrices(words) * root).reshape(
-                len(words), self.dim ** 2)
-
-        Vx = vectors(xs)
-        return Vx, Vx if ys is None else vectors(ys)
+        """``tau(x* y) = <y, x>``: each word's vector is the orthonormal
+        :meth:`coords` of its matrix."""
+        Vx = self.coords(self._word_matrices(xs))
+        return Vx, Vx if ys is None else self.coords(self._word_matrices(ys))
 
 
 def two_point_matrix_model(mass_plus=0.5, loc_plus=1.0, loc_minus=-1.0, cap=None):

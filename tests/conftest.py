@@ -570,6 +570,19 @@ def _coords(model: MatrixModel) -> MatrixCoordinates:
     return model._fd_coords
 
 
+def coords_matrix(coords: MatrixCoordinates, c: np.ndarray) -> np.ndarray:
+    """Oracle only: the matrix ``sum_a c_a f_a`` of coordinates ``c`` (...,
+    D) in the basis ``f_a`` of ``MatrixModel.coords``, the matrix units of
+    each block scaled by ``sqrt(k_i / lambda_i)``, ordered by block, row and
+    column."""
+    c = np.asarray(c)
+    scale = np.concatenate([np.full(k * k, s) for _, k, s in coords.blocks])
+    dim = sum(k for _, k, _ in coords.blocks)
+    out = np.zeros((*c.shape[:-1], dim, dim), dtype=np.result_type(c, float))
+    out[..., coords._p, coords._q] = c * scale
+    return out
+
+
 def _word_table(model: MatrixModel, d: int) -> tuple:
     """Oracle only: ``(words, E, S)`` over the monomial words of degree up to
     ``d``, the table that ``sigma_exact_fd`` reduces degree by degree.
@@ -661,4 +674,4 @@ def solve_adjoint_fd(model: MatrixModel, eta, d: int = 4) -> tuple:
     rhs = S.conj() @ eta_coords.reshape(-1)
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=RCOND)
     residual = float(np.linalg.norm(M @ sol - rhs))
-    return matrix_to_poly(model, coords.mat(sol), d), residual
+    return matrix_to_poly(model, coords_matrix(coords, sol), d), residual

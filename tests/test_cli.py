@@ -822,10 +822,17 @@ SEMI2_TEXT = json.dumps(SEMI2)
     (["conjugate-check", "--xi", "(t1)"], SEMI2_TEXT,
      "xi must have one entry per generator"),
     (["sigma-exact", "--d", "0"], CCMAT_TEXT, "d must be at least 1"),
+    (["closed-form", "eps-kernel", "--grid", "-1"], '{"type": "measure", '
+     '"atoms": [[0.0, 1.0]]}',
+     "the grid needs a nonnegative number of points, not -1"),
+    (["closed-form", "eps-kernel", "--grid", "-1"], '{"type": "measure", '
+     '"density": {"kind": "semicircle"}}',
+     "the grid needs a nonnegative number of points, not -1"),
 ], ids=["atom mass", "density kind", "density mass", "uniform bounds",
         "semicircle radius", "one-point table", "zero table",
         "no generators", "block size", "no factors", "not json", "no xi",
-        "no radii", "xi bracket", "xi exponent", "xi length", "d"])
+        "no radii", "xi bracket", "xi exponent", "xi length", "d",
+        "atom-only grid", "density grid"])
 def test_each_input_guard_exits_2_without_a_report(tmp_path, capsys, argv,
                                                    text, message):
     spec = tmp_path / "spec.json"

@@ -226,6 +226,12 @@ def test_eps_kernel_plateau(plateau_measure):
     assert r3.g_atoms and r3.g_grid
 
 
+def test_eps_kernel_grid_of_zero_points_is_empty(plateau_measure):
+    # the guard rejects negative counts only (see the CLI guard tests)
+    rep = eps_kernel(plateau_measure, 1e-2, grid_points=0)
+    assert rep.g_grid == [] and rep.g_atoms
+
+
 @pytest.mark.xfail(raises=QuadratureError, strict=True, reason=(
     "FOUND in CHANGES.md: the g_l2 pass of eps_kernel does not converge on "
     "the uniform density for eps from 1e-8 down to 1e-20"))
