@@ -895,6 +895,30 @@ def _extend(T: np.ndarray, C: np.ndarray, ev_b: np.ndarray) -> np.ndarray:
     return Y.reshape(-1, width)
 
 
+def _real_form(model: MatrixModel) -> np.ndarray:
+    """The generator stack of ``model``, replaced by a real one that
+    generates the same algebra when there is one.
+
+    Each star pair ``(x_i, x_j)``, ``i <= j``, with ``x_j = conj(x_i)``
+    entrywise (``x_i`` symmetric, as in every diagonal model) becomes ``(Re
+    x_i, Im x_i)``, and a self-adjoint real ``x_i`` stays.  The map ``(x_i,
+    x_j) -> ((x_i + x_j) / 2, (x_i - x_j) / 2i)`` is invertible, so it keeps
+    every word span and every rank :func:`sigma_exact_fd` reads.  ``x_j =
+    conj(x_i)`` is tested to rounding: within ``64 eps`` of the largest
+    entry of ``x_i``, so ``u* = om ** (-j)`` passes for ``conj(om ** j)``.
+    Any other model keeps its stack, real only when exactly so.
+    """
+    gens = np.stack(model.gen_mats)
+    out = np.empty(gens.shape)
+    for i, j in enumerate(model.system.star_pairing):
+        x = gens[min(i, j)]
+        mismatch = np.abs(gens[max(i, j)] - x.conj()).max()
+        if mismatch > 64 * np.finfo(float).eps * np.abs(x).max():
+            return real_if_exact(gens)
+        out[i] = x.real if i <= j else x.imag
+    return out
+
+
 def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     """Exact free Stein dimension of a matrix model by relation projection.
 
@@ -941,9 +965,11 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     one pair goes to the SVD as it is: numpy's ``qr`` costs more per call
     than it saves on one small matrix.  Every step is an orthogonal
     factorization, so no Gram is formed and the cut is never squared.  The
-    rows are real exactly when the model's generator and B matrices are,
-    and every step, the SVDs and the R factors included, runs in their
-    dtype.
+    generators are first replaced by a real tuple of the same algebra when
+    the model has one (:func:`_real_form`: self-adjoint real generators and
+    star pairs ``(x, conj x)``), which moves no rank.  The rows are real
+    exactly when those generators and the B matrices are, and every step,
+    the SVDs and the R factors included, runs in their dtype.
 
     On the block pair (i, j) of ``A = (+) M_{k_i}`` that module is
     ``C^{k_i k_j} (x) span(M_ij)`` (see ``MatrixCoordinates.sharp_translates``),
@@ -971,8 +997,9 @@ def sigma_exact_fd(model: MatrixModel, d: int = 3) -> SigmaReport:
     coords = MatrixCoordinates(model)
     n, D = model.n, coords.D
     # C[i, b][a, :] = coords(f_a x_i b) for the basis matrices f_a, and
-    # ev_b[b] = coords(b), in the dtype of the model's data
-    gens = real_if_exact(np.stack(model.gen_mats))
+    # ev_b[b] = coords(b), real when the generators have a real form and the
+    # B matrices are real
+    gens = _real_form(model)
     bs = real_if_exact(np.stack(model.b_mats))
     C = coords.right(gens[:, None] @ bs[None])
     ev_b = coords.coords(bs)

@@ -2,6 +2,7 @@ import bisect
 import contextlib
 import io
 import itertools
+import json
 import math
 import random
 import time
@@ -1078,6 +1079,15 @@ def _three_two_one():
                        [[a3, SZ, [[0.5]]], [b3, SX, [[-2.0]]]])
 
 
+def _complex_two_block():
+    # a 2 x 2 block with imaginary off-diagonal entries next to a 1 x 1
+    # block: a self-adjoint generator that is not real, so no real form
+    return MatrixModel([(2, 0.5), (1, 0.5)],
+                       [[[[1.0, 1j], [-1j, -1.0]], [[0.5]]], [SX, [[-1.0]]]])
+
+
+# sigma_exact_fd runs in real arithmetic on every case but the Pauli triple
+# and the complex two-block model (see stein._real_form)
 EXACT_FD_CASES = {
     "M_2 over B = M_2": (m2_over_m2, 2),
     "cyclic group of order 10": (lambda: cyclic_group_model(10), 5),
@@ -1090,6 +1100,7 @@ EXACT_FD_CASES = {
     "Pauli triple over M_2 + C": (_pauli_triple, 2),
     "vanishing B idempotent": (_vanishing_idempotent, 3),
     "M_3 + M_2 + C": (_three_two_one, 2),
+    "complex two-block": (_complex_two_block, 3),
 }
 
 
@@ -1528,7 +1539,8 @@ def _check_batched_translates(model, seed):
 
 
 SPLIT_TABLE_CASES = ["M_2 over B = M_2", "cyclic group of order 10", "M_2 + C",
-                     "M_3 + M_2 + C", "Pauli triple over M_2 + C"]
+                     "M_3 + M_2 + C", "Pauli triple over M_2 + C",
+                     "complex two-block"]
 
 
 @pytest.mark.parametrize("name", SPLIT_TABLE_CASES)
@@ -1665,6 +1677,124 @@ def test_sigma_exact_trail_is_invariant_under_invertible_maps(case):
         assert [d for d, _ in pushed] == [d for d, _ in trail]
         assert max(abs(v - w) for (_, v), (_, w) in zip(pushed, trail)) \
             <= 1e-9
+
+
+# -- the real form of star-paired models ---------------------------------------------
+
+
+@contextlib.contextmanager
+def _extend_dtypes():
+    """The dtypes of the rows and letter maps ``stein._extend`` sees."""
+    seen = set()
+    raw = stein._extend
+
+    def recording(T, C, ev_b):
+        seen.update({T.dtype, C.dtype})
+        return raw(T, C, ev_b)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stein, "_extend", recording)
+        yield seen
+
+
+def _check_against_complex_oracles(model, d, null_d):
+    # the report of each degree up to d equals the word table's, to the last
+    # bit, and the null-basis reference up to null_d within its rounding
+    for dd in range(1, d + 1):
+        rep = sigma_exact_fd(model, d=dd)
+        got = rep.trail, rep.diagnostics["relations"], rep.irregularity
+        assert got == _sigma_exact_fd_table_reference(model, dd)
+        if dd == null_d:
+            trail, relations = _sigma_exact_fd_reference(model, dd)
+            assert [e for e, _ in rep.trail] == [e for e, _ in trail]
+            assert all(abs(v - w) < 1e-12
+                       for (_, v), (_, w) in zip(rep.trail, trail))
+            assert rep.diagnostics["relations"] == relations
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_cyclic_groups_run_real_and_match_the_complex_oracles(order):
+    # the null-basis reference stops at d = 3, where it takes about a
+    # second at order 12
+    model = cyclic_group_model(order)
+    with _extend_dtypes() as seen:
+        _check_against_complex_oracles(model, 5, 3)
+    assert seen == {np.dtype(np.float64)}
+    assert abs(sigma_exact_fd(model, d=5).sigma
+               - float(finite_group_sigma(order))) < 1e-9
+
+
+@st.composite
+def symmetric_star_pairs(draw):
+    """A direct sum of 1-3 blocks of size <= 2 with rational weights and a
+    star pair ``(u, u*)`` of complex-symmetric blocks, so ``u* = conj(u)``,
+    with a real symmetric generator between them or not."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    parts = draw(st.lists(st.integers(1, 6), min_size=len(sizes),
+                          max_size=len(sizes)))
+    weights = [Fraction(p, sum(parts)) for p in parts]
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = [a + a.T for a in (gen.normal(size=(k, k))
+                           + 1j * gen.normal(size=(k, k)) for k in sizes)]
+    gens, pairing = [u, [a.conj().T for a in u]], (1, 0)
+    if draw(st.booleans()):
+        s = [a + a.T for a in (gen.normal(size=(k, k)) for k in sizes)]
+        gens, pairing = [u, s, gens[1]], (2, 1, 0)
+    return MatrixModel(list(zip(sizes, weights)), gens, star_pairing=pairing)
+
+
+@settings(max_examples=20)
+@given(symmetric_star_pairs())
+def test_symmetric_star_pairs_run_real_and_match_the_complex_oracles(model):
+    with _extend_dtypes() as seen:
+        _check_against_complex_oracles(model, 3, 2)
+    assert seen == {np.dtype(np.float64)}
+
+
+def _nudged_cyclic_model(order, nudge, conj=False):
+    """``cyclic_group_model(order)`` with ``u*`` written ``conj(om ** j)``
+    (``conj``) or ``om ** (-j)``, its entry at character 1 moved by
+    ``nudge``."""
+    om = np.exp(2j * np.pi / order)
+    u = [om ** j for j in range(order)]
+    ustar = [np.conj(z) if conj else om ** (-j) for j, z in enumerate(u)]
+    ustar[1] += nudge
+    return MatrixModel([(1, 1 / order)] * order,
+                       [[[[z]] for z in u], [[[z]] for z in ustar]],
+                       star_pairing=(1, 0))
+
+
+@pytest.mark.parametrize("make, sigma", [
+    (EXACT_FD_CASES["Pauli triple over M_2 + C"][0], 7 / 9),
+    (_complex_two_block, 11 / 16),
+    (lambda: _nudged_cyclic_model(5, 1e-12), 4 / 5)],
+    ids=["Pauli triple over M_2 + C", "complex two-block",
+         "cyclic group of order 5, u* nudged by 1e-12"])
+def test_models_without_a_real_form_run_complex(make, sigma):
+    # u* nudged by 1e-12 passes the star-partner check of MatrixModel (1e-10)
+    # but not the rounding bound of the real form
+    model = make()
+    with _extend_dtypes() as seen:
+        _check_against_complex_oracles(model, 3, 3)
+    assert seen == {np.dtype(np.complex128)}
+    assert abs(sigma_exact_fd(model, d=3).sigma - sigma) < 1e-9
+
+
+@pytest.mark.parametrize("order", [6, 9, 10])
+def test_star_partners_off_by_rounding_run_real(order):
+    # om ** (-j) and conj(om ** j) differ in the last bits of some
+    # characters; both run real and give the same bytes
+    by_power, by_conj = (_nudged_cyclic_model(order, 0.0, conj)
+                         for conj in (False, True))
+    assert not np.array_equal(by_power.gen_mats[1], by_conj.gen_mats[1])
+    reports = []
+    for model in (by_power, by_conj):
+        with _extend_dtypes() as seen:
+            reports.append(json.dumps(sigma_exact_fd(model, d=4).to_json()))
+        assert seen == {np.dtype(np.float64)}
+    assert reports[0] == reports[1]
+    assert reports[0] == json.dumps(
+        sigma_exact_fd(cyclic_group_model(order), d=4).to_json())
 
 
 # -- *-algebra invariance on the Gram path ------------------------------------------
