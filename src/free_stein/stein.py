@@ -70,8 +70,10 @@ model without zeros is one block.  Min-label propagation
 rows, with no table value, so its blocks and scatter positions are cached
 per shape, table pattern and size (:func:`_block_layout`), and an entry
 that is zero stays inside its block; dense tables are labelled over their
-nonzeros (:func:`_components`).  The candidate Gram goes through
-:func:`_eigh_blocks` as one block, under the views' cut.
+nonzeros (:func:`_components`).  The per-size stacks, cut to their kept
+suffixes, are a view's only eigenvectors: its coordinates take one batched
+product per stack, and no ``m x m`` array is formed.  The candidate Gram
+is one block, under the views' cut.
 """
 
 from __future__ import annotations
@@ -341,9 +343,8 @@ class GramSystem:
         v = self._entries
         flat = np.zeros(size, dtype=v.dtype)
         flat[pos] = np.concatenate([v, v.conj()])[src]
-        return _GramView(k, *_eigh_blocks(
-            [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs],
-            k, v.dtype))
+        return _GramView(k, _eigh_blocks(
+            [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs]))
 
     # r-vectors against the full basis ------------------------------------
 
@@ -550,43 +551,42 @@ def _size_runs(label: np.ndarray) -> list:
     return [idx.reshape(-1, size[idx[0]]) for idx in np.split(order, runs)]
 
 
-def _eigh_blocks(blocks, m: int, dtype) -> tuple:
-    """Eigenpairs ``(vals, vecs)`` above ``RCOND`` times the top eigenvalue,
-    ascending, of the ``m x m`` direct sum of ``blocks``: (rows, stack)
-    per component size, one batched ``eigh`` per stack; the candidate Gram
-    is one block of all its rows.  The cut is global: one per component
-    would keep rounding of the whole matrix."""
-    vals, pairs = np.empty(m), []
-    for idx, stack in blocks:
-        w, v = np.linalg.eigh(stack)
-        vals[idx] = w  # eigenpair j of a component sits at slot idx[c, j]
-        pairs.append((idx, v))
-    # scatter each eigenvector straight into the column of its sorted slot
-    order = np.argsort(vals, kind="stable")
-    rank = np.empty(m, dtype=int)
-    rank[order] = np.arange(m)
-    vecs = np.zeros((m, m), dtype=dtype)
-    for idx, v in pairs:
-        vecs[idx[:, :, None], rank[idx][:, None, :]] = v
-    vals = vals[order]
-    drop = m - np.count_nonzero(vals > RCOND * max(float(vals[-1]), 1e-300))
-    return vals[drop:], vecs[:, drop:]
+def _eigh_blocks(blocks) -> list:
+    """``(rows, vals, vecs, keep)`` per stack ``(rows, stack)`` of blocks
+    of one size: one batched ``eigh``, ascending per block, and ``keep``,
+    the pairs above ``RCOND`` times the top eigenvalue over all stacks, a
+    suffix of each block, so the stack is cut to its widest one.  The cut is
+    global: one per block would keep rounding of the whole matrix."""
+    pairs = [(idx, *np.linalg.eigh(stack)) for idx, stack in blocks]
+    cut = RCOND * max(max(float(w[:, -1].max()) for _, w, _ in pairs), 1e-300)
+    parts = []
+    for idx, w, v in pairs:
+        lo = w.shape[1] - int((w > cut).sum(axis=1).max())
+        parts.append((idx, w[:, lo:], v[:, :, lo:], w[:, lo:] > cut))
+    return parts
 
 
 class _GramView:
-    """The prefix ``W[:k, :k]`` of a :class:`GramSystem`, decomposed block by
-    block under one global cut (:func:`_eigh_blocks`), with isometric
-    coordinates on the truncated projection range; ``cond`` is the top
-    eigenvalue over the smallest kept one."""
+    """The prefix ``W[:k, :k]`` of a :class:`GramSystem`: its
+    :func:`_eigh_blocks` ``parts``, ``vals``, their kept eigenvalues in
+    stack order, and isometric coordinates on the truncated projection
+    range; ``cond`` is the top kept eigenvalue over the smallest."""
 
-    def __init__(self, k: int, vals: np.ndarray, vecs: np.ndarray):
-        self.k, self.vals, self.vecs = k, vals, vecs
-        self.cond = float(vals[-1] / vals[0])
+    def __init__(self, k: int, parts: list):
+        self.k, self.parts = k, parts
+        self.vals = np.concatenate([w[keep] for _, w, _, keep in parts])
+        self.cond = float(self.vals.max() / self.vals.min())
+        self._rows = np.concatenate([idx.ravel() for idx, *_ in parts])
+        self._kept = np.concatenate([keep.ravel() for *_, keep in parts])
 
     def z(self, r_full: np.ndarray) -> np.ndarray:
-        """Isometric coordinates of the projection, stacked over slots."""
-        r = r_full[:, :self.k]
-        return (self.vecs.conj().T @ r.T).T / np.sqrt(self.vals)
+        """Isometric coordinates of the projection, stacked over slots: the
+        rows gathered once, in stack order, then one product per stack."""
+        r, out = r_full.T[self._rows], []
+        for idx, _, v, _ in self.parts:
+            x, r = r[:idx.size].reshape(*idx.shape, -1), r[idx.size:]
+            out.append((v.conj().swapaxes(1, 2) @ x).reshape(-1, x.shape[-1]))
+        return np.concatenate(out)[self._kept].T / np.sqrt(self.vals)
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +813,8 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
             f"2*d_xi = {need}, beyond the cap {cap}")
     gs, view, words, _, Z, B = _xi_design(model, scheme)
     Q = gs.candidate_gram(words)  # one block under the views' cut
-    qvals, qvecs = _eigh_blocks([(np.arange(len(Q))[None], Q[None])],
-                                len(Q), Q.dtype)
-    T = qvecs / np.sqrt(qvals)  # Y = T U, ||xi(Y)||_2 = ||U||_F
+    (_, w, v, _), = _eigh_blocks([(np.arange(len(Q))[None], Q[None])])
+    T = v[0] / np.sqrt(w[0])  # all kept; Y = T U, ||xi(Y)||_2 = ||U||_F
     U, sv, Vh = np.linalg.svd(Z @ T, full_matrices=False)
     svkeep = sv > RCOND * (sv[0] if len(sv) else 1.0)
     U, sv, Vh = U[:, svkeep], sv[svkeep], Vh[svkeep]

@@ -202,6 +202,28 @@ def dense_eigh_kept(A, label=None):
     return vals[drop:], vecs[:, drop:]
 
 
+def scattered_eigenpairs(parts, m):
+    """Oracle only: the ``stein._eigh_blocks`` ``parts`` of an ``m x m``
+    matrix in :func:`dense_eigh_kept`'s layout: eigenpair ``j`` of block
+    ``c`` at the slot ``rows[c, j]`` of its untrimmed stack, the kept pairs
+    sorted stably by value, so by value and then slot, and each eigenvector
+    scattered into the column of its sorted place in an ``m x kept``
+    array."""
+    slots = np.concatenate([idx[:, idx.shape[1] - w.shape[1]:][keep]
+                            for idx, w, _, keep in parts])
+    vals = np.concatenate([w[keep] for _, w, _, keep in parts])
+    order = np.lexsort((slots, vals))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    vecs = np.zeros((m, len(order)), dtype=parts[0][2].dtype)
+    at = 0
+    for idx, _, v, keep in parts:
+        c, j = np.nonzero(keep)
+        vecs[idx[c].T, place[at:at + len(c)]] = v[c, :, j].T
+        at += len(c)
+    return vals[order], vecs
+
+
 class PushForwardModel(TraceModel):
     """Test only: self-adjoint polynomials ``polys`` of a base model's
     generators as the generators of a new model, with ``tau(w) =

@@ -21,8 +21,8 @@ from conftest import (PushForwardModel, SymbolicPairing, _unitary_pair,
                       _word_table, adjoint_action, candidate_gram_reference,
                       coords_matrix, dense_eigh_kept, dense_gram, eval_word,
                       inner_hs, inner_l2_tuple, m2_over_m2, matrix_to_poly,
-                      random_element, random_poly, solve_adjoint_fd,
-                      transform_kernel, view_labels)
+                      random_element, random_poly, scattered_eigenpairs,
+                      solve_adjoint_fd, transform_kernel, view_labels)
 from free_stein import stein
 from free_stein.closedform import fd_sigma, finite_group_sigma
 from free_stein.errors import DegreeCapError, ModelError, StructureError
@@ -86,14 +86,16 @@ def _decomposed(A):
     """``(A, labels, vals, vecs)``: a Gram system's full view, decomposed
     from its entries, with the dense oracle of its ``W``; any other matrix
     through :func:`stein._eigh_blocks`, its components gathered out of it
-    as the blocks."""
+    as the blocks.  The eigenpairs are scattered into the dense sorted
+    layout (:func:`scattered_eigenpairs`)."""
     if isinstance(A, GramSystem):
         view = A.view()
-        return dense_gram(A), view_labels(A, view.k), view.vals, view.vecs
+        return (dense_gram(A), view_labels(A, view.k),
+                *scattered_eigenpairs(view.parts, view.k))
     labels = stein._components(A)
     blocks = [(idx, A[idx[:, :, None], idx[:, None, :]])
               for idx in stein._size_runs(labels)]
-    return A, labels, *stein._eigh_blocks(blocks, len(A), A.dtype)
+    return A, labels, *scattered_eigenpairs(stein._eigh_blocks(blocks), len(A))
 
 
 def _free_product():
@@ -227,8 +229,11 @@ def test_split_eigh_cuts_globally():
     A[np.ix_([1, 3], [1, 3])] = small
     assert stein._components(A).tolist() == [0, 1, 0, 1]
     idx = np.array([[0, 2], [1, 3]])
-    vals, vecs = stein._eigh_blocks([(idx, A[idx[:, :, None],
-                                            idx[:, None, :]])], 4, A.dtype)
+    parts = stein._eigh_blocks([(idx, A[idx[:, :, None], idx[:, None, :]])])
+    # the second block keeps a suffix of one pair, the first both of its own
+    ((rows, _, _, keep),) = parts
+    assert rows is idx and keep.tolist() == [[True, True], [False, True]]
+    vals, vecs = scattered_eigenpairs(parts, 4)
     assert vecs.shape == (4, 3)
     assert np.allclose(vals, [1e-3, 0.5, 1.0], rtol=1e-12, atol=0)
     block = np.linalg.eigvalsh(small)
@@ -244,8 +249,11 @@ def test_candidate_gram_as_one_block_keeps_the_oracle_eigenvalues(make, rank):
     # the bounded solver's call: the candidate Gram as the one block
     model = make()
     Q = GramSystem(model, 3).candidate_gram(monomial_words(model.system, 1, 3))
-    vals, vecs = stein._eigh_blocks([(np.arange(len(Q))[None], Q[None])],
-                                    len(Q), Q.dtype)
+    parts = stein._eigh_blocks([(np.arange(len(Q))[None], Q[None])])
+    # one block: its stack is cut to exactly the kept pairs
+    ((_, _, v, keep),) = parts
+    assert keep.all() and v.shape == (1, len(Q), rank)
+    vals, vecs = scattered_eigenpairs(parts, len(Q))
     want, want_vecs = dense_eigh_kept(Q)
     assert len(vals) == len(want) == rank
     assert np.max(np.abs(vals - want)) <= 1e-12 * want[-1]
