@@ -24,9 +24,9 @@ tensor degree of the spanning relation Jacobians, i.e. relations of word
 degree up to ``d + 1`` are scanned.
 
 Numbers enter the Gram and design path through one moment table,
-``G[x, y] = tau(x* y)`` of scalar-B words (``TraceModel.moment_table``, which
-forms the one product ``conj(V_x) V_y^T`` of the two vector sets each model
-supplies).
+``G[x, y] = tau(x* y)`` of scalar-B words (``TraceModel.moment_table``, one
+product ``conj(V_x) V_y^T`` of two vector sets each model supplies), traces
+too: ``tau(w) = G[0, w]`` centers each ``xi``, and the unit keeps ``tau = 1``.
 Every trace model here is tracial, ``tau(b d*) = tau(d* b)``, so ``<a (x) b,
 c (x) d> = G[c, a] G[d, b]``: the Gram matrix, the r-vectors and the
 candidate Gram are sums of products of table entries.  ``W[a, b]`` sums
@@ -47,8 +47,8 @@ column per word and one candidate Gram over the words: the estimate is one
 least-squares solve with a right-hand side per slot, and in the R-bounded
 problem only the norm bound couples the slots.  Candidates stay a (word,
 slot) coefficient matrix through the solves.  A report's ``xi`` is assembled
-from it, with exact coefficients, on the first read of the field, so the
-sweeps, whose reports print only values, never build it.
+from it and its words' traces, with exact coefficients, on the first read of
+the field, so the sweeps, whose reports print only values, never build it.
 
 The index structure of a Gram system -- its basis words, the legs and the
 one split table -- depends on nothing but ``(n, d_proj)``, since B
@@ -123,10 +123,10 @@ class DegreeScheme:
 
 class _BuiltOnRead:
     """A report's ``xi`` field, given as the tuple or as a callable that
-    builds it (``partial(_assemble_xi, model, words, Y)``).  The first read
-    calls it and stores the tuple in its place, dropping the model and
-    coefficients it held; sweeps that never print ``xi`` never build it.
-    The default is the empty tuple."""
+    builds it (``partial(_assemble_xi, system, words, traces, Y)``).  The
+    first read calls it and stores the tuple in its place, dropping the
+    traces and coefficients it held; sweeps that never print ``xi`` never
+    build it.  The default is the empty tuple."""
 
     def __set_name__(self, owner, name):
         self.slot = "_" + name
@@ -348,13 +348,14 @@ class GramSystem:
 
     # r-vectors against the full basis ------------------------------------
 
-    def _fetch(self, words):
-        """Trace the columns ``G[:, p]`` of words ``p`` beyond the legs, in
-        one table call."""
+    def _fetch(self, words) -> np.ndarray:
+        """The columns ``G[:, p]`` of ``words``, stacked, ``[:, 0]`` their
+        traces; those beyond the legs are traced in one table call."""
         missing = [p for p in dict.fromkeys(words) if p not in self._columns]
         if missing:
             table = self.model.moment_table(self._legs, missing)
             self._columns.update(zip(missing, table.T))
+        return np.array([self._columns[p] for p in words])
 
     def _by_letter(self, terms: np.ndarray) -> np.ndarray:
         """Per-split ``terms`` ``(..., splits)`` summed over each (letter,
@@ -397,9 +398,7 @@ class GramSystem:
         right = [v[:-1] + x for x in gens for v in words]  # w x_p
         left = [x[:-1] + v for x in gens for v in words]   # x_p w
         k, n = len(words), self.model.n
-        every = words + right + left
-        self._fetch(every)
-        cols = np.array([self._columns[p] for p in every + gens])
+        cols = self._fetch(words + right + left + gens)
         w, unit, gen = cols[:k], self._columns[(0,)], cols[k + 2 * n * k:]
         wx, xw = cols[k:k + 2 * n * k].reshape(2, n, k, -1).swapaxes(1, 2)
         _, letter, pre, suf, _, _ = self._splits
@@ -600,12 +599,12 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme) -> DiscrepancyRepor
     Projects the deviation of the half-commutator kernel of the centered
     ``xi`` from the identity kernel onto the truncated Jacobian range and
     reports the Hilbert-Schmidt norm.  Nondecreasing in ``d_proj``.  The
-    kernel's r-rows are ``xi``'s coefficients times its words' candidate rows.
+    kernel's r-rows are ``xi``'s coefficients times its words' candidate rows,
+    and ``xi`` is centered with the traces ``G[0, w]`` of their columns.
     """
     xi = tuple(xi)
     if len(xi) != model.n:
         raise StructureError("xi must have one entry per generator")
-    xi = tuple(model.centered(x) for x in xi)
     gs = GramSystem(model, scheme.d_proj)
     words = sorted({w for x in xi for w in x.terms if len(w) > 1},
                    key=lambda w: (len(w), w))
@@ -614,19 +613,20 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme) -> DiscrepancyRepor
     rA = (C @ gs.r_of_candidates(words) if words
           else np.zeros((model.n, len(gs.words))))
     r = rA - gs.r_of_identity()
-    trail = []
-    for d in range(1, scheme.d_proj + 1):
-        view = gs.view(d)
-        value = float(np.linalg.norm(view.z(r)))
-        trail.append((d, value))
+    tau = {w: complex(gs._columns[w][0]) for w in words}  # and tau(1) = 1
+    xi = tuple(x - NCPoly.scalar(model.system, sum([complex(c) * tau.get(w, 1)
+               for w, c in x.terms.items()], 0j)) for x in xi)
+    trail = [(d, float(np.linalg.norm((view := gs.view(d)).z(r))))
+             for d in range(1, scheme.d_proj + 1)]
     return DiscrepancyReport(
-        value=value, scheme=scheme, gram_condition=view.cond, trail=trail,
-        xi=xi,
+        value=trail[-1][1], scheme=scheme, gram_condition=view.cond,
+        trail=trail, xi=xi,
         diagnostics={"basis_size": model.n * view.k, "kept_rank": len(view.vals)})
 
 
 def _design_guard(system, scheme: DegreeScheme) -> None:
-    """The degree of the design words of ``scheme`` against the cap."""
+    """The Gram system's checks, then the design words' degree against the cap."""
+    _gram_guard(system, scheme.d_proj)
     # kernel legs of a degree d_xi candidate meet the basis legs in words
     # of degree d_proj + d_xi + 1, which the Gram guard does not count
     need, cap = scheme.d_proj + scheme.d_xi + 1, system.cap
@@ -654,9 +654,9 @@ def _xi_design(model, scheme, gs=None, rows=None):
     the words of a smaller ``d_xi`` are the first rows of ``R``, and the
     basis of a smaller ``d_proj`` the first columns, read by ``view(d_proj)``.
     """
-    if gs is None:
+    if gs is None:  # every check before the build, as in degree_sweep
+        _design_guard(model.system, scheme)
         gs = GramSystem(model, scheme.d_proj)
-    _design_guard(model.system, scheme)
     view = gs.view(scheme.d_proj)
     words = monomial_words(model.system, 1, scheme.d_xi)
     R, r1 = rows or (gs.r_of_candidates(words), gs.r_of_identity())
@@ -666,23 +666,23 @@ def _xi_design(model, scheme, gs=None, rows=None):
     return gs, view, words, degrees, Z, B
 
 
-def _assemble_xi(model, words, Y) -> tuple:
+def _assemble_xi(system, words, traces, Y) -> tuple:
     """The candidate tuple ``xi_i = sum_k Y[k, i] (w_k - tau(w_k))`` with
-    exact coefficients, and the unit term one exact sum over the kept
-    words.  Coefficients up to ``RCOND`` times the largest in modulus over
-    all slots are dropped as rounding of the solve: scaled with ``Y``, the
-    cut stays orders of magnitude above that rounding, so a last-bit change
-    of the solve does not add or remove a term."""
-    system = model.system
+    exact coefficients, ``traces[k] = tau(w_k)`` read off the table's unit
+    row, and the unit term one exact sum over the kept words.  Coefficients
+    up to ``RCOND`` times the largest in modulus over all slots are dropped
+    as rounding of the solve: scaled with ``Y``, the cut stays orders of
+    magnitude above that rounding, so a last-bit change of the solve does
+    not add or remove a term."""
     cut = RCOND * float(np.abs(Y).max())
     xi = []
     for column in Y.T:
         terms, trace = {}, QQi(0)
-        for w, c in zip(words, column):
+        for w, t, c in zip(words, traces, column):
             if abs(c) > cut:
                 c = QQi.of(complex(c))
                 terms[w] = c
-                trace = trace + c * QQi.of(model.trace_word(w))
+                trace = trace + c * QQi.of(complex(t))
         xi.append(NCPoly(system, terms) - NCPoly.scalar(system, trace))
     return tuple(xi)
 
@@ -690,18 +690,17 @@ def _assemble_xi(model, words, Y) -> tuple:
 def _estimate(model, scheme, design) -> SigmaReport:
     """The least-squares estimate over ``_xi_design``'s ``design``, with its
     trail over the candidate degrees."""
-    _, view, words, degrees, Z, B = design
+    gs, view, words, degrees, Z, B = design
     n, trail = model.n, []
     for dx in range(1, scheme.d_xi + 1):
         Zd = Z[:, degrees <= dx]
         # the last pass takes every candidate, so Y and its rank are Z's
         Y, _, rank, _ = np.linalg.lstsq(Zd, B, rcond=RCOND)
         trail.append((dx, float(np.linalg.norm(Zd @ Y - B))))
-    value = trail[-1][1]
-    sigma = n - value ** 2
+    value, traces = trail[-1][1], gs._fetch(words)[:, 0]
     return SigmaReport(
-        sigma=sigma, irregularity=value, mode="estimate", trail=trail,
-        scheme=scheme, xi=partial(_assemble_xi, model, words, Y),
+        sigma=n - value ** 2, irregularity=value, mode="estimate", trail=trail,
+        scheme=scheme, xi=partial(_assemble_xi, model.system, words, traces, Y),
         gram_condition=view.cond,
         diagnostics={"candidates": n * len(words), "design_rank": n * int(rank)})
 
@@ -737,7 +736,6 @@ def degree_sweep(model: TraceModel, dxi_max: int, offset: int = 2) -> list:
     if not schemes:
         raise StructureError("d_xi must be at least 1")
     for scheme in schemes:
-        _gram_guard(model.system, scheme.d_proj)
         _design_guard(model.system, scheme)
     gs = GramSystem(model, schemes[-1].d_proj)
     words = monomial_words(model.system, 1, dxi_max)
@@ -812,6 +810,7 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
             f"d_xi={scheme.d_xi} needs candidate Gram words of degree "
             f"2*d_xi = {need}, beyond the cap {cap}")
     gs, view, words, _, Z, B = _xi_design(model, scheme)
+    traces = gs._fetch(words)[:, 0]
     Q = gs.candidate_gram(words)  # one block under the views' cut
     (_, w, v, _), = _eigh_blocks([(np.arange(len(Q))[None], Q[None])])
     T = v[0] / np.sqrt(w[0])  # all kept; Y = T U, ||xi(Y)||_2 = ||U||_F
@@ -832,7 +831,8 @@ def _bounded_solver(model: TraceModel, scheme: DegreeScheme):
         Y = T @ u
         value = float(np.linalg.norm(Z @ Y - B))
         diagnostics["radius"] = radius
-        xi = partial(_assemble_xi, model, words, Y) if radius else ()
+        xi = (partial(_assemble_xi, model.system, words, traces, Y)
+              if radius else ())
         return DiscrepancyReport(value=value, scheme=scheme,
                                  gram_condition=view.cond,
                                  trail=[(scheme.d_proj, value)], xi=xi,

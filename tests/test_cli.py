@@ -47,6 +47,16 @@ def test_closed_form_one_var(specs, capsys):
     assert data["sigma"] == 0.5
 
 
+def test_closed_form_one_var_takes_what_the_estimate_takes(tmp_path, capsys):
+    # five binary 0.2s sum to just above 1, within the model's 1e-12
+    spec = tmp_path / "five.json"
+    spec.write_text(json.dumps({"type": "measure",
+                                "atoms": [[k, 0.2] for k in range(5)]}))
+    assert run(["closed-form", "one-var", "--model", str(spec)]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["sigma"] - 0.8) <= 1e-15
+    assert run(["irregularity", "--model", str(spec), "--dxi", "1"]) == 0
+
+
 def test_sweep_radius_hits_zero_at_one(specs, tmp_path):
     out = tmp_path / "sweep.json"
     csv_path = tmp_path / "sweep.csv"

@@ -32,6 +32,20 @@ def test_one_var_sigma_examples():
     assert sig2 == F(1, 3)
 
 
+def test_one_var_sigma_accepts_every_measure_model():
+    # the constructor accepts masses of total 1 within 1e-12, and the exact
+    # sum of five binary 0.2s is just above 1
+    five = MeasureModel([(k, 0.2) for k in range(5)])
+    assert sum(F(m) for _, m in five.atoms) > 1
+    _, sigma = one_var_sigma(five)
+    assert abs(float(sigma) - 0.8) <= 1e-15
+    _, sigma = one_var_sigma(MeasureModel([(-1, 0.4), (-2, 0.2), (-3, 0.4)]))
+    assert abs(float(sigma) - 0.64) <= 1e-15
+    # atoms given as an iterable are still checked exactly
+    with pytest.raises(ModelError, match="^atom masses exceed total mass 1$"):
+        one_var_sigma(five.atoms)
+
+
 def test_eigenvalue_multiplicities():
     # a 3 x 3 Hermitian matrix with eigenvalue multiplicities (2, 1) has
     # atoms of mass 2/3 and 1/3 under the normalized trace, so its squared

@@ -76,14 +76,28 @@ def _plateau_moment(k):
     return Fraction(3 ** k + (0 if k % 2 else catalan(k // 2)), 2)
 
 
+def _three_atoms(cap):
+    return MeasureModel([(-1, 0.4), (-2, 0.2), (-3, 0.4)], cap=cap)
+
+
+def _three_atoms_moment(k):
+    return (Fraction(2, 5) * (-1) ** k + Fraction(1, 5) * (-2) ** k
+            + Fraction(2, 5) * (-3) ** k)
+
+
 MEASURES = {"atom+uniform": (_atom_uniform, _atom_uniform_moment),
-            "plateau": (_plateau, _plateau_moment)}
+            "plateau": (_plateau, _plateau_moment),
+            "three atoms": (_three_atoms, _three_atoms_moment)}
 
 _CUT = ("FOUND in CHANGES.md: at d_proj 5 the RCOND cut drops a real "
         "direction of W on 0.4*delta_3 + 0.6*U[0, 1], and irregularity exits "
         "0 with sigma off by about 2e-5")
 _ITEM_3 = ("FOUND of ROADMAP item 3: the RCOND cut drops real directions of "
            "W and the report exits 0")
+_ATOMS = ("FOUND in CHANGES.md: atom-only measures lose a real direction at "
+          "the default scheme: on 0.4*delta_-1 + 0.2*delta_-2 + 0.4*delta_-3 "
+          "the d_proj 4 W has exact rank 5, its smallest eigenvalue falls "
+          "under the RCOND cut, and sigma reads 0.733 against 16/25, exit 0")
 
 
 def _failing(name, d_xi, d_proj, reason):
@@ -97,6 +111,8 @@ GRID = [
     *(_failing("atom+uniform", dx, dx + 2, _ITEM_3) for dx in (3, 4, 5)),
     *(("plateau", dx, dx + 2) for dx in range(1, 6)),
     *(_failing("plateau", dx, dx + 2, _ITEM_3) for dx in (6, 7)),
+    ("three atoms", 1, 3), ("three atoms", 2, 3),
+    _failing("three atoms", 1, 4, _ATOMS), _failing("three atoms", 2, 4, _ATOMS),
 ]
 
 

@@ -509,6 +509,28 @@ def test_degree_sweep_fails_before_its_first_point(monkeypatch, dxi_max,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("cap, message", [
+    # the Gram guard passes (2 * (6 + 1) = 14 <= 16), the design guard not
+    (16, "d_xi=10 with d_proj=6 needs design words of degree "
+         "d_proj + d_xi + 1 = 17, beyond the cap 16"),
+    # both fail: the Gram guard speaks first, as it always has
+    (12, "d_proj=6 needs trace words of degree 12, beyond the cap 12"),
+])
+def test_an_estimate_beyond_the_cap_builds_no_gram_system(monkeypatch, cap,
+                                                          message):
+    built, init = [], GramSystem.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GramSystem, "__init__", counted)
+    with pytest.raises(DegreeCapError) as info:
+        stein.irregularity_estimate(SemicircularModel(3, cap=cap),
+                                    DegreeScheme(10, 6))
+    assert str(info.value) == message and built == []
+
+
 # -- bounded irregularity -----------------------------------------------------------
 
 
