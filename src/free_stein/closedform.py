@@ -335,7 +335,7 @@ def eps_kernel(measure: MeasureModel, eps: float,
     identity, ``bound = double integral of eps^4 / ((t-s)^2 + eps^2)^2``,
     together with the smoothing field ``g`` and its L2(mu) norm.
 
-    The bound is nonincreasing in ``eps`` and converges to the sum of squared
+    The bound is nondecreasing in ``eps`` and converges to the sum of squared
     atom masses as ``eps -> 0``.
     """
     if not 0 < eps < math.inf:
@@ -345,6 +345,10 @@ def eps_kernel(measure: MeasureModel, eps: float,
         # the kernel at coinciding points would be 0/0
         raise ModelError(f"eps = {eps} is too small: eps**4 underflows "
                          f"below the least normal double")
+    if e2 * e2 == math.inf:
+        # the kernel at coinciding points would be inf/inf
+        raise ModelError(f"eps = {eps} is too large: eps**4 overflows "
+                         f"beyond the largest double")
     if grid_points < 0:
         raise ModelError(f"the grid needs a nonnegative number of points, "
                          f"not {grid_points}")

@@ -65,15 +65,15 @@ the connected components of its structural pattern apart, one batched
 eigenvalue over all components.  Symmetric models, whose odd moments
 vanish, and free semicircular families, whose Wick words are orthogonal,
 split into many components (94 for semicircular n=3 at ``d_proj`` 4); a
-model without zeros is one block.  Min-label propagation
-(:func:`_min_labels`, O(nnz) per pass) labels them over a view's structural
-rows, with no table value, so its blocks and scatter positions are cached
-per shape, table pattern and size (:func:`_block_layout`), and an entry
-that is zero stays inside its block; dense tables are labelled over their
-nonzeros (:func:`_components`).  The per-size stacks, cut to their kept
-suffixes, are a view's only eigenvectors: its coordinates take one batched
-product per stack, and no ``m x m`` array is formed.  The candidate Gram
-is one block, under the views' cut.
+model without zeros is one block.  One labeller, min-label propagation over
+an edge list (:func:`_min_labels`), finds them: a view's edges are its
+structural upper entries ``(a, b)``, with no table value, so its blocks and
+the places of each entry and its mirror are cached per shape, table pattern
+and size (:func:`_block_layout`), and a zero entry stays in its block; the
+leg table's edges are its nonzeros (:func:`_components`).  The per-size
+stacks, cut to their kept suffixes, are a view's only eigenvectors: its
+coordinates take one batched product per stack, and no ``m x m`` array is
+formed.  The candidate Gram is one block, under the views' cut.
 """
 
 from __future__ import annotations
@@ -301,12 +301,12 @@ class GramSystem:
     monomials is slot-independent, so only the word block is stored.  The
     i-th gradient entry of a basis word sums its splits ``pre (x) suf`` at
     ``t_i``, so ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of
-    the tracial moment table over splits.  ``W`` is kept as its structural
-    upper entries, each summed over the split pairs that can reach it
-    (:func:`_pair_index`), real when the table is, and each view decomposes
-    straight from them over the blocks of its structural pattern
-    (:func:`_block_layout`).  The r-vectors gather table columns at the
-    one split table, every letter at once, and sum each (letter, word) run
+    the tracial moment table over splits.  ``W`` is kept once, as its
+    structural upper entries, summed over the split pairs that reach them
+    (:func:`_pair_index`), real when the table is; each view writes them,
+    and their conjugates mirrored, into the blocks of its structural
+    pattern (:func:`_block_layout`).  The r-vectors gather table columns at
+    the one split table, every letter at once, and sum each (letter, word) run
     (:meth:`_by_letter`): columns of the legs (words of degree <= d_proj),
     and of longer kernel legs, traced on first use, one table call per
     batch.  Reports read :meth:`r_of_identity` and
@@ -329,20 +329,21 @@ class GramSystem:
         self._table = G = model._moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
         self._key = (system.n, d_proj, _components(G).tobytes())
-        entry, pre, suf, row, col, eid = _pair_index(*self._key)
+        entry, pre, suf, a, b = _pair_index(*self._key)
         terms = G.ravel()[pre] * G.ravel()[suf]
         self._entries = v = np.bincount(entry, terms.real).astype(G.dtype)
         if v.dtype.kind == "c":
             v.imag = np.bincount(entry, terms.imag)
-            v.imag[eid[row == col]] = 0  # a Hermitian diagonal is real
+            v.imag[a == b] = 0  # a Hermitian diagonal is real
 
     def view(self, d: int | None = None) -> "_GramView":
         """``W[:k, :k]``, one scatter of the entries into its blocks."""
         k = self._degree_count[self.d_proj if d is None else d]
-        runs, pos, src, size = _block_layout(*self._key, k)
-        v = self._entries
+        runs, upper, pos, mirror, size = _block_layout(*self._key, k)
+        v = self._entries[upper]
         flat = np.zeros(size, dtype=v.dtype)
-        flat[pos] = np.concatenate([v, v.conj()])[src]
+        flat[mirror] = v.conj()
+        flat[pos] = v  # last, so the diagonal holds the entry itself
         return _GramView(k, _eigh_blocks(
             [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs]))
 
@@ -444,16 +445,16 @@ PAIR_INDEX_CACHE = 32
 
 @lru_cache(maxsize=PAIR_INDEX_CACHE)
 def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
-    """``(entry, pre, suf, row, col, eid)``: the split pairs that can add to
-    ``W`` when the leg table has the :func:`_components` ``labels``.
-    ``W[a, b]`` sums ``G[p, p'] G[s, s']`` over the splits ``a = p x_i s``,
-    ``b = p' x_i s'``; ``G`` is zero between components, so only splits of
-    one letter, prefix component and suffix component pair.  The pairs with
+    """``(entry, pre, suf, a, b)``: the split pairs that can add to ``W``
+    when the leg table has the :func:`_components` ``labels``.  ``W[a, b]``
+    sums ``G[p, p'] G[s, s']`` over the splits ``a = p x_i s``, ``b = p'
+    x_i s'``; ``G`` is zero between components, so only splits of one
+    letter, prefix component and suffix component pair.  The pairs with
     ``a <= b`` come by ``(a, b)``, numbered ``entry`` among the structural
     entries, and then prefix degrees, the order of the Kronecker sums by
     degree block this replaced, as flat indices ``p * L + p'``, ``s * L +
-    s'`` into ``G``.  Entry ``eid`` sits at ``(row, col)``, both triangles
-    by row and column.  No table value enters, so one read-only build
+    s'`` into ``G``.  Entry ``e`` sits at ``(a[e], b[e])``, its conjugate
+    at ``(b[e], a[e])``.  No table value enters, so one read-only build
     serves a shape and pattern, ``PAIR_INDEX_CACHE`` of them cached."""
     label = np.frombuffer(labels, dtype=np.intp)
     _, _, start, _, (word, letter, pre, suf, _, _) = _layout(n, d_proj)
@@ -473,13 +474,8 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     sort = np.argsort((bins * D + degree[s]) * D + degree[t])
     s, t, bins = s[sort], t[sort], bins[sort]
     first = np.diff(bins, prepend=-1) != 0
-    a, b = np.divmod(bins[first], m)
-    off = np.flatnonzero(a < b)
-    row, col = np.concatenate([a, b[off]]), np.concatenate([b, a[off]])
-    order = np.lexsort((col, row))
     index = (np.cumsum(first) - 1, pre[s] * L + pre[t], suf[s] * L + suf[t],
-             row[order], col[order],
-             np.concatenate([np.arange(len(a)), off])[order])
+             *np.divmod(bins[first], m))
     for x in index:
         x.setflags(write=False)
     return index
@@ -487,18 +483,17 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
 
 @lru_cache(maxsize=PAIR_INDEX_CACHE)
 def _block_layout(n: int, d_proj: int, pattern: bytes, k: int) -> tuple:
-    """``(runs, pos, src, size)``: the blocks of the view ``W[:k, :k]`` of
-    the table ``pattern``, the components of its structural entries, each
-    labelled with its smallest row by :func:`_min_labels` over the
-    :func:`_pair_index` rows below ``k``; no table value enters, so an
-    entry that is zero stays in its block.  Per size, ``runs`` holds the
-    rows (by :func:`_size_runs`) and the slice of their stack in a buffer
-    of ``size``, which takes at ``pos`` the structural entries and then
-    their conjugates below the diagonal, at ``src``.  Read-only, cached."""
-    entry, _, _, row, col, eid = _pair_index(n, d_proj, pattern)
-    at = np.flatnonzero(col[:np.searchsorted(row, k)] < k)
-    row, col, eid = row[at], col[at], eid[at]
-    label = _min_labels(col, np.flatnonzero(np.diff(row, prepend=-1)))
+    """``(runs, upper, pos, mirror, size)``: the blocks of the view ``W[:k,
+    :k]`` of the table ``pattern``, the components of the edges ``upper``,
+    the :func:`_pair_index` entries with ``b < k``, by :func:`_min_labels`;
+    no table value enters, so an entry that is zero stays in its block.
+    Per size, ``runs`` holds the rows (by :func:`_size_runs`) and the slice
+    of their stack in a buffer of ``size``, which takes the entries at
+    ``pos`` and their conjugates at ``mirror``.  Read-only, cached."""
+    _, _, _, a, b = _pair_index(n, d_proj, pattern)
+    upper = np.flatnonzero(b < k)
+    a, b = a[upper], b[upper]
+    label = _min_labels(a, b, k)
     # per row: the start of its row in its block, and its place there
     start, place = np.empty((2, k), dtype=int)
     runs, size = [], 0
@@ -508,22 +503,23 @@ def _block_layout(n: int, d_proj: int, pattern: bytes, k: int) -> tuple:
         place[idx] = np.arange(w)
         runs.append((idx, slice(size, size + c * w * w)))
         size += c * w * w
-    pos = start[row] + place[col]
-    src = eid + (row > col) * (int(entry[-1]) + 1)
-    for x in (pos, src, *(idx for idx, _ in runs)):
+    pos, mirror = start[a] + place[b], start[b] + place[a]
+    for x in (upper, pos, mirror, *(idx for idx, _ in runs)):
         x.setflags(write=False)
-    return tuple(runs), pos, src, size
+    return tuple(runs), upper, pos, mirror, size
 
 
-def _min_labels(col: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Min-label propagation with pointer jumping over the columns ``col``
-    of a pattern, row ``r``'s from ``starts[r]`` and its diagonal among
-    them: each pass, O(nnz) work, gives every row the least label of itself
-    and its neighbours, then the label of that label, down to the smallest
-    row of its component."""
-    label = np.arange(len(starts))
+def _min_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """Components of the graph on ``size`` nodes with the undirected edges
+    ``(u[e], v[e])``, each node labelled with the smallest of its component:
+    min-label propagation, each pass O(edges) work: one ``minimum.at`` per
+    direction gives every node the least label of itself and its
+    neighbours, then pointer jumping the label of that label."""
+    label = np.arange(size)
     while True:
-        new = np.minimum.reduceat(label[col], starts)
+        new = label.copy()
+        np.minimum.at(new, u, new[v])
+        np.minimum.at(new, v, new[u])
         new = new[new]
         if np.array_equal(new, label):
             return label
@@ -533,12 +529,8 @@ def _min_labels(col: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _components(A: np.ndarray) -> np.ndarray:
     """Connected components of the nonzero pattern of the Hermitian ``A``,
     each row labelled with the smallest row of its component: the
-    :func:`_min_labels` of its flat nonzero list with the diagonal set."""
-    m = len(A)
-    linked = A != 0
-    np.fill_diagonal(linked, True)
-    flat = np.flatnonzero(linked)
-    return _min_labels(flat % m, np.searchsorted(flat, m * np.arange(m)))
+    :func:`_min_labels` of its nonzeros as edges."""
+    return _min_labels(*np.divmod(np.flatnonzero(A != 0), len(A)), len(A))
 
 
 def _size_runs(label: np.ndarray) -> list:
@@ -1115,8 +1107,13 @@ def alpha_estimate(sweep) -> AlphaReport:
     point in the window sits at the floor the decay is reported as ``-inf``.
     The slope is clipped to the interval ``[-inf, 0]``: a positive irregularity
     limit forces slope zero.  A window of equal values has slope exactly 0.
+    Every radius must be finite: the fit takes its logarithm.
     """
-    pts = [(float(r), float(v)) for r, v in sweep if float(r) > 0]
+    pts = [(float(r), float(v)) for r, v in sweep]
+    if bad := [r for r, _ in pts if not math.isfinite(r)]:
+        raise StructureError(f"radius {bad[0]} is not finite; the log-log "
+                             f"fit needs finite radii")
+    pts = [(r, v) for r, v in pts if r > 0]
     if len(pts) < 3:
         raise StructureError("need at least 3 positive-radius points")
     if sorted(r for r, _ in pts) != [r for r, _ in pts]:

@@ -154,10 +154,11 @@ def dense_gram(gs):
     as it was built before ``W`` was kept as its structural entries: each
     entry at its ``(a, b)``, its conjugate at ``(b, a)``, and zeros
     elsewhere."""
-    _, _, _, row, col, eid = stein._pair_index(*gs._key)
+    _, _, _, a, b = stein._pair_index(*gs._key)
     v = gs._entries
     W = np.zeros((len(gs.words),) * 2, dtype=v.dtype)
-    W[row, col] = np.where(row <= col, v[eid], v[eid].conj())
+    W[b, a] = v.conj()
+    W[a, b] = v
     return W
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,23 @@ def test_alpha_cli(specs, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["alpha"] == "-inf"
+
+
+def test_alpha_cli_names_an_infinite_radius(specs, capfd):
+    # the fit takes the logarithm of each radius: one error line names the
+    # radius, with no numpy warning and no LAPACK message before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["alpha", "--model", specs["semicircular2"], "--dxi", "1",
+                    "--radii", "1,2,inf"])
+    assert code == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: radius inf is not finite; the log-log "
+                            "fit needs finite radii\n")
+    # a bounded solve at an infinite radius stays valid
+    assert run(["bounded", "--model", specs["semicircular1"],
+                "--radii", "0.5,inf"]) == 0
 
 
 def test_closed_form_misc(tmp_path, capsys):
@@ -706,6 +724,18 @@ def test_eps_whose_fourth_power_underflows_exits_2(specs, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "underflows" in captured.err and "Traceback" not in captured.err
+
+
+def test_eps_whose_fourth_power_overflows_exits_2(specs, capfd):
+    # one error line, with no numpy warning before it and no nan report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["closed-form", "eps-kernel", "--model", specs["twopoint"],
+                    "--eps", "1e300"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: eps = 1e+300 is too large: eps**4 "
+                            "overflows beyond the largest double\n")
 
 
 def _strict_loads(text):

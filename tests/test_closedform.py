@@ -214,6 +214,20 @@ def test_eps_kernel_accepts_a_tiny_eps_with_a_normal_fourth_power(
     assert all(np.isfinite(v) for _, v in rep.g_atoms)
 
 
+@pytest.mark.parametrize("eps", [1.2e77, 1e300])
+def test_eps_kernel_rejects_eps_whose_fourth_power_overflows(
+        twopoint_measure, eps):
+    with pytest.raises(ModelError, match=r"eps\*\*4 overflows"):
+        eps_kernel(twopoint_measure, eps)
+
+
+@pytest.mark.parametrize("eps", [1e77, 1.1e77])
+def test_eps_kernel_accepts_a_huge_eps_with_a_finite_fourth_power(
+        twopoint_measure, eps):
+    # the kernel is 1 to rounding at every distance of the two atoms
+    assert eps_kernel(twopoint_measure, eps).bound == 1.0
+
+
 def test_eps_kernel_two_point(twopoint_measure):
     bounds = [eps_kernel(twopoint_measure, e).bound
               for e in (0.3, 0.1, 0.01, 0.001)]

@@ -1093,10 +1093,12 @@ def test_gram_views_equal_the_dense_oracle(name):
                               stein._components(W[:view.k, :view.k]))
     assert np.iscomplexobj(W) == (name == "two-block unitary"
                                   or "cyclic" in name)
-    # the structural positions that hold an exact zero, all inside blocks
-    _, _, _, row, col, _ = stein._pair_index(*gs._key)
-    assert np.count_nonzero(W[row, col] == 0) == (396 if name == "M_2 + C"
-                                                  else 0)
+    # the structural positions that hold an exact zero, all inside blocks,
+    # over both triangles: an entry off the diagonal is zero at (b, a) too
+    _, _, _, a, b = stein._pair_index(*gs._key)
+    zero = W[a, b] == 0
+    assert (np.count_nonzero(zero) + np.count_nonzero(zero & (a != b))
+            == (396 if name == "M_2 + C" else 0))
 
 
 @pytest.mark.parametrize("make, d_proj, a, b, splits", [
@@ -1110,8 +1112,8 @@ def test_gram_view_of_a_structural_entry_that_is_zero(make, d_proj, a, b,
     # the dense nonzero pattern splits there; every view is the dense block
     # decomposition over the layout's blocks, bit for bit
     gs = stein.GramSystem(make(), d_proj)
-    _, _, _, row, col, eid = stein._pair_index(*gs._key)
-    (e,) = eid[(row == a) & (col == b)]
+    _, _, _, rows, cols = stein._pair_index(*gs._key)
+    (e,) = np.flatnonzero((rows == a) & (cols == b))
     gs._entries = gs._entries.copy()
     gs._entries[e] = 0
     W = dense_gram(gs)
@@ -1280,9 +1282,10 @@ def test_block_layouts_are_read_only_and_cached_per_view():
         b.view(d)
     assert stein._block_layout.cache_info().misses == 4
     assert stein._block_layout.cache_info().hits == 4
-    runs, pos, src, size = stein._block_layout(*a._key, len(a.words))
+    runs, upper, pos, mirror, size = stein._block_layout(*a._key,
+                                                         len(a.words))
     assert size == sum(idx.size * idx.shape[1] for idx, _ in runs)
-    for arr in (pos, src, *(idx for idx, _ in runs)):
+    for arr in (upper, pos, mirror, *(idx for idx, _ in runs)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 

@@ -193,6 +193,36 @@ def test_components_match_breadth_first_search(A):
     assert stein._components(A).tolist() == _bfs_components(A)
 
 
+@st.composite
+def edge_lists(draw):
+    """``(size, u, v)``: undirected graphs on 0 to 60 nodes, each edge drawn
+    one way only, with repeated edges, self-loops and nodes on no edge, and
+    sometimes a randomly permuted path through some of the nodes (the
+    longest label chains)."""
+    size = draw(st.integers(0, 60))
+    node = st.integers(0, max(size - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * size))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+    if size > 1 and draw(st.booleans()):
+        walk = draw(st.permutations(range(size)))[:draw(st.integers(2, size))]
+        edges += list(zip(walk[:-1], walk[1:]))
+    u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return size, u, v
+
+
+@settings(max_examples=150)
+@given(edge_lists())
+@example((0, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)))
+def test_min_labels_of_edge_lists_match_breadth_first_search(graph):
+    size, u, v = graph
+    A = np.zeros((size, size), dtype=bool)
+    A[u, v] = A[v, u] = True
+    label = stein._min_labels(u, v, size)
+    assert label.dtype == np.intp
+    assert label.tolist() == _bfs_components(A)
+
+
 def test_components_of_an_empty_matrix():
     label = stein._components(np.zeros((0, 0)))
     assert label.shape == (0,) and label.dtype == np.intp
@@ -2162,6 +2192,14 @@ def test_alpha_examples():
         alpha_estimate([(1, 1.0), (2, 0.5)])
     with pytest.raises(StructureError):
         alpha_estimate([(2, 1.0), (1, 0.5), (3, 0.2)])
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_alpha_names_a_radius_that_is_not_finite(radius):
+    # checked before the fit, whose least-squares solve would fail on
+    # log(inf) without naming it
+    with pytest.raises(StructureError, match=f"radius {radius} is not finite"):
+        alpha_estimate([(1, 0.5), (2, 0.25), (radius, 0.1)])
 
 
 def test_alpha_of_a_flat_sweep_is_zero():

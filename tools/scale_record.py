@@ -13,11 +13,15 @@ and memory go at scale:
 Each run builds the model afresh and times ``irregularity_estimate``: the
 first run is cold (the per-shape layouts and split pairs are built), the
 others warm.  Case ``b`` runs once, cold.  Stage times are summed over the
-calls of each wrapped function within a run; ``numpy.linalg.eigh`` is also
-inside ``GramSystem.view``.  The stage ``xi`` is the first read of the
-report's ``xi``, which assembles it after the estimate; ``wall_s`` is the
-estimate alone.  ``ru_maxrss_mb`` is the peak of the whole
-process, so run each case in a fresh one::
+calls of each wrapped function within a run; ``stein._pair_index``, the
+cached split pairs, is also inside ``GramSystem.__init__`` (and, read from
+its cache, inside ``stein._block_layout``), and ``stein._block_layout``, the
+cached blocks of a view, and ``numpy.linalg.eigh`` are also inside
+``GramSystem.view``.  A warm run finds both caches filled.  The stage ``xi``
+is the first read of the report's ``xi``, which assembles it after the
+estimate; ``wall_s`` is the estimate alone.  ``ru_maxrss_mb`` is the peak
+of the whole process, so run each case in a fresh one; the run exits
+nonzero when sigma is more than 1e-9 off its oracle::
 
     OPENBLAS_NUM_THREADS=1 python3 tools/scale_record.py a --warm 3
     OPENBLAS_NUM_THREADS=1 python3 tools/scale_record.py a --src OTHER/src
@@ -43,6 +47,8 @@ CASES = {
 }
 STAGES = [
     ("GramSystem", "__init__", "GramSystem.__init__"),
+    ("stein", "_pair_index", "stein._pair_index"),
+    ("stein", "_block_layout", "stein._block_layout"),
     ("GramSystem", "view", "GramSystem.view"),
     ("GramSystem", "r_of_candidates", "GramSystem.r_of_candidates"),
     ("_GramView", "z", "_GramView.z"),
@@ -74,7 +80,7 @@ def main(argv=None):
 
     times, calls = defaultdict(float), defaultdict(int)
     owners = {"GramSystem": stein.GramSystem, "_GramView": stein._GramView,
-              "linalg": np.linalg}
+              "stein": stein, "linalg": np.linalg}
     for owner, attr, name in STAGES:
         raw = getattr(owners[owner], attr)
 
