@@ -68,12 +68,12 @@ split into many components (94 for semicircular n=3 at ``d_proj`` 4); a
 model without zeros is one block.  One labeller, min-label propagation over
 an edge list (:func:`_min_labels`), finds them: a view's edges are its
 structural upper entries ``(a, b)``, with no table value, so its blocks and
-the places of each entry and its mirror are cached per shape, table pattern
-and size (:func:`_block_layout`), and a zero entry stays in its block; the
-leg table's edges are its nonzeros (:func:`_components`).  The per-size
-stacks, cut to their kept suffixes, are a view's only eigenvectors: its
-coordinates take one batched product per stack, and no ``m x m`` array is
-formed.  The candidate Gram is one block, under the views' cut.
+the places of its entries in the lower triangle, the one ``eigh`` reads,
+are cached per shape, table pattern and size (:func:`_block_layout`); a
+zero entry stays in its block.  The leg table's edges are its nonzeros
+(:func:`_components`).  The per-size stacks, cut to their kept suffixes,
+are a view's only eigenvectors, and no ``m x m`` array is formed.  The
+candidate Gram is one block, under the views' cut.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from types import MappingProxyType
 
 import numpy as np
 
@@ -260,11 +259,11 @@ def _split_index(n: int, offsets) -> tuple:
 @lru_cache(maxsize=None)
 def _layout(n: int, d_proj: int) -> tuple:
     """The model-independent structure of a :class:`GramSystem` over ``n``
-    letters at ``d_proj``: ``(words, legs, start, degree_count, splits)``.
-    ``words`` are the basis words (degree 1 to ``d_proj + 1``) and ``legs``
-    the split legs (degree 0 to ``d_proj``), in ``monomial_words`` order;
-    the degree-e legs are ``start[e]:start[e + 1]``, the degree-e words one
-    index lower.  ``splits`` holds the :func:`_split_index` arrays ``(word,
+    letters at ``d_proj``: ``(words, legs, start, splits)``.  ``words`` are
+    the basis words (degree 1 to ``d_proj + 1``) and ``legs`` the split legs
+    (degree 0 to ``d_proj``), in ``monomial_words`` order; the degree-e legs
+    are ``start[e]:start[e + 1]``, the degree-e words one index lower.
+    ``splits`` holds the :func:`_split_index` arrays ``(word,
     letter, pre, suf)``, words numbered from 0, by letter, then word, then
     position, and their runs, one per (letter, word) pair: ``(owner,
     starts)``, the owner ``letter * m + word`` of each run and where it
@@ -283,10 +282,7 @@ def _layout(n: int, d_proj: int) -> tuple:
     splits = word, letter, pre, suf, owner[starts], starts
     for a in (start, *splits):
         a.setflags(write=False)
-    # words of degree <= d + 1 span the tensor degree d
-    degree_count = MappingProxyType({d: int(start[d + 2]) - 1
-                                     for d in range(1, d_proj + 1)})
-    return words, legs, start, degree_count, splits
+    return words, legs, start, splits
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +298,20 @@ class GramSystem:
     i-th gradient entry of a basis word sums its splits ``pre (x) suf`` at
     ``t_i``, so ``W`` and the r-vectors sum products ``G[c, a] G[d, b]`` of
     the tracial moment table over splits.  ``W`` is kept once, as its
-    structural upper entries, summed over the split pairs that reach them
-    (:func:`_pair_index`), real when the table is; each view writes them,
-    and their conjugates mirrored, into the blocks of its structural
-    pattern (:func:`_block_layout`).  The r-vectors gather table columns at
-    the one split table, every letter at once, and sum each (letter, word) run
-    (:meth:`_by_letter`): columns of the legs (words of degree <= d_proj),
-    and of longer kernel legs, traced on first use, one table call per
-    batch.  Reports read :meth:`r_of_identity` and
+    structural upper entries by column, summed over the split pairs that
+    reach them (:func:`_pair_index`), real when the table is; a view writes
+    its prefix of them, conjugated, into the lower triangles of the blocks
+    of its structural pattern (:func:`_block_layout`).  The r-vectors gather
+    table columns at the one split table, every letter at once, and sum each
+    (letter, word) run (:meth:`_by_letter`): columns of the legs (words of
+    degree <= d_proj), and of longer kernel legs, traced on first use, one
+    table call per batch.  Reports read :meth:`r_of_identity` and
     :meth:`r_of_candidates`; :meth:`r_of_kernel`, for exact kernels, is
-    their test reference.  Scalar B only.  ``words``, ``_legs``,
-    ``_splits`` and ``_degree_count`` come from the read-only
-    :func:`_layout` of ``(n, d_proj)``, the split pairs and the views'
-    block layouts from those of ``_key``, the shape and table pattern; the
-    table, the entries and the r-vectors are its own; views are not cached.
+    their test reference.  Scalar B only.  ``words``, ``_legs``, ``_start``
+    and ``_splits`` come from the read-only :func:`_layout` of ``(n,
+    d_proj)``, the split pairs and the views' block layouts from those of
+    ``_key``, the shape and table pattern; the table, the entries and the
+    r-vectors are its own; views are not cached.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -323,8 +319,8 @@ class GramSystem:
         _gram_guard(system, d_proj)
         self.model = model
         self.d_proj = d_proj
-        (self.words, self._legs, _, self._degree_count,
-         self._splits) = _layout(system.n, d_proj)
+        self.words, self._legs, self._start, self._splits = _layout(
+            system.n, d_proj)
         # the legs are built valid: only the cap is checked
         self._table = G = model._moment_table(self._legs)
         self._columns = dict(zip(self._legs, G.T))
@@ -337,13 +333,15 @@ class GramSystem:
             v.imag[a == b] = 0  # a Hermitian diagonal is real
 
     def view(self, d: int | None = None) -> "_GramView":
-        """``W[:k, :k]``, one scatter of the entries into its blocks."""
-        k = self._degree_count[self.d_proj if d is None else d]
-        runs, upper, pos, mirror, size = _block_layout(*self._key, k)
-        v = self._entries[upper]
-        flat = np.zeros(size, dtype=v.dtype)
-        flat[mirror] = v.conj()
-        flat[pos] = v  # last, so the diagonal holds the entry itself
+        """``W[:k, :k]`` over the words spanning the tensor degree ``d``: its
+        first entries, conjugated, scattered into its blocks' lower halves."""
+        d = self.d_proj if d is None else d
+        if not 1 <= d <= self.d_proj:
+            raise StructureError(f"view degree {d} is not in 1..{self.d_proj}")
+        k = int(self._start[d + 2]) - 1
+        runs, mirror, size = _block_layout(*self._key, k)
+        flat = np.zeros(size, dtype=self._entries.dtype)
+        flat[mirror] = self._entries[:len(mirror)].conj()
         return _GramView(k, _eigh_blocks(
             [(idx, flat[at].reshape(*idx.shape, -1)) for idx, at in runs]))
 
@@ -450,32 +448,32 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     sums ``G[p, p'] G[s, s']`` over the splits ``a = p x_i s``, ``b = p'
     x_i s'``; ``G`` is zero between components, so only splits of one
     letter, prefix component and suffix component pair.  The pairs with
-    ``a <= b`` come by ``(a, b)``, numbered ``entry`` among the structural
-    entries, and then prefix degrees, the order of the Kronecker sums by
-    degree block this replaced, as flat indices ``p * L + p'``, ``s * L +
-    s'`` into ``G``.  Entry ``e`` sits at ``(a[e], b[e])``, its conjugate
-    at ``(b[e], a[e])``.  No table value enters, so one read-only build
-    serves a shape and pattern, ``PAIR_INDEX_CACHE`` of them cached."""
+    ``a <= b`` come by column, numbered ``entry`` among the structural
+    entries, entry ``e`` at ``(a[e], b[e])``, so a view's are a prefix, then
+    by the prefix degrees of ``a``'s split and ``b``'s, the order of the
+    Kronecker sums by degree block this replaced, as flat indices ``p * L +
+    p'``, ``s * L + s'`` into ``G``.  No table value enters, so one read-only
+    build serves a shape and pattern, ``PAIR_INDEX_CACHE`` of them cached."""
     label = np.frombuffer(labels, dtype=np.intp)
-    _, _, start, _, (word, letter, pre, suf, _, _) = _layout(n, d_proj)
+    _, _, start, (word, letter, pre, suf, _, _) = _layout(n, d_proj)
     m, L, D = int(start[-1]) - 1, int(start[-2]), d_proj + 2
     degree = np.searchsorted(start, pre, side="right") - 1
     key = (letter * L + label[pre]) * L + label[suf]
     order = np.lexsort((word, key))
     k = key[order]
     kw = k * m + word[order]
-    # split q pairs with those from the first of its word in its group to
-    # the end of the group
-    lo = np.searchsorted(kw, kw)
-    count = np.searchsorted(k, k, side="right") - lo
+    # split t, of the later word b, pairs with the splits s from the first
+    # of its group to the last of its own word
+    lo = np.searchsorted(k, k)
+    count = np.searchsorted(kw, kw, side="right") - lo
     step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    s, t = np.repeat(order, count), order[np.repeat(lo, count) + step]
-    bins = word[s] * m + word[t]
+    t, s = np.repeat(order, count), order[np.repeat(lo, count) + step]
+    bins = word[t] * m + word[s]
     sort = np.argsort((bins * D + degree[s]) * D + degree[t])
     s, t, bins = s[sort], t[sort], bins[sort]
     first = np.diff(bins, prepend=-1) != 0
     index = (np.cumsum(first) - 1, pre[s] * L + pre[t], suf[s] * L + suf[t],
-             *np.divmod(bins[first], m))
+             *np.divmod(bins[first], m)[::-1])
     for x in index:
         x.setflags(write=False)
     return index
@@ -483,16 +481,16 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
 
 @lru_cache(maxsize=PAIR_INDEX_CACHE)
 def _block_layout(n: int, d_proj: int, pattern: bytes, k: int) -> tuple:
-    """``(runs, upper, pos, mirror, size)``: the blocks of the view ``W[:k,
-    :k]`` of the table ``pattern``, the components of the edges ``upper``,
-    the :func:`_pair_index` entries with ``b < k``, by :func:`_min_labels`;
-    no table value enters, so an entry that is zero stays in its block.
-    Per size, ``runs`` holds the rows (by :func:`_size_runs`) and the slice
-    of their stack in a buffer of ``size``, which takes the entries at
-    ``pos`` and their conjugates at ``mirror``.  Read-only, cached."""
+    """``(runs, mirror, size)``: the blocks of the view ``W[:k, :k]`` of the
+    table ``pattern``, the components of the edges ``(a, b)``, the first
+    :func:`_pair_index` entries, those with ``b < k``, by :func:`_min_labels`;
+    no table value enters, so an entry that is zero stays in its block.  Per
+    size, ``runs`` holds the rows (by :func:`_size_runs`) and the slice of
+    their stack in a buffer of ``size``, whose lower triangles take the
+    entries' conjugates at ``mirror``, the places ``(b, a)``.  Read-only."""
     _, _, _, a, b = _pair_index(n, d_proj, pattern)
-    upper = np.flatnonzero(b < k)
-    a, b = a[upper], b[upper]
+    count = np.searchsorted(b, k)
+    a, b = a[:count], b[:count]
     label = _min_labels(a, b, k)
     # per row: the start of its row in its block, and its place there
     start, place = np.empty((2, k), dtype=int)
@@ -503,10 +501,10 @@ def _block_layout(n: int, d_proj: int, pattern: bytes, k: int) -> tuple:
         place[idx] = np.arange(w)
         runs.append((idx, slice(size, size + c * w * w)))
         size += c * w * w
-    pos, mirror = start[a] + place[b], start[b] + place[a]
-    for x in (upper, pos, mirror, *(idx for idx, _ in runs)):
+    mirror = start[b] + place[a]
+    for x in (mirror, *(idx for idx, _ in runs)):
         x.setflags(write=False)
-    return tuple(runs), upper, pos, mirror, size
+    return tuple(runs), mirror, size
 
 
 def _min_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
@@ -548,7 +546,7 @@ def _eigh_blocks(blocks) -> list:
     the pairs above ``RCOND`` times the top eigenvalue over all stacks, a
     suffix of each block, so the stack is cut to its widest one.  The cut is
     global: one per block would keep rounding of the whole matrix."""
-    pairs = [(idx, *np.linalg.eigh(stack)) for idx, stack in blocks]
+    pairs = [(idx, *np.linalg.eigh(stack, UPLO="L")) for idx, stack in blocks]
     cut = RCOND * max(max(float(w[:, -1].max()) for _, w, _ in pairs), 1e-300)
     parts = []
     for idx, w, v in pairs:

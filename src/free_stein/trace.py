@@ -539,12 +539,21 @@ class _PiecewiseLinearDensity(Density):
         g, dg = np.zeros_like(z), np.zeros_like(z)
         # one piece at a time, so temporaries stay the size of z for any
         # number of knots
-        for p, q, y, y_end, slope in zip(*self._pieces()):
+        for p, q, y, _, slope in zip(*self._pieces()):
             zp, zq = z - p, z - q
-            logs = np.log(zp) - np.log(zq)
+            # far from the piece, log(zp) - log(zq) = log1p(w) cancels: take
+            # it in real form, since complex log1p forms log(hypot(1 + re,
+            # im)); near it, 1 + w cancels instead
+            w = (q - p) / zq
+            far = abs(w) < 0.5
+            w = np.where(far, w, 0)
+            logs = np.where(far, 0.5 * np.log1p(2 * w.real + abs(w) ** 2)
+                            + 1j * np.arctan2(w.imag, 1 + w.real),
+                            np.log(zp) - np.log(zq))
             g += (y + slope * zp) * logs - slope * (q - p)
-            # G' = -integral of rho / (z - s)^2, integrated by parts
-            dg += y / zp - y_end / zq + slope * logs
+            # G' = -integral of rho / (z - s)^2, integrated by parts, its
+            # rational part y / zp - y_end / zq as one quotient
+            dg += -(q - p) * (y + slope * zp) / (zp * zq) + slope * logs
         return g, dg
 
     def log_potential(self, x):

@@ -150,3 +150,30 @@ def test_eps_kernel_on_uniform_and_table(eps):
     # [-1, 1] is eps atan(1/eps)
     rep = eps_kernel(MeasureModel([], UniformDensity(0.0, 1.0)), eps)
     assert abs(rep.bound - eps * math.atan(1 / eps)) <= 1e-10
+
+
+def _gauss_legendre_bound(dens, eps, nodes=400):
+    """The bound's double integral of ``eps^4 / ((t-s)^2 + eps^2)^2`` over
+    the density, a product rule of ``nodes`` Gauss-Legendre points on each
+    piece.  Test oracle only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    knots = np.array(_knots(dens))
+    half = 0.5 * np.diff(knots)[:, None]
+    t = (knots[:-1, None] + half + half * x).ravel()
+    wt = (half * w).ravel() * dens.pdf(t)
+    d = (t[:, None] - t[None, :]) / eps
+    return float(wt @ (1.0 / (1.0 + d * d) ** 2) @ wt)
+
+
+@pytest.mark.parametrize("eps", [1e6, 1e8, 1e10, 1e77])
+@pytest.mark.parametrize("dens", [
+    UniformDensity(0.0, 1.0),
+    TableDensity([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]),
+], ids=["uniform", "tent"])
+def test_eps_kernel_of_a_density_at_a_huge_eps(dens, eps):
+    # far from the support each piece's log ratio is a log1p and G' has one
+    # quotient, so nothing cancels: the bound keeps to its double integral,
+    # and stays at or below mass^2 = 1
+    bound = eps_kernel(MeasureModel([], dens), eps).bound
+    assert bound <= 1.0
+    assert abs(bound - _gauss_legendre_bound(dens, eps)) <= 1e-12

@@ -19,9 +19,11 @@ its cache, inside ``stein._block_layout``), and ``stein._block_layout``, the
 cached blocks of a view, and ``numpy.linalg.eigh`` are also inside
 ``GramSystem.view``.  A warm run finds both caches filled.  The stage ``xi``
 is the first read of the report's ``xi``, which assembles it after the
-estimate; ``wall_s`` is the estimate alone.  ``ru_maxrss_mb`` is the peak
-of the whole process, so run each case in a fresh one; the run exits
-nonzero when sigma is more than 1e-9 off its oracle::
+estimate; ``wall_s`` is the estimate alone.  ``cached_mib`` sums the array
+bytes of each distinct split-pair index and block layout the process read,
+per stage.  ``ru_maxrss_mb`` is the peak of the whole process, so run each
+case in a fresh one; the run exits nonzero when sigma is more than 1e-9 off
+its oracle::
 
     OPENBLAS_NUM_THREADS=1 python3 tools/scale_record.py a --warm 3
     OPENBLAS_NUM_THREADS=1 python3 tools/scale_record.py a --src OTHER/src
@@ -79,18 +81,22 @@ def main(argv=None):
     from free_stein import stein, trace
 
     times, calls = defaultdict(float), defaultdict(int)
+    cached = {}  # id -> (stage, MiB) of each distinct cached index or layout
     owners = {"GramSystem": stein.GramSystem, "_GramView": stein._GramView,
               "stein": stein, "linalg": np.linalg}
     for owner, attr, name in STAGES:
         raw = getattr(owners[owner], attr)
 
-        def timed(*a, raw=raw, name=name, **k):
+        def timed(*a, raw=raw, name=name, owner=owner, **k):
             start = time.perf_counter()
             try:
-                return raw(*a, **k)
+                out = raw(*a, **k)
             finally:
                 times[name] += time.perf_counter() - start
                 calls[name] += 1
+            if owner == "stein":
+                cached[id(out)] = name, nbytes(out) / 2 ** 20
+            return out
         setattr(owners[owner], attr, timed)
 
     label, d_xi, want = CASES[args.case]
@@ -112,8 +118,19 @@ def main(argv=None):
             raise SystemExit(f"case {args.case}: sigma {rep.sigma!r}, "
                              f"not {want} within 1e-9")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    cached_mib = defaultdict(float)
+    for name, mib in cached.values():
+        cached_mib[name] += mib
     print(json.dumps({"case": args.case, "label": label, "cold": runs[0],
-                      "warm": runs[1:], "ru_maxrss_mb": peak}))
+                      "warm": runs[1:], "ru_maxrss_mb": peak,
+                      "cached_mib": cached_mib}))
+
+
+def nbytes(x):
+    """The bytes of the arrays in ``x``, nested in tuples and lists."""
+    if isinstance(x, (tuple, list)):
+        return sum(nbytes(y) for y in x)
+    return getattr(x, "nbytes", 0)
 
 
 if __name__ == "__main__":
