@@ -50,12 +50,17 @@ slot) coefficient matrix through the solves.  A report's ``xi`` is assembled
 from it and its words' traces, with exact coefficients, on the first read of
 the field, so the sweeps, whose reports print only values, never build it.
 
-The index structure of a Gram system -- its basis words, the legs and the
-one split table -- depends on nothing but ``(n, d_proj)``, since B
-is scalar and the star pairing does not enter.  It is built once per shape
-and process (:func:`_layout`) and shared read-only, as are the split pairs
-per shape and table pattern; the moment table and everything computed from
-it stay with each system.  The layouts nest, so a degree sweep builds one
+The index structure of a Gram system -- its basis words, the legs, the leg
+index that maps each leg to its table column, and the one split table --
+depends on nothing but ``(n, d_proj)``, since B is scalar and the star
+pairing does not enter.  It is built once per shape and process
+(:func:`_layout`) and shared read-only, as are the split pairs and the view
+blocks per shape and table pattern, and the prefix stack of each word list a
+table is built over (``trace._prefix_stack``), so a one-shot CLI run builds
+each once and a process that rebuilds models of one shape builds none
+again.  The moment table, the columns of words beyond the legs, traced on
+first use, and everything computed from them stay with each system; nothing
+keyed by a model outlives it.  The layouts nest, so a degree sweep builds one
 system at its largest ``d_proj`` and reads every point off its prefix views
 (:func:`degree_sweep`).
 
@@ -81,6 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -259,16 +265,18 @@ def _split_index(n: int, offsets) -> tuple:
 @lru_cache(maxsize=None)
 def _layout(n: int, d_proj: int) -> tuple:
     """The model-independent structure of a :class:`GramSystem` over ``n``
-    letters at ``d_proj``: ``(words, legs, start, splits)``.  ``words`` are
-    the basis words (degree 1 to ``d_proj + 1``) and ``legs`` the split legs
-    (degree 0 to ``d_proj``), in ``monomial_words`` order; the degree-e legs
-    are ``start[e]:start[e + 1]``, the degree-e words one index lower.
-    ``splits`` holds the :func:`_split_index` arrays ``(word,
+    letters at ``d_proj``: ``(words, legs, start, splits, index)``.
+    ``words`` are the basis words (degree 1 to ``d_proj + 1``) and ``legs``
+    the split legs (degree 0 to ``d_proj``), in ``monomial_words`` order;
+    the degree-e legs are ``start[e]:start[e + 1]``, the degree-e words one
+    index lower.  ``splits`` holds the :func:`_split_index` arrays ``(word,
     letter, pre, suf)``, words numbered from 0, by letter, then word, then
     position, and their runs, one per (letter, word) pair: ``(owner,
     starts)``, the owner ``letter * m + word`` of each run and where it
-    starts.  With B scalar none of it depends on the model, so one
-    read-only build serves every Gram system of the shape."""
+    starts.  ``index`` maps each leg to its position, the table column that
+    holds it.  With B scalar none of it depends on the model, so one
+    read-only build per shape and process serves every Gram system of the
+    shape, and a one-shot run builds it once."""
     system = GeneratorSystem(n)
     words = tuple(monomial_words(system, 1, d_proj + 1))
     legs = tuple(monomial_words(system, 0, d_proj))
@@ -282,7 +290,8 @@ def _layout(n: int, d_proj: int) -> tuple:
     splits = word, letter, pre, suf, owner[starts], starts
     for a in (start, *splits):
         a.setflags(write=False)
-    return words, legs, start, splits
+    index = MappingProxyType(dict(zip(legs, range(len(legs)))))
+    return words, legs, start, splits, index
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +313,16 @@ class GramSystem:
     of its structural pattern (:func:`_block_layout`).  The r-vectors gather
     table columns at the one split table, every letter at once, and sum each
     (letter, word) run (:meth:`_by_letter`): columns of the legs (words of
-    degree <= d_proj), and of longer kernel legs, traced on first use, one
-    table call per batch.  Reports read :meth:`r_of_identity` and
+    degree <= d_proj), read off the table at their positions in the leg
+    index, and of longer kernel legs, traced on first use, one table call
+    per batch, and kept.  Reports read :meth:`r_of_identity` and
     :meth:`r_of_candidates`; :meth:`r_of_kernel`, for exact kernels, is
-    their test reference.  Scalar B only.  ``words``, ``_legs``, ``_start``
-    and ``_splits`` come from the read-only :func:`_layout` of ``(n,
-    d_proj)``, the split pairs and the views' block layouts from those of
-    ``_key``, the shape and table pattern; the table, the entries and the
-    r-vectors are its own; views are not cached.
+    their test reference.  Scalar B only.  ``words``, ``_legs``, ``_start``,
+    ``_splits`` and the leg index ``_index`` come from the read-only
+    :func:`_layout` of ``(n, d_proj)``, the split pairs and the views' block
+    layouts from those of ``_key``, the shape and table pattern; the table,
+    the columns beyond the legs, the entries and the r-vectors are its own;
+    views are not cached.
     """
 
     def __init__(self, model: TraceModel, d_proj: int):
@@ -319,11 +330,11 @@ class GramSystem:
         _gram_guard(system, d_proj)
         self.model = model
         self.d_proj = d_proj
-        self.words, self._legs, self._start, self._splits = _layout(
-            system.n, d_proj)
+        (self.words, self._legs, self._start, self._splits,
+         self._index) = _layout(system.n, d_proj)
         # the legs are built valid: only the cap is checked
         self._table = G = model._moment_table(self._legs)
-        self._columns = dict(zip(self._legs, G.T))
+        self._beyond = {}  # columns of words beyond the legs, as traced
         self._key = (system.n, d_proj, _components(G).tobytes())
         entry, pre, suf, a, b = _pair_index(*self._key)
         terms = G.ravel()[pre] * G.ravel()[suf]
@@ -349,12 +360,22 @@ class GramSystem:
 
     def _fetch(self, words) -> np.ndarray:
         """The columns ``G[:, p]`` of ``words``, stacked, ``[:, 0]`` their
-        traces; those beyond the legs are traced in one table call."""
-        missing = [p for p in dict.fromkeys(words) if p not in self._columns]
-        if missing:
-            table = self.model.moment_table(self._legs, missing)
-            self._columns.update(zip(missing, table.T))
-        return np.array([self._columns[p] for p in words])
+        traces.  Legs are read at their positions in the shape's leg index,
+        in one gather of table rows, conjugated: the table is exactly
+        Hermitian.  Words beyond the legs are traced in one table call and
+        kept."""
+        index, beyond, G = self._index, self._beyond, self._table
+        try:
+            cols = G[[index[p] for p in words]]
+        except KeyError:
+            missing = [p for p in dict.fromkeys(words)
+                       if p not in index and p not in beyond]
+            if missing:
+                table = self.model.moment_table(self._legs, missing)
+                beyond.update(zip(missing, table.T))
+            return np.array([G[:, index[p]] if p in index else beyond[p]
+                             for p in words])
+        return cols.conj() if cols.dtype.kind == "c" else cols
 
     def _by_letter(self, terms: np.ndarray) -> np.ndarray:
         """Per-split ``terms`` ``(..., splits)`` summed over each (letter,
@@ -370,9 +391,9 @@ class GramSystem:
         """r-vectors of a kernel matrix, one row per slot, its entries summed
         term by term, letter by letter; complex only when the result has an
         imaginary part."""
-        self._fetch([w for row in A.entries for entry in row
-                     for pq in entry.terms for w in pq])
-        col = self._columns
+        words = list(dict.fromkeys(w for row in A.entries for entry in row
+                                   for pq in entry.terms for w in pq))
+        col = dict(zip(words, self._fetch(words)))
         _, letter, pre, suf, _, _ = self._splits
         acc = np.zeros((self.model.n, len(pre)), dtype=complex)
         for i, row in enumerate(A.entries):
@@ -398,7 +419,7 @@ class GramSystem:
         left = [x[:-1] + v for x in gens for v in words]   # x_p w
         k, n = len(words), self.model.n
         cols = self._fetch(words + right + left + gens)
-        w, unit, gen = cols[:k], self._columns[(0,)], cols[k + 2 * n * k:]
+        w, unit, gen = cols[:k], self._table[:, 0], cols[k + 2 * n * k:]
         wx, xw = cols[k:k + 2 * n * k].reshape(2, n, k, -1).swapaxes(1, 2)
         _, letter, pre, suf, _, _ = self._splits
         acc = (wx[:, letter, pre] * unit[suf] - w[:, pre] * gen[letter, suf]
@@ -419,7 +440,7 @@ class GramSystem:
         """r-vectors of the identity kernel: row ``i`` sums ``1 (x) 1`` over
         the splits at letter ``i``, the products of the unit column."""
         _, _, pre, suf, _, _ = self._splits
-        unit = self._columns[(0,)]
+        unit = self._table[:, 0]  # the column of the unit, the first leg
         return real_if_exact(self._by_letter(unit[pre] * unit[suf]))
 
 
@@ -455,7 +476,7 @@ def _pair_index(n: int, d_proj: int, labels: bytes) -> tuple:
     p'``, ``s * L + s'`` into ``G``.  No table value enters, so one read-only
     build serves a shape and pattern, ``PAIR_INDEX_CACHE`` of them cached."""
     label = np.frombuffer(labels, dtype=np.intp)
-    _, _, start, (word, letter, pre, suf, _, _) = _layout(n, d_proj)
+    _, _, start, (word, letter, pre, suf, _, _), _ = _layout(n, d_proj)
     m, L, D = int(start[-1]) - 1, int(start[-2]), d_proj + 2
     degree = np.searchsorted(start, pre, side="right") - 1
     key = (letter * L + label[pre]) * L + label[suf]
@@ -603,7 +624,8 @@ def discrepancy(model: TraceModel, xi, scheme: DegreeScheme) -> DiscrepancyRepor
     rA = (C @ gs.r_of_candidates(words) if words
           else np.zeros((model.n, len(gs.words))))
     r = rA - gs.r_of_identity()
-    tau = {w: complex(gs._columns[w][0]) for w in words}  # and tau(1) = 1
+    # the traces G[0, w] of the words, and tau(1) = 1 below
+    tau = {w: complex(t) for w, t in zip(words, gs._fetch(words)[:, 0])}
     xi = tuple(x - NCPoly.scalar(model.system, sum([complex(c) * tau.get(w, 1)
                for w, c in x.terms.items()], 0j)) for x in xi)
     trail = [(d, float(np.linalg.norm((view := gs.view(d)).z(r))))

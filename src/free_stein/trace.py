@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,8 +110,8 @@ class TraceModel:
         construction: only the degree of the largest product is checked
         against the cap."""
         square = ys is None
-        dx = max((len(w) // 2 for w in xs), default=0)
-        dy = dx if square else max((len(w) // 2 for w in ys), default=0)
+        dx = max(map(len, xs), default=0) // 2
+        dy = dx if square else max(map(len, ys), default=0) // 2
         if dx + dy > self.system.cap:
             raise DegreeCapError(
                 f"product degree {dx + dy} exceeds cap {self.system.cap}")
@@ -266,7 +267,7 @@ class MatrixModel(TraceModel):
         (:func:`_prefix_stack`): the first level is the B slots, and each
         later one right-multiplies its parent rows by the stacked generator
         or B matrices of its letters in one batched product."""
-        size, levels, at = _prefix_stack(words)
+        size, levels, at = _prefix_stack(tuple(words))
         mats = np.stack(self.b_mats), np.stack(self.gen_mats)
         M = np.zeros((size, self.dim, self.dim), dtype=complex)
         for j, (lo, hi, parents, letters) in enumerate(levels):
@@ -373,25 +374,24 @@ class SemicircularModel(TraceModel):
         to the vacuum, so the cut drops nothing the table reads.
         """
         depth = (dx + dy) // 2
-        Vx = self._fock_vectors([w[1::2] for w in xs], depth)
-        Vy = Vx if ys is None else self._fock_vectors([w[1::2] for w in ys],
-                                                      depth)
-        return Vx, Vy
+        Vx = self._fock_vectors(xs, depth)
+        return Vx, Vx if ys is None else self._fock_vectors(ys, depth)
 
     def _fock_vectors(self, words, depth) -> np.ndarray:
-        """``u Omega`` per letter tuple ``u``, over the Fock basis of letter
-        tuples of length <= ``depth``, ordered by length and then
-        lexicographically; creations beyond ``depth`` are dropped.
+        """``w Omega`` per word ``w``, over the Fock basis of letter tuples
+        of length <= ``depth``, ordered by length and then lexicographically;
+        creations beyond ``depth`` are dropped.
 
-        One stack holds the vectors of every prefix of the words, by length
-        and then tuple.  A level is ``d_l`` applied to its parent rows, each
-        row at its own last letter ``l``: one scatter for ``r_l`` and one
-        gather-add for ``r_l*``.  In this order the tuple at index ``i``
-        with ``l`` appended sits at ``n i + 1 + l``."""
+        One stack holds the vectors of every prefix of the words' letter
+        tuples, by length and then tuple (:func:`_prefix_stack`).  A level
+        is ``d_l`` applied to its parent rows, each row at its own last
+        letter ``l``: one scatter for ``r_l`` and one gather-add for
+        ``r_l*``.  In this order the tuple at index ``i`` with ``l``
+        appended sits at ``n i + 1 + l``."""
         n = self.n
         h = sum(n ** k for k in range(depth))  # the tuples shorter than depth
         there = n * np.arange(h) + 1
-        size, levels, at = _prefix_stack(words)
+        size, levels, at = _prefix_stack(tuple(words), True)
         V = np.zeros((size, h + n ** depth))
         V[0, 0] = 1.0  # the vacuum, the empty prefix
         for lo, hi, parents, letters in levels:
@@ -402,13 +402,26 @@ class SemicircularModel(TraceModel):
         return V[at]
 
 
-def _prefix_stack(words) -> tuple:
-    """Every prefix of the letter tuples ``words`` on one stack, by length
-    and then tuple, the empty prefix in row 0: ``(size, levels, rows)``.
-    ``levels`` holds per length from 1 ``(lo, hi, parents, letters)``: the
-    stack rows ``lo:hi`` of that length, each one's parent row and its last
-    letter; ``rows`` holds each word's row.  The prefixes are found from the
-    longest down, one slice per prefix."""
+# prefix stacks cached by word list; a Gram report reads one per table
+PREFIX_STACK_CACHE = 64
+
+
+@lru_cache(maxsize=PREFIX_STACK_CACHE)
+def _prefix_stack(words: tuple, letter_tuples: bool = False) -> tuple:
+    """Every prefix of the tuples ``words``, or with ``letter_tuples`` of
+    their letter tuples ``w[1::2]``, on one stack, by length and then tuple,
+    the empty prefix in row 0: ``(size, levels, rows)``.  ``levels`` holds
+    per length from 1 ``(lo, hi, parents, letters)``: the stack rows
+    ``lo:hi`` of that length, each one's parent row and its last letter;
+    ``rows`` holds each word's row.  The prefixes are found from the longest
+    down, one slice per prefix.  Only the words enter, so one read-only build
+    per word list and process serves every table over it, whatever the
+    model: a one-shot CLI run builds each once, and a process that rebuilds
+    models of one shape builds none again.  ``PREFIX_STACK_CACHE`` of them
+    are cached, by the words as the table receives them, so a hit rebuilds
+    no letter tuple."""
+    if letter_tuples:
+        words = [w[1::2] for w in words]
     by_length = [{()}] + [set() for _ in range(max(map(len, words),
                                                    default=0))]
     for u in words:
@@ -425,7 +438,10 @@ def _prefix_stack(words) -> tuple:
                        np.array([u[-1] for u in level])))
         row.update(zip(level, range(lo, hi)))
         lo = hi
-    return lo, levels, np.array([row[u] for u in words], dtype=int)
+    rows = np.array([row[u] for u in words], dtype=int)
+    for x in (rows, *(a for level in levels for a in level[2:])):
+        x.setflags(write=False)
+    return lo, tuple(levels), rows
 
 
 def catalan(k: int) -> int:
@@ -550,7 +566,10 @@ class _PiecewiseLinearDensity(Density):
             logs = np.where(far, 0.5 * np.log1p(2 * w.real + abs(w) ** 2)
                             + 1j * np.arctan2(w.imag, 1 + w.real),
                             np.log(zp) - np.log(zq))
-            g += (y + slope * zp) * logs - slope * (q - p)
+            # far, the slope's part zp logs - (q - p) = zq phi(w) cancels
+            # too, to a size |z|^-1: take phi without the difference
+            g += np.where(far, y * logs + slope * zq * _phi(w, logs),
+                          (y + slope * zp) * logs - slope * (q - p))
             # G' = -integral of rho / (z - s)^2, integrated by parts, its
             # rational part y / zp - y_end / zq as one quotient
             dg += -(q - p) * (y + slope * zp) / (zp * zq) + slope * logs
@@ -564,6 +583,18 @@ class _PiecewiseLinearDensity(Density):
             val += (_xlog_antiderivative(q - x, level, slope)
                     - _xlog_antiderivative(p - x, level, slope))
         return val
+
+
+def _phi(w, log1p_w):
+    """``phi(w) = (1 + w) log1p(w) - w`` from ``log1p(w)``.  Below |w| =
+    1/8, where the difference cancels to a size ``|w|^2 / 2``, it is the sum
+    of ``(-w)^k / (k (k - 1))`` over k = 2 .. 18 by Horner's rule, whose
+    tail is under the double rounding there; above, the difference loses at
+    most 4 bits."""
+    series = np.zeros_like(w)
+    for k in range(18, 1, -1):
+        series = 1 / (k * (k - 1)) - w * series
+    return np.where(abs(w) < 0.125, w * w * series, (1 + w) * log1p_w - w)
 
 
 def _xlog_antiderivative(d, level, slope):
@@ -714,7 +745,7 @@ class FreeProductModel(TraceModel):
                     f"{f.system.cap} of factor {fi} ({type(f).__name__})")
 
     def _trace_word_impl(self, word) -> complex:
-        V, _ = self._reduced_vectors([word[1::2]])
+        V, _ = self._reduced_vectors([word])
         return V[0, 0]
 
     def _table_vectors(self, xs, ys, dx, dy) -> tuple:
@@ -722,9 +753,8 @@ class FreeProductModel(TraceModel):
         :meth:`_reduced_vectors`: ``V_x`` holds the coefficients of ``x
         Omega`` and ``V_y`` those of ``K (y Omega)``, with ``K`` the Gram
         matrix of the basis (:meth:`_basis_gram`)."""
-        Vx, rows = self._reduced_vectors([x[1::2] for x in xs])
-        Vy, cols = ((Vx, rows) if ys is None
-                    else self._reduced_vectors([y[1::2] for y in ys]))
+        Vx, rows = self._reduced_vectors(xs)
+        Vy, cols = (Vx, rows) if ys is None else self._reduced_vectors(ys)
         return Vx, Vy @ self._basis_gram(rows, cols).T
 
     def _reduced_vectors(self, words) -> tuple:
@@ -744,7 +774,7 @@ class FreeProductModel(TraceModel):
         targets and coefficients of :meth:`_ReducedBasis.successors`: a
         target sums its terms by source key, then term.  Keys that only a
         zero coefficient would reach are not numbered."""
-        size, levels, at = _prefix_stack(words)
+        size, levels, at = _prefix_stack(tuple(words), True)
         basis = _ReducedBasis(self)
         done, prev = [np.ones((1, 1))], 0  # the vacuum row
         for lo, hi, parents, letters in levels:

@@ -177,3 +177,16 @@ def test_eps_kernel_of_a_density_at_a_huge_eps(dens, eps):
     bound = eps_kernel(MeasureModel([], dens), eps).bound
     assert bound <= 1.0
     assert abs(bound - _gauss_legendre_bound(dens, eps)) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e8, 1e10])
+def test_smoothing_field_of_the_tent_at_a_huge_eps(eps):
+    # far from the support g(t) = 2 Re G(t + i eps) tends to 2 (t - 1) /
+    # eps^2 about the tent's mean 1, so its L2 norm is 2 sqrt(1/6) / eps^2:
+    # on a sloped piece Re G is a size |z|^-1 below the terms it is summed
+    # from, and it must not cancel away
+    rep = eps_kernel(MeasureModel([], TableDensity([(0.0, 0.0), (1.0, 1.0),
+                                                    (2.0, 0.0)])), eps)
+    want = 2 * math.sqrt(1 / 6) / eps ** 2
+    assert abs(rep.g_l2 - want) <= 1e-12 * want
+    assert all(np.sign(v) == np.sign(t - 1) for t, v in rep.g_grid if t != 1)

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from free_stein.stein import DegreeScheme, irregularity_estimate
-from free_stein.trace import (MeasureModel, SemicircleDensity, UniformDensity,
-                              catalan)
+from free_stein.trace import (MeasureModel, SemicircleDensity, TableDensity,
+                              UniformDensity, catalan)
 
 
 def _solve(A, columns):
@@ -85,9 +85,30 @@ def _three_atoms_moment(k):
             + Fraction(2, 5) * (-3) ** k)
 
 
+def _uniform(cap):
+    return MeasureModel(density=UniformDensity(0, 1), cap=cap)
+
+
+def _uniform_moment(k):
+    return Fraction(1, k + 1)
+
+
+def _tent(cap):
+    return MeasureModel(density=TableDensity([(0, 0), (1, 1), (2, 0)]),
+                        cap=cap)
+
+
+def _tent_moment(k):
+    # s on [0, 1], 2 - s on [1, 2]
+    return (Fraction(1, k + 2) + Fraction(2 * (2 ** (k + 1) - 1), k + 1)
+            - Fraction(2 ** (k + 2) - 1, k + 2))
+
+
 MEASURES = {"atom+uniform": (_atom_uniform, _atom_uniform_moment),
             "plateau": (_plateau, _plateau_moment),
-            "three atoms": (_three_atoms, _three_atoms_moment)}
+            "three atoms": (_three_atoms, _three_atoms_moment),
+            "uniform": (_uniform, _uniform_moment),
+            "tent": (_tent, _tent_moment)}
 
 _CUT = ("FOUND in CHANGES.md: at d_proj 5 the RCOND cut drops a real "
         "direction of W on 0.4*delta_3 + 0.6*U[0, 1], and irregularity exits "
@@ -98,6 +119,9 @@ _ATOMS = ("FOUND in CHANGES.md: atom-only measures lose a real direction at "
           "the default scheme: on 0.4*delta_-1 + 0.2*delta_-2 + 0.4*delta_-3 "
           "the d_proj 4 W has exact rank 5, its smallest eigenvalue falls "
           "under the RCOND cut, and sigma reads 0.733 against 16/25, exit 0")
+_DENSITY = ("FOUND in CHANGES.md (ROADMAP item 3): the uniform law and the "
+            "tent lose a real direction of W at d_proj 7, and sigma reads "
+            "1.4e-5 and 5.1e-5 off, exit 0")
 
 
 def _failing(name, d_xi, d_proj, reason):
@@ -113,6 +137,8 @@ GRID = [
     *(_failing("plateau", dx, dx + 2, _ITEM_3) for dx in (6, 7)),
     ("three atoms", 1, 3), ("three atoms", 2, 3),
     _failing("three atoms", 1, 4, _ATOMS), _failing("three atoms", 2, 4, _ATOMS),
+    *((name, dx, dx + 2) for name in ("uniform", "tent") for dx in range(1, 5)),
+    *(_failing(name, 5, 7, _DENSITY) for name in ("uniform", "tent")),
 ]
 
 

@@ -45,7 +45,7 @@ from conftest import (DictFreeProduct, SymbolicPairing, _unitary_pair,
                       candidate_gram_reference, dense_eigh_kept, dense_gram,
                       eval_word, m2_over_m2, random_poly, random_word,
                       scattered_eigenpairs, view_labels, word_of)
-from free_stein import stein
+from free_stein import stein, trace
 from free_stein.cli import main
 from free_stein.errors import DegreeCapError, StructureError
 from free_stein.ncalg import (BAlgebra, GeneratorSystem, KernelMatrix, NCPoly,
@@ -113,7 +113,7 @@ def _gram_reference(gs):
     and the per-letter split arrays it was built from, concatenated over
     the letters as ``(word, letter, pre, suf, owner, starts)``, each
     (letter, word) run owned by ``letter * m + word``."""
-    G = np.array([gs._columns[p] for p in gs._legs]).T
+    G = gs._fetch(gs._legs).T
     leg_index = {w: k for k, w in enumerate(gs._legs)}
     splits = [[] for _ in range(gs.model.n)]
     for a, w in enumerate(gs.words):
@@ -235,9 +235,12 @@ def test_gram_systems_of_one_shape_share_a_read_only_layout():
     assert a._start is b._start
     with pytest.raises(ValueError, match="read-only"):
         a._start[0] = 1
+    assert a._index is b._index
+    with pytest.raises(TypeError):
+        a._index[(0,)] = 1
     # the model values stay per system
     assert not np.array_equal(dense_gram(a), dense_gram(b))
-    assert a._columns is not b._columns
+    assert a._table is not b._table and a._beyond is not b._beyond
     # the split pairs follow the table's zero pattern: the unitary pair's
     # table is one component, the semicircular family's many
     assert stein._pair_index.cache_info().misses == 2
@@ -254,6 +257,49 @@ def test_gram_systems_of_one_shape_share_a_read_only_layout():
     for gs in (a, b, c):
         W = _gram_blocks_reference(gs._table, 2, start)
         assert np.max(np.abs(dense_gram(gs) - W)) <= 1e-15 * np.max(np.abs(W))
+
+
+@pytest.mark.parametrize("make", [lambda: SemicircularModel(2), _unitary_pair,
+                                  MODELS["two-point * semicircular"]],
+                         ids=["semicircular n=2", "unitary pair",
+                              "two-point * semicircular"])
+def test_gram_system_reads_leg_columns_by_position(make):
+    # the legs' columns are the table's, read at the shape's leg index, the
+    # complex table's too; only a word beyond the legs is traced and kept
+    gs = stein.GramSystem(make(), 2)
+    legs = list(gs._legs)
+    assert all(gs._index[w] == k for k, w in enumerate(legs))
+    picked = legs[::-3]
+    assert np.array_equal(gs._fetch(picked),
+                          gs._table[:, [gs._index[w] for w in picked]].T)
+    assert gs._fetch(picked).dtype == gs._table.dtype and not gs._beyond
+    long = word_of((0, 1, 1, 0))
+    cols = gs._fetch([long, (0,), long])
+    assert list(gs._beyond) == [long]
+    assert np.array_equal(cols[1], gs._table[:, 0])
+    want = gs.model.moment_table(legs, [long])[:, 0]
+    assert np.array_equal(cols[0], want) and np.array_equal(cols[2], want)
+
+
+def test_prefix_stacks_are_cached_read_only_per_word_list():
+    # one build per word list serves every table over it, whatever the model
+    trace._prefix_stack.cache_clear()
+    assert (trace._prefix_stack.cache_info().maxsize
+            == trace.PREFIX_STACK_CACHE)
+    legs = stein._layout(2, 3)[1]
+    tables = [make()._moment_table(legs) for make in (
+        lambda: SemicircularModel(2), lambda: SemicircularModel(2, cap=14))]
+    assert np.array_equal(*tables)
+    info = trace._prefix_stack.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    size, levels, rows = trace._prefix_stack(legs, True)
+    assert trace._prefix_stack(legs, True)[1] is levels
+    for arr in (rows, *(a for level in levels for a in level[2:])):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # a matrix model's words keep their B slots: its own stack
+    two_point_matrix_model()._moment_table(legs[:2])
+    assert trace._prefix_stack.cache_info().misses == 2
 
 
 def test_pair_index_cache_is_bounded():
@@ -538,8 +584,9 @@ def test_candidate_rows_match_exact_kernels(name):
             expected = np.zeros_like(r, dtype=complex)
             expected[i] = row
             assert np.max(np.abs(r - expected)) <= TOL
-    assert max(len(p) // 2 for p in gs._columns) == max(scheme.d_proj,
-                                                         scheme.d_xi + 1)
+    # the legs reach d_proj, and the kernel legs traced beyond them d_xi + 1
+    assert max(len(p) // 2 for p in (*gs._legs, *gs._beyond)) == max(
+        scheme.d_proj, scheme.d_xi + 1)
 
 
 def _kernel_partners(system):
@@ -821,7 +868,7 @@ def fock_cases(draw):
 @example((3, 2, [(2, 1, 0, 1), (0,), (), (2, 1, 0, 1), (1, 2)]))
 def test_fock_vectors_equal_slice_loop_reference(case):
     n, depth, words = case
-    V = SemicircularModel(n)._fock_vectors(words, depth)
+    V = SemicircularModel(n)._fock_vectors(list(map(word_of, words)), depth)
     assert V.shape == (len(words), sum(n ** k for k in range(depth + 1)))
     assert np.array_equal(V, _fock_vectors_reference(n, words, depth))
 
@@ -1445,7 +1492,8 @@ def free_product_words(draw):
 @example(("semicircular(2) * two-point(0.3)", [(), (2, 2), (0, 2, 2, 1)]))
 def test_reduced_vectors_equal_dict_builder(case):
     name, words = case
-    V, basis = FREE_PRODUCTS[name]()._reduced_vectors(words)
+    V, basis = FREE_PRODUCTS[name]()._reduced_vectors(list(map(word_of,
+                                                               words)))
     oracle = DictFreeProduct(FREE_PRODUCTS[name]())
     keys = _block_keys(basis)
     assert V.shape == (len(words), len(basis)) and len(set(keys)) == len(keys)

@@ -300,7 +300,7 @@ def test_semicircular_gram_is_fock_factorization():
         model = SemicircularModel(n)
         gs = GramSystem(model, d_proj)
         depth = d_proj + 1
-        L = model._fock_vectors([w[1::2] for w in gs.words], depth)[:, 1:]
+        L = model._fock_vectors(gs.words, depth)[:, 1:]
         lengths = [len(u) for k in range(1, depth + 1)
                    for u in itertools.product(range(n), repeat=k)]
         assert np.max(np.abs(dense_gram(gs) - (L * lengths) @ L.T)) == 0.0
@@ -1908,22 +1908,41 @@ def test_irregularity_of_matrix_models_is_invariant_under_linear_maps(name):
             assert abs(got - want[d]) <= 1e-9
 
 
-# Left out of the free-product invariance test below: pushed, the n = 4
-# products with a cyclic factor take about a minute each at d_xi 3, and
-# plateau * cyclic(4) has not settled by d_xi 3 (1.49985), so its pushed
-# value need not equal the unpushed one there.  At d_xi 1 and 2 two-point *
-# semicircular pushed to (X+Y, Y) reads 1.4692 and 1.4478: the truncation is
-# not invariant, only the limit is.
-@pytest.mark.parametrize("A", _LINEAR_MAPS[2][:2],
-                         ids=["(X+Y, Y)", "(2X+Y, X+Y)"])
-def test_irregularity_of_a_free_product_is_invariant_under_linear_maps(A):
+def _pushed_free_product(A):
+    """Two-point * semicircular, its generators pushed by the rows of A."""
     base = FreeProductModel([two_point_measure(), SemicircularModel(1)])
     gens = generator_tuple(base.system)
     polys = [sum((g * QQi(Fraction(a)) for a, g in zip(row, gens)),
                  NCPoly.zero(base.system)) for row in A]
-    pushed = PushForwardModel(base, polys)
-    got = irregularity_estimate(pushed, DegreeScheme(3)).sigma
+    return PushForwardModel(base, polys)
+
+
+# Left out of the free-product invariance test below: pushed, the n = 4
+# products with a cyclic factor take about a minute each at d_xi 3, and
+# plateau * cyclic(4) has not settled by d_xi 3 (1.49985), so its pushed
+# value need not equal the unpushed one there.  At d_xi 1 and 2 two-point *
+# semicircular pushed to (X+Y, Y) has the exact truncated sigma 2596/1767 and
+# 7226141732384/4991017736045, pinned in the next test: the truncation is
+# not invariant, only the limit is.
+@pytest.mark.parametrize("A", _LINEAR_MAPS[2][:2],
+                         ids=["(X+Y, Y)", "(2X+Y, X+Y)"])
+def test_irregularity_of_a_free_product_is_invariant_under_linear_maps(A):
+    got = irregularity_estimate(_pushed_free_product(A), DegreeScheme(3)).sigma
     assert abs(got - 1.5) <= 1e-9
+
+
+@pytest.mark.parametrize("d_xi, sigma", [
+    (1, Fraction(2596, 1767)),
+    (2, Fraction(7226141732384, 4991017736045)),
+])
+def test_irregularity_of_a_pushed_free_product_is_its_exact_truncation(
+        d_xi, sigma):
+    # exact rational sigma of the truncated problem at (d_xi, d_xi + 2); the
+    # estimates 1.469156762874932 and 1.4478293034702303 are 2.7e-15 and
+    # 3.2e-13 off it
+    got = irregularity_estimate(_pushed_free_product(_LINEAR_MAPS[2][0]),
+                                DegreeScheme(d_xi)).sigma
+    assert abs(got - float(sigma)) <= 1e-9 * float(sigma)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -11,19 +11,25 @@ and memory go at scale:
 * ``c``: ``cyclic_group_model(5)`` at d_xi 4 (m = 254), sigma = 4/5.
 
 Each run builds the model afresh and times ``irregularity_estimate``: the
-first run is cold (the per-shape layouts and split pairs are built), the
-others warm.  Case ``b`` runs once, cold.  Stage times are summed over the
-calls of each wrapped function within a run; ``stein._pair_index``, the
-cached split pairs, is also inside ``GramSystem.__init__`` (and, read from
-its cache, inside ``stein._block_layout``), and ``stein._block_layout``, the
-cached blocks of a view, and ``numpy.linalg.eigh`` are also inside
-``GramSystem.view``.  A warm run finds both caches filled.  The stage ``xi``
-is the first read of the report's ``xi``, which assembles it after the
-estimate; ``wall_s`` is the estimate alone.  ``cached_mib`` sums the array
-bytes of each distinct split-pair index and block layout the process read,
-per stage.  ``ru_maxrss_mb`` is the peak of the whole process, so run each
-case in a fresh one; the run exits nonzero when sigma is more than 1e-9 off
-its oracle::
+first run is cold (the per-shape layouts, the split pairs and the prefix
+stacks of the word lists are built), the others warm.  Case ``b`` runs
+once, cold.  Stage times are summed over the calls of each wrapped function
+within a run.  ``TraceModel._moment_table``, the tables, is inside
+``GramSystem.__init__`` and, for words beyond the legs, inside
+``GramSystem.r_of_candidates``; a free product's factor tables count both
+on their own and inside the product's.  ``trace._prefix_stack``, the cached
+prefix stack of a word list, is inside the tables.  ``stein._pair_index``,
+the cached split pairs, is also inside ``GramSystem.__init__`` (and, read
+from its cache, inside ``stein._block_layout``), and
+``stein._block_layout``, the cached blocks of a view, and
+``numpy.linalg.eigh`` are also inside ``GramSystem.view``.  A warm run finds
+every cache filled.  The stage ``xi`` is the first read of the report's
+``xi``, which assembles it after the estimate; ``wall_s`` is the estimate
+alone.  ``cached_mib`` sums the array bytes of each distinct prefix stack,
+split-pair index and block layout the process read, per stage.
+``ru_maxrss_mb`` is the peak of the whole process, so run each case in a
+fresh one; the run exits nonzero when sigma is more than 1e-9 off its
+oracle::
 
     OPENBLAS_NUM_THREADS=1 python3 tools/scale_record.py a --warm 3
     OPENBLAS_NUM_THREADS=1 python3 tools/scale_record.py a --src OTHER/src
@@ -49,6 +55,8 @@ CASES = {
 }
 STAGES = [
     ("GramSystem", "__init__", "GramSystem.__init__"),
+    ("TraceModel", "_moment_table", "TraceModel._moment_table"),
+    ("trace", "_prefix_stack", "trace._prefix_stack"),
     ("stein", "_pair_index", "stein._pair_index"),
     ("stein", "_block_layout", "stein._block_layout"),
     ("GramSystem", "view", "GramSystem.view"),
@@ -83,7 +91,8 @@ def main(argv=None):
     times, calls = defaultdict(float), defaultdict(int)
     cached = {}  # id -> (stage, MiB) of each distinct cached index or layout
     owners = {"GramSystem": stein.GramSystem, "_GramView": stein._GramView,
-              "stein": stein, "linalg": np.linalg}
+              "TraceModel": trace.TraceModel, "trace": trace, "stein": stein,
+              "linalg": np.linalg}
     for owner, attr, name in STAGES:
         raw = getattr(owners[owner], attr)
 
@@ -94,7 +103,7 @@ def main(argv=None):
             finally:
                 times[name] += time.perf_counter() - start
                 calls[name] += 1
-            if owner == "stein":
+            if owner in ("stein", "trace"):
                 cached[id(out)] = name, nbytes(out) / 2 ** 20
             return out
         setattr(owners[owner], attr, timed)
